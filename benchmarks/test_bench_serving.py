@@ -93,8 +93,9 @@ def _preemption_drain(store):
     from repro.models import get_model
     from repro.serving import (
         CapacityBudget,
+        ClusterScheduler,
         ContinuousBatching,
-        OfflineServingScheduler,
+        Node,
         PoissonArrivals,
     )
     from repro.serving.steptime import CalibratedStepTime
@@ -104,21 +105,26 @@ def _preemption_drain(store):
     model = get_model(serving_throughput.MODEL)
     system = build_inference_system("HILOS (8 SmartSSDs)", model)
     one_long = model.kv_cache_bytes(1, LONG.total_tokens)
-    scheduler = OfflineServingScheduler(
-        system,
+    step_time = CalibratedStepTime(system, store=store)
+    scheduler = ClusterScheduler(
+        [
+            Node(
+                system,
+                step_time=step_time,
+                budget=CapacityBudget(one_long * 4.0, "four long slots (bench)"),
+                prefill_chunk_tokens=512,
+            )
+        ],
         ContinuousBatching(
             serving_throughput.BATCH_SLOTS, admission="optimistic"
         ),
-        step_time=CalibratedStepTime(system, store=store),
-        budget=CapacityBudget(one_long * 4.0, "four long slots (bench)"),
-        prefill_chunk_tokens=512,
     )
     report = scheduler.drain(
         sample_request_classes(PREEMPTION_REQUESTS, seed=PREEMPTION_SEED),
         arrivals=PoissonArrivals(rate_per_second=0.02, seed=PREEMPTION_SEED),
     )
-    scheduler.step_time.flush()
-    return report, scheduler.step_time
+    step_time.flush()
+    return report, step_time
 
 
 def _assert_preemption_shape(result):

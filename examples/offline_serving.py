@@ -51,7 +51,6 @@ from repro.serving import (
     LeastOutstandingTokens,
     Node,
     NodeFault,
-    OfflineServingScheduler,
     PoissonArrivals,
     RoundRobin,
     default_policies,
@@ -132,14 +131,11 @@ def online_act(model, queue) -> None:
           "at six Long contexts, prefill chunked at 512 tokens:")
     print(f"{'policy':24s} {'tok/s':>8s} {'p95 lat':>10s} {'preempt':>8s} "
           f"{'wasted tok':>11s}")
+    node = Node(system, step_time=step_time, budget=budget, prefill_chunk_tokens=512)
     results = {}
     for admission in ("reserve", "optimistic"):
-        scheduler = OfflineServingScheduler(
-            system,
-            ContinuousBatching(BATCH_SLOTS, admission=admission),
-            step_time=step_time,
-            budget=budget,
-            prefill_chunk_tokens=512,
+        scheduler = ClusterScheduler(
+            [node], ContinuousBatching(BATCH_SLOTS, admission=admission)
         )
         report = scheduler.drain(list(queue), arrivals=arrivals)
         results[admission] = report

@@ -346,10 +346,7 @@ def run(
             system = build_inference_system(label, model)
             system.symmetry = symmetry
             step_time = CalibratedStepTime(
-                system,
-                batch_grid=batch_grid or DEFAULT_BATCH_GRID,
-                seq_grid=seq_grid or DEFAULT_SEQ_GRID,
-                store=store,
+                system, batch_grid=batch_grid, seq_grid=seq_grid, store=store
             )
             prewarmed = step_time.prewarm()
             reports = drain_queue(

@@ -15,12 +15,12 @@ Serving scales past one host: a :class:`~repro.serving.cluster.ClusterScheduler`
 drains one queue across N :class:`~repro.serving.engine.Node`\\ s on a
 shared discrete-event simulation, with a pluggable
 :class:`~repro.serving.routers.Router` (round-robin, join-shortest-queue,
-KV-headroom best fit) placing each request at its arrival time.  A 1-node
-cluster reproduces the single-host :class:`OfflineServingScheduler`
-schedule bit for bit.  Symmetric fleets under a load-oblivious router
-fold to one representative engine per homogeneous node group
-(``fleet_symmetry="auto"``), and identical queued requests fold into
-weighted representatives -- a 1000-node drain simulates at roughly the
+KV-headroom best fit) placing each request at its arrival time.  A single
+host is a 1-node cluster, whose engine is preloaded with the whole queue
+instead of being fed by the dispatcher.  Symmetric fleets under a
+load-oblivious router fold to one representative engine per homogeneous
+node group (``fleet_symmetry="auto"``), and identical queued requests fold
+into weighted representatives -- a 1000-node drain simulates at roughly the
 cost of one node, with per-field 1e-9 agreement against the full
 simulation.  Fleets can drain under fault injection
 (:mod:`repro.serving.faults`): seeded spot preemptions, permanent
@@ -57,15 +57,14 @@ Single host::
 
     from repro import HilosConfig, HilosSystem, get_model
     from repro.serving import (
-        ContinuousBatching, OfflineServingScheduler, PoissonArrivals,
+        ClusterScheduler, ContinuousBatching, Node, PoissonArrivals,
     )
     from repro.workloads import sample_request_classes
 
     system = HilosSystem(get_model("OPT-66B"), HilosConfig(n_devices=8))
-    scheduler = OfflineServingScheduler(
-        system,
+    scheduler = ClusterScheduler(
+        [Node(system, prefill_chunk_tokens=512)],
         ContinuousBatching(16, admission="optimistic"),
-        prefill_chunk_tokens=512,
     )
     report = scheduler.drain(
         sample_request_classes(200, seed=7),
@@ -123,6 +122,7 @@ from repro.serving.cluster import (
     ClusterScheduler,
     as_request_queue,
     build_fleet,
+    drain_queue,
 )
 from repro.serving.engine import Node, NodeEngine
 from repro.serving.faults import (
@@ -150,7 +150,6 @@ from repro.serving.metrics import (
     percentile,
     system_cost_model,
     uptime_billing,
-    weighted_percentile,
 )
 from repro.serving.overload import (
     OverloadControl,
@@ -179,7 +178,6 @@ from repro.serving.routers import (
     WeightedRoundRobin,
     parse_router_spec,
 )
-from repro.serving.scheduler import OfflineServingScheduler, drain_queue
 from repro.serving.steptime import (
     AnalyticStepTime,
     CalibratedStepTime,
@@ -212,7 +210,6 @@ __all__ = [
     "NodeBreakdown",
     "NodeEngine",
     "NodeFault",
-    "OfflineServingScheduler",
     "OverloadControl",
     "PoissonArrivals",
     "RoundRobin",
@@ -251,5 +248,4 @@ __all__ = [
     "system_cost_model",
     "total_weight",
     "uptime_billing",
-    "weighted_percentile",
 ]

@@ -3,7 +3,7 @@
 Reserve-mode admission takes a request only when the KV cache it will have
 grown by its final token still fits the serving system's cache home;
 optimistic admission charges just the current footprint and relies on
-preemption (see :mod:`repro.serving.scheduler`) to resolve overflow.  The
+preemption (see :mod:`repro.serving.engine`) to resolve overflow.  The
 budget is derived from the same placement rules
 :mod:`repro.analysis.capacity` applies to single measurements:
 

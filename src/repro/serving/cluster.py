@@ -3,26 +3,35 @@
 The paper's Section 6.6 comparison treats the 2-node vLLM deployment as a
 cost line; this module makes multi-host serving a *scheduling target*.  A
 :class:`ClusterScheduler` owns N :class:`~repro.serving.engine.Node`\\ s
-and one :class:`~repro.serving.routers.Router`; ``drain()`` runs every
-node's :class:`~repro.serving.engine.NodeEngine` as a process on one
-shared discrete-event simulator, a dispatcher process routes each request
-to a node at its arrival time, and the per-node outcomes merge into a
-fleet-level :class:`~repro.serving.metrics.ServingReport` (per-node
-breakdowns, preemption/wasted-prefill totals, fleet tokens/s/$).
+and one :class:`~repro.serving.routers.Router`; a single-host drain is
+just ``ClusterScheduler([Node(system, ...)], policy)``.
 
-**Bit-identity guarantee.** A 1-node cluster skips the dispatcher and
-preloads the whole arrival-ordered queue into the single engine, which
-then runs exactly the legacy ``OfflineServingScheduler`` loop -- same
-per-request admission, token and completion times, same report.  The
-legacy scheduler is itself a thin shim over a 1-node cluster, and the
-property tests in ``tests/serving/test_cluster.py`` assert the identity
-across policies, arrival processes, and chunking.
+**One drain body.**  ``drain()`` plans the engines -- one
+:class:`~repro.serving.engine.NodeEngine` per node, or one per fold group
+(below) -- runs them as processes on one shared discrete-event
+simulator, and closes with one epilogue: the sanitizer's drain-end
+checks, the step-time clamp notes, one
+:class:`~repro.serving.metrics.NodeBreakdown` per node, and the
+:class:`~repro.serving.metrics.ServingReport`.  Work reaches the engines
+through one of two feeds:
 
-(The multi-node dispatcher routes at true arrival times; when an arrival
-ties exactly with a node's iteration boundary, heap order -- deterministic
-but not legacy-defined -- decides whether the request joins that boundary
-or the next.  Only the 1-node preloaded path carries the bit-identity
-guarantee, which is why it exists as a distinct fast path.)
+* the **dispatcher** process walks the arrival-ordered queue and, at each
+  request's arrival time, takes one per-request step: the router's
+  placement, the fault driver's liveness-aware delivery, or the fold
+  plan's static placement;
+* the **preload** feed, used by 1-node drains with no fault driver and no
+  fold, installs the whole queue in the engine up front, and the engine
+  sleeps until each next arrival itself.
+
+The preload feed stays because it alone lets an idle engine admit a
+same-time burst together: a dispatched delivery wakes a parked engine
+synchronously, so it admits the burst's first request before the rest
+reach its queue.  On one 64-request ``BatchedArrivals`` stream, a 1-node
+drain admits a burst at t=27.18 s, while node0 of a 2-node round-robin
+fleet, dispatched the same requests, admits them at 27.18 / 28.46 /
+28.46 / 28.46 s, and every completion time differs.  A multi-node drain
+resolves an arrival that ties exactly with an iteration boundary in
+deterministic heap order.
 
 **Fault injection.** ``ClusterScheduler(..., faults=FaultSchedule(...))``
 runs the drain under a seeded fault schedule (:mod:`repro.serving.faults`):
@@ -41,8 +50,9 @@ deadline -- see :mod:`repro.serving.overload`), and
 ``autoscale=AutoscalePolicy(...)`` runs a reactive
 :class:`~repro.serving.autoscale.Autoscaler` that provisions offline
 spares and gracefully drains idle nodes on the fault layer's lifecycle.
-Both route the drain through the fault driver's dispatcher; with neither
-(and no faults) the drain runs the exact legacy code path.
+Faults, overload control and autoscaling all make the fault driver the
+dispatcher's step; the driver, not the dispatcher, releases the engines
+once every request has completed or been shed.
 
 **Fleet & request folding.** ``fleet_symmetry="auto"`` (the default)
 carries the device-level representative-symmetry fast path up to hosts
@@ -65,10 +75,10 @@ fleet cannot fold), mirroring the device-array ``symmetry`` modes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.analysis.sanitizer import SanitizerError
+from repro.baselines.base import InferenceSystem
 from repro.errors import ConfigurationError, SchedulingError
 from repro.models.config import ModelConfig
 from repro.serving.arrivals import ArrivalProcess
@@ -85,6 +95,7 @@ from repro.serving.overload import OverloadControl
 from repro.serving.policies import ContinuousBatching, SchedulingPolicy
 from repro.serving.request import ServingRequest, make_request_queue
 from repro.serving.routers import Router, RoundRobin
+from repro.serving.steptime import CalibratedStepTime, StepTimeModel
 from repro.sim.engine import Simulator
 from repro.sim.metrics import mirrored_sum
 from repro.workloads.requests import RequestClass
@@ -104,7 +115,10 @@ def as_request_queue(
 
     Every element is type-checked (mixed queues raise with the offending
     index); bare :class:`RequestClass` shapes are wrapped as an id-ordered
-    all-at-time-zero queue.
+    all-at-time-zero queue.  A :class:`ServingRequest` must be fresh: one
+    that already carries state from an earlier drain raises with its
+    index, since a drain mutates its requests in place and every report
+    shares them.
     """
     if not requests:
         raise SchedulingError("cannot drain an empty request queue")
@@ -117,6 +131,20 @@ def as_request_queue(
                 f"mixed request queue: element {index} is "
                 f"{type(request).__name__}, expected {expected.__name__} "
                 "(queues must be all RequestClass or all ServingRequest)"
+            )
+        if expected is ServingRequest and (
+            request.admitted_time is not None
+            or request.completion_time is not None
+            or request.tokens_generated
+            or request.shed_time is not None
+            or request.weight != 1
+            or request.folded
+            or request.folded_into is not None
+        ):
+            raise SchedulingError(
+                f"element {index} (request {request.request_id}) already "
+                "carries state from an earlier drain; build a fresh queue "
+                "per drain"
             )
     if expected is ServingRequest:
         return list(requests)  # type: ignore[arg-type]
@@ -250,20 +278,8 @@ def check_report_conservation(
             )
 
 
-@dataclass
-class _FoldGroup:
-    """One homogeneous node group of a folded fleet drain.
-
-    ``representative`` (the group's lowest node index) is the one node
-    actually simulated; every index in ``members`` received an identical
-    slice of the arrival stream, so the representative's outcome mirrors
-    onto each of them positionally.
-    """
-
-    representative: int
-    members: list[int] = field(default_factory=list)
-    #: Node index -> that node's slice of the arrival stream, FCFS order.
-    slices: dict[int, list[ServingRequest]] = field(default_factory=dict)
+def _arrival_order(request: ServingRequest) -> tuple[float, int]:
+    return request.arrival_time, request.request_id
 
 
 class ClusterScheduler:
@@ -280,8 +296,8 @@ class ClusterScheduler:
     the drain: nodes die (and maybe recover) mid-drain, their requests
     migrate recompute-on-migrate through the router, and the report grows
     migration/downtime accounting with uptime-only cost billing.  An empty
-    schedule is normalised to ``None``, so faults-off drains run the exact
-    pre-fault code path (including the 1-node preloaded bit-identity path).
+    schedule is normalised to ``None``, so faults-off drains never build
+    the fault driver (and a 1-node drain keeps the preload feed).
 
     ``overload`` bounds admission at the dispatcher (shed / retry / park,
     see :mod:`repro.serving.overload`); an empty control is normalised to
@@ -294,11 +310,10 @@ class ClusterScheduler:
     ``fleet_symmetry`` selects the folding mode (see the module docstring):
     ``"auto"`` folds symmetric multi-node fleets under load-oblivious
     routers and silently falls back otherwise; ``"full"`` always simulates
-    every node (byte-identical to the pre-folding drain); and
-    ``"representative"`` demands folding, raising a
+    every node; and ``"representative"`` demands folding, raising a
     :class:`~repro.errors.ConfigurationError` at construction when the
     fleet cannot fold.  ``"auto"`` never folds a single-node cluster, so
-    the 1-node preloaded bit-identity path is preserved by default.
+    1-node drains keep the preload feed by default.
     """
 
     def __init__(
@@ -337,7 +352,7 @@ class ClusterScheduler:
             self.faults = None
         # An OverloadControl with no bound set is a no-op; normalise it to
         # None (mirroring the empty-FaultSchedule rule) so overload-off
-        # drains keep the exact legacy code path.
+        # drains never build the fault driver.
         if overload is not None and not overload.is_empty:
             self.overload: OverloadControl | None = overload
         else:
@@ -360,6 +375,15 @@ class ClusterScheduler:
                     "full-fleet simulation"
                 )
 
+    @property
+    def _needs_driver(self) -> bool:
+        """Whether drains run under the liveness-aware fault driver."""
+        return (
+            self.faults is not None
+            or self.overload is not None
+            or self.autoscale is not None
+        )
+
     def _fold_ineligibility(self) -> str | None:
         """Why this cluster cannot run a folded drain (``None`` if it can).
 
@@ -372,11 +396,7 @@ class ClusterScheduler:
         label -- two separately-calibrated step-time models are not
         interchangeable even when configured alike.
         """
-        if (
-            self.faults is not None
-            or self.overload is not None
-            or self.autoscale is not None
-        ):
+        if self._needs_driver:
             return (
                 "faults/overload/autoscale drains need the liveness-aware "
                 "full-fleet dispatcher"
@@ -421,12 +441,9 @@ class ClusterScheduler:
         if arrivals is not None:
             arrivals.assign(queue)
         self.router.reset()
-        ordered = sorted(queue, key=lambda r: (r.arrival_time, r.request_id))
-        plan = self._fold_plan(ordered)
-        if plan is not None:
-            return self._drain_folded(queue, ordered, plan)
+        ordered = sorted(queue, key=_arrival_order)
+        fold = self._fold_plan(ordered)
         sim = Simulator()
-        engines = [NodeEngine(node, self.policy, sim) for node in self.nodes]
         # Snapshot the (shared, monotonic) clamp counters so this drain's
         # report covers only its own off-grid queries; distinct models only,
         # since symmetric fleets legitimately share one step-time instance.
@@ -434,24 +451,44 @@ class ClusterScheduler:
         counters_before = {
             key: model.clamp_counters() for key, model in step_times.items()
         }
-        processes = []
-        # Faults, overload control, and autoscaling all need the
-        # liveness-aware dispatcher (and the driver's completion-counted
-        # release); any of them switches the drain into driver mode.
-        driver_mode = (
-            self.faults is not None
-            or self.overload is not None
-            or self.autoscale is not None
-        )
+
+        # The engine plan: ``engines`` are simulated, ``backing[i]`` is the
+        # engine whose outcome node i reports.
+        if fold is None:
+            engines = [NodeEngine(node, self.policy, sim) for node in self.nodes]
+            backing = engines
+        else:
+            slices, groups = fold
+            engines, backing = [], [None] * len(self.nodes)
+            for members in groups:
+                engine = NodeEngine(self.nodes[members[0]], self.policy, sim)
+                engine.fold_requests = True
+                engines.append(engine)
+                for index in members:
+                    backing[index] = engine
+
+        # The feed: the dispatcher with one per-request step, or (one node,
+        # no driver, no fold) the preload.
         driver: FaultDriver | None = None
         autoscaler: Autoscaler | None = None
-        if driver_mode:
-            # Driver mode always routes through the dispatcher (even on one
-            # node: a dead node's queue must flow back for re-delivery) and
-            # the driver -- not the dispatcher -- releases the engines once
-            # the last request completes or sheds, since migrations and
-            # retries can still be in flight after the arrival stream is
-            # exhausted.
+        feed: list[ServingRequest] | None = ordered
+        if fold is not None:
+            # Only representative slices are simulated; the plan places
+            # each of their requests on its group's engine.
+            target = {
+                id(request): engine
+                for engine, members in zip(engines, groups)
+                for request in slices[members[0]]
+            }
+            feed = sorted(
+                (r for members in groups for r in slices[members[0]]),
+                key=_arrival_order,
+            )
+
+            def step(request: ServingRequest) -> None:
+                target[id(request)].enqueue(request)
+
+        elif self._needs_driver:
             driver = FaultDriver(
                 sim,
                 engines,
@@ -468,24 +505,30 @@ class ClusterScheduler:
                 for engine in engines[self.autoscale.min_nodes :]:
                     engine.start_offline()
                 autoscaler = Autoscaler(sim, engines, self.autoscale, driver)
+            step = driver.deliver
+        elif len(engines) == 1:
+            engines[0].preload(ordered)
+            engines[0].finish_arrivals()
+            feed = None
+        else:
+
+            def step(request: ServingRequest) -> None:
+                self.router.place(request, engines).enqueue(request)
+
+        processes = []
+        if feed is not None:
             processes.append(
                 sim.process(
-                    self._dispatch_faulty(sim, ordered, driver),
+                    # Under the fault driver migrated requests may still be
+                    # in flight when the feed ends; the driver releases the
+                    # engines once the last request completes or sheds.
+                    self._dispatch(sim, feed, step, engines if driver is None else []),
                     name="cluster.route",
                 )
             )
+        if driver is not None:
             processes.append(
                 sim.process(driver.redispatch(), name="cluster.redispatch")
-            )
-        elif len(engines) == 1:
-            # Single node: no routing decision exists.  Preload the whole
-            # queue so the engine runs the legacy scheduler loop verbatim
-            # (this path carries the bit-identity guarantee).
-            engines[0].preload(ordered)
-            engines[0].finish_arrivals()
-        else:
-            processes.append(
-                sim.process(self._dispatch(sim, ordered, engines), name="cluster.route")
             )
         processes.extend(
             sim.process(engine.run(), name=f"{engine.node.name}.drain")
@@ -498,10 +541,9 @@ class ClusterScheduler:
             driver.start_injectors()
             if autoscaler is not None:
                 autoscaler.start()
-        if len(processes) == 1:
-            sim.run(processes[0])
-        else:
-            sim.run(sim.all_of(processes))
+        sim.run(processes[0] if len(processes) == 1 else sim.all_of(processes))
+
+        # The epilogue.
         if sim.sanitizer is not None:
             # Drain-end invariants: every engine's KV ledger fully released,
             # and nothing still parked on an untriggered event.
@@ -509,14 +551,19 @@ class ClusterScheduler:
                 engine.tracker.assert_drained(context=f"node {engine.node.name!r}")
             sim.sanitize_check_drained()
         notes = self._step_time_notes(step_times, counters_before)
+        if fold is None:
+            assigned = [engine.assigned for engine in engines]
+        else:
+            assigned = slices
+            self._mirror(slices, groups)
         breakdowns = tuple(
             node_breakdown(
-                engine.node.name,
-                engine.node.system,
-                engine.assigned,
+                node.name,
+                node.system,
+                share,
                 makespan_seconds=sim.now,
                 peak_kv_reserved_bytes=engine.tracker.peak_reserved_bytes,
-                kv_capacity_bytes=engine.node.budget.kv_capacity_bytes,
+                kv_capacity_bytes=node.budget.kv_capacity_bytes,
                 migrations=engine.migrations,
                 migrated_recompute_tokens=engine.migrated_recompute_tokens,
                 downtime_seconds=engine.downtime_seconds,
@@ -525,18 +572,45 @@ class ClusterScheduler:
                 kv_tiers=engine.tier_reports(),
                 spilled_decode_seconds=engine.spilled_decode_seconds,
             )
-            for engine in engines
+            for node, engine, share in zip(self.nodes, backing, assigned)
         )
-        if len(engines) == 1 and not driver_mode:
+        if fold is not None and sim.sanitizer is not None:
+            # Mirroring invariant: the summed breakdowns must equal each
+            # representative's totals scaled by its group multiplicity --
+            # the same mirrored-sum arithmetic device-level symmetry uses.
+            mirrored_tokens = sum(
+                mirrored_sum(
+                    [slices[members[0]]],
+                    lambda rep_slice: sum(
+                        r.tokens_generated for r in rep_slice if r.finished
+                    ),
+                    multiplier=len(members),
+                )
+                for members in groups
+            )
+            breakdown_tokens = sum(b.generated_tokens for b in breakdowns)
+            if mirrored_tokens != breakdown_tokens:
+                raise SanitizerError(
+                    f"mirrored representative totals ({mirrored_tokens} "
+                    f"tokens) disagree with the summed node breakdowns "
+                    f"({breakdown_tokens})",
+                    invariant="fold-conservation",
+                    sim_time=sim.now,
+                )
+        # The label decision: a 1-node drain outside the fault driver
+        # reports as the single host it is (the system's name, no router,
+        # no fleet path unless it folded); every other drain as a fleet.
+        single = len(self.nodes) == 1 and driver is None
+        symmetry = "representative" if fold is not None else "" if single else "full"
+        if single:
             report = build_report(
                 self.nodes[0].system,
                 self.policy.name,
                 queue,
-                makespan_seconds=sim.now,
-                peak_kv_reserved_bytes=engines[0].tracker.peak_reserved_bytes,
-                kv_capacity_bytes=self.nodes[0].budget.kv_capacity_bytes,
+                sim.now,
+                breakdowns,
                 step_time_notes=notes,
-                node_reports=breakdowns,
+                fleet_symmetry=symmetry,
             )
         else:
             report = build_fleet_report(
@@ -551,6 +625,7 @@ class ClusterScheduler:
                 scale_events=(
                     tuple(autoscaler.events) if autoscaler is not None else ()
                 ),
+                fleet_symmetry=symmetry,
             )
         if sim.sanitizer is not None:
             check_report_conservation(report, sim_time=sim.now)
@@ -564,50 +639,39 @@ class ClusterScheduler:
             return f"{len(systems)}x {systems[0]}"
         return f"fleet({len(systems)} nodes)"
 
-    def _dispatch(self, sim: Simulator, ordered, engines):
-        """Dispatcher process: route each request at its arrival time."""
-        by_node = {id(engine.node): engine for engine in engines}
-        for request in ordered:
+    def _dispatch(self, sim: Simulator, feed, step, release):
+        """Dispatcher process: take ``step`` for each request at its arrival.
+
+        ``step`` places the request; the fault driver's step is itself a
+        generator (a delivery may park on a down fleet or a full queue)
+        and is run inline.  Exhausting the feed releases the ``release``
+        engines.
+        """
+        for request in feed:
             if request.arrival_time > sim.now:
                 yield sim.timeout(request.arrival_time - sim.now)
-            chosen = self.router.route(request, engines)
-            if isinstance(chosen, Node):
-                chosen = by_node.get(id(chosen))
-            if chosen not in engines:
-                raise SchedulingError(
-                    f"router {self.router.name!r} returned an object that is "
-                    "not one of this cluster's nodes"
-                )
-            chosen.enqueue(request)
-        for engine in engines:
+            parked = step(request)
+            if parked is not None:
+                yield from parked
+        for engine in release:
             engine.finish_arrivals()
 
-    def _dispatch_faulty(self, sim: Simulator, ordered, driver: FaultDriver):
-        """Fault-mode dispatcher: liveness-aware routing via the driver.
+    # --- folding ----------------------------------------------------------------
 
-        Unlike :meth:`_dispatch`, exhausting the arrival stream does *not*
-        release the engines -- migrated requests may still be bouncing
-        through the redispatcher, so the driver calls ``finish_arrivals``
-        only when the last request actually completes.
-        """
-        for request in ordered:
-            if request.arrival_time > sim.now:
-                yield sim.timeout(request.arrival_time - sim.now)
-            yield from driver.deliver(request)
-
-    # --- the folded (representative) drain --------------------------------------
-
-    def _fold_plan(self, ordered: list[ServingRequest]) -> "list[_FoldGroup] | None":
+    def _fold_plan(
+        self, ordered: list[ServingRequest]
+    ) -> tuple[list[list[ServingRequest]], list[list[int]]] | None:
         """Partition the stream per the router's cycle and group the nodes.
 
-        Returns ``None`` when this drain must take the full-fleet path:
+        Returns ``None`` when this drain must simulate every node:
         ``fleet_symmetry="full"``, an ineligible fleet under ``"auto"``, or
-        a single node under ``"auto"`` (preserving the preloaded 1-node
-        bit-identity path).  Otherwise every node's slice is computed from
-        :meth:`~repro.serving.routers.Router.static_assignments` and nodes
-        whose slices are identical (same request classes, arrival times,
-        and incoming weights, position by position) merge into one
-        :class:`_FoldGroup`.
+        a single node under ``"auto"`` (which keeps the preload feed).
+        Otherwise returns ``(slices, groups)``: every node's slice of the
+        arrival stream (FCFS order, from
+        :meth:`~repro.serving.routers.Router.static_assignments`), and the
+        node groups whose slices are identical position by position (same
+        request classes and arrival times), each led by its
+        representative -- the lowest node index, the one node simulated.
         """
         if self.fleet_symmetry == "full":
             return None
@@ -627,178 +691,38 @@ class ClusterScheduler:
         slices: list[list[ServingRequest]] = [[] for _ in self.nodes]
         for request, node_index in zip(ordered, assignments):
             slices[node_index].append(request)
-        groups: dict[tuple, _FoldGroup] = {}
-        for index in range(len(self.nodes)):
-            signature = tuple(
-                (request.request_class, request.arrival_time, request.weight)
-                for request in slices[index]
-            )
-            group = groups.get(signature)
-            if group is None:
-                groups[signature] = _FoldGroup(
-                    representative=index,
-                    members=[index],
-                    slices={index: slices[index]},
-                )
-            else:
-                group.members.append(index)
-                group.slices[index] = slices[index]
-        return list(groups.values())
+        groups: dict[tuple, list[int]] = {}
+        for index, piece in enumerate(slices):
+            signature = tuple((r.request_class, r.arrival_time) for r in piece)
+            groups.setdefault(signature, []).append(index)
+        return slices, list(groups.values())
 
-    def _drain_folded(
-        self,
-        queue: list[ServingRequest],
-        ordered: list[ServingRequest],
-        plan: list[_FoldGroup],
-    ) -> ServingReport:
-        """Run one representative engine per node group and mirror the rest.
+    @staticmethod
+    def _mirror(
+        slices: list[list[ServingRequest]], groups: list[list[int]]
+    ) -> None:
+        """Unfold each representative slice and mirror it onto its group.
 
-        Each representative's slice is delivered request by request by a
-        single dispatcher walking the merged arrival order -- the
-        dispatcher wakes at exactly the instants the full-fleet dispatcher
-        delivers to the representative (every mirrored node's arrival
-        times are, by group construction, also its representative's), so
-        the event interleaving matches the full path.  Request folding
-        happens *inside* each representative engine
-        (:attr:`~repro.serving.engine.NodeEngine.fold_requests`): at every
-        scheduling point, adjacent identical waiting requests collapse into
-        weighted representatives -- folding at delivery time would merge
-        requests the full path admits separately, because a parked engine
-        wakes (and admits) inside the dispatcher's first same-time
-        delivery, before the rest of a burst reaches its queue.  After the
-        drain the representatives unfold onto their members, outcomes
-        mirror onto every symmetric node's slice positionally, and the
-        per-node breakdowns carry identical (mirrored) figures.
+        Folded members take their representative's outcome; every other
+        member node's slice then copies the representative slice's
+        outcomes positionally.  The queue shares these request objects, so
+        the report sees fully populated plain requests.
         """
-        sim = Simulator()
-        step_times = {id(n.step_time): n.step_time for n in self.nodes}
-        counters_before = {
-            key: model.clamp_counters() for key, model in step_times.items()
-        }
-        position = {id(request): k for k, request in enumerate(ordered)}
-        engines: dict[int, NodeEngine] = {}
-        deliveries: list[tuple[int, NodeEngine, ServingRequest]] = []
-        for group in plan:
-            engine = NodeEngine(self.nodes[group.representative], self.policy, sim)
-            engine.fold_requests = True
-            engines[group.representative] = engine
-            for piece in group.slices[group.representative]:
-                deliveries.append((position[id(piece)], engine, piece))
-        deliveries.sort(key=lambda item: item[0])
-        processes = [
-            sim.process(
-                self._dispatch_folded(sim, deliveries, engines),
-                name="cluster.route",
-            )
-        ]
-        processes.extend(
-            sim.process(engine.run(), name=f"{engine.node.name}.drain")
-            for engine in engines.values()
-        )
-        sim.run(sim.all_of(processes))
-        if sim.sanitizer is not None:
-            for engine in engines.values():
-                engine.tracker.assert_drained(context=f"node {engine.node.name!r}")
-            sim.sanitize_check_drained()
-        notes = self._step_time_notes(step_times, counters_before)
-        # Unfold each representative's outcome onto its folded members,
-        # then mirror the representative slice onto every symmetric node's
-        # slice positionally (the queue objects are shared, so the fleet
-        # report sees fully-populated plain requests).
-        for group in plan:
-            rep_slice = group.slices[group.representative]
+        for representative, *mirrors in groups:
+            rep_slice = slices[representative]
             for request in rep_slice:
-                if request.folded_into is not None:
-                    request.copy_outcome_from(request.folded_into)
-                    request.folded_into = None
-                request.folded = []
-                request.weight = 1
-            for index in group.members:
-                if index == group.representative:
-                    continue
-                for mirror, original in zip(group.slices[index], rep_slice):
+                if request.folded:
+                    request.unfold()
+            for index in mirrors:
+                for mirror, original in zip(slices[index], rep_slice):
                     mirror.copy_outcome_from(original)
-        group_of = {
-            index: group for group in plan for index in group.members
-        }
-        breakdowns = tuple(
-            node_breakdown(
-                node.name,
-                node.system,
-                group_of[index].slices[index],
-                makespan_seconds=sim.now,
-                peak_kv_reserved_bytes=engines[
-                    group_of[index].representative
-                ].tracker.peak_reserved_bytes,
-                kv_capacity_bytes=node.budget.kv_capacity_bytes,
-            )
-            for index, node in enumerate(self.nodes)
-        )
-        if sim.sanitizer is not None:
-            # Mirroring invariant: the summed breakdowns must equal each
-            # representative's totals scaled by its group multiplicity --
-            # the same mirrored-sum arithmetic device-level symmetry uses.
-            mirrored_tokens = sum(
-                mirrored_sum(
-                    [group.slices[group.representative]],
-                    lambda rep_slice: sum(
-                        r.tokens_generated for r in rep_slice if r.finished
-                    ),
-                    multiplier=len(group.members),
-                )
-                for group in plan
-            )
-            breakdown_tokens = sum(b.generated_tokens for b in breakdowns)
-            if mirrored_tokens != breakdown_tokens:
-                raise SanitizerError(
-                    f"mirrored representative totals ({mirrored_tokens} "
-                    f"tokens) disagree with the summed node breakdowns "
-                    f"({breakdown_tokens})",
-                    invariant="fold-conservation",
-                    sim_time=sim.now,
-                )
-        if len(self.nodes) == 1:
-            report = build_report(
-                self.nodes[0].system,
-                self.policy.name,
-                queue,
-                makespan_seconds=sim.now,
-                peak_kv_reserved_bytes=engines[0].tracker.peak_reserved_bytes,
-                kv_capacity_bytes=self.nodes[0].budget.kv_capacity_bytes,
-                step_time_notes=notes,
-                node_reports=breakdowns,
-                fleet_symmetry="representative",
-            )
-        else:
-            report = build_fleet_report(
-                fleet_name=self.fleet_name,
-                policy_name=self.policy.name,
-                router_name=self.router.name,
-                requests=queue,
-                makespan_seconds=sim.now,
-                node_reports=breakdowns,
-                step_time_notes=notes,
-                fleet_symmetry="representative",
-            )
-        if sim.sanitizer is not None:
-            check_report_conservation(report, sim_time=sim.now)
-        return report
-
-    def _dispatch_folded(self, sim: Simulator, deliveries, engines):
-        """Folded dispatcher: deliver each folded piece at its arrival time."""
-        for _, engine, piece in deliveries:
-            if piece.arrival_time > sim.now:
-                yield sim.timeout(piece.arrival_time - sim.now)
-            engine.enqueue(piece)
-        for engine in engines.values():
-            engine.finish_arrivals()
 
     def _step_time_notes(self, step_times: dict, counters_before: dict) -> dict:
         """Per-drain clamp summaries, merged across the fleet's models.
 
-        Single-node drains embed the summary directly (the legacy report
-        shape); fleets key each distinct model's summary by the names of
-        the nodes sharing it, dropping empty summaries.
+        Single-node drains embed the summary directly; fleets key each
+        distinct model's summary by the names of the nodes sharing it,
+        dropping empty summaries.
         """
         if len(self.nodes) == 1:
             model = self.nodes[0].step_time
@@ -841,7 +765,6 @@ def build_fleet(
     still builds its own per-drain tier ledgers.
     """
     from repro.baselines.registry import build_inference_system
-    from repro.serving.steptime import CalibratedStepTime
 
     if not labels:
         raise ConfigurationError("build_fleet needs at least one system label")
@@ -851,12 +774,12 @@ def build_fleet(
         if label not in shared:
             system = build_inference_system(label, model)
             system.symmetry = symmetry
-            grids = {}
-            if batch_grid is not None:
-                grids["batch_grid"] = batch_grid
-            if seq_grid is not None:
-                grids["seq_grid"] = seq_grid
-            shared[label] = (system, CalibratedStepTime(system, store=store, **grids))
+            shared[label] = (
+                system,
+                CalibratedStepTime(
+                    system, batch_grid=batch_grid, seq_grid=seq_grid, store=store
+                ),
+            )
         system, step_time = shared[label]
         nodes.append(
             Node(
@@ -869,3 +792,42 @@ def build_fleet(
             )
         )
     return nodes
+
+
+def drain_queue(
+    system: InferenceSystem,
+    policies: Iterable[SchedulingPolicy],
+    requests: Sequence[RequestClass],
+    step_time: StepTimeModel | None = None,
+    store=None,
+    batch_grid: tuple[int, ...] | None = None,
+    seq_grid: tuple[int, ...] | None = None,
+    arrivals: ArrivalProcess | None = None,
+    prefill_chunk_tokens: int | None = None,
+) -> list[ServingReport]:
+    """Drain the same queue under several policies on one system.
+
+    The step-time model (and its calibration cache) is shared across
+    policies; each policy gets a fresh copy of the queue so per-request
+    state never leaks between drains.  ``store`` (plus optional grid
+    overrides) builds the default :class:`CalibratedStepTime` against a
+    persistent calibration cache so repeated sweeps skip re-measuring.
+    ``arrivals`` and ``prefill_chunk_tokens`` pass through to every drain;
+    seeded arrival processes replay the identical schedule per policy.
+    """
+    if step_time is None:
+        step_time = CalibratedStepTime(
+            system, batch_grid=batch_grid, seq_grid=seq_grid, store=store
+        )
+    elif store is not None or batch_grid is not None or seq_grid is not None:
+        raise ConfigurationError(
+            "drain_queue: store/batch_grid/seq_grid configure the default "
+            "CalibratedStepTime and conflict with an explicit step_time"
+        )
+    node = Node(system, step_time=step_time, prefill_chunk_tokens=prefill_chunk_tokens)
+    reports = [
+        ClusterScheduler([node], policy).drain(list(requests), arrivals=arrivals)
+        for policy in policies
+    ]
+    step_time.flush()
+    return reports

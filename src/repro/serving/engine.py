@@ -5,28 +5,29 @@
 :class:`~repro.serving.steptime.StepTimeModel`, a KV
 :class:`~repro.serving.budget.CapacityBudget`, and an optional prefill
 chunk size.  :class:`NodeEngine` is the node's *runtime*: the
-admission/preemption state machine that used to live inside
-``OfflineServingScheduler._drain_process``, now instantiated once per node
-per drain on a **shared** discrete-event simulator so a
+admission/preemption state machine, instantiated once per node per drain
+on a **shared** discrete-event simulator so a
 :class:`~repro.serving.cluster.ClusterScheduler` can drain one queue
-across many hosts.
+across many hosts (a single host is a 1-node cluster).
 
-Request lifecycle (unchanged from the single-node scheduler)::
+Request lifecycle::
 
     pending --arrival--> waiting --admit--> prefilling --chunks done-->
     running --last token--> finished
                   ^                                |
                   +------- preempt (optimistic) ---+
 
-The engine receives work through two channels:
+The engine receives work through one of the cluster drain's two feeds:
 
 * :meth:`NodeEngine.preload` installs a whole arrival-stamped queue up
-  front (the single-node drain: the engine itself sleeps until the next
-  arrival, exactly the legacy scheduler loop);
-* :meth:`NodeEngine.enqueue` delivers one request at its arrival time (the
-  cluster dispatcher routes each arrival as it happens); an idle engine
-  parks on a wake event that ``enqueue`` (or
-  :meth:`NodeEngine.finish_arrivals`) triggers.
+  front (1-node drains without the fault driver or folding): the engine
+  sleeps until each next arrival itself, so every request of a
+  same-time burst is waiting when it wakes and is admitted with it;
+* :meth:`NodeEngine.enqueue` delivers one request at its arrival time
+  (the cluster dispatcher's feed); an idle engine parks on a wake event
+  that ``enqueue`` (or :meth:`NodeEngine.finish_arrivals`) triggers, and
+  since the wake is synchronous it admits a burst's first request before
+  the rest are delivered.
 
 The engine also exposes the live load views routers place against:
 :attr:`outstanding_tokens` (JSQ) and :attr:`kv_headroom_bytes` /
@@ -133,12 +134,11 @@ class Node:
 class NodeEngine:
     """Drives one node's drain loop as a process on a shared simulator.
 
-    The loop is the legacy ``OfflineServingScheduler`` state machine verbatim
-    -- surfacing arrivals, policy admission, (chunked) prefill, decode
-    iterations, optimistic-overflow preemption -- extended with an idle
-    park: when the engine has no work and no known future arrival, it waits
-    on a wake event instead of exiting, because a cluster dispatcher may
-    still route more requests its way.  :meth:`finish_arrivals` marks the
+    The loop surfaces arrivals, runs policy admission, (chunked) prefill,
+    decode iterations and optimistic-overflow preemption, and parks when
+    idle: with no work and no known future arrival it waits on a wake
+    event instead of exiting, because the cluster dispatcher may still
+    route more requests its way.  :meth:`finish_arrivals` marks the
     stream exhausted so a drained engine can terminate.
     """
 

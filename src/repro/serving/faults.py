@@ -367,9 +367,7 @@ class FaultDriver:
         while True:
             alive = [engine for engine in self.engines if engine.routable]
             if alive:
-                chosen = self.router.route(request, alive)
-                chosen = self._resolve(chosen, alive)
-                chosen.enqueue(request)
+                self.router.place(request, alive).enqueue(request)
                 return
             if not any(engine.recovery_pending for engine in self.engines):
                 raise self.stranded_error(request)
@@ -422,8 +420,7 @@ class FaultDriver:
                         if engine.queued_requests < control.max_queue_depth
                     ]
                 if eligible:
-                    chosen = self.router.route(request, eligible)
-                    chosen = self._resolve(chosen, eligible)
+                    chosen = self.router.place(request, eligible)
                     if self._throttle is not None:
                         self._throttle.take(
                             request.request_class.total_tokens, now
@@ -528,16 +525,6 @@ class FaultDriver:
             ):
                 best = engine
         return best if best is not None else self.engines[0]
-
-    def _resolve(self, chosen, alive):
-        """Map a router's return (engine or bare node) to a live engine."""
-        for engine in alive:
-            if chosen is engine or chosen is engine.node:
-                return engine
-        raise SchedulingError(
-            f"router {self.router.name!r} returned an object that is not "
-            "one of the live nodes it was offered"
-        )
 
     def stranded_error(self, request: ServingRequest | None = None) -> SchedulingError:
         """Build the unrecoverable-fleet error naming the stranded requests."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.analysis.cost import CostModel, cost_efficiency
+from repro.analysis.cost import CostModel
 from repro.baselines.base import InferenceSystem
 from repro.errors import SchedulingError
 from repro.serving.request import ServingRequest
@@ -25,47 +25,6 @@ def percentile(values: list[float], fraction: float) -> float:
     ordered = sorted(values)
     rank = max(1, math.ceil(fraction * len(ordered)))
     return ordered[rank - 1]
-
-
-def weighted_percentile(
-    values: list[float], weights: list[int], fraction: float
-) -> float:
-    """Nearest-rank percentile of the weight-expanded multiset.
-
-    Equivalent to :func:`percentile` over ``values`` with each entry
-    repeated ``weights[i]`` times, computed by rank selection over the
-    sorted ``(value, weight)`` pairs without materialising the expansion.
-    This is the fold-aware SLO path: folded representatives carry their
-    member count as :attr:`~repro.serving.request.ServingRequest.weight`,
-    so percentiles over weighted representatives match the unfolded
-    distribution exactly (property-tested in
-    ``tests/serving/test_fleet_folding.py``).  With every weight 1 this
-    degenerates to :func:`percentile`.
-    """
-    if len(values) != len(weights):
-        raise SchedulingError(
-            f"weighted percentile got {len(values)} values but "
-            f"{len(weights)} weights"
-        )
-    if not values:
-        raise SchedulingError("percentile of an empty sample")
-    if not 0.0 < fraction <= 1.0:
-        raise SchedulingError(f"percentile fraction {fraction} outside (0, 1]")
-    total = 0
-    for weight in weights:
-        if weight < 1:
-            raise SchedulingError(
-                f"weighted percentile needs positive weights, got {weight!r}"
-            )
-        total += weight
-    rank = max(1, math.ceil(fraction * total))
-    ordered = sorted(zip(values, weights))
-    accumulated = 0
-    for value, weight in ordered:
-        accumulated += weight
-        if accumulated >= rank:
-            return value
-    return ordered[-1][0]
 
 
 def system_cost_model(system: InferenceSystem) -> CostModel:
@@ -319,68 +278,48 @@ class ServingReport:
         return {name: sum(vals) / len(vals) for name, vals in sums.items()}
 
 
-def build_report(
-    system: InferenceSystem,
-    policy_name: str,
-    requests: list[ServingRequest],
-    makespan_seconds: float,
-    peak_kv_reserved_bytes: float,
-    kv_capacity_bytes: float,
-    step_time_notes: dict | None = None,
-    node_reports: tuple[NodeBreakdown, ...] = (),
-    fleet_symmetry: str = "",
-) -> ServingReport:
-    """Aggregate per-request state into a :class:`ServingReport`."""
-    finished = [r for r in requests if r.finished]
-    if not finished:
-        raise SchedulingError("drain completed no requests; nothing to report")
-    if makespan_seconds <= 0:
-        raise SchedulingError("drain makespan must be positive")
-    latencies = [r.latency_seconds for r in finished]
-    weights = [r.weight for r in finished]
-    queueing = [r.queueing_seconds for r in finished]
-    generated = sum(r.tokens_generated for r in finished)
-    tokens_per_second = generated / makespan_seconds
-    cost = system_cost_model(system)
-    return ServingReport(
-        system=system.name,
-        policy=policy_name,
-        n_requests=len(requests),
-        completed=len(finished),
-        makespan_seconds=makespan_seconds,
-        generated_tokens=generated,
-        tokens_per_second=tokens_per_second,
-        mean_latency_seconds=sum(latencies) / len(latencies),
-        p95_latency_seconds=weighted_percentile(latencies, weights, 0.95),
-        p50_latency_seconds=weighted_percentile(latencies, weights, 0.50),
-        p99_latency_seconds=weighted_percentile(latencies, weights, 0.99),
-        mean_queueing_seconds=sum(queueing) / len(queueing),
-        peak_kv_reserved_bytes=peak_kv_reserved_bytes,
-        kv_capacity_bytes=kv_capacity_bytes,
-        system_cost_usd=cost.total_usd(),
-        tokens_per_second_per_usd=cost_efficiency(tokens_per_second, cost),
-        preemptions=sum(r.preemption_count for r in requests),
-        wasted_prefill_tokens=sum(r.wasted_prefill_tokens for r in requests),
-        migrations=sum(r.migration_count for r in requests),
-        migrated_recompute_tokens=sum(
-            r.migrated_recompute_tokens for r in requests
-        ),
-        downtime_seconds=sum(n.downtime_seconds for n in node_reports),
-        goodput_tokens_per_s=tokens_per_second,
-        fleet_symmetry=fleet_symmetry,
-        requests=list(requests),
-        step_time_notes=dict(step_time_notes or {}),
-        node_reports=node_reports,
-        billing_notes=tuple(
-            f"{n.node}: {n.billing_note}"
-            for n in node_reports
-            if n.billing_note is not None
-        ),
-        kv_tiers=merge_tier_reports(node_reports),
-        spilled_decode_seconds=sum(
-            n.spilled_decode_seconds for n in node_reports
-        ),
-    )
+class _Tally:
+    """One pass over a drain's (or one node's) requests.
+
+    Every report figure that sums over requests comes from here, so the
+    node breakdowns and the drain report aggregate identically.  Latency
+    and queueing samples stay in request order and are averaged with
+    ``sum()``: a float sum depends on its order, and this one keeps
+    reports bit-stable.
+    """
+
+    def __init__(self, requests: list[ServingRequest]) -> None:
+        latencies: list[float] = []
+        queueing: list[float] = []
+        generated = preemptions = wasted = migrations = migrated = retries = 0
+        for request in requests:
+            if request.completion_time is not None:
+                latencies.append(request.completion_time - request.arrival_time)
+                queueing.append(request.admitted_time - request.arrival_time)
+                generated += request.tokens_generated
+            preemptions += request.preemption_count
+            wasted += request.wasted_prefill_tokens
+            migrations += request.migration_count
+            migrated += request.migrated_recompute_tokens
+            retries += request.retry_attempts
+        self.n_requests = len(requests)
+        self.completed = len(latencies)
+        self.queueing = queueing
+        self.generated_tokens = generated
+        self.preemptions = preemptions
+        self.wasted_prefill_tokens = wasted
+        self.migrations = migrations
+        self.migrated_recompute_tokens = migrated
+        self.retry_attempts = retries
+        self.mean_latency_seconds = (
+            sum(latencies) / len(latencies) if latencies else 0.0
+        )
+        #: Nearest-rank p50, p95 and p99 latency (zeros when none finished).
+        self.percentiles = (
+            tuple(percentile(latencies, f) for f in (0.50, 0.95, 0.99))
+            if latencies
+            else (0.0, 0.0, 0.0)
+        )
 
 
 def node_breakdown(
@@ -408,49 +347,36 @@ def node_breakdown(
     node that was down part of the drain is billed only its uptime
     fraction of the capital cost (see :func:`uptime_billing`).
     """
-    finished = [r for r in assigned if r.finished]
-    generated = sum(r.tokens_generated for r in finished)
-    latencies = [r.latency_seconds for r in finished]
-    weights = [r.weight for r in finished]
+    tally = _Tally(assigned)
+    rate = (
+        tally.generated_tokens / makespan_seconds if makespan_seconds > 0 else 0.0
+    )
     cost_usd, billing_note = uptime_billing(
         system_cost_model(system).total_usd(), downtime_seconds, makespan_seconds
     )
+    p50, p95, p99 = tally.percentiles
     return NodeBreakdown(
         node=node_name,
         system=system.name,
-        n_requests=len(assigned),
-        completed=len(finished),
-        generated_tokens=generated,
-        tokens_per_second=(
-            generated / makespan_seconds if makespan_seconds > 0 else 0.0
-        ),
-        mean_latency_seconds=(
-            sum(latencies) / len(latencies) if latencies else 0.0
-        ),
+        n_requests=tally.n_requests,
+        completed=tally.completed,
+        generated_tokens=tally.generated_tokens,
+        tokens_per_second=rate,
+        mean_latency_seconds=tally.mean_latency_seconds,
         peak_kv_reserved_bytes=peak_kv_reserved_bytes,
         kv_capacity_bytes=kv_capacity_bytes,
-        preemptions=sum(r.preemption_count for r in assigned),
-        wasted_prefill_tokens=sum(r.wasted_prefill_tokens for r in assigned),
+        preemptions=tally.preemptions,
+        wasted_prefill_tokens=tally.wasted_prefill_tokens,
         cost_usd=cost_usd,
-        p50_latency_seconds=(
-            weighted_percentile(latencies, weights, 0.50) if latencies else 0.0
-        ),
-        p95_latency_seconds=(
-            weighted_percentile(latencies, weights, 0.95) if latencies else 0.0
-        ),
-        p99_latency_seconds=(
-            weighted_percentile(latencies, weights, 0.99) if latencies else 0.0
-        ),
+        p50_latency_seconds=p50,
+        p95_latency_seconds=p95,
+        p99_latency_seconds=p99,
         migrations=migrations,
         migrated_recompute_tokens=migrated_recompute_tokens,
         downtime_seconds=downtime_seconds,
         shed_requests=shed_requests,
-        retry_attempts=(
-            sum(r.retry_attempts for r in assigned) + shed_retry_attempts
-        ),
-        goodput_tokens_per_s=(
-            generated / makespan_seconds if makespan_seconds > 0 else 0.0
-        ),
+        retry_attempts=tally.retry_attempts + shed_retry_attempts,
+        goodput_tokens_per_s=rate,
         billing_note=billing_note,
         kv_tiers=tuple(kv_tiers),
         spilled_decode_seconds=spilled_decode_seconds,
@@ -479,39 +405,28 @@ def build_fleet_report(
     timelines; a drain that shed *everything* still reports (with zeroed
     latency figures) -- structured degradation, not an exception.
     """
-    finished = [r for r in requests if r.finished]
-    if not finished and not sheds:
-        raise SchedulingError("fleet drain completed no requests; nothing to report")
+    tally = _Tally(requests)
+    if not tally.completed and not sheds:
+        raise SchedulingError("drain completed no requests; nothing to report")
     if makespan_seconds <= 0:
-        raise SchedulingError("fleet drain makespan must be positive")
-    latencies = [r.latency_seconds for r in finished]
-    weights = [r.weight for r in finished]
-    queueing = [r.queueing_seconds for r in finished]
-    generated = sum(r.tokens_generated for r in finished)
-    tokens_per_second = generated / makespan_seconds
+        raise SchedulingError("drain makespan must be positive")
+    tokens_per_second = tally.generated_tokens / makespan_seconds
     fleet_cost_usd = sum(node.cost_usd for node in node_reports)
+    p50, p95, p99 = tally.percentiles
     return ServingReport(
         system=fleet_name,
         policy=policy_name,
-        n_requests=len(requests),
-        completed=len(finished),
+        n_requests=tally.n_requests,
+        completed=tally.completed,
         makespan_seconds=makespan_seconds,
-        generated_tokens=generated,
+        generated_tokens=tally.generated_tokens,
         tokens_per_second=tokens_per_second,
-        mean_latency_seconds=(
-            sum(latencies) / len(latencies) if latencies else 0.0
-        ),
-        p95_latency_seconds=(
-            weighted_percentile(latencies, weights, 0.95) if latencies else 0.0
-        ),
-        p50_latency_seconds=(
-            weighted_percentile(latencies, weights, 0.50) if latencies else 0.0
-        ),
-        p99_latency_seconds=(
-            weighted_percentile(latencies, weights, 0.99) if latencies else 0.0
-        ),
+        mean_latency_seconds=tally.mean_latency_seconds,
+        p95_latency_seconds=p95,
+        p50_latency_seconds=p50,
+        p99_latency_seconds=p99,
         mean_queueing_seconds=(
-            sum(queueing) / len(queueing) if queueing else 0.0
+            sum(tally.queueing) / tally.completed if tally.completed else 0.0
         ),
         peak_kv_reserved_bytes=sum(n.peak_kv_reserved_bytes for n in node_reports),
         kv_capacity_bytes=sum(n.kv_capacity_bytes for n in node_reports),
@@ -519,15 +434,13 @@ def build_fleet_report(
         tokens_per_second_per_usd=(
             tokens_per_second / fleet_cost_usd if fleet_cost_usd > 0 else 0.0
         ),
-        preemptions=sum(r.preemption_count for r in requests),
-        wasted_prefill_tokens=sum(r.wasted_prefill_tokens for r in requests),
-        migrations=sum(r.migration_count for r in requests),
-        migrated_recompute_tokens=sum(
-            r.migrated_recompute_tokens for r in requests
-        ),
+        preemptions=tally.preemptions,
+        wasted_prefill_tokens=tally.wasted_prefill_tokens,
+        migrations=tally.migrations,
+        migrated_recompute_tokens=tally.migrated_recompute_tokens,
         downtime_seconds=sum(n.downtime_seconds for n in node_reports),
         shed_requests=len(sheds),
-        retry_attempts=sum(r.retry_attempts for r in requests),
+        retry_attempts=tally.retry_attempts,
         goodput_tokens_per_s=tokens_per_second,
         fleet_symmetry=fleet_symmetry,
         requests=list(requests),
@@ -545,4 +458,31 @@ def build_fleet_report(
         spilled_decode_seconds=sum(
             n.spilled_decode_seconds for n in node_reports
         ),
+    )
+
+
+def build_report(
+    system: InferenceSystem,
+    policy_name: str,
+    requests: list[ServingRequest],
+    makespan_seconds: float,
+    node_reports: tuple[NodeBreakdown, ...],
+    step_time_notes: dict | None = None,
+    fleet_symmetry: str = "",
+) -> ServingReport:
+    """The single-host report: the fleet report under single-node labels.
+
+    ``system`` names the report and ``router`` stays empty.  A single host
+    outside the fault driver has no downtime, so its one breakdown bills
+    the system's full capital price and the fleet sums are its own figures.
+    """
+    return build_fleet_report(
+        system.name,
+        policy_name,
+        "",
+        requests,
+        makespan_seconds,
+        node_reports,
+        step_time_notes,
+        fleet_symmetry=fleet_symmetry,
     )

@@ -52,6 +52,21 @@ class Router(abc.ABC):
         ``node``; implementations must return one of them.
         """
 
+    def place(self, request: ServingRequest, engines: Sequence):
+        """Route ``request`` and return the offered engine that takes it.
+
+        A router may return the engine or its bare ``node``; anything else
+        is a :class:`~repro.errors.SchedulingError`.
+        """
+        chosen = self.route(request, engines)
+        for engine in engines:
+            if chosen is engine or chosen is engine.node:
+                return engine
+        raise SchedulingError(
+            f"router {self.name!r} returned an object that is not one of "
+            "this cluster's nodes it was offered"
+        )
+
     def reset(self) -> None:
         """Forget inter-drain state (called at every drain start).
 

@@ -159,17 +159,24 @@ class CalibratedStepTime(StepTimeModel):
     changes measured step times only at the 1e-14 relative level), so the
     calibration pipeline skips the redundant warm-up simulation and halves
     its cost.
+
+    ``batch_grid`` / ``seq_grid`` of ``None`` select the default grids
+    (:data:`DEFAULT_BATCH_GRID`, :data:`DEFAULT_SEQ_GRID`).
     """
 
     def __init__(
         self,
         system: InferenceSystem,
-        batch_grid: tuple[int, ...] = DEFAULT_BATCH_GRID,
-        seq_grid: tuple[int, ...] = DEFAULT_SEQ_GRID,
+        batch_grid: tuple[int, ...] | None = None,
+        seq_grid: tuple[int, ...] | None = None,
         n_steps: int = 1,
         warmup_steps: int = 0,
         store: CalibrationStore | None = None,
     ) -> None:
+        if batch_grid is None:
+            batch_grid = DEFAULT_BATCH_GRID
+        if seq_grid is None:
+            seq_grid = DEFAULT_SEQ_GRID
         if not batch_grid or not seq_grid:
             raise ConfigurationError("calibration grids must be non-empty")
         self.system = system

@@ -1,4 +1,5 @@
-"""Cluster scheduler tests: 1-node bit-identity, fleet drains, reports."""
+"""Cluster scheduler tests: 1-node bit-identity, report labels, fleet
+drains, validation."""
 
 from __future__ import annotations
 
@@ -17,10 +18,11 @@ from repro.serving import (
     LeastOutstandingTokens,
     LengthBucketedBatch,
     Node,
-    OfflineServingScheduler,
     PoissonArrivals,
     RoundRobin,
+    drain_queue,
 )
+from repro.serving.faults import parse_fault_spec
 from repro.workloads import sample_request_classes
 from repro.workloads.requests import LONG
 
@@ -44,8 +46,10 @@ def make_nodes(system, n, **node_kwargs):
 
 
 class TestSingleNodeBitIdentity:
-    """ISSUE acceptance: ``ClusterScheduler([node], router=RoundRobin())``
-    reproduces the legacy single-node schedule bit for bit."""
+    """The legacy single-host entry point, :func:`drain_queue`, reproduces a
+    directly built ``ClusterScheduler([node], router=RoundRobin())`` drain
+    bit for bit -- for every policy it drains in turn, so no per-request or
+    arrival state leaks from one drain into the next."""
 
     N_REQUESTS = 40
 
@@ -73,25 +77,30 @@ class TestSingleNodeBitIdentity:
         self, system, policy_factory, arrival_factory, chunk, seed
     ):
         queue = sample_request_classes(self.N_REQUESTS, seed=seed)
-        legacy = OfflineServingScheduler(
+        # Two consecutive drains through one shared step model and one
+        # arrival process.
+        legacy = drain_queue(
             system,
-            policy_factory(),
+            [policy_factory(), policy_factory()],
+            queue,
             step_time=unit_steps(),
+            arrivals=arrival_factory(seed),
             prefill_chunk_tokens=chunk,
-        ).drain(list(queue), arrivals=arrival_factory(seed))
+        )
         node = Node(system, step_time=unit_steps(), prefill_chunk_tokens=chunk)
         cluster = ClusterScheduler(
             [node], policy_factory(), router=RoundRobin()
         ).drain(list(queue), arrivals=arrival_factory(seed))
         # Same per-request finish times, same report -- bit for bit.
-        assert repr(legacy.requests) == repr(cluster.requests)
-        assert [r.completion_time for r in legacy.requests] == [
-            r.completion_time for r in cluster.requests
-        ]
-        assert legacy == cluster
+        for report in legacy:
+            assert repr(report.requests) == repr(cluster.requests)
+            assert [r.completion_time for r in report.requests] == [
+                r.completion_time for r in cluster.requests
+            ]
+            assert report == cluster
 
     def test_default_policy_and_router(self, system):
-        """The ISSUE's literal spelling constructs and drains."""
+        """The minimal spelling (default policy, explicit router) drains."""
         node = Node(system, step_time=unit_steps())
         report = ClusterScheduler([node], router=RoundRobin()).drain(
             sample_request_classes(8, seed=1)
@@ -106,11 +115,63 @@ class TestSingleNodeBitIdentity:
         report = ClusterScheduler(
             [Node(system, step_time=unit_steps())], ContinuousBatching(4)
         ).drain(list(queue))
-        legacy = OfflineServingScheduler(
-            system, ContinuousBatching(4), step_time=unit_steps()
-        ).drain(list(queue))
+        (legacy,) = drain_queue(
+            system, [ContinuousBatching(4)], queue, step_time=unit_steps()
+        )
         assert report.system == legacy.system == system.name
         assert report.step_time_notes == legacy.step_time_notes
+
+
+class TestReportLabels:
+    """``drain()`` decides the report labels once: a 1-node drain outside
+    the fault driver reports as the single host (system name, no router, no
+    fleet path unless it folded); every other drain reports as a fleet."""
+
+    @pytest.mark.parametrize(
+        "n_nodes, cluster_kwargs, expected",
+        [
+            pytest.param(1, {}, ("{name}", "", ""), id="one-node"),
+            pytest.param(
+                1,
+                {"fleet_symmetry": "representative"},
+                ("{name}", "", "representative"),
+                id="one-node-representative",
+            ),
+            pytest.param(
+                1,
+                {"faults": parse_fault_spec("slow:5:10:2.0:0")},
+                ("1x {name}", "round-robin", "full"),
+                id="one-node-faults",
+            ),
+            pytest.param(
+                3,
+                {"fleet_symmetry": "full"},
+                ("3x {name}", "round-robin", "full"),
+                id="fleet-full",
+            ),
+            pytest.param(
+                3,
+                {"fleet_symmetry": "representative"},
+                ("3x {name}", "round-robin", "representative"),
+                id="fleet-folded",
+            ),
+        ],
+    )
+    def test_system_router_and_fleet_symmetry(
+        self, system, n_nodes, cluster_kwargs, expected
+    ):
+        step = unit_steps()  # one shared instance, so the fleet can fold
+        nodes = [
+            Node(system, step_time=step, name=f"node{i}") for i in range(n_nodes)
+        ]
+        report = ClusterScheduler(
+            nodes, ContinuousBatching(4), **cluster_kwargs
+        ).drain(sample_request_classes(12, seed=3))
+        label, router, symmetry = expected
+        assert report.system == label.format(name=system.name)
+        assert report.router == router
+        assert report.fleet_symmetry == symmetry
+        assert report.all_completed
 
 
 class TestFleetDrains:

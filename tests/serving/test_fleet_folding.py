@@ -46,9 +46,7 @@ from repro.serving import (
     WeightedRoundRobin,
     fold_identical_runs,
     make_request_queue,
-    percentile,
     total_weight,
-    weighted_percentile,
 )
 from repro.serving.autoscale import parse_autoscale_spec
 from repro.serving.cluster import (
@@ -379,11 +377,11 @@ class TestFoldFallback:
         )
 
     def test_auto_single_node_keeps_the_legacy_path(self, system):
-        """auto never folds one node: the preloaded bit-identity path."""
+        """auto never folds one node: it keeps the preload feed."""
         report = ClusterScheduler(
             symmetric_fleet(system, 1), ContinuousBatching(4)
         ).drain(self._queue())
-        assert report.fleet_symmetry == ""  # legacy single-node report
+        assert report.fleet_symmetry == ""  # single-host report
 
     def test_representative_single_node_is_allowed(self, system):
         report = ClusterScheduler(
@@ -568,55 +566,6 @@ class TestWeightedRoundRobinFolding:
         assert [r.completion_time for r in rr.requests] == [
             r.completion_time for r in wrr.requests
         ]
-
-
-class TestWeightedPercentile:
-    """Fold-aware SLO percentiles: rank selection over the weighted
-    multiset must equal the materialised expansion exactly."""
-
-    @given(
-        pairs=st.lists(
-            st.tuples(
-                st.floats(
-                    min_value=0.0,
-                    max_value=1e6,
-                    allow_nan=False,
-                    allow_infinity=False,
-                ),
-                st.integers(min_value=1, max_value=9),
-            ),
-            min_size=1,
-            max_size=24,
-        ),
-        fraction=st.floats(min_value=0.01, max_value=1.0),
-    )
-    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    def test_matches_the_expanded_multiset(self, pairs, fraction):
-        values = [value for value, _ in pairs]
-        weights = [weight for _, weight in pairs]
-        expanded = [
-            value for value, weight in pairs for _ in range(weight)
-        ]
-        assert weighted_percentile(values, weights, fraction) == percentile(
-            expanded, fraction
-        )
-
-    def test_unit_weights_degenerate_to_percentile(self):
-        values = [5.0, 1.0, 3.0, 2.0]
-        for fraction in (0.5, 0.95, 0.99, 1.0):
-            assert weighted_percentile(
-                values, [1] * len(values), fraction
-            ) == percentile(values, fraction)
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(SchedulingError, match="weights"):
-            weighted_percentile([1.0, 2.0], [1], 0.5)
-        with pytest.raises(SchedulingError, match="empty"):
-            weighted_percentile([], [], 0.5)
-        with pytest.raises(SchedulingError, match="positive weights"):
-            weighted_percentile([1.0], [0], 0.5)
-        with pytest.raises(SchedulingError, match="fraction"):
-            weighted_percentile([1.0], [1], 0.0)
 
 
 class TestReportPercentiles:

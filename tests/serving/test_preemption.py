@@ -10,8 +10,9 @@ from repro.errors import ConfigurationError, SchedulingError
 from repro.serving import (
     AnalyticStepTime,
     CapacityBudget,
+    ClusterScheduler,
     ContinuousBatching,
-    OfflineServingScheduler,
+    Node,
     make_request_queue,
 )
 from repro.workloads import sample_request_classes
@@ -35,11 +36,9 @@ def unit_steps() -> AnalyticStepTime:
 
 
 def scheduler_for(system, budget, admission="optimistic", slots=8):
-    return OfflineServingScheduler(
-        system,
+    return ClusterScheduler(
+        [Node(system, step_time=unit_steps(), budget=budget)],
         ContinuousBatching(slots, admission=admission),
-        step_time=unit_steps(),
-        budget=budget,
     )
 
 

@@ -11,10 +11,11 @@ from repro.serving import (
     AnalyticStepTime,
     CalibratedStepTime,
     CapacityBudget,
+    ClusterScheduler,
     ContinuousBatching,
     FCFSFixedBatch,
     FixedRateArrivals,
-    OfflineServingScheduler,
+    Node,
     PoissonArrivals,
     StepTimeModel,
     default_policies,
@@ -39,8 +40,8 @@ def unit_steps() -> AnalyticStepTime:
 
 class TestHandComputableDrains:
     def test_single_request_timeline(self, system):
-        scheduler = OfflineServingScheduler(
-            system, FCFSFixedBatch(1), step_time=unit_steps()
+        scheduler = ClusterScheduler(
+            [Node(system, step_time=unit_steps())], FCFSFixedBatch(1)
         )
         report = scheduler.drain([SHORT])  # 100 output tokens
         request = report.requests[0]
@@ -54,8 +55,8 @@ class TestHandComputableDrains:
     def test_fixed_batch_holds_until_longest_member_finishes(self, system):
         quick = RequestClass("Short", input_tokens=16, output_tokens=2)
         slow = RequestClass("Long", input_tokens=16, output_tokens=5)
-        scheduler = OfflineServingScheduler(
-            system, FCFSFixedBatch(2), step_time=unit_steps()
+        scheduler = ClusterScheduler(
+            [Node(system, step_time=unit_steps())], FCFSFixedBatch(2)
         )
         report = scheduler.drain(make_request_queue([quick, slow, quick]))
         first, second, third = sorted(report.requests, key=lambda r: r.request_id)
@@ -73,9 +74,7 @@ class TestHandComputableDrains:
             base_seconds=1.0, per_token_seconds=0.0, prefill_per_token_seconds=0.5
         )
         for policy in (FCFSFixedBatch(4), ContinuousBatching(4)):
-            scheduler = OfflineServingScheduler(
-                system, policy, step_time=step_time
-            )
+            scheduler = ClusterScheduler([Node(system, step_time=step_time)], policy)
             report = scheduler.drain(make_request_queue([one_shot] * 6))
             assert report.all_completed
             assert report.generated_tokens == 6
@@ -93,8 +92,8 @@ class TestHandComputableDrains:
 
         one_shot = RequestClass("One", input_tokens=8, output_tokens=1)
         slow = RequestClass("Slow", input_tokens=8, output_tokens=3)
-        scheduler = OfflineServingScheduler(
-            system, FCFSFixedBatch(2), step_time=BatchPricedStepTime()
+        scheduler = ClusterScheduler(
+            [Node(system, step_time=BatchPricedStepTime())], FCFSFixedBatch(2)
         )
         report = scheduler.drain(make_request_queue([one_shot, slow]))
         # Prefill (0.5s) + two decode iterations billed at the formed
@@ -104,8 +103,8 @@ class TestHandComputableDrains:
     def test_continuous_refills_slot_immediately(self, system):
         quick = RequestClass("Short", input_tokens=16, output_tokens=2)
         slow = RequestClass("Long", input_tokens=16, output_tokens=5)
-        scheduler = OfflineServingScheduler(
-            system, ContinuousBatching(2), step_time=unit_steps()
+        scheduler = ClusterScheduler(
+            [Node(system, step_time=unit_steps())], ContinuousBatching(2)
         )
         report = scheduler.drain(make_request_queue([quick, slow, quick]))
         third = report.requests[2]
@@ -159,11 +158,11 @@ class TestSeededMixedDrains:
     def test_drains_are_deterministic(self, system):
         queue = sample_request_classes(self.N_REQUESTS, seed=self.SEED)
         step_time = CalibratedStepTime(system)
-        first = OfflineServingScheduler(
-            system, ContinuousBatching(8), step_time=step_time
+        first = ClusterScheduler(
+            [Node(system, step_time=step_time)], ContinuousBatching(8)
         ).drain(list(queue))
-        second = OfflineServingScheduler(
-            system, ContinuousBatching(8), step_time=step_time
+        second = ClusterScheduler(
+            [Node(system, step_time=step_time)], ContinuousBatching(8)
         ).drain(list(queue))
         assert first.makespan_seconds == pytest.approx(second.makespan_seconds)
         assert first.tokens_per_second == pytest.approx(second.tokens_per_second)
@@ -174,11 +173,8 @@ class TestCapacityConstrainedDrain:
     def test_tight_budget_serializes_but_completes(self, system, tiny_mha):
         one_long = make_request_queue([LONG])[0].kv_reservation_bytes(tiny_mha)
         budget = CapacityBudget(one_long * 2.2, "two long slots")
-        scheduler = OfflineServingScheduler(
-            system,
-            ContinuousBatching(8),
-            step_time=unit_steps(),
-            budget=budget,
+        scheduler = ClusterScheduler(
+            [Node(system, step_time=unit_steps(), budget=budget)], ContinuousBatching(8)
         )
         report = scheduler.drain([LONG] * 6)
         assert report.all_completed
@@ -197,18 +193,22 @@ class TestCapacityConstrainedDrain:
 
     def test_budget_too_small_for_any_request_raises(self, system, tiny_mha):
         one_short = make_request_queue([SHORT])[0].kv_reservation_bytes(tiny_mha)
-        scheduler = OfflineServingScheduler(
-            system,
+        scheduler = ClusterScheduler(
+            [
+                Node(
+                    system,
+                    step_time=unit_steps(),
+                    budget=CapacityBudget(one_short / 2, "too small"),
+                )
+            ],
             ContinuousBatching(4),
-            step_time=unit_steps(),
-            budget=CapacityBudget(one_short / 2, "too small"),
         )
         with pytest.raises(SchedulingError, match="starvation"):
             scheduler.drain([SHORT, SHORT])
 
     def test_empty_queue_rejected(self, system):
-        scheduler = OfflineServingScheduler(
-            system, ContinuousBatching(4), step_time=unit_steps()
+        scheduler = ClusterScheduler(
+            [Node(system, step_time=unit_steps())], ContinuousBatching(4)
         )
         with pytest.raises(SchedulingError):
             scheduler.drain([])
@@ -220,23 +220,68 @@ class TestQueueValidation:
 
     def test_serving_request_amid_classes_rejected_with_index(self, system):
         mixed = [SHORT, LONG, make_request_queue([SHORT])[0], LONG]
-        scheduler = OfflineServingScheduler(
-            system, ContinuousBatching(4), step_time=unit_steps()
+        scheduler = ClusterScheduler(
+            [Node(system, step_time=unit_steps())], ContinuousBatching(4)
         )
         with pytest.raises(SchedulingError, match="element 2"):
             scheduler.drain(mixed)
 
     def test_class_amid_serving_requests_rejected_with_index(self, system):
         mixed = make_request_queue([SHORT, SHORT]) + [LONG]  # type: ignore[list-item]
-        scheduler = OfflineServingScheduler(
-            system, ContinuousBatching(4), step_time=unit_steps()
+        scheduler = ClusterScheduler(
+            [Node(system, step_time=unit_steps())], ContinuousBatching(4)
         )
         with pytest.raises(SchedulingError, match="element 2"):
             scheduler.drain(mixed)
 
+    def test_second_drain_of_one_queue_rejected(self, system):
+        """A drain mutates its requests and its report shares them: draining
+        the same ServingRequest list again must fail loudly instead of
+        reporting stale tokens and rewriting the first report's times."""
+        queue = make_request_queue([SHORT] * 4)
+        scheduler = ClusterScheduler(
+            [Node(system, step_time=unit_steps())], ContinuousBatching(4)
+        )
+        first = scheduler.drain(queue)
+        completions = [r.completion_time for r in first.requests]
+        with pytest.raises(SchedulingError, match="element 0"):
+            scheduler.drain(queue)
+        assert first.generated_tokens == 4 * SHORT.output_tokens
+        assert [r.completion_time for r in first.requests] == completions
+
+    @pytest.mark.parametrize(
+        "stamp",
+        [
+            lambda queue: setattr(queue[2], "admitted_time", 0.0),
+            lambda queue: setattr(queue[2], "completion_time", 1.0),
+            lambda queue: setattr(queue[2], "tokens_generated", 1),
+            lambda queue: setattr(queue[2], "shed_time", 0.0),
+            lambda queue: setattr(queue[2], "weight", 2),
+            lambda queue: queue[2].folded.append(queue[1]),
+            lambda queue: setattr(queue[2], "folded_into", queue[1]),
+        ],
+        ids=[
+            "admitted",
+            "completed",
+            "tokens",
+            "shed",
+            "weight",
+            "folded",
+            "folded-into",
+        ],
+    )
+    def test_request_carrying_drain_state_rejected_with_index(self, system, stamp):
+        queue = make_request_queue([SHORT] * 3)
+        stamp(queue)
+        scheduler = ClusterScheduler(
+            [Node(system, step_time=unit_steps())], ContinuousBatching(4)
+        )
+        with pytest.raises(SchedulingError, match="element 2"):
+            scheduler.drain(queue)
+
     def test_arbitrary_garbage_rejected_at_its_index(self, system):
-        scheduler = OfflineServingScheduler(
-            system, ContinuousBatching(4), step_time=unit_steps()
+        scheduler = ClusterScheduler(
+            [Node(system, step_time=unit_steps())], ContinuousBatching(4)
         )
         with pytest.raises(SchedulingError, match="element 0"):
             scheduler.drain(["not a request", SHORT])  # type: ignore[list-item]
@@ -254,8 +299,8 @@ class TestStepTimeInterface:
             def prefill_seconds(self, batch_size, seq_len):
                 return 0.0
 
-        report = OfflineServingScheduler(
-            system, ContinuousBatching(4), step_time=FlatModel()
+        report = ClusterScheduler(
+            [Node(system, step_time=FlatModel())], ContinuousBatching(4)
         ).drain([SHORT, SHORT])
         assert report.step_time_notes == {}
 
@@ -273,8 +318,8 @@ class TestStepTimeInterface:
             def grid_clamp_summary(self, since=None):
                 return {"clamped_queries": 7, "window": since}
 
-        report = OfflineServingScheduler(
-            system, ContinuousBatching(4), step_time=WarningModel()
+        report = ClusterScheduler(
+            [Node(system, step_time=WarningModel())], ContinuousBatching(4)
         ).drain([SHORT])
         assert report.step_time_notes["clamped_queries"] == 7
         assert report.step_time_notes["window"] == {"queries": 0}
@@ -282,8 +327,8 @@ class TestStepTimeInterface:
 
 class TestArrivalDrains:
     def test_engine_idles_until_first_arrival(self, system):
-        scheduler = OfflineServingScheduler(
-            system, ContinuousBatching(2), step_time=unit_steps()
+        scheduler = ClusterScheduler(
+            [Node(system, step_time=unit_steps())], ContinuousBatching(2)
         )
         report = scheduler.drain(
             [SHORT], arrivals=FixedRateArrivals(1.0, start=5.0)
@@ -297,8 +342,8 @@ class TestArrivalDrains:
 
     def test_late_arrival_joins_at_iteration_boundary(self, system):
         quick = RequestClass("Quick", input_tokens=16, output_tokens=4)
-        scheduler = OfflineServingScheduler(
-            system, ContinuousBatching(2), step_time=unit_steps()
+        scheduler = ClusterScheduler(
+            [Node(system, step_time=unit_steps())], ContinuousBatching(2)
         )
         report = scheduler.drain(
             make_request_queue([quick, quick], arrival_times=[0.0, 1.5])
@@ -316,10 +361,9 @@ class TestArrivalDrains:
         arrivals = PoissonArrivals(rate_per_second=0.2, seed=13)
 
         def run():
-            return OfflineServingScheduler(
-                system,
+            return ClusterScheduler(
+                [Node(system, step_time=unit_steps())],
                 ContinuousBatching(4, admission="optimistic"),
-                step_time=unit_steps(),
             ).drain(list(queue), arrivals=arrivals)
 
         first, second = run(), run()
@@ -330,8 +374,8 @@ class TestArrivalDrains:
     def test_arrival_process_spans_the_makespan(self, system):
         queue = sample_request_classes(16, seed=2)
         arrivals = PoissonArrivals(rate_per_second=0.05, seed=4)
-        report = OfflineServingScheduler(
-            system, ContinuousBatching(4), step_time=unit_steps()
+        report = ClusterScheduler(
+            [Node(system, step_time=unit_steps())], ContinuousBatching(4)
         ).drain(list(queue), arrivals=arrivals)
         assert report.all_completed
         last_arrival = max(r.arrival_time for r in report.requests)
@@ -343,11 +387,9 @@ class TestArrivalDrains:
 class TestChunkedPrefill:
     def test_invalid_chunk_size_rejected(self, system):
         with pytest.raises(ConfigurationError):
-            OfflineServingScheduler(
-                system,
+            ClusterScheduler(
+                [Node(system, step_time=unit_steps(), prefill_chunk_tokens=0)],
                 ContinuousBatching(2),
-                step_time=unit_steps(),
-                prefill_chunk_tokens=0,
             )
 
     def test_chunk_at_least_prompt_is_bit_identical_to_unchunked(self, system):
@@ -361,11 +403,9 @@ class TestChunkedPrefill:
         )
 
         def run(chunk):
-            return OfflineServingScheduler(
-                system,
+            return ClusterScheduler(
+                [Node(system, step_time=step_time, prefill_chunk_tokens=chunk)],
                 ContinuousBatching(8),
-                step_time=step_time,
-                prefill_chunk_tokens=chunk,
             ).drain(list(queue))
 
         unchunked = run(None)
@@ -389,11 +429,9 @@ class TestChunkedPrefill:
         ]
 
         def run(chunk):
-            return OfflineServingScheduler(
-                system,
+            return ClusterScheduler(
+                [Node(system, step_time=step_time, prefill_chunk_tokens=chunk)],
                 ContinuousBatching(2),
-                step_time=step_time,
-                prefill_chunk_tokens=chunk,
             ).drain(queue[0]())
 
         unchunked = run(None)
@@ -411,11 +449,9 @@ class TestChunkedPrefill:
 
     def test_chunked_totals_conserved(self, system):
         queue = sample_request_classes(24, seed=9)
-        report = OfflineServingScheduler(
-            system,
+        report = ClusterScheduler(
+            [Node(system, step_time=unit_steps(), prefill_chunk_tokens=256)],
             ContinuousBatching(8),
-            step_time=unit_steps(),
-            prefill_chunk_tokens=256,
         ).drain(list(queue))
         assert report.all_completed
         for request in report.requests:

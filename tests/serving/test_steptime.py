@@ -180,13 +180,13 @@ class TestGridClampNotes:
         assert note["seq_grid_max"] == 1024
 
     def test_clamp_note_lands_in_serving_report(self, tiny_mha):
-        from repro.serving import ContinuousBatching, OfflineServingScheduler
+        from repro.serving import ClusterScheduler, ContinuousBatching, Node
         from repro.workloads import sample_request_classes
 
         system = HilosSystem(tiny_mha, HilosConfig(n_devices=2))
         step_time = CalibratedStepTime(system, batch_grid=(1, 2), seq_grid=(256, 512))
-        scheduler = OfflineServingScheduler(
-            system, ContinuousBatching(4), step_time=step_time
+        scheduler = ClusterScheduler(
+            [Node(system, step_time=step_time)], ContinuousBatching(4)
         )
         report = scheduler.drain(sample_request_classes(6, seed=3))
         assert report.step_time_notes["clamped_queries"] >= 1
@@ -214,7 +214,7 @@ class TestParseGrid:
 class TestClampWindowIsolation:
     def test_second_drain_does_not_inherit_first_drains_clamps(self, tiny_mha):
         """Per-policy reports window the shared model's clamp counters."""
-        from repro.serving import ContinuousBatching, OfflineServingScheduler
+        from repro.serving import ClusterScheduler, ContinuousBatching, Node
         from repro.workloads.requests import RequestClass
 
         system = HilosSystem(tiny_mha, HilosConfig(n_devices=2))
@@ -223,12 +223,12 @@ class TestClampWindowIsolation:
         # Context stays inside [256, 512] and batch inside [1, 2] throughout.
         on_grid = RequestClass(name="Mid", input_tokens=300, output_tokens=2)
 
-        first = OfflineServingScheduler(
-            system, ContinuousBatching(2), step_time=step_time
+        first = ClusterScheduler(
+            [Node(system, step_time=step_time)], ContinuousBatching(2)
         ).drain([clamping, clamping])
         assert first.step_time_notes["clamped_queries"] >= 1
 
-        second = OfflineServingScheduler(
-            system, ContinuousBatching(2), step_time=step_time
+        second = ClusterScheduler(
+            [Node(system, step_time=step_time)], ContinuousBatching(2)
         ).drain([on_grid, on_grid])
         assert second.step_time_notes == {}
