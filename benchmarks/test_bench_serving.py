@@ -202,14 +202,14 @@ def _cluster_drain(store):
     return report, step_time
 
 
-def _assert_cluster_shape(result):
+def _assert_cluster_shape(result, nodes=CLUSTER_NODES, requests=CLUSTER_REQUESTS):
     report, _ = result
     assert report.all_completed
     assert report.router == "jsq"
-    assert len(report.node_reports) == CLUSTER_NODES
-    # JSQ over a 64-request stream leaves no node idle.
+    assert len(report.node_reports) == nodes
+    # JSQ leaves no node idle.
     assert all(node.n_requests > 0 for node in report.node_reports)
-    assert sum(node.completed for node in report.node_reports) == CLUSTER_REQUESTS
+    assert sum(node.completed for node in report.node_reports) == requests
     assert report.tokens_per_second_per_usd > 0
 
 
@@ -240,6 +240,78 @@ def test_serving_cluster_warm(benchmark, tmp_path):
 
     result = benchmark.pedantic(_cluster_drain, setup=setup, rounds=3, iterations=1)
     _assert_cluster_shape(result)
+    assert result[1].measurement_count == 0
+
+
+#: The routing benchmark's scenario: 64 symmetric nodes under
+#: join-shortest-queue, 4096 requests in the exact Azure mix arriving
+#: Poisson at 0.025 req/s per node.  Every arrival probes all 64 nodes'
+#: load, so the gate times the constant-time load views: a probe that
+#: re-summed its node's queue made this drain quadratic in fleet size.
+FLEET_JSQ_NODES = 64
+FLEET_JSQ_REQUESTS = 4096
+FLEET_JSQ_RATE = 1.6
+FLEET_JSQ_SEED = 1
+
+
+def _exact_azure_mix(n_requests, seed):
+    """The Azure Short/Medium/Long mix in exact proportions, seeded order."""
+    import random
+
+    from repro.workloads.requests import AZURE_OFFLINE_MIX, REQUEST_CLASSES
+
+    fractions = AZURE_OFFLINE_MIX.fractions()
+    counts = {name: int(n_requests * f) for name, f in fractions.items()}
+    counts[max(fractions, key=fractions.get)] += n_requests - sum(counts.values())
+    classes = [REQUEST_CLASSES[name] for name, k in counts.items() for _ in range(k)]
+    random.Random(seed).shuffle(classes)
+    return classes
+
+
+def _fleet_jsq_drain(store):
+    """Large-fleet routing drain: the ``serving-fleet-jsq`` gate.  The
+    ``serving-cluster`` scenario scaled to 64 nodes sharing one calibrated
+    grid and 4096 requests, so routing probes dominate the timed body."""
+    from repro.models import get_model
+    from repro.serving import (
+        ClusterScheduler,
+        ContinuousBatching,
+        LeastOutstandingTokens,
+        PoissonArrivals,
+    )
+    from repro.serving.cluster import build_fleet
+
+    model = get_model(serving_throughput.MODEL)
+    fleet = build_fleet(
+        model, ["HILOS (8 SmartSSDs)"] * FLEET_JSQ_NODES, store=store
+    )
+    scheduler = ClusterScheduler(
+        fleet,
+        ContinuousBatching(serving_throughput.BATCH_SLOTS),
+        router=LeastOutstandingTokens(),
+    )
+    report = scheduler.drain(
+        _exact_azure_mix(FLEET_JSQ_REQUESTS, FLEET_JSQ_SEED),
+        arrivals=PoissonArrivals(rate_per_second=FLEET_JSQ_RATE, seed=FLEET_JSQ_SEED),
+    )
+    step_time = fleet[0].step_time
+    step_time.flush()
+    return report, step_time
+
+
+def test_serving_fleet_jsq_warm(benchmark, tmp_path):
+    """Warm 64-node JSQ drain: zero measurements -- the router's load
+    probes and the engines' drain loops are what's timed."""
+    store_dir = tmp_path / "jwarm"
+    clear_memory_layer()
+    _fleet_jsq_drain(CalibrationStore(store_dir))
+
+    def setup():
+        clear_memory_layer()
+        return (CalibrationStore(store_dir),), {}
+
+    result = benchmark.pedantic(_fleet_jsq_drain, setup=setup, rounds=3, iterations=1)
+    _assert_cluster_shape(result, nodes=FLEET_JSQ_NODES, requests=FLEET_JSQ_REQUESTS)
     assert result[1].measurement_count == 0
 
 

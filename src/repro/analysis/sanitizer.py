@@ -33,7 +33,14 @@ checks are:
   per-tier occupancy never exceeds the tier's capacity and never goes
   negative, every request's tier residency sums to its flat-ledger entry,
   and releases -- including node-death migrations -- drain every tier the
-  request touched.
+  request touched;
+* **load-ledger** -- enforced by
+  :class:`~repro.serving.engine.NodeEngine`: every running load ledger
+  the router-facing views and the decode step read (outstanding tokens,
+  committed and queued KV bytes, queued and running members, running
+  context) equals the sum re-computed from the engine's queues -- all of
+  them at each load probe, the decode batch's two at each decode step --
+  and is zero at drain end.
 
 This module sits below the simulation layers on purpose: it imports only
 :mod:`repro.errors`, so :mod:`repro.sim.engine` and

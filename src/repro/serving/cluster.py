@@ -545,10 +545,11 @@ class ClusterScheduler:
 
         # The epilogue.
         if sim.sanitizer is not None:
-            # Drain-end invariants: every engine's KV ledger fully released,
-            # and nothing still parked on an untriggered event.
+            # Drain-end invariants: every engine's KV ledger fully released
+            # and its load ledgers back at zero, and nothing still parked on
+            # an untriggered event.
             for engine in engines:
-                engine.tracker.assert_drained(context=f"node {engine.node.name!r}")
+                engine.assert_drained()
             sim.sanitize_check_drained()
         notes = self._step_time_notes(step_times, counters_before)
         if fold is None:

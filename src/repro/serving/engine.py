@@ -29,9 +29,37 @@ The engine receives work through one of the cluster drain's two feeds:
   since the wake is synchronous it admits a burst's first request before
   the rest are delivered.
 
-The engine also exposes the live load views routers place against:
-:attr:`outstanding_tokens` (JSQ) and :attr:`kv_headroom_bytes` /
-:meth:`kv_fits` (KV-aware best fit).
+The engine also exposes the live load views routers, overload control
+and the autoscaler read: :attr:`outstanding_tokens` (JSQ),
+:attr:`kv_headroom_bytes` / :meth:`kv_fits` and
+:attr:`top_tier_headroom_bytes` (KV-aware best fit), and
+:attr:`queued_requests` (queue depth).  Each view reads a running integer
+*load ledger* in O(1) instead of re-summing the queues per probe; the
+decode step reads two more (running members and their summed context)
+for its batch size and mean context.  The ledgers move only at
+transitions the engine already owns:
+
+=====================  ===================================================
+transition             ledgers moved
+=====================  ===================================================
+enqueue / preload      outstanding, committed KV, queued KV, queued members
+admission              queued KV, queued members
+prefill chunk          outstanding (completion: running members, context)
+decode step            running context
+preemption             outstanding, queued KV, queued members (running
+                       members and context when the victim was decoding)
+retirement             outstanding, committed KV, running members, context
+death                  all cleared (the whole queue leaves the node)
+=====================  ===================================================
+
+Folding and splitting representatives conserve every ledger (a weight-w
+representative contributes exactly what its w members would).  The
+re-summing code survives as the sanitizer's reference: a sanitized engine
+recomputes every ledger at each load probe, and the decode batch's two
+at each decode step, and raises ``SanitizerError(invariant="load-ledger")``
+on any difference, and
+:meth:`NodeEngine.assert_drained` demands every ledger back at zero at
+drain end.
 
 Under fault injection (:mod:`repro.serving.faults`) the engine carries a
 node lifecycle::
@@ -66,6 +94,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable
 
+from repro.analysis.sanitizer import SanitizerError
 from repro.baselines.base import InferenceSystem
 from repro.errors import ConfigurationError, SchedulingError
 from repro.serving.budget import BudgetTracker, CapacityBudget, capacity_budget_for
@@ -78,6 +107,22 @@ from repro.serving.request import (
 )
 from repro.serving.steptime import CalibratedStepTime, StepTimeModel
 from repro.sim.engine import Simulator
+
+#: The engine's running load ledgers (all integers), by attribute name.
+#: Sums run over every routed, unfinished request (pending, waiting,
+#: prefilling and running) unless the name says ``queued`` (pending and
+#: waiting) or ``running``; each term is weighted by the member count.
+_LOAD_LEDGERS = (
+    # input + output - prefill_tokens_done: the JSQ signal.
+    "_outstanding_tokens",
+    # Final-context KV bytes (model.kv_cache_bytes at total_tokens).
+    "_committed_kv_bytes",
+    "_queued_kv_bytes",
+    "_queued_members",
+    "_running_members",
+    # Current context tokens (input + tokens_generated).
+    "_running_context_tokens",
+)
 
 
 class Node:
@@ -175,6 +220,9 @@ class NodeEngine:
         #: Every request ever routed to this node, in routing order (the
         #: per-node report is built from this).
         self.assigned: list[ServingRequest] = []
+        self._model = node.system.model
+        self._sanitize = sim.sanitizer is not None
+        self._clear_load_ledgers()
         self._batch_slots = 0
         self._wake = None
         self._arrivals_done = False
@@ -250,7 +298,9 @@ class NodeEngine:
         Counts folded members, not representatives, so the signal is the
         same backlog an unfolded drain would report.
         """
-        return total_weight(self.pending) + total_weight(self.waiting)
+        if self._sanitize:
+            self._check_load_ledgers()
+        return self._queued_members
 
     def inject_failure(self, recovery_seconds: float | None = None) -> bool:
         """Mark the node for death at its next scheduling-round boundary.
@@ -331,6 +381,7 @@ class NodeEngine:
         self.prefilling.clear()
         self.waiting.clear()
         self.pending.clear()
+        self._clear_load_ledgers()
         self._batch_slots = 0
         if migrated:
             gone = {request.request_id for request in migrated}
@@ -416,18 +467,20 @@ class NodeEngine:
 
     @property
     def outstanding_tokens(self) -> int:
-        """Tokens of work still owed to every request assigned here.
+        """The join-the-shortest-queue load signal, in tokens.
 
-        Counts prefill tokens not yet computed plus output tokens not yet
-        generated, over queued and active requests alike -- the join-the-
-        shortest-queue load signal.
+        Exactly ``sum(weight * (input + output - prefill_tokens_done))``
+        over every routed, unfinished request.  A queued request counts
+        its whole prompt and output; a prefilling one drops the prefill
+        tokens already computed.  A running request counts its output
+        length minus the tokens it had emitted when its latest prefill
+        completed -- for a fresh request, its *whole* output -- until it
+        retires: decode progress does not lower the signal.  (A preempted
+        request's dropped prefill credit returns to it.)
         """
-        live = list(self.pending) + list(self.waiting) + self.prefilling + self.running
-        return sum(
-            r.weight
-            * (r.prefill_remaining_tokens + (r.output_tokens - r.tokens_generated))
-            for r in live
-        )
+        if self._sanitize:
+            self._check_load_ledgers()
+        return self._outstanding_tokens
 
     @property
     def kv_headroom_bytes(self) -> float:
@@ -442,17 +495,9 @@ class NodeEngine:
         ledger plus queued commitments, so the two modes share one
         conservative routing signal.)
         """
-        model = self.node.system.model
-        committed = sum(
-            r.weight * r.kv_reservation_bytes(model)
-            for r in (
-                list(self.pending)
-                + list(self.waiting)
-                + self.prefilling
-                + self.running
-            )
-        )
-        return self.node.budget.kv_capacity_bytes - committed
+        if self._sanitize:
+            self._check_load_ledgers()
+        return self.node.budget.kv_capacity_bytes - self._committed_kv_bytes
 
     def kv_fits(self, request: ServingRequest) -> bool:
         """Whether ``request``'s final-context KV fits the current headroom."""
@@ -474,9 +519,90 @@ class NodeEngine:
         """
         if not self.tiered:
             return self.kv_headroom_bytes
-        return self.tracker.top_headroom_for_routing(
-            list(self.pending) + list(self.waiting)
+        if self._sanitize:
+            self._check_load_ledgers()
+        return self.tracker.top_headroom_for_routing(self._queued_kv_bytes)
+
+    # --- load ledgers ------------------------------------------------------------
+
+    def _clear_load_ledgers(self) -> None:
+        for name in _LOAD_LEDGERS:
+            setattr(self, name, 0)
+
+    def _final_kv_bytes(self, request: ServingRequest) -> int:
+        """One member's final-context KV bytes (the reservation, as an int)."""
+        return self._model.kv_cache_bytes(1, request.final_context_tokens)
+
+    def _note_routed(self, request: ServingRequest) -> None:
+        """Ledger a request arriving in this node's queue."""
+        weight = request.weight
+        kv = weight * self._final_kv_bytes(request)
+        self._outstanding_tokens += weight * (
+            request.final_context_tokens - request.prefill_tokens_done
         )
+        self._committed_kv_bytes += kv
+        self._queued_kv_bytes += kv
+        self._queued_members += weight
+
+    def _recount_load_ledgers(self, running_only: bool) -> dict[str, int]:
+        """Ledgers re-summed from the queues (the sanitizer's reference).
+
+        ``running_only`` recounts just the decode batch's two ledgers -- one
+        pass over the batch instead of over everything routed here.
+        """
+        counts = {
+            "_running_members": total_weight(self.running),
+            "_running_context_tokens": sum(
+                r.weight * r.context_tokens for r in self.running
+            ),
+        }
+        if running_only:
+            return counts
+        model = self._model
+        queued = list(self.pending) + list(self.waiting)
+        live = queued + self.prefilling + self.running
+        counts["_outstanding_tokens"] = sum(
+            r.weight
+            * (r.prefill_remaining_tokens + (r.output_tokens - r.tokens_generated))
+            for r in live
+        )
+        counts["_committed_kv_bytes"] = sum(
+            r.weight * model.kv_cache_bytes(1, r.final_context_tokens) for r in live
+        )
+        counts["_queued_kv_bytes"] = sum(
+            r.weight * model.kv_cache_bytes(1, r.final_context_tokens)
+            for r in queued
+        )
+        counts["_queued_members"] = total_weight(queued)
+        return counts
+
+    def _check_load_ledgers(self, running_only: bool = False) -> None:
+        """load-ledger: each load ledger equals its re-summed reference."""
+        for name, expected in self._recount_load_ledgers(running_only).items():
+            held = getattr(self, name)
+            if held != expected:
+                raise SanitizerError(
+                    f"node {self.node.name!r} load ledger {name.lstrip('_')} "
+                    f"holds {held} but its queues sum to {expected}",
+                    invariant="load-ledger",
+                    sim_time=self.sim.now,
+                )
+
+    def assert_drained(self) -> None:
+        """Drain-end conservation: KV ledger released, load ledgers at zero."""
+        context = f"node {self.node.name!r}"
+        self.tracker.assert_drained(context=context)
+        residue = {
+            name.lstrip("_"): getattr(self, name)
+            for name in _LOAD_LEDGERS
+            if getattr(self, name) != 0
+        }
+        if residue:
+            raise SanitizerError(
+                f"load ledger residue on {context} after the drain: {residue}",
+                invariant="load-ledger",
+                sim_time=self.sim.now,
+            )
 
     # --- tier reporting views ----------------------------------------------------
 
@@ -500,6 +626,8 @@ class NodeEngine:
         requests = list(requests)
         self.pending.extend(requests)
         self.assigned.extend(requests)
+        for request in requests:
+            self._note_routed(request)
 
     def enqueue(self, request: ServingRequest) -> None:
         """Deliver one routed request (cluster dispatch, at arrival time)."""
@@ -511,6 +639,7 @@ class NodeEngine:
             )
         self.assigned.append(request)
         self.pending.append(request)
+        self._note_routed(request)
         self._wake_if_parked()
 
     def finish_arrivals(self) -> None:
@@ -561,6 +690,8 @@ class NodeEngine:
                 if request.admitted_time is None:
                     request.admitted_time = sim.now
                 request.last_admitted_time = sim.now
+                self._queued_members -= request.weight
+                self._queued_kv_bytes -= request.weight * self._final_kv_bytes(request)
             self.prefilling.extend(admitted)
             if admitted and self.driver is not None:
                 # Queue depth just dropped: wake any delivery parked on a
@@ -601,6 +732,8 @@ class NodeEngine:
                         request.tokens_generated += 1
                         if optimistic:
                             self.tracker.update(request)
+                    # Every running member grew by one token.
+                    self._running_context_tokens += self._running_members
                     self._retire_finished()
                 progressed = True
             if progressed:
@@ -661,7 +794,9 @@ class NodeEngine:
         stale by a token per promotion.
         """
         for request in list(self.prefilling):
-            request.prefill_tokens_done += self._chunk_tokens(request)
+            chunk = self._chunk_tokens(request)
+            request.prefill_tokens_done += chunk
+            self._outstanding_tokens -= request.weight * chunk
             if request.prefill_remaining_tokens == 0:
                 if request.first_token_time is None:
                     request.first_token_time = self.sim.now
@@ -670,6 +805,8 @@ class NodeEngine:
                     self.tracker.update(request)
                 self.prefilling.remove(request)
                 self.running.append(request)
+                self._running_members += request.weight
+                self._running_context_tokens += request.weight * request.context_tokens
 
     # --- preemption ------------------------------------------------------------
 
@@ -721,14 +858,25 @@ class NodeEngine:
             dropped = (
                 evicted.context_tokens if in_running else evicted.prefill_tokens_done
             )
+            weight = evicted.weight
+            if in_running:
+                self._running_members -= weight
+                self._running_context_tokens -= weight * evicted.context_tokens
+            # The dropped prefill credit is owed again; the evicted piece
+            # rejoins the queue at its final-context commitment.
+            self._outstanding_tokens += weight * evicted.prefill_tokens_done
+            self._queued_members += weight
+            self._queued_kv_bytes += weight * self._final_kv_bytes(evicted)
             evicted.record_preemption(dropped)
             self.waiting.appendleft(evicted)
 
     # --- timing helpers --------------------------------------------------------
 
     def _iteration_seconds(self) -> float:
+        if self._sanitize:
+            self._check_load_ledgers(running_only=True)
         running = self.running
-        members = total_weight(running)
+        members = self._running_members
         if self.policy.padded:
             # Padded execution: every slot of the formed batch pays for the
             # longest live context, even after its own request finished.
@@ -738,9 +886,7 @@ class NodeEngine:
             batch = members
             # Weighted mean context: the sums are integers, so this equals
             # the unfolded per-member mean bit for bit.
-            context = round(
-                sum(r.weight * r.context_tokens for r in running) / members
-            )
+            context = round(self._running_context_tokens / members)
         seconds = (
             self.node.step_time.step_seconds(batch, max(1, context))
             * self._slow_factor
@@ -773,5 +919,12 @@ class NodeEngine:
             request.completion_time = self.sim.now
             self.tracker.release(request)
             self.running.remove(request)
+            weight = request.weight
+            self._outstanding_tokens -= weight * (
+                request.final_context_tokens - request.prefill_tokens_done
+            )
+            self._committed_kv_bytes -= weight * self._final_kv_bytes(request)
+            self._running_members -= weight
+            self._running_context_tokens -= weight * request.context_tokens
             if self.driver is not None:
                 self.driver.note_finished(request)

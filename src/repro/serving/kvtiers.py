@@ -712,26 +712,23 @@ class TieredBudgetTracker(BudgetTracker):
 
     # --- router / reporting views -----------------------------------------------
 
-    def top_headroom_for_routing(self, queued: list[ServingRequest]) -> float:
+    def top_headroom_for_routing(self, queued_bytes: int) -> float:
         """Top-tier bytes left once queued commitments take their hot share.
 
         Prefilling/running requests are already in the tier ledgers;
-        queued requests commit their final-context bytes scaled by the
-        policy's placement fraction -- the share that will actually contend
-        for the compute tier.
+        ``queued_bytes`` is the final-context KV of the node's queued
+        (routed, unadmitted) requests -- the engine keeps it as a running
+        ledger -- scaled here by the policy's placement fraction, the share
+        that will actually contend for the compute tier.
         """
         top = self.stack.top
         fraction = (
             self.policy.placement_fraction() if len(self.stack.tiers) > 1 else 1.0
         )
-        committed = sum(
-            request.weight * request.kv_reservation_bytes(self.model)
-            for request in queued
-        )
         return (
             top.capacity_bytes
             - self._ledgers[top.name].occupied_bytes
-            - fraction * committed
+            - fraction * queued_bytes
         )
 
     def tier_reports(self) -> tuple[TierReport, ...]:

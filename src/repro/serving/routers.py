@@ -166,10 +166,14 @@ class WeightedRoundRobin(Router):
 class LeastOutstandingTokens(Router):
     """Join the shortest queue, measured in tokens of outstanding work.
 
-    The load signal is :attr:`NodeEngine.outstanding_tokens` -- prefill
-    tokens not yet computed plus output tokens not yet generated across
-    everything routed to the node -- which weighs a queued Long request as
-    the work it actually is, unlike a bare request count.
+    The load signal is :attr:`NodeEngine.outstanding_tokens`:
+    ``sum(weight * (input + output - prefill_tokens_done))`` over
+    everything routed to the node and not yet finished.  It weighs a
+    queued Long request as the work it actually is, unlike a bare request
+    count.  Prefill progress lowers it, decode progress does not: a
+    running request counts its whole output (less any tokens emitted
+    before a preemption's readmission) until it retires.  Each probe is
+    O(1) -- the engine keeps the sum as a running ledger.
     """
 
     name = "jsq"

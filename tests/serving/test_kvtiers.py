@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.sanitizer import SanitizerError
+from repro.analysis.sanitizer import SANITIZE_ENV, SanitizerError
 from repro.core.config import HilosConfig
 from repro.core.runtime import HilosSystem
 from repro.errors import ConfigurationError, SchedulingError
 from repro.serving import (
     AnalyticStepTime,
     AttentionAwareDemotion,
+    BestFitKV,
     CapacityBudget,
     ClusterScheduler,
     ContinuousBatching,
@@ -29,6 +30,7 @@ from repro.serving import (
     KVTier,
     LRUByRequest,
     Node,
+    NodeEngine,
     PoissonArrivals,
     RoundRobin,
     StaticSplit,
@@ -40,6 +42,7 @@ from repro.serving import (
 )
 from repro.serving.cluster import check_report_conservation
 from repro.serving.faults import parse_fault_spec
+from repro.sim.engine import Simulator
 from repro.workloads import sample_request_classes
 from repro.workloads.requests import LONG, SHORT
 
@@ -540,6 +543,75 @@ class TestTieredDrains:
         ]
         assert first.kv_tiers == second.kv_tiers
         assert first.spilled_decode_seconds == second.spilled_decode_seconds
+
+    def test_top_tier_headroom_prices_the_queued_hot_share(self, system, tiny_mha):
+        """BestFitKV's ranking signal on a tiered node: top capacity minus
+        top occupancy minus the placement fraction of the queued
+        final-context bytes (prefilling/running bytes are already in the
+        tier ledger)."""
+        final = tiny_mha.kv_cache_bytes(1, LONG.total_tokens)
+        node = Node(
+            system,
+            step_time=unit_steps(),
+            kv_tiers=two_tier_stack(2.0 * final, 8.0 * final),
+            kv_policy=StaticSplit(0.25),
+            name="node0",
+        )
+        sim = Simulator()
+        # One slot: the first Long is admitted and decoding, the rest queue.
+        engine = NodeEngine(node, ContinuousBatching(1), sim)
+        running, *queued = make_request_queue([LONG, SHORT, LONG])
+        engine.enqueue(running)
+        sim.process(engine.run())
+        sim.run(until=20.0)
+        assert running.tokens_generated > 1 and not running.finished
+        for waiting in queued:
+            engine.enqueue(waiting)
+        occupied = running.kv_residency["hbm"]
+        assert occupied == 0.75 * final  # reserve mode: the final footprint
+        queued_bytes = sum(
+            tiny_mha.kv_cache_bytes(1, r.final_context_tokens) for r in queued
+        )
+        assert engine.top_tier_headroom_bytes == (
+            2.0 * final - occupied - 0.75 * queued_bytes
+        )
+        # Total headroom still charges every routed request in full.
+        assert engine.kv_headroom_bytes == 10.0 * final - (
+            final + queued_bytes
+        )
+
+    def test_sanitized_bestfit_drain_cross_checks_the_ledgers(
+        self, system, tiny_mha, monkeypatch
+    ):
+        """A sanitized 3-node tiered BestFitKV drain under optimistic
+        admission: every routing probe re-sums the queued-KV ledger, and
+        the drain crosses admission, preemption, and tier movement."""
+        monkeypatch.setenv(SANITIZE_ENV, "1")
+        final = float(tiny_mha.kv_cache_bytes(1, LONG.total_tokens))
+        nodes = [
+            Node(
+                system,
+                step_time=unit_steps(),
+                kv_tiers=two_tier_stack(0.25 * final, 1.0 * final),
+                kv_policy=LRUByRequest(),
+                name=f"node{i}",
+            )
+            for i in range(3)
+        ]
+        report = ClusterScheduler(
+            nodes,
+            ContinuousBatching(4, admission="optimistic"),
+            router=BestFitKV(),
+        ).drain(
+            sample_request_classes(24, seed=3),
+            arrivals=PoissonArrivals(rate_per_second=0.5, seed=3),
+        )
+        assert report.all_completed
+        assert report.preemptions > 0
+        assert sum(t.demoted_bytes for t in report.kv_tiers) > 0.0
+        assert sum(t.promoted_bytes for t in report.kv_tiers) > 0.0
+        assert sum(1 for n in report.node_reports if n.n_requests) > 1
+        check_report_conservation(report)
 
     def test_tiered_fleets_refuse_to_fold(self, system, tiny_mha):
         with pytest.raises(ConfigurationError, match="tiered KV nodes"):

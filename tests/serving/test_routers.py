@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from collections import deque
+
 import pytest
 
+from repro.analysis.sanitizer import SanitizerError
 from repro.core.config import HilosConfig
 from repro.core.runtime import HilosSystem
 from repro.errors import ConfigurationError, SchedulingError
@@ -12,11 +15,14 @@ from repro.serving import (
     BestFitKV,
     CapacityBudget,
     ContinuousBatching,
+    KVTier,
     LeastOutstandingTokens,
     Node,
     NodeEngine,
     RoundRobin,
     Router,
+    StaticSplit,
+    TierStack,
     WeightedRoundRobin,
     make_request_queue,
     parse_router_spec,
@@ -169,9 +175,15 @@ class TestLeastOutstandingTokens:
         first, second = make_request_queue([MEDIUM, MEDIUM])
         nodes[0].enqueue(first)
         nodes[1].enqueue(second)
-        # node0's request is mid-decode: prefill done, half the output out.
-        first.prefill_tokens_done = first.input_tokens
-        first.tokens_generated = first.output_tokens // 2
+        # Run only node0: its request prefills in 0 s and decodes one token
+        # per simulated second, so halfway through the output it is
+        # mid-decode while node1's request is still queued.
+        sim = nodes[0].sim
+        sim.process(nodes[0].run())
+        sim.run(until=first.output_tokens // 2 - 0.5)
+        assert first.prefill_tokens_done == first.input_tokens
+        assert first.tokens_generated == first.output_tokens // 2
+        assert second.tokens_generated == 0
         assert LeastOutstandingTokens().route(request(), nodes) is nodes[0]
 
     def test_ties_break_to_the_lowest_index(self, system):
@@ -292,8 +304,11 @@ class TestEngineLoadViews:
         req = request(RequestClass("Tiny", input_tokens=10, output_tokens=5))
         engine.enqueue(req)
         assert engine.outstanding_tokens == 15
-        req.prefill_tokens_done = 10
-        req.tokens_generated = 2
+        # Prefill takes 0 s and emits the first token; one decode step at
+        # t=1 s emits the second, so at t=1.5 s the request is mid-decode.
+        engine.sim.process(engine.run())
+        engine.sim.run(until=1.5)
+        assert (req.prefill_tokens_done, req.tokens_generated) == (10, 2)
         assert engine.outstanding_tokens == (10 + 2 - 10) + (5 - 2)
 
     def test_headroom_shrinks_with_ledger_and_queue(self, system, tiny_mha):
@@ -308,3 +323,79 @@ class TestEngineLoadViews:
     def test_node_alias_export(self):
         # Node is exported from both repro.serving and the engine module.
         assert Node is EngineNode
+
+
+class _Unscannable(deque):
+    """A queue that refuses iteration; ``append`` and ``len`` still work."""
+
+    def __iter__(self):
+        raise AssertionError("a load view scanned an engine queue")
+
+
+LOAD_VIEWS = (
+    "outstanding_tokens",
+    "kv_headroom_bytes",
+    "top_tier_headroom_bytes",
+    "queued_requests",
+)
+
+
+class TestLoadLedgers:
+    """The load views read running ledgers; sanitized engines re-sum."""
+
+    def _engine(self, system, tiny_mha, sanitize, tiered):
+        tiers = None
+        if tiered:
+            final = tiny_mha.kv_cache_bytes(1, LONG.total_tokens)
+            tiers = TierStack(
+                (
+                    KVTier("hbm", capacity_bytes=4.0 * final),
+                    KVTier(
+                        "ssd",
+                        capacity_bytes=1e4 * final,
+                        bandwidth_bytes_per_s=1e9,
+                    ),
+                )
+            )
+        node = Node(
+            system,
+            step_time=unit_steps(),
+            kv_tiers=tiers,
+            kv_policy=StaticSplit(0.25) if tiered else None,
+            name="node0",
+        )
+        return NodeEngine(node, ContinuousBatching(4), Simulator(sanitize=sanitize))
+
+    @pytest.mark.parametrize("tiered", [False, True], ids=["flat", "tiered"])
+    def test_probes_never_scan(self, system, tiny_mha, tiered):
+        classes = [SHORT, MEDIUM, LONG] * 100
+        plain = self._engine(system, tiny_mha, sanitize=False, tiered=tiered)
+        for name in ("pending", "waiting", "prefilling", "running"):
+            setattr(plain, name, _Unscannable())
+        twin = self._engine(system, tiny_mha, sanitize=True, tiered=tiered)
+        for engine in (plain, twin):
+            for queued in make_request_queue(classes):
+                engine.enqueue(queued)
+        # The sanitized twin re-sums its queues on every probe and raises
+        # on any disagreement, so equal views mean exact ledgers.
+        assert [getattr(plain, view) for view in LOAD_VIEWS] == [
+            getattr(twin, view) for view in LOAD_VIEWS
+        ]
+        assert plain.outstanding_tokens == sum(c.total_tokens for c in classes)
+        assert plain.queued_requests == len(classes)
+
+    def test_hand_set_progress_trips_the_ledger_check(self, system, tiny_mha):
+        engine = self._engine(system, tiny_mha, sanitize=True, tiered=False)
+        queued = request(MEDIUM)
+        engine.enqueue(queued)
+        queued.prefill_tokens_done = 10  # behind the engine's back
+        with pytest.raises(SanitizerError) as caught:
+            _ = engine.outstanding_tokens
+        assert caught.value.invariant == "load-ledger"
+
+    def test_drain_end_residue_is_caught(self, system, tiny_mha):
+        engine = self._engine(system, tiny_mha, sanitize=True, tiered=False)
+        engine.enqueue(request(SHORT))  # routed but never drained
+        with pytest.raises(SanitizerError, match="residue") as caught:
+            engine.assert_drained()
+        assert caught.value.invariant == "load-ledger"
