@@ -597,13 +597,14 @@ def test_serving_kvtiers_warm(benchmark, tmp_path):
     assert result[1].measurement_count == 0
 
 
-# --- fleet & request folding ------------------------------------------------
+# --- fleet folding ----------------------------------------------------------
 
 #: The folding benchmark's scenario: a 64-node round-robin fleet draining
 #: a ~100k-request bursty Poisson stream of one request class.  Round-robin
-#: deals each 256-request burst 4 to a node, so the folded drain simulates
-#: ONE representative engine whose bursts collapse to weight-4 requests;
-#: the full path at this scale is ~13x slower (see BENCH_serving.json).
+#: deals each 256-request burst 4 to a node, so every node gets an
+#: identical slice and the folded drain simulates ONE representative
+#: engine over its 1568 requests; the full path at this scale is ~13x
+#: slower (see BENCH_serving.json).
 FOLDED_NODES = 64
 FOLDED_REQUESTS = 100_352  # 64 nodes x 1568 requests
 FOLDED_BURST = 256
@@ -616,8 +617,8 @@ def _fleet_folded_drain(store):
     64-node HILOS-8 fleet under round-robin placement drains 100k uniform
     requests arriving in Poisson-timed bursts;
     ``fleet_symmetry="representative"`` demands the folded path, so the
-    timed body is one representative engine over weighted requests plus
-    the O(requests) plan/unfold/mirror bookkeeping."""
+    timed body is one representative engine over one node's slice plus
+    the O(requests) plan/mirror bookkeeping."""
     from repro.models import get_model
     from repro.serving import (
         BatchedArrivals,
@@ -655,7 +656,7 @@ def _assert_fleet_folded_shape(result):
     assert sum(n.completed for n in report.node_reports) == FOLDED_REQUESTS
     # Mirroring: every node's breakdown is the representative's outcome.
     assert len({n.generated_tokens for n in report.node_reports}) == 1
-    assert sum(r.weight for r in report.requests) == FOLDED_REQUESTS
+    assert len(report.requests) == FOLDED_REQUESTS
     assert report.tokens_per_second_per_usd > 0
 
 
@@ -678,7 +679,7 @@ def test_serving_fleet_folded_cold(benchmark, tmp_path):
 
 def test_serving_fleet_folded_warm(benchmark, tmp_path):
     """Warm folded drain: zero measurements -- the fold plan, the
-    representative engine, and the unfold/mirror pass are what's timed."""
+    representative engine, and the mirror pass are what's timed."""
     store_dir = tmp_path / "ffwarm"
     clear_memory_layer()
     _fleet_folded_drain(CalibrationStore(store_dir))

@@ -37,10 +37,9 @@ checks are:
 * **load-ledger** -- enforced by
   :class:`~repro.serving.engine.NodeEngine`: every running load ledger
   the router-facing views and the decode step read (outstanding tokens,
-  committed and queued KV bytes, queued and running members, running
-  context) equals the sum re-computed from the engine's queues -- all of
-  them at each load probe, the decode batch's two at each decode step --
-  and is zero at drain end.
+  committed and queued KV bytes, running context) equals the sum
+  re-computed from the engine's queues -- all four at each load probe,
+  the running context at each decode step -- and is zero at drain end.
 
 This module sits below the simulation layers on purpose: it imports only
 :mod:`repro.errors`, so :mod:`repro.sim.engine` and

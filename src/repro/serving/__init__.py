@@ -19,10 +19,9 @@ KV-headroom best fit) placing each request at its arrival time.  A single
 host is a 1-node cluster, whose engine is preloaded with the whole queue
 instead of being fed by the dispatcher.  Symmetric fleets under a
 load-oblivious router fold to one representative engine per homogeneous
-node group (``fleet_symmetry="auto"``), and identical queued requests fold
-into weighted representatives -- a 1000-node drain simulates at roughly the
-cost of one node, with per-field 1e-9 agreement against the full
-simulation.  Fleets can drain under fault injection
+node group (``fleet_symmetry="auto"``) -- a 1000-node drain simulates at
+roughly the cost of one node, with per-field 1e-9 agreement against the
+full simulation.  Fleets can drain under fault injection
 (:mod:`repro.serving.faults`): seeded spot preemptions, permanent
 crashes, and transient slowdowns take nodes down mid-drain, in-flight
 requests migrate recompute-on-migrate, and the report prices downtime --
@@ -164,12 +163,7 @@ from repro.serving.policies import (
     SchedulingPolicy,
     default_policies,
 )
-from repro.serving.request import (
-    ServingRequest,
-    fold_identical_runs,
-    make_request_queue,
-    total_weight,
-)
+from repro.serving.request import ServingRequest, make_request_queue
 from repro.serving.routers import (
     BestFitKV,
     LeastOutstandingTokens,
@@ -234,7 +228,6 @@ __all__ = [
     "capacity_budget_for",
     "default_policies",
     "drain_queue",
-    "fold_identical_runs",
     "make_request_queue",
     "merge_tier_reports",
     "parse_arrival_spec",
@@ -246,6 +239,5 @@ __all__ = [
     "parse_router_spec",
     "percentile",
     "system_cost_model",
-    "total_weight",
     "uptime_billing",
 ]

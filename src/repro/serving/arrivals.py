@@ -119,10 +119,11 @@ class BatchedArrivals(ArrivalProcess):
     replica): burst start times follow a Poisson process at
     ``rate_per_second`` bursts/s, and every request inside a burst carries
     the identical arrival time.  A trailing partial burst is allowed, so
-    any queue length is servable.  Identically-timed same-class requests
-    are exactly what the folded drain collapses into weighted
-    representatives (see :mod:`repro.serving.cluster`), which makes this
-    the canonical load shape for fleet-folding benchmarks.
+    any queue length is servable.  When the burst size is a multiple of
+    the fleet size, round-robin deals every node an identical slice, so
+    the folded drain (see :mod:`repro.serving.cluster`) simulates one
+    representative node -- the canonical load shape for fleet-folding
+    benchmarks.
 
     Like :class:`PoissonArrivals`, the schedule is a pure function of
     ``(rate, burst_size, seed, n)``.

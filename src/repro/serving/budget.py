@@ -168,17 +168,8 @@ class BudgetTracker:
         self.peak_reserved_bytes = max(self.peak_reserved_bytes, self.reserved_bytes)
 
     def reserve(self, request: ServingRequest) -> None:
-        """Record a final-context admission; refuses to overcommit.
-
-        A folded representative (``weight > 1``, see
-        :mod:`repro.serving.request`) holds its whole membership's bytes
-        under one ledger entry -- ``weight`` identical final-context
-        footprints -- so the budget sees exactly what admitting every
-        member individually would have recorded.
-        """
-        self._record(
-            request, request.weight * request.kv_reservation_bytes(self.model)
-        )
+        """Record a final-context admission; refuses to overcommit."""
+        self._record(request, request.kv_reservation_bytes(self.model))
 
     def occupy(self, request: ServingRequest) -> None:
         """Record an optimistic admission at the post-prefill footprint.
@@ -187,12 +178,9 @@ class BudgetTracker:
         build (prompt plus any previously generated tokens for a preempted
         readmission) *and* the token it emits on completion, so promotion
         out of prefill never moves the ledger past what admission checked;
-        decode growth is re-marked by :meth:`update`.  Folded
-        representatives hold ``weight`` identical member footprints.
+        decode growth is re-marked by :meth:`update`.
         """
-        self._record(
-            request, request.weight * request.kv_admission_bytes(self.model)
-        )
+        self._record(request, request.kv_admission_bytes(self.model))
 
     def update(self, request: ServingRequest) -> None:
         """Re-mark an occupied request at its (grown) current context."""
@@ -202,7 +190,7 @@ class BudgetTracker:
             raise SchedulingError(
                 f"request {request.request_id} updated without a reservation"
             ) from None
-        now = request.weight * request.kv_current_bytes(self.model)
+        now = request.kv_current_bytes(self.model)
         self._held[request.request_id] = now
         self.reserved_bytes += now - held
         self.peak_reserved_bytes = max(self.peak_reserved_bytes, self.reserved_bytes)
@@ -210,27 +198,12 @@ class BudgetTracker:
             self._check_occupancy(request.request_id)
 
     def release_share(self, request: ServingRequest, members: int = 1) -> None:
-        """Release ``members`` members' share of a folded reservation.
+        """Retired: every ledger entry is one request, so there is no share.
 
-        Called after a representative splits off preempted members (see
-        :meth:`~repro.serving.request.ServingRequest.split_youngest`, which
-        has already decremented ``request.weight``): the representative's
-        ledger entry shrinks by the departed members' per-member share --
-        exact, because the entry is an integer byte figure times the old
-        member count -- while the remaining members stay held under the
-        representative's id.
+        Kept only because perfbench's tracer looks this name up in the
+        class body; it goes once the tracer stops wrapping it.
         """
-        try:
-            held = self._held[request.request_id]
-        except KeyError:
-            raise SchedulingError(
-                f"request {request.request_id} split without a reservation"
-            ) from None
-        share = members * (held / (request.weight + members))
-        self._held[request.request_id] = held - share
-        self.reserved_bytes -= share
-        if self.sanitize:
-            self._check_occupancy(request.request_id)
+        raise SchedulingError("KV ledger entries are whole requests; use release()")
 
     def growth_bytes(self, request: ServingRequest) -> float:
         """Bytes the next generated token appends to ``request``'s cache."""

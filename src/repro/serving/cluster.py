@@ -54,18 +54,17 @@ Faults, overload control and autoscaling all make the fault driver the
 dispatcher's step; the driver, not the dispatcher, releases the engines
 once every request has completed or been shed.
 
-**Fleet & request folding.** ``fleet_symmetry="auto"`` (the default)
-carries the device-level representative-symmetry fast path up to hosts
-and requests: when the fleet is symmetric (nodes sharing one system
-instance, one calibrated step-time grid, equal budgets and chunking) and
-the router is load-oblivious (:attr:`~repro.serving.routers.Router.load_oblivious`),
+**Fleet folding.** ``fleet_symmetry="auto"`` (the default) carries the
+device-level representative-symmetry fast path up to hosts: when the
+fleet is symmetric (nodes sharing one system instance and one calibrated
+step-time grid, with equal flat KV budgets and chunking) and the
+router is load-oblivious (:attr:`~repro.serving.routers.Router.load_oblivious`),
 the drain partitions the arrival stream per the router's deterministic
 cycle, groups nodes receiving identical slices, simulates **one**
-representative :class:`~repro.serving.engine.NodeEngine` per group (with
-identical queued requests folded into weighted representatives, see
-:mod:`repro.serving.request`), and reconstructs the fleet report by
-mirroring each representative's outcome onto its group -- a 1000-node
-drain at the cost of one node.  Heterogeneous fleets, load-dependent
+representative :class:`~repro.serving.engine.NodeEngine` per group, and
+reconstructs the fleet report by mirroring each representative's
+request outcomes onto its group -- a 1000-node drain at the cost of one
+node.  Heterogeneous fleets, load-dependent
 routers (JSQ, BestFitKV), faults, overload control, and autoscaling all
 auto-fall back to full-fleet simulation; ``"full"`` forces the fallback
 and ``"representative"`` demands folding (raising a
@@ -75,6 +74,7 @@ fleet cannot fold), mirroring the device-array ``symmetry`` modes.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import Iterable, Sequence
 
 from repro.analysis.sanitizer import SanitizerError
@@ -107,6 +107,13 @@ DEFAULT_BATCH_SLOTS = 16
 #: device-array ``symmetry`` grammar.
 FLEET_SYMMETRY_MODES = ("auto", "full", "representative")
 
+#: A fresh request's outcome: each ``OUTCOME_FIELDS`` name -> its default.
+_FRESH_OUTCOME = {
+    f.name: f.default
+    for f in fields(ServingRequest)
+    if f.name in ServingRequest.OUTCOME_FIELDS
+}
+
 
 def as_request_queue(
     requests: Sequence[RequestClass] | Sequence[ServingRequest],
@@ -115,10 +122,11 @@ def as_request_queue(
 
     Every element is type-checked (mixed queues raise with the offending
     index); bare :class:`RequestClass` shapes are wrapped as an id-ordered
-    all-at-time-zero queue.  A :class:`ServingRequest` must be fresh: one
-    that already carries state from an earlier drain raises with its
-    index, since a drain mutates its requests in place and every report
-    shares them.
+    all-at-time-zero queue.  A :class:`ServingRequest` must be fresh --
+    every :attr:`~ServingRequest.OUTCOME_FIELDS` entry at its default: one
+    that already carries state from an earlier drain raises with its index
+    and the first stale field, since a drain mutates its requests in place
+    and every report shares them.
     """
     if not requests:
         raise SchedulingError("cannot drain an empty request queue")
@@ -132,20 +140,16 @@ def as_request_queue(
                 f"{type(request).__name__}, expected {expected.__name__} "
                 "(queues must be all RequestClass or all ServingRequest)"
             )
-        if expected is ServingRequest and (
-            request.admitted_time is not None
-            or request.completion_time is not None
-            or request.tokens_generated
-            or request.shed_time is not None
-            or request.weight != 1
-            or request.folded
-            or request.folded_into is not None
-        ):
-            raise SchedulingError(
-                f"element {index} (request {request.request_id}) already "
-                "carries state from an earlier drain; build a fresh queue "
-                "per drain"
-            )
+        if expected is not ServingRequest:
+            continue
+        for name, fresh in _FRESH_OUTCOME.items():
+            value = getattr(request, name)
+            if value != fresh:
+                raise SchedulingError(
+                    f"element {index} (request {request.request_id}) already "
+                    f"carries state from an earlier drain ({name}={value!r}); "
+                    "build a fresh queue per drain"
+                )
     if expected is ServingRequest:
         return list(requests)  # type: ignore[arg-type]
     return make_request_queue(list(requests))  # type: ignore[arg-type]
@@ -254,28 +258,6 @@ def check_report_conservation(
                     invariant="tier-conservation",
                     sim_time=sim_time,
                 )
-    # Fold conservation: a representative (folded) drain must unfold every
-    # weighted request back to plain members before reporting -- the queue's
-    # member count is exactly n_requests, so any weight left above 1 (or
-    # below) means a fold was dropped or double-counted.
-    for request in report.requests:
-        if request.weight < 1:
-            raise SanitizerError(
-                f"request {request.request_id} reports weight "
-                f"{request.weight}; every request stands for at least itself",
-                invariant="fold-conservation",
-                sim_time=sim_time,
-            )
-    if report.requests:
-        member_total = sum(r.weight for r in report.requests)
-        if member_total != report.n_requests:
-            raise SanitizerError(
-                f"fleet report counts {report.n_requests} n_requests but the "
-                f"request weights sum to {member_total} members; a folded "
-                "representative was not unfolded (or members were lost)",
-                invariant="fold-conservation",
-                sim_time=sim_time,
-            )
 
 
 def _arrival_order(request: ServingRequest) -> tuple[float, int]:
@@ -405,8 +387,9 @@ class ClusterScheduler:
             return f"router {self.router.name!r} routes on live node load"
         if any(node.kv_tiers is not None for node in self.nodes):
             return (
-                "tiered KV nodes track per-request tier residency, which "
-                "weighted representatives cannot mirror"
+                "tiered KV nodes are not covered by the symmetry check, "
+                "which compares systems, step-time models, flat budgets and "
+                "chunk sizes but not tier stacks or tier policies"
             )
         first = self.nodes[0]
         for node in self.nodes[1:]:
@@ -462,7 +445,6 @@ class ClusterScheduler:
             engines, backing = [], [None] * len(self.nodes)
             for members in groups:
                 engine = NodeEngine(self.nodes[members[0]], self.policy, sim)
-                engine.fold_requests = True
                 engines.append(engine)
                 for index in members:
                     backing[index] = engine
@@ -702,18 +684,14 @@ class ClusterScheduler:
     def _mirror(
         slices: list[list[ServingRequest]], groups: list[list[int]]
     ) -> None:
-        """Unfold each representative slice and mirror it onto its group.
+        """Mirror each representative slice onto the rest of its group.
 
-        Folded members take their representative's outcome; every other
-        member node's slice then copies the representative slice's
+        Every other member node's slice copies the representative slice's
         outcomes positionally.  The queue shares these request objects, so
-        the report sees fully populated plain requests.
+        the report sees fully populated requests.
         """
         for representative, *mirrors in groups:
             rep_slice = slices[representative]
-            for request in rep_slice:
-                if request.folded:
-                    request.unfold()
             for index in mirrors:
                 for mirror, original in zip(slices[index], rep_slice):
                     mirror.copy_outcome_from(original)

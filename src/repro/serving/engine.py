@@ -20,7 +20,7 @@ Request lifecycle::
 The engine receives work through one of the cluster drain's two feeds:
 
 * :meth:`NodeEngine.preload` installs a whole arrival-stamped queue up
-  front (1-node drains without the fault driver or folding): the engine
+  front (1-node drains without the fault driver or fleet folding): the engine
   sleeps until each next arrival itself, so every request of a
   same-time burst is waiting when it wakes and is admitted with it;
 * :meth:`NodeEngine.enqueue` delivers one request at its arrival time
@@ -33,31 +33,30 @@ The engine also exposes the live load views routers, overload control
 and the autoscaler read: :attr:`outstanding_tokens` (JSQ),
 :attr:`kv_headroom_bytes` / :meth:`kv_fits` and
 :attr:`top_tier_headroom_bytes` (KV-aware best fit), and
-:attr:`queued_requests` (queue depth).  Each view reads a running integer
-*load ledger* in O(1) instead of re-summing the queues per probe; the
-decode step reads two more (running members and their summed context)
-for its batch size and mean context.  The ledgers move only at
-transitions the engine already owns:
+:attr:`queued_requests` (queue depth, the length of the pending and
+waiting queues).  The token and byte views read a running integer *load
+ledger* in O(1) instead of re-summing the queues per probe; the decode
+step reads one more (the running requests' summed context) for its mean
+context.  The four ledgers move only at transitions the engine already
+owns:
 
 =====================  ===================================================
 transition             ledgers moved
 =====================  ===================================================
-enqueue / preload      outstanding, committed KV, queued KV, queued members
-admission              queued KV, queued members
-prefill chunk          outstanding (completion: running members, context)
+enqueue / preload      outstanding, committed KV, queued KV
+admission              queued KV
+prefill chunk          outstanding (completion: running context)
 decode step            running context
-preemption             outstanding, queued KV, queued members (running
-                       members and context when the victim was decoding)
-retirement             outstanding, committed KV, running members, context
+preemption             outstanding, queued KV (running context when the
+                       victim was decoding)
+retirement             outstanding, committed KV, running context
 death                  all cleared (the whole queue leaves the node)
 =====================  ===================================================
 
-Folding and splitting representatives conserve every ledger (a weight-w
-representative contributes exactly what its w members would).  The
-re-summing code survives as the sanitizer's reference: a sanitized engine
-recomputes every ledger at each load probe, and the decode batch's two
-at each decode step, and raises ``SanitizerError(invariant="load-ledger")``
-on any difference, and
+The re-summing code survives as the sanitizer's reference: a sanitized
+engine recomputes every ledger at each load probe (queue-depth probes
+included), and the running context at each decode step, and raises
+``SanitizerError(invariant="load-ledger")`` on any difference, and
 :meth:`NodeEngine.assert_drained` demands every ledger back at zero at
 drain end.
 
@@ -100,26 +99,20 @@ from repro.errors import ConfigurationError, SchedulingError
 from repro.serving.budget import BudgetTracker, CapacityBudget, capacity_budget_for
 from repro.serving.kvtiers import TieredBudgetTracker, TierPolicy, TierStack
 from repro.serving.policies import SchedulingPolicy
-from repro.serving.request import (
-    ServingRequest,
-    fold_identical_runs,
-    total_weight,
-)
+from repro.serving.request import ServingRequest
 from repro.serving.steptime import CalibratedStepTime, StepTimeModel
 from repro.sim.engine import Simulator
 
 #: The engine's running load ledgers (all integers), by attribute name.
 #: Sums run over every routed, unfinished request (pending, waiting,
 #: prefilling and running) unless the name says ``queued`` (pending and
-#: waiting) or ``running``; each term is weighted by the member count.
+#: waiting) or ``running``.
 _LOAD_LEDGERS = (
     # input + output - prefill_tokens_done: the JSQ signal.
     "_outstanding_tokens",
     # Final-context KV bytes (model.kv_cache_bytes at total_tokens).
     "_committed_kv_bytes",
     "_queued_kv_bytes",
-    "_queued_members",
-    "_running_members",
     # Current context tokens (input + tokens_generated).
     "_running_context_tokens",
 )
@@ -226,15 +219,6 @@ class NodeEngine:
         self._batch_slots = 0
         self._wake = None
         self._arrivals_done = False
-        #: Representative fleet drains set this so the engine folds
-        #: identical waiting requests into weighted representatives at each
-        #: scheduling point.  Folding at the loop top (not at delivery)
-        #: matters: a parked engine is woken *inside* the dispatcher's
-        #: first same-time delivery and admits it before the rest of the
-        #: burst lands in ``pending``, so only requests that are actually
-        #: waiting together may fold -- which is exactly what the loop-top
-        #: queue state captures.
-        self.fold_requests = False
         #: Fault driver of a fault-mode cluster drain (None otherwise).
         self.driver = None
         # --- fault-injection lifecycle (inert on fault-free drains) ---
@@ -293,14 +277,10 @@ class NodeEngine:
 
     @property
     def queued_requests(self) -> int:
-        """Requests routed here but not yet admitted (the overload signal).
-
-        Counts folded members, not representatives, so the signal is the
-        same backlog an unfolded drain would report.
-        """
+        """Requests routed here but not yet admitted (the overload signal)."""
         if self._sanitize:
             self._check_load_ledgers()
-        return self._queued_members
+        return len(self.pending) + len(self.waiting)
 
     def inject_failure(self, recovery_seconds: float | None = None) -> bool:
         """Mark the node for death at its next scheduling-round boundary.
@@ -469,7 +449,7 @@ class NodeEngine:
     def outstanding_tokens(self) -> int:
         """The join-the-shortest-queue load signal, in tokens.
 
-        Exactly ``sum(weight * (input + output - prefill_tokens_done))``
+        Exactly ``sum(input + output - prefill_tokens_done)``
         over every routed, unfinished request.  A queued request counts
         its whole prompt and output; a prefilling one drops the prefill
         tokens already computed.  A running request counts its output
@@ -530,31 +510,26 @@ class NodeEngine:
             setattr(self, name, 0)
 
     def _final_kv_bytes(self, request: ServingRequest) -> int:
-        """One member's final-context KV bytes (the reservation, as an int)."""
+        """Final-context KV bytes (the reservation, as an int)."""
         return self._model.kv_cache_bytes(1, request.final_context_tokens)
 
     def _note_routed(self, request: ServingRequest) -> None:
         """Ledger a request arriving in this node's queue."""
-        weight = request.weight
-        kv = weight * self._final_kv_bytes(request)
-        self._outstanding_tokens += weight * (
+        kv = self._final_kv_bytes(request)
+        self._outstanding_tokens += (
             request.final_context_tokens - request.prefill_tokens_done
         )
         self._committed_kv_bytes += kv
         self._queued_kv_bytes += kv
-        self._queued_members += weight
 
     def _recount_load_ledgers(self, running_only: bool) -> dict[str, int]:
         """Ledgers re-summed from the queues (the sanitizer's reference).
 
-        ``running_only`` recounts just the decode batch's two ledgers -- one
-        pass over the batch instead of over everything routed here.
+        ``running_only`` recounts just the decode batch's running context --
+        one pass over the batch instead of over everything routed here.
         """
         counts = {
-            "_running_members": total_weight(self.running),
-            "_running_context_tokens": sum(
-                r.weight * r.context_tokens for r in self.running
-            ),
+            "_running_context_tokens": sum(r.context_tokens for r in self.running)
         }
         if running_only:
             return counts
@@ -562,18 +537,15 @@ class NodeEngine:
         queued = list(self.pending) + list(self.waiting)
         live = queued + self.prefilling + self.running
         counts["_outstanding_tokens"] = sum(
-            r.weight
-            * (r.prefill_remaining_tokens + (r.output_tokens - r.tokens_generated))
+            r.prefill_remaining_tokens + (r.output_tokens - r.tokens_generated)
             for r in live
         )
         counts["_committed_kv_bytes"] = sum(
-            r.weight * model.kv_cache_bytes(1, r.final_context_tokens) for r in live
+            model.kv_cache_bytes(1, r.final_context_tokens) for r in live
         )
         counts["_queued_kv_bytes"] = sum(
-            r.weight * model.kv_cache_bytes(1, r.final_context_tokens)
-            for r in queued
+            model.kv_cache_bytes(1, r.final_context_tokens) for r in queued
         )
-        counts["_queued_members"] = total_weight(queued)
         return counts
 
     def _check_load_ledgers(self, running_only: bool = False) -> None:
@@ -666,19 +638,8 @@ class NodeEngine:
                 self._wake = sim.event(f"{self.node.name}.wake")
                 yield self._wake
                 continue
-            arrived = False
             while self.pending and self.pending[0].arrival_time <= sim.now:
                 self.waiting.append(self.pending.popleft())
-                arrived = True
-            if arrived and self.fold_requests:
-                # Fold adjacent identical waiting requests (same class, same
-                # arrival time, no lifecycle state) into weighted
-                # representatives; weighted admission arithmetic is bit-equal
-                # to admitting the members one at a time, and partial
-                # admission / preemption split representatives back apart.
-                refolded = fold_identical_runs(list(self.waiting))
-                self.waiting.clear()
-                self.waiting.extend(refolded)
             admitted = self.policy.admit(
                 self.waiting, self.running + self.prefilling, self.tracker
             )
@@ -690,21 +651,17 @@ class NodeEngine:
                 if request.admitted_time is None:
                     request.admitted_time = sim.now
                 request.last_admitted_time = sim.now
-                self._queued_members -= request.weight
-                self._queued_kv_bytes -= request.weight * self._final_kv_bytes(request)
+                self._queued_kv_bytes -= self._final_kv_bytes(request)
             self.prefilling.extend(admitted)
             if admitted and self.driver is not None:
                 # Queue depth just dropped: wake any delivery parked on a
                 # full waiting queue (overload park/backpressure).
                 self.driver.note_admission()
             if self.policy.padded and admitted:
-                # Slot count of the formed batch (in members, so folded
-                # representatives bill all their slots), captured before
-                # any prefill-completers retire: their slots idle (and are
+                # Slot count of the formed batch, captured before any
+                # prefill-completers retire: their slots idle (and are
                 # billed) until the whole batch drains.
-                self._batch_slots = total_weight(self.running) + total_weight(
-                    self.prefilling
-                )
+                self._batch_slots = len(self.running) + len(self.prefilling)
             progressed = bool(admitted)
             if self.tiered:
                 # Admission placement may have demoted resident KV to make
@@ -732,8 +689,8 @@ class NodeEngine:
                         request.tokens_generated += 1
                         if optimistic:
                             self.tracker.update(request)
-                    # Every running member grew by one token.
-                    self._running_context_tokens += self._running_members
+                    # Every running request grew by one token.
+                    self._running_context_tokens += len(self.running)
                     self._retire_finished()
                 progressed = True
             if progressed:
@@ -776,9 +733,7 @@ class NodeEngine:
         # The slowdown multiplier is 1.0 outside a slow-fault window, and
         # x * 1.0 is bitwise x, so the fault-free schedule is unchanged.
         return (
-            self.node.step_time.prefill_seconds(
-                total_weight(self.prefilling), longest
-            )
+            self.node.step_time.prefill_seconds(len(self.prefilling), longest)
             * self._slow_factor
         )
 
@@ -796,7 +751,7 @@ class NodeEngine:
         for request in list(self.prefilling):
             chunk = self._chunk_tokens(request)
             request.prefill_tokens_done += chunk
-            self._outstanding_tokens -= request.weight * chunk
+            self._outstanding_tokens -= chunk
             if request.prefill_remaining_tokens == 0:
                 if request.first_token_time is None:
                     request.first_token_time = self.sim.now
@@ -805,8 +760,7 @@ class NodeEngine:
                     self.tracker.update(request)
                 self.prefilling.remove(request)
                 self.running.append(request)
-                self._running_members += request.weight
-                self._running_context_tokens += request.weight * request.context_tokens
+                self._running_context_tokens += request.context_tokens
 
     # --- preemption ------------------------------------------------------------
 
@@ -822,53 +776,35 @@ class NodeEngine:
         of the waiting queue so it resumes before never-admitted work.
         Evicting youngest-first keeps the oldest requests' caches intact,
         bounding the recompute loss to the work least progressed.
-
-        Folded representatives are evicted one *member* at a time: the
-        youngest member splits off as a weight-1 piece (the representative
-        competes with its youngest member's id, since that is the request
-        an unfolded drain would pick), its KV share is released, and it
-        rejoins the waiting queue -- the rest of the membership keeps
-        decoding, exactly as the unfolded schedule would.
         """
         while True:
-            growth = sum(
-                r.weight * self.tracker.growth_bytes(r) for r in self.running
-            )
+            growth = sum(self.tracker.growth_bytes(r) for r in self.running)
             if self.tracker.fits_bytes(growth):
                 return
             candidates = self.running + self.prefilling
-            if total_weight(candidates) <= 1:
+            if len(candidates) <= 1:
                 raise SchedulingError(
                     f"KV budget ({self.node.budget.description}) cannot absorb "
                     "one decode token of the sole admitted request; preemption "
                     "cannot help -- the budget is too small for this workload"
                 )
             victim = max(
-                candidates,
-                key=lambda r: (r.last_admitted_time, r.youngest_member_id),
+                candidates, key=lambda r: (r.last_admitted_time, r.request_id)
             )
             in_running = victim in self.running
-            if victim.weight > 1:
-                evicted = victim.split_youngest()
-                self.tracker.release_share(victim)
-            else:
-                evicted = victim
-                (self.running if in_running else self.prefilling).remove(victim)
-                self.tracker.release(victim)
-            dropped = (
-                evicted.context_tokens if in_running else evicted.prefill_tokens_done
-            )
-            weight = evicted.weight
+            (self.running if in_running else self.prefilling).remove(victim)
+            self.tracker.release(victim)
             if in_running:
-                self._running_members -= weight
-                self._running_context_tokens -= weight * evicted.context_tokens
-            # The dropped prefill credit is owed again; the evicted piece
-            # rejoins the queue at its final-context commitment.
-            self._outstanding_tokens += weight * evicted.prefill_tokens_done
-            self._queued_members += weight
-            self._queued_kv_bytes += weight * self._final_kv_bytes(evicted)
-            evicted.record_preemption(dropped)
-            self.waiting.appendleft(evicted)
+                dropped = victim.context_tokens
+                self._running_context_tokens -= dropped
+            else:
+                dropped = victim.prefill_tokens_done
+            # The dropped prefill credit is owed again; the victim rejoins
+            # the queue at its final-context commitment.
+            self._outstanding_tokens += victim.prefill_tokens_done
+            self._queued_kv_bytes += self._final_kv_bytes(victim)
+            victim.record_preemption(dropped)
+            self.waiting.appendleft(victim)
 
     # --- timing helpers --------------------------------------------------------
 
@@ -876,17 +812,14 @@ class NodeEngine:
         if self._sanitize:
             self._check_load_ledgers(running_only=True)
         running = self.running
-        members = self._running_members
         if self.policy.padded:
             # Padded execution: every slot of the formed batch pays for the
             # longest live context, even after its own request finished.
-            batch = max(self._batch_slots, members)
+            batch = max(self._batch_slots, len(running))
             context = max(r.context_tokens for r in running)
         else:
-            batch = members
-            # Weighted mean context: the sums are integers, so this equals
-            # the unfolded per-member mean bit for bit.
-            context = round(self._running_context_tokens / members)
+            batch = len(running)
+            context = round(self._running_context_tokens / batch)
         seconds = (
             self.node.step_time.step_seconds(batch, max(1, context))
             * self._slow_factor
@@ -919,12 +852,10 @@ class NodeEngine:
             request.completion_time = self.sim.now
             self.tracker.release(request)
             self.running.remove(request)
-            weight = request.weight
-            self._outstanding_tokens -= weight * (
+            self._outstanding_tokens -= (
                 request.final_context_tokens - request.prefill_tokens_done
             )
-            self._committed_kv_bytes -= weight * self._final_kv_bytes(request)
-            self._running_members -= weight
-            self._running_context_tokens -= weight * request.context_tokens
+            self._committed_kv_bytes -= self._final_kv_bytes(request)
+            self._running_context_tokens -= request.context_tokens
             if self.driver is not None:
                 self.driver.note_finished(request)

@@ -390,9 +390,6 @@ class TieredBudgetTracker(BudgetTracker):
     * an accumulator of pending transfer seconds the engine bills as one
       simulated timeout per scheduling point
       (:meth:`consume_transfer_seconds`).
-
-    Folded representatives are unsupported by construction -- the cluster
-    refuses to fold tiered fleets -- so every request here is weight 1.
     """
 
     stack: TierStack | None = None
@@ -473,10 +470,9 @@ class TieredBudgetTracker(BudgetTracker):
             self._check_tier_occupancy(request.request_id)
 
     def release_share(self, request: ServingRequest, members: int = 1) -> None:
-        raise SchedulingError(
-            "tiered KV trackers do not support folded representatives; "
-            "the cluster must not fold tiered fleets"
-        )
+        """Retired like :meth:`BudgetTracker.release_share`; kept only
+        because perfbench's tracer looks this name up in the class body."""
+        raise SchedulingError("KV ledger entries are whole requests; use release()")
 
     # --- placement, demotion, promotion -----------------------------------------
 
@@ -691,7 +687,7 @@ class TieredBudgetTracker(BudgetTracker):
             resident_total = sum(residency.values())
             if resident_total <= 0.0:
                 continue
-            current = request.weight * request.kv_current_bytes(self.model)
+            current = request.kv_current_bytes(self.model)
             top_share = residency.get(top_name, 0.0) / resident_total
             self._ledgers[top_name].decode_read_bytes += current * top_share
             extra = 0.0

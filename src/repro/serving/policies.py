@@ -28,7 +28,7 @@ from collections import deque
 
 from repro.errors import ConfigurationError
 from repro.serving.budget import BudgetTracker
-from repro.serving.request import ServingRequest, total_weight
+from repro.serving.request import ServingRequest
 
 #: Valid admission accountings for iteration-level policies.
 ADMISSION_MODES = ("reserve", "optimistic")
@@ -72,65 +72,25 @@ class SchedulingPolicy(abc.ABC):
             return request.kv_admission_bytes(tracker.model)
         return request.kv_reservation_bytes(tracker.model)
 
-    def _fitting_members(
-        self,
-        request: ServingRequest,
-        need: float,
-        tracker: BudgetTracker,
-        room: int,
-        ahead: float,
-    ) -> int:
-        """Members of ``request`` that fit ``room`` slots and the budget.
-
-        Counts down from ``min(weight, room)`` until the budget holds the
-        candidate members on top of ``ahead`` already-admitted bytes --
-        member ``k`` fits iff ``ahead + (k-1) * need + need`` fits, exactly
-        the unfolded one-at-a-time admission arithmetic (the byte figures
-        are integers, so the products equal the running sums bit for bit).
-        """
-        take = min(request.weight, room)
-        while take > 0 and not tracker.fits_bytes(
-            need, extra_bytes=ahead + (take - 1) * need
-        ):
-            take -= 1
-        return take
-
     def _take_fitting(
         self,
         waiting: "deque[ServingRequest]",
         tracker: BudgetTracker,
         limit: int,
     ) -> list[ServingRequest]:
-        """FCFS-pop up to ``limit`` head *members* that fit the budget.
+        """FCFS-pop up to ``limit`` head requests that fit the budget.
 
-        Stops at the first member that does not fit (head-of-line order is
+        Stops at the first request that does not fit (head-of-line order is
         preserved; skipping ahead would starve large requests forever).
-        ``limit`` counts members, so a folded representative fills
-        ``weight`` slots; when only part of its membership fits -- slots or
-        budget -- the representative splits and the remainder stays at the
-        queue head (see
-        :meth:`~repro.serving.request.ServingRequest.split_waiting`).
         """
         admitted: list[ServingRequest] = []
         ahead = 0.0
-        taken = 0
-        while waiting and taken < limit:
-            head = waiting[0]
-            need = self._admission_bytes(head, tracker)
-            take = self._fitting_members(head, need, tracker, limit - taken, ahead)
-            if take == 0:
+        while waiting and len(admitted) < limit:
+            need = self._admission_bytes(waiting[0], tracker)
+            if not tracker.fits_bytes(need, extra_bytes=ahead):
                 break
-            budget_limited = take < min(head.weight, limit - taken)
-            if take < head.weight:
-                remainder = head.split_waiting(take)
-                admitted.append(waiting.popleft())
-                waiting.appendleft(remainder)
-            else:
-                admitted.append(waiting.popleft())
-            ahead += take * need
-            taken += take
-            if budget_limited:
-                break
+            admitted.append(waiting.popleft())
+            ahead += need
         return admitted
 
 
@@ -180,27 +140,16 @@ class LengthBucketedBatch(SchedulingPolicy):
         bucket = min(oldest.items(), key=lambda item: (item[1], item[0]))[0]
         admitted: list[ServingRequest] = []
         ahead = 0.0
-        taken = 0
         kept: deque[ServingRequest] = deque()
         while waiting:
             req = waiting.popleft()
-            take = 0
-            if req.request_class.name == bucket and taken < self.batch_size:
+            if req.request_class.name == bucket and len(admitted) < self.batch_size:
                 need = req.kv_reservation_bytes(tracker.model)
-                take = self._fitting_members(
-                    req, need, tracker, self.batch_size - taken, ahead
-                )
-            if take == 0:
-                kept.append(req)
-                continue
-            if take < req.weight:
-                # Part of the membership fits; the remainder keeps the
-                # representative's queue position, exactly where the
-                # unfolded non-admitted members would have stayed.
-                kept.append(req.split_waiting(take))
-            admitted.append(req)
-            ahead += take * need
-            taken += take
+                if tracker.fits_bytes(need, extra_bytes=ahead):
+                    admitted.append(req)
+                    ahead += need
+                    continue
+            kept.append(req)
         waiting.extend(kept)
         return admitted
 
@@ -241,7 +190,7 @@ class ContinuousBatching(SchedulingPolicy):
         )
 
     def admit(self, waiting, active, tracker):
-        free_slots = self.batch_size - total_weight(active)
+        free_slots = self.batch_size - len(active)
         if free_slots <= 0:
             return []
         return self._take_fitting(waiting, tracker, free_slots)

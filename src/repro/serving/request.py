@@ -22,26 +22,17 @@ request re-runs prefill wherever the dispatcher re-routes it.
 request that keeps landing on dying nodes eventually fails the drain
 instead of looping forever.
 
-**Request folding.** Identical queued requests (same
-:class:`~repro.workloads.requests.RequestClass`, same arrival time,
-adjacent in FCFS order) can be folded into one *representative* carrying a
-:attr:`ServingRequest.weight` -- the member multiplicity.  Identical
-members admitted together march through prefill and decode in lockstep, so
-one weighted state machine reproduces all of them; the engine multiplies
-token/KV/slot accounting by ``weight``, and partial admission or
-preemption *splits* a representative so the pieces diverge exactly where
-the unfolded schedule would (see :meth:`ServingRequest.split_waiting` /
-:meth:`ServingRequest.split_youngest`).  At drain end
-:meth:`ServingRequest.unfold` copies the outcome back onto every member
-so reports see plain weight-1 requests.  Folding is applied only by the
-representative fleet drain (:mod:`repro.serving.cluster`); ordinary drains
-never see a weight above 1.
+**Fleet folding.** A representative fleet drain (:mod:`repro.serving.cluster`)
+simulates one node per symmetric node group and copies each request's
+outcome onto the matching requests of the mirrored nodes with
+:meth:`ServingRequest.copy_outcome_from`; :attr:`ServingRequest.OUTCOME_FIELDS`
+names that outcome, which is also every field a fresh request must still
+hold at its default (see :func:`repro.serving.cluster.as_request_queue`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 from repro.errors import SchedulingError
 from repro.models.config import ModelConfig
@@ -106,20 +97,6 @@ class ServingRequest:
     #: Which bound shed it: ``"queue-bound"``, ``"token-rate"``,
     #: ``"retry-exhausted"``, or ``"park-deadline"``.
     shed_reason: str | None = None
-    #: Member multiplicity of a folded representative: this request stands
-    #: for ``weight`` identical requests (itself plus :attr:`folded`).
-    #: Always 1 outside the representative fleet drain.
-    weight: int = 1
-    #: The other members this representative stands for, in ascending
-    #: request-id order (``len(folded) == weight - 1``).
-    folded: list["ServingRequest"] = field(default_factory=list, repr=False)
-    #: Back-pointer from a folded member to the representative currently
-    #: carrying its state (``None`` for representatives and plain
-    #: requests).  Excluded from equality/repr: it closes a cycle with
-    #: :attr:`folded`.
-    folded_into: "ServingRequest | None" = field(
-        default=None, repr=False, compare=False
-    )
 
     @property
     def input_tokens(self) -> int:
@@ -215,11 +192,13 @@ class ServingRequest:
         self.wasted_prefill_tokens += dropped_tokens
         self.prefill_tokens_done = 0
 
-    # --- folding (representative fleet drains only) -----------------------------
+    # --- outcome (mirrored by representative fleet drains) -----------------------
 
-    #: Dynamic per-request state a representative carries for its members.
-    #: ``kv_holder`` travels too: members share the representative's ledger
-    #: entry, and a split clears it on the piece whose bytes were released.
+    #: Per-request lifecycle state a drain writes: what a representative
+    #: fleet drain copies onto mirrored requests, and what a request fresh
+    #: enough to drain must still hold at its default.  ``kv_holder``
+    #: belongs here too: a request still naming a holder has KV bytes
+    #: held on that node's ledger.
     OUTCOME_FIELDS = (
         "admitted_time",
         "last_admitted_time",
@@ -238,80 +217,10 @@ class ServingRequest:
         "spilled_decode_seconds",
     )
 
-    @property
-    def youngest_member_id(self) -> int:
-        """Highest member request id -- the preemption-victim tie-break key.
-
-        An unfolded drain evicts the youngest *member* (latest admission,
-        ties by id); a representative must therefore compete with the id
-        of its youngest member, not its own (lowest) id.
-        """
-        return self.folded[-1].request_id if self.folded else self.request_id
-
     def copy_outcome_from(self, other: "ServingRequest") -> None:
         """Copy ``other``'s dynamic lifecycle state onto this request."""
         for name in self.OUTCOME_FIELDS:
             setattr(self, name, getattr(other, name))
-
-    def absorb(self, members: Sequence["ServingRequest"]) -> None:
-        """Fold ``members`` (identical, ascending-id) into this request."""
-        for member in members:
-            member.folded_into = self
-        self.folded.extend(members)
-        self.weight = 1 + len(self.folded)
-
-    def split_waiting(self, admitted: int) -> "ServingRequest":
-        """Split an *unadmitted* representative: keep ``admitted`` members.
-
-        The first ``admitted`` members (lowest ids -- exactly the ones an
-        unfolded FCFS admission would have taken) stay with this
-        representative; the rest move to a new representative, which is
-        returned so the caller can put it back at the head of the waiting
-        queue.  Both pieces keep the shared (pristine) pre-admission state.
-        """
-        if not 0 < admitted < self.weight:
-            raise SchedulingError(
-                f"cannot split {admitted} members out of a weight-"
-                f"{self.weight} representative (request {self.request_id})"
-            )
-        moved = self.folded[admitted - 1 :]
-        self.folded = self.folded[: admitted - 1]
-        self.weight = admitted
-        remainder = moved[0]
-        remainder.folded_into = None
-        remainder.copy_outcome_from(self)
-        remainder.absorb(moved[1:])
-        return remainder
-
-    def split_youngest(self) -> "ServingRequest":
-        """Split the youngest member off an *admitted* representative.
-
-        Used by preemption: the unfolded engine would evict exactly one
-        request -- the youngest -- so the representative sheds its
-        highest-id member as a weight-1 piece carrying the current state
-        (the caller then records the preemption and releases its KV
-        share).  Requires ``weight > 1``.
-        """
-        if self.weight <= 1:
-            raise SchedulingError(
-                f"request {self.request_id} has no folded members to split"
-            )
-        evicted = self.folded.pop()
-        self.weight -= 1
-        evicted.folded_into = None
-        evicted.copy_outcome_from(self)
-        evicted.kv_holder = None  # its KV share is being released
-        evicted.weight = 1
-        return evicted
-
-    def unfold(self) -> None:
-        """Copy this representative's outcome onto every folded member."""
-        for member in self.folded:
-            member.copy_outcome_from(self)
-            member.folded_into = None
-            member.weight = 1
-        self.folded = []
-        self.weight = 1
 
     def kv_reservation_bytes(self, model: ModelConfig) -> float:
         """KV bytes this request occupies at its *final* context length.
@@ -336,61 +245,6 @@ class ServingRequest:
         footprint reserve-mode admission would demand.
         """
         return float(model.kv_cache_bytes(1, self.context_tokens + 1))
-
-
-def total_weight(requests: Iterable[ServingRequest]) -> int:
-    """Member count a set of (possibly folded) requests stands for."""
-    return sum(request.weight for request in requests)
-
-
-def fold_identical_runs(requests: Sequence[ServingRequest]) -> list[ServingRequest]:
-    """Fold adjacent identical requests into weighted representatives.
-
-    Two requests fold when they share a request class and an arrival time,
-    carry no prior folding or lifecycle state, and sit *adjacent* in the
-    given (FCFS) order -- adjacency preserves head-of-line semantics, so
-    the folded queue admits in exactly the unfolded order.  Returns the
-    representative sequence (each run's lowest-id member carries the run);
-    the input list is not mutated, but the member requests are linked to
-    their representatives in place.
-    """
-    representatives: list[ServingRequest] = []
-    run: list[ServingRequest] = []
-
-    def close_run() -> None:
-        if not run:
-            return
-        rep = run[0]
-        rep.absorb(run[1:])
-        representatives.append(rep)
-        run.clear()
-
-    for request in requests:
-        foldable = (
-            request.weight == 1
-            and not request.folded
-            and request.folded_into is None
-            and not request.admitted
-            and not request.finished
-        )
-        if (
-            run
-            and foldable
-            and request.request_class == run[0].request_class
-            # Bit-identical stamps only: a tolerance would fold near-ties
-            # that the full path dispatches at distinct instants.
-            and request.arrival_time == run[0].arrival_time  # simlint: disable=SIM005
-            and request.request_id > run[-1].request_id
-        ):
-            run.append(request)
-            continue
-        close_run()
-        if foldable:
-            run.append(request)
-        else:
-            representatives.append(request)
-    close_run()
-    return representatives
 
 
 def make_request_queue(

@@ -167,7 +167,7 @@ class LeastOutstandingTokens(Router):
     """Join the shortest queue, measured in tokens of outstanding work.
 
     The load signal is :attr:`NodeEngine.outstanding_tokens`:
-    ``sum(weight * (input + output - prefill_tokens_done))`` over
+    ``sum(input + output - prefill_tokens_done)`` over
     everything routed to the node and not yet finished.  It weighs a
     queued Long request as the work it actually is, unlike a bare request
     count.  Prefill progress lowers it, decode progress does not: a

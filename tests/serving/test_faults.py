@@ -27,11 +27,13 @@ from repro.serving import (
     PoissonArrivals,
     RoundRobin,
     SpotPreemptions,
+    make_request_queue,
     parse_fault_spec,
 )
 from repro.serving.cluster import check_report_conservation
 from repro.sim.engine import Simulator
 from repro.workloads import sample_request_classes
+from repro.workloads.requests import SHORT
 
 
 @pytest.fixture
@@ -244,6 +246,25 @@ class TestFaultDrains:
         with pytest.raises(SchedulingError, match="stranded") as excinfo:
             drain(system, 3, faults, n_requests=24, seed=3)
         assert excinfo.value.stranded_request_ids  # names the stranded work
+
+    def test_requests_left_by_a_stranded_fleet_are_not_redrainable(self, system):
+        # Queued requests migrate off each dying node without running; a
+        # fault-free re-drain must refuse them instead of reporting
+        # migrations no node breakdown accounts for.
+        queue = make_request_queue([SHORT] * 8)
+        with pytest.raises(SchedulingError, match="stranded"):
+            ClusterScheduler(
+                make_nodes(system, 2),
+                ContinuousBatching(1),
+                router=RoundRobin(),
+                faults=parse_fault_spec("crash:1:0,crash:1:1"),
+            ).drain(queue)
+        migrated = [r for r in queue if r.migration_count and not r.admitted]
+        assert len(migrated) == 3
+        with pytest.raises(SchedulingError, match="element 0 .*migration_count=1"):
+            ClusterScheduler(
+                make_nodes(system, 2), ContinuousBatching(1), router=RoundRobin()
+            ).drain(migrated)
 
     def test_single_crash_fleet_survives(self, system):
         faults = FaultSchedule(faults=(NodeFault(kind="crash", time=30.0, node=0),))

@@ -1,4 +1,4 @@
-"""Property tests: fleet & request folding is equivalent to full simulation.
+"""Property tests: fleet folding is equivalent to full simulation.
 
 The representative fleet drain must be *numerically indistinguishable*
 from simulating every node of a symmetric fleet:
@@ -14,8 +14,9 @@ from simulating every node of a symmetric fleet:
   full-fleet path under ``fleet_symmetry="auto"`` and refuse
   ``"representative"`` with a :class:`~repro.errors.ConfigurationError`
   naming the blocker;
-* the ``fold-conservation`` sanitizer invariant catches weighted
-  representatives that leak into a report.
+* the ``fold-conservation`` sanitizer invariant (the epilogue's
+  mirrored-sum check) catches a representative outcome that was not
+  mirrored onto its group.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from hypothesis import strategies as st
 from repro.analysis.sanitizer import SanitizerError
 from repro.core.config import HilosConfig
 from repro.core.runtime import HilosSystem
-from repro.errors import ConfigurationError, SchedulingError
+from repro.errors import ConfigurationError
 from repro.serving import (
     AnalyticStepTime,
     BatchedArrivals,
@@ -44,9 +45,6 @@ from repro.serving import (
     PoissonArrivals,
     RoundRobin,
     WeightedRoundRobin,
-    fold_identical_runs,
-    make_request_queue,
-    total_weight,
 )
 from repro.serving.autoscale import parse_autoscale_spec
 from repro.serving.cluster import (
@@ -138,7 +136,6 @@ def assert_folded_matches_full(full, rep):
     fb = sorted(rep.requests, key=lambda r: r.request_id)
     assert [r.request_id for r in fa] == [r.request_id for r in fb]
     for x, y in zip(fa, fb):
-        assert y.weight == 1 and not y.folded and y.folded_into is None
         for name in REQUEST_FIELDS:
             assert_rel_close(
                 getattr(x, name), getattr(y, name), f"request {x.request_id}.{name}"
@@ -264,13 +261,12 @@ class TestFoldedEquivalence:
 
 
 class TestFoldedSplits:
-    """Partial admission and preemption must split representatives apart
-    exactly where the unfolded schedule diverges."""
+    """Preemption and partial admission inside the representative engine
+    must match the full fleet, where same-burst requests diverge."""
 
     def test_preemption_splits_match_full(self, system, tiny_mha):
         # Optimistic admission at prompt footprint; decode growth overflows
-        # a budget sized for ~3 prompts, forcing youngest-first eviction on
-        # (possibly weighted) victims.
+        # a budget sized for ~3 prompts, forcing youngest-first eviction.
         prompt_kv = tiny_mha.kv_cache_bytes(1, MEDIUM.input_tokens)
         budget = CapacityBudget(prompt_kv * 3.4, "overflowy")
         full, rep = drain_pair(
@@ -286,8 +282,8 @@ class TestFoldedSplits:
         assert_folded_matches_full(full, rep)
 
     def test_partial_admission_splits_match_full(self, system, tiny_mha):
-        # A budget that fits ~2.5 Shorts admits part of a weighted run and
-        # leaves the remainder at the queue head.
+        # A budget that fits ~2.5 Shorts admits part of a burst and leaves
+        # the rest at the queue head.
         budget = CapacityBudget(
             tiny_mha.kv_cache_bytes(1, SHORT.total_tokens) * 2.5, "tiny"
         )
@@ -420,7 +416,8 @@ class TestFoldFallback:
 
 
 class TestFoldConservation:
-    """The fold-conservation sanitizer invariant."""
+    """The fold-conservation sanitizer invariant: mirrored representative
+    totals must equal the summed node breakdowns."""
 
     def _report(self, system):
         return ClusterScheduler(
@@ -430,101 +427,33 @@ class TestFoldConservation:
     def test_clean_report_passes(self, system):
         check_report_conservation(self._report(system))
 
-    def test_unfolded_leak_is_caught(self, system):
-        report = self._report(system)
-        report.requests[0].weight = 2  # a fold that never unfolded
-        with pytest.raises(SanitizerError, match="fold-conservation"):
-            check_report_conservation(report)
-
-    def test_lost_member_is_caught(self, system):
-        report = self._report(system)
-        report.requests[0].weight = 0  # a member dropped from the queue
-        with pytest.raises(SanitizerError, match="fold-conservation"):
-            check_report_conservation(report)
-
     def test_sanitized_folded_drain_runs_the_invariant(self, system):
         # The folded drain under REPRO_SIM_SANITIZE=1 (the autouse test
-        # default) runs unfold + mirrored-sum cross-checks end to end.
+        # default) runs the mirror + mirrored-sum cross-check end to end.
         report = ClusterScheduler(
             symmetric_fleet(system, 4),
             ContinuousBatching(4),
             fleet_symmetry="representative",
         ).drain([SHORT] * 24)
         assert report.fleet_symmetry == "representative"
-        assert all(r.weight == 1 for r in report.requests)
-        assert total_weight(report.requests) == report.n_requests
+        assert len(report.requests) == report.n_requests
+        assert report.all_completed
 
-
-class TestWeightedRequests:
-    """Unit tests for the folding/splitting machinery on ServingRequest."""
-
-    def _queue(self, classes, times=None):
-        return make_request_queue(list(classes), arrival_times=times)
-
-    def test_fold_identical_runs_folds_adjacent_same_class(self):
-        queue = self._queue([SHORT, SHORT, MEDIUM, SHORT])
-        folded = fold_identical_runs(queue)
-        assert [(r.request_id, r.weight) for r in folded] == [
-            (0, 2),
-            (2, 1),
-            (3, 1),
-        ]
-        assert queue[1].folded_into is queue[0]
-        assert total_weight(folded) == 4
-
-    def test_fold_respects_arrival_time_boundaries(self):
-        queue = self._queue([SHORT] * 4, times=[0.0, 0.0, 5.0, 5.0])
-        folded = fold_identical_runs(queue)
-        assert [(r.request_id, r.weight) for r in folded] == [(0, 2), (2, 2)]
-
-    def test_admitted_requests_do_not_fold(self):
-        queue = self._queue([SHORT, SHORT])
-        queue[0].admitted_time = 1.0
-        folded = fold_identical_runs(queue)
-        assert [r.weight for r in folded] == [1, 1]
-
-    def test_split_waiting_keeps_fcfs_prefix(self):
-        queue = self._queue([SHORT] * 5)
-        rep = fold_identical_runs(queue)[0]
-        remainder = rep.split_waiting(2)
-        assert rep.weight == 2
-        assert [m.request_id for m in rep.folded] == [1]
-        assert remainder.request_id == 2
-        assert remainder.weight == 3
-        assert [m.request_id for m in remainder.folded] == [3, 4]
-        assert remainder.folded_into is None
-        assert queue[3].folded_into is remainder
-
-    def test_split_waiting_bounds(self):
-        rep = fold_identical_runs(self._queue([SHORT] * 3))[0]
-        with pytest.raises(SchedulingError):
-            rep.split_waiting(0)
-        with pytest.raises(SchedulingError):
-            rep.split_waiting(3)
-
-    def test_split_youngest_sheds_the_highest_id(self):
-        rep = fold_identical_runs(self._queue([SHORT] * 3))[0]
-        rep.admitted_time = 1.0
-        rep.prefill_tokens_done = 64
-        rep.kv_holder = "node0"
-        evicted = rep.split_youngest()
-        assert evicted.request_id == 2
-        assert evicted.weight == 1
-        assert evicted.prefill_tokens_done == 64
-        assert evicted.kv_holder is None  # its KV share was released
-        assert rep.weight == 2
-
-    def test_unfold_copies_outcomes_to_members(self):
-        queue = self._queue([SHORT] * 3)
-        rep = fold_identical_runs(queue)[0]
-        rep.admitted_time = 1.0
-        rep.completion_time = 9.0
-        rep.tokens_generated = SHORT.output_tokens
-        rep.unfold()
-        assert all(r.weight == 1 for r in queue)
-        assert all(r.completion_time == 9.0 for r in queue)
-        assert all(r.folded_into is None for r in queue)
-        assert rep.folded == []
+    def test_unmirrored_group_is_caught(self, system, monkeypatch):
+        # Without the mirror, the three mirrored nodes report no tokens,
+        # so their breakdowns fall short of the representative's totals
+        # times the group multiplicity.
+        monkeypatch.setattr(
+            ClusterScheduler, "_mirror", staticmethod(lambda slices, groups: None)
+        )
+        scheduler = ClusterScheduler(
+            symmetric_fleet(system, 4),
+            ContinuousBatching(4),
+            fleet_symmetry="representative",
+        )
+        with pytest.raises(SanitizerError) as caught:
+            scheduler.drain([SHORT] * 24)
+        assert caught.value.invariant == "fold-conservation"
 
 
 class TestWeightedRoundRobinFolding:

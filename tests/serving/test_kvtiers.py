@@ -464,16 +464,6 @@ class TestTierConservation:
         with pytest.raises(SanitizerError, match="tier-conservation"):
             tracker._check_residency(request)
 
-    def test_folded_representatives_are_refused(self, tiny_mha):
-        final = short_final(tiny_mha)
-        tracker = tracker_for(
-            tiny_mha, two_tier_stack(10 * final, 10 * final), LRUByRequest()
-        )
-        (request,) = make_request_queue([SHORT])
-        admit(tracker, request, at=0.0)
-        with pytest.raises(SchedulingError, match="fold"):
-            tracker.release_share(request)
-
     def test_ledger_entries_may_only_grow(self, tiny_mha):
         final = short_final(tiny_mha)
         tracker = tracker_for(

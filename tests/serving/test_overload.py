@@ -30,11 +30,13 @@ from repro.serving import (
     parse_autoscale_spec,
     parse_fault_spec,
     parse_overload_spec,
+    make_request_queue,
     parse_router_spec,
     uptime_billing,
 )
 from repro.serving.cluster import check_report_conservation
 from repro.workloads import sample_request_classes
+from repro.workloads.requests import SHORT
 
 
 @pytest.fixture
@@ -320,6 +322,30 @@ class TestRetryDrain:
         )
         with pytest.raises(SchedulingError, match="admission retries"):
             drain(system, 2, control, rate=4.0)
+
+    def test_requests_left_by_exhaustion_are_not_redrainable(self, system):
+        # The failed drain leaves requests queued that never ran but carry
+        # backoff attempts; a re-drain must refuse them instead of
+        # reporting those attempts as its own.
+        queue = make_request_queue([SHORT] * 40)
+        control = OverloadControl(
+            action="retry",
+            max_queue_depth=1,
+            max_attempts=1,
+            shed_on_exhaustion=False,
+        )
+        with pytest.raises(SchedulingError, match="exhausted 1 admission retries"):
+            ClusterScheduler(
+                make_nodes(system, 1), ContinuousBatching(4), overload=control
+            ).drain(queue)
+        retried = [
+            r for r in queue if r.retry_attempts and not r.admitted and not r.shed
+        ]
+        assert len(retried) == 2
+        with pytest.raises(SchedulingError, match="element 0 .*retry_attempts=1"):
+            ClusterScheduler(make_nodes(system, 1), ContinuousBatching(4)).drain(
+                retried
+            )
 
     def test_seeded_backoff_is_deterministic(self, system):
         spec = "retry:2:-:3:11"

@@ -38,6 +38,26 @@ def unit_steps() -> AnalyticStepTime:
     )
 
 
+#: A non-default value for every ServingRequest.OUTCOME_FIELDS entry.
+STALE_OUTCOME = {
+    "admitted_time": 0.0,
+    "last_admitted_time": 0.0,
+    "first_token_time": 0.0,
+    "completion_time": 1.0,
+    "tokens_generated": 1,
+    "prefill_tokens_done": 1,
+    "preemption_count": 1,
+    "wasted_prefill_tokens": 1,
+    "migration_count": 1,
+    "migrated_recompute_tokens": 1,
+    "kv_holder": "node0",
+    "retry_attempts": 1,
+    "shed_time": 0.0,
+    "shed_reason": "queue-bound",
+    "spilled_decode_seconds": 1.0,
+}
+
+
 class TestHandComputableDrains:
     def test_single_request_timeline(self, system):
         scheduler = ClusterScheduler(
@@ -249,34 +269,14 @@ class TestQueueValidation:
         assert first.generated_tokens == 4 * SHORT.output_tokens
         assert [r.completion_time for r in first.requests] == completions
 
-    @pytest.mark.parametrize(
-        "stamp",
-        [
-            lambda queue: setattr(queue[2], "admitted_time", 0.0),
-            lambda queue: setattr(queue[2], "completion_time", 1.0),
-            lambda queue: setattr(queue[2], "tokens_generated", 1),
-            lambda queue: setattr(queue[2], "shed_time", 0.0),
-            lambda queue: setattr(queue[2], "weight", 2),
-            lambda queue: queue[2].folded.append(queue[1]),
-            lambda queue: setattr(queue[2], "folded_into", queue[1]),
-        ],
-        ids=[
-            "admitted",
-            "completed",
-            "tokens",
-            "shed",
-            "weight",
-            "folded",
-            "folded-into",
-        ],
-    )
-    def test_request_carrying_drain_state_rejected_with_index(self, system, stamp):
+    @pytest.mark.parametrize("field", ServingRequest.OUTCOME_FIELDS)
+    def test_request_carrying_drain_state_rejected_with_index(self, system, field):
         queue = make_request_queue([SHORT] * 3)
-        stamp(queue)
+        setattr(queue[2], field, STALE_OUTCOME[field])
         scheduler = ClusterScheduler(
             [Node(system, step_time=unit_steps())], ContinuousBatching(4)
         )
-        with pytest.raises(SchedulingError, match="element 2"):
+        with pytest.raises(SchedulingError, match=f"element 2 .*{field}="):
             scheduler.drain(queue)
 
     def test_arbitrary_garbage_rejected_at_its_index(self, system):
