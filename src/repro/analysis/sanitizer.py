@@ -25,7 +25,9 @@ checks are:
   when the waiter is not a process the engine would fail);
 * **budget-conservation** -- enforced by
   :class:`~repro.serving.budget.BudgetTracker` (occupied bytes never go
-  negative; every reservation is released by drain end) and by
+  negative; a re-marked entry equals its request's ``kv_current_bytes``
+  and the total the sum of the entries; every reservation is released by
+  drain end) and by
   :class:`~repro.serving.cluster.ClusterScheduler` (fleet report token and
   request counts must equal the sum of the per-node outcomes);
 * **tier-conservation** -- enforced by

@@ -15,6 +15,11 @@ budget is derived from the same placement rules
 
 The :class:`BudgetTracker` ledger here is *flat*: one capacity number, no
 distinction between where within the cache home a request's bytes live.
+Under optimistic admission the engine makes one ledger call per decode
+iteration: :meth:`BudgetTracker.update` re-marks the whole running batch
+from the model's per-token KV size, computed once, since
+``kv_cache_bytes`` is linear in context.
+
 Nodes configured with a KV tier stack swap in
 :class:`~repro.serving.kvtiers.TieredBudgetTracker`, which keeps this
 ledger's arithmetic byte-for-byte (the flat budget becomes the stack
@@ -94,17 +99,21 @@ class BudgetTracker:
       admission to completion (:meth:`reserve`), so in-flight growth can
       never burst past the budget;
     * *optimistic* -- requests hold only their **current**-context bytes
-      (:meth:`occupy`), re-marked after every generated token
-      (:meth:`update`); overflow is possible by construction and the
-      scheduler resolves it by preempting the youngest request before the
-      step that would burst (:meth:`growth_bytes` prices that check).
+      (:meth:`occupy`), re-marked once per decode iteration by one
+      :meth:`update` call over the whole running batch; overflow is
+      possible by construction and the scheduler resolves it by
+      preempting the youngest request before the step that would burst
+      (the batch size times :attr:`token_bytes` prices that check).
 
     ``peak_reserved_bytes`` lets tests assert the budget invariant held
     for a whole drain under either accounting.
 
     With ``sanitize`` on (sanitized drains set it from their simulator)
     every ledger movement is conservation-checked: occupied bytes may
-    never go negative, and :meth:`assert_drained` verifies the ledger is
+    never go negative, every re-marked entry must equal its request's
+    :meth:`~repro.serving.request.ServingRequest.kv_current_bytes` (the
+    reference the per-token shortcut stands in for) and the running total
+    the sum of the entries, and :meth:`assert_drained` verifies the ledger is
     empty -- every reservation released, residue within float tolerance --
     at drain end.  Sanitized trackers also stamp each admitted request's
     :attr:`~repro.serving.request.ServingRequest.kv_holder` with ``owner``
@@ -123,6 +132,13 @@ class BudgetTracker:
     #: Display name of the ledger's owner (node name in cluster drains);
     #: used only for kv-holder provenance and error messages.
     owner: str = ""
+    #: KV bytes one token of context holds.  ``kv_cache_bytes`` is linear
+    #: in context, so a request's current bytes are its context times this
+    #: and every generated token appends exactly this much.
+    token_bytes: float = field(init=False, repr=False, default=0.0)
+
+    def __post_init__(self) -> None:
+        self.token_bytes = float(self.model.kv_cache_bytes(1, 1))
 
     def _conservation_tolerance(self) -> float:
         """Float-accumulation slack: ledger adds/removes large byte figures."""
@@ -182,20 +198,43 @@ class BudgetTracker:
         """
         self._record(request, request.kv_admission_bytes(self.model))
 
-    def update(self, request: ServingRequest) -> None:
-        """Re-mark an occupied request at its (grown) current context."""
-        try:
-            held = self._held[request.request_id]
-        except KeyError:
-            raise SchedulingError(
-                f"request {request.request_id} updated without a reservation"
-            ) from None
-        now = request.kv_current_bytes(self.model)
-        self._held[request.request_id] = now
-        self.reserved_bytes += now - held
-        self.peak_reserved_bytes = max(self.peak_reserved_bytes, self.reserved_bytes)
-        if self.sanitize:
-            self._check_occupancy(request.request_id)
+    def update(self, *requests: ServingRequest) -> list[float]:
+        """Re-mark occupied requests at their (grown) current contexts.
+
+        The decode step passes its whole running batch, so the ledger moves
+        once per iteration; prefill completion passes the one request it
+        promotes.  Entries move in argument order, each exactly as a
+        one-request call would move it, so the running total and its peak
+        are bit-identical to re-marking one request at a time.  Returns
+        how many bytes each entry grew by, in argument order (what a
+        tiered tracker places).
+        """
+        held = self._held
+        token_bytes = self.token_bytes
+        reserved = self.reserved_bytes
+        peak = self.peak_reserved_bytes
+        growth = []
+        for request in requests:
+            request_id = request.request_id
+            try:
+                before = held[request_id]
+            except KeyError:
+                self.reserved_bytes, self.peak_reserved_bytes = reserved, peak
+                raise SchedulingError(
+                    f"request {request_id} updated without a reservation"
+                ) from None
+            now = request.context_tokens * token_bytes
+            held[request_id] = now
+            delta = now - before
+            reserved += delta
+            if reserved > peak:
+                peak = reserved
+            growth.append(delta)
+        self.reserved_bytes = reserved
+        self.peak_reserved_bytes = peak
+        if self.sanitize and requests:
+            self._check_remarked(requests)
+        return growth
 
     def release_share(self, request: ServingRequest, members: int = 1) -> None:
         """Retired: every ledger entry is one request, so there is no share.
@@ -206,11 +245,14 @@ class BudgetTracker:
         raise SchedulingError("KV ledger entries are whole requests; use release()")
 
     def growth_bytes(self, request: ServingRequest) -> float:
-        """Bytes the next generated token appends to ``request``'s cache."""
-        return float(
-            self.model.kv_cache_bytes(1, request.context_tokens + 1)
-            - self.model.kv_cache_bytes(1, request.context_tokens)
-        )
+        """Bytes the next generated token appends to ``request``'s cache.
+
+        Constant: ``kv_cache_bytes`` is linear in context, so every token of
+        every request appends :attr:`token_bytes`, and a decode step's
+        growth is the batch size times that (an exact product: the figures
+        are integer-valued floats far below 2**53).
+        """
+        return self.token_bytes
 
     def release(self, request: ServingRequest) -> None:
         """Return a completed request's reservation to the pool."""
@@ -236,6 +278,30 @@ class BudgetTracker:
                 invariant="budget-conservation",
                 request_id=request_id,
             )
+
+    def _check_remarked(self, requests: tuple[ServingRequest, ...]) -> None:
+        """After a re-mark, each re-marked entry equals its request's
+        :meth:`~repro.serving.request.ServingRequest.kv_current_bytes` and
+        the running total equals the sum of every entry."""
+        for request in requests:
+            held = self._held[request.request_id]
+            expected = request.kv_current_bytes(self.model)
+            if held != expected:
+                raise SanitizerError(
+                    f"request {request.request_id} re-marked at {held:.3f} "
+                    f"bytes but its context holds {expected:.3f}",
+                    invariant="budget-conservation",
+                    request_id=request.request_id,
+                )
+        entries = sum(self._held.values())
+        if abs(self.reserved_bytes - entries) > self._conservation_tolerance():
+            raise SanitizerError(
+                f"KV ledger total of {self.reserved_bytes:.3f} bytes differs "
+                f"from its entries' sum of {entries:.3f} after a re-mark "
+                f"(budget {self.budget.description!r})",
+                invariant="budget-conservation",
+            )
+        self._check_occupancy(requests[-1].request_id)
 
     def assert_drained(self, context: str = "") -> None:
         """Conservation at drain end: ledger empty, residue within tolerance."""

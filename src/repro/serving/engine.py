@@ -60,6 +60,13 @@ included), and the running context at each decode step, and raises
 :meth:`NodeEngine.assert_drained` demands every ledger back at zero at
 drain end.
 
+The KV ledger under optimistic admission moves the same way: one tracker
+call per decode iteration, ``tracker.update(*running)``, re-marks the
+whole batch (prefill completion re-marks the one request it promotes),
+and the overflow check before each iteration prices the step's growth in
+O(1) as the batch size times the tracker's per-token KV bytes.  On a
+tiered node that same call places the batch's growth in one pass.
+
 Under fault injection (:mod:`repro.serving.faults`) the engine carries a
 node lifecycle::
 
@@ -687,8 +694,9 @@ class NodeEngine:
                     yield sim.timeout(self._iteration_seconds())
                     for request in self.running:
                         request.tokens_generated += 1
-                        if optimistic:
-                            self.tracker.update(request)
+                    if optimistic:
+                        # One ledger call re-marks the whole batch.
+                        self.tracker.update(*self.running)
                     # Every running request grew by one token.
                     self._running_context_tokens += len(self.running)
                     self._retire_finished()
@@ -778,7 +786,11 @@ class NodeEngine:
         bounding the recompute loss to the work least progressed.
         """
         while True:
-            growth = sum(self.tracker.growth_bytes(r) for r in self.running)
+            # Every token appends the same bytes, so the step's growth is
+            # the batch size times the per-token figure -- bit-equal to
+            # summing one token per request, as the byte figures are
+            # integer-valued floats far below 2**53.
+            growth = len(self.running) * self.tracker.token_bytes
             if self.tracker.fits_bytes(growth):
                 return
             candidates = self.running + self.prefilling

@@ -69,6 +69,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.analysis.sanitizer import SanitizerError
 from repro.errors import ConfigurationError, SchedulingError
@@ -406,6 +407,7 @@ class TieredBudgetTracker(BudgetTracker):
     def __post_init__(self) -> None:
         if self.stack is None:
             raise ConfigurationError("TieredBudgetTracker needs a TierStack")
+        super().__post_init__()
         if self.policy is None:
             self.policy = LRUByRequest()
         self._ledgers = {
@@ -435,25 +437,30 @@ class TieredBudgetTracker(BudgetTracker):
 
     def _record(self, request: ServingRequest, need: float) -> None:
         super()._record(request, need)
-        self._requests[request.request_id] = request
-        self._place(request, need)
-
-    def update(self, request: ServingRequest) -> None:
-        before = self._held.get(request.request_id)
-        super().update(request)
-        if before is None:
-            return  # unreachable: super() raised on the missing reservation
-        delta = self._held[request.request_id] - before
-        if delta > 0.0:
-            self._place_growth(request, delta)
-        elif delta < 0.0:
-            raise SchedulingError(
-                f"request {request.request_id} shrank its KV ledger entry "
-                "mid-flight; tiered residency only grows between admission "
-                "and release"
-            )
+        request_id = request.request_id
+        self._requests[request_id] = request
+        self._residency[request_id] = request.kv_residency = {}
+        if len(self.stack.tiers) > 1:
+            want_top = self.policy.placement_fraction() * need
+            if want_top > 0.0:
+                self._demote_for(want_top, exclude=request_id)
+        self._place((request,), (need,))
         if self.sanitize:
             self._check_residency(request)
+            self._check_tier_occupancy(request_id)
+
+    def update(self, *requests: ServingRequest) -> list[float]:
+        """Re-mark the requests on the flat ledger, then place their growth.
+
+        One call per decode iteration: the whole batch's growth lands in
+        one :meth:`_place` pass.
+        """
+        growth = super().update(*requests)
+        self._place(requests, growth)
+        if self.sanitize:
+            for request in requests:
+                self._check_residency(request)
+        return growth
 
     def release(self, request: ServingRequest) -> None:
         super().release(request)
@@ -498,52 +505,91 @@ class TieredBudgetTracker(BudgetTracker):
         else:
             residency[name] = remaining
 
-    def _place(self, request: ServingRequest, need: float) -> None:
-        """Place a fresh admission's bytes (bookkeeping only, unbilled)."""
-        request_id = request.request_id
-        self._residency[request_id] = {}
-        request.kv_residency = self._residency[request_id]
-        tiers = self.stack.tiers
-        if len(tiers) == 1:
-            self._occupy_tier(tiers[0].name, request_id, need)
-            return
-        want_top = self.policy.placement_fraction() * need
-        if want_top > 0.0:
-            self._demote_for(want_top, exclude=request_id)
-        top = tiers[0]
-        top_free = top.capacity_bytes - self._ledgers[top.name].occupied_bytes
-        placed = min(want_top, max(0.0, top_free))
-        if placed > 0.0:
-            self._occupy_tier(top.name, request_id, placed)
-        self._push_into_lower(request_id, need - placed, billed=False)
-        if self.sanitize:
-            self._check_residency(request)
-            self._check_tier_occupancy(request_id)
-
-    def _place_growth(self, request: ServingRequest, delta: float) -> None:
-        """Place one decode token's KV growth (part of the decode write)."""
-        request_id = request.request_id
-        tiers = self.stack.tiers
-        if len(tiers) == 1:
-            self._occupy_tier(tiers[0].name, request_id, delta)
-            return
-        top = tiers[0]
-        want_top = self.policy.placement_fraction() * delta
-        top_free = top.capacity_bytes - self._ledgers[top.name].occupied_bytes
-        placed = min(want_top, max(0.0, top_free))
-        if placed > 0.0:
-            self._occupy_tier(top.name, request_id, placed)
-        self._push_into_lower(request_id, delta - placed, billed=False)
-
-    def _push_into_lower(
-        self, request_id: int, amount: float, billed: bool
+    def _place(
+        self, requests: tuple[ServingRequest, ...], amounts: Sequence[float]
     ) -> None:
-        """Cascade ``amount`` bytes into the lower tiers, top-down.
+        """Place bytes the requests newly hold: an admission, or decode growth.
 
-        ``billed`` marks pressure-driven demotion: the movement pays the
-        destination tier's bandwidth and lands in its demoted counter.
-        Initial placement and decode growth cascade unbilled (the prefill
-        or decode pass produces those bytes in place).
+        The one placement path, unbilled (the prefill or decode pass writes
+        these bytes where they land).  Per request, in order, the policy's
+        top share of ``amounts[i]`` goes into top-tier headroom and the rest
+        cascades top-down through the lower tiers, the bottom tier
+        absorbing the float residue; a single-tier stack takes everything
+        in its one tier.  Tiers and ledgers are looked up once per call and
+        each request's float operations run in the order a one-request call
+        would run them, so placing a batch moves exactly the bytes placing
+        its requests one by one would.  A negative amount is an entry that
+        shrank mid-flight, which residency cannot follow.
+        """
+        residencies = self._residency
+        single = len(self.stack.tiers) == 1
+        fraction = self.policy.placement_fraction()
+        tolerance = self._conservation_tolerance()
+        tiers = [
+            (tier.name, tier.capacity_bytes, self._ledgers[tier.name])
+            for tier in self.stack.tiers
+        ]
+        top_name, top_capacity, top_ledger = tiers[0]
+        bottom_name, bottom_capacity, bottom_ledger = tiers[-1]
+        middle = tiers[1:-1]
+        for request, amount in zip(requests, amounts):
+            if amount <= 0.0:
+                if amount < 0.0:
+                    raise SchedulingError(
+                        f"request {request.request_id} shrank its KV ledger "
+                        "entry mid-flight; tiered residency only grows "
+                        "between admission and release"
+                    )
+                continue
+            request_id = request.request_id
+            residency = residencies[request_id]
+            remaining = amount
+            if not single:
+                # min(want, max(0.0, free)) spelled out: this runs once per
+                # running request per decode step, where the builtins' call
+                # cost shows.
+                want = fraction * amount
+                free = top_capacity - top_ledger.occupied_bytes
+                if not free > 0.0:
+                    free = 0.0
+                placed = free if free < want else want
+                if placed > 0.0:
+                    occupied = top_ledger.occupied_bytes + placed
+                    top_ledger.occupied_bytes = occupied
+                    if occupied > top_ledger.peak_occupied_bytes:
+                        top_ledger.peak_occupied_bytes = occupied
+                    residency[top_name] = residency.get(top_name, 0.0) + placed
+                remaining = amount - placed
+                if remaining <= 0.0:
+                    continue
+                for name, capacity, ledger in middle:
+                    take = min(remaining, max(0.0, capacity - ledger.occupied_bytes))
+                    if take <= 0.0:
+                        continue
+                    self._occupy_tier(name, request_id, take)
+                    remaining -= take
+                    if remaining <= 0.0:
+                        break
+                if remaining <= 0.0:
+                    continue
+                if (
+                    remaining
+                    > bottom_capacity - bottom_ledger.occupied_bytes + tolerance
+                ):
+                    raise self._lower_tiers_full(remaining)
+            # The bottom tier (the only one, on a single-tier stack) absorbs
+            # the rest, float residue included.
+            occupied = bottom_ledger.occupied_bytes + remaining
+            bottom_ledger.occupied_bytes = occupied
+            if occupied > bottom_ledger.peak_occupied_bytes:
+                bottom_ledger.peak_occupied_bytes = occupied
+            residency[bottom_name] = residency.get(bottom_name, 0.0) + remaining
+
+    def _push_into_lower(self, request_id: int, amount: float) -> None:
+        """Demote ``amount`` bytes into the lower tiers, top-down (billed).
+
+        Pressure-driven movement: each tier's take pays that (destination)
+        tier's bandwidth and lands in its demoted counter.
         """
         if amount <= 0.0:
             return
@@ -555,24 +601,24 @@ class TieredBudgetTracker(BudgetTracker):
             if index == len(lower) - 1:
                 take = remaining  # bottom tier absorbs the float residue
                 if remaining > free + self._conservation_tolerance():
-                    raise SchedulingError(
-                        f"KV tier stack cannot place {remaining:.0f} bytes "
-                        f"below the top tier ({self.budget.description}); "
-                        "the flat admission check should have refused this"
-                    )
+                    raise self._lower_tiers_full(remaining)
             else:
                 take = min(remaining, max(0.0, free))
             if take <= 0.0:
                 continue
             self._occupy_tier(tier.name, request_id, take)
-            if billed:
-                ledger.demoted_in_bytes += take
-                self._pending_transfer_seconds += (
-                    take / tier.bandwidth_bytes_per_s
-                )
+            ledger.demoted_in_bytes += take
+            self._pending_transfer_seconds += take / tier.bandwidth_bytes_per_s
             remaining -= take
             if remaining <= 0.0:
                 return
+
+    def _lower_tiers_full(self, remaining: float) -> SchedulingError:
+        return SchedulingError(
+            f"KV tier stack cannot place {remaining:.0f} bytes below the top "
+            f"tier ({self.budget.description}); the flat admission check "
+            "should have refused this"
+        )
 
     def _victims(self, exclude: int) -> list[ServingRequest]:
         """Demotion candidates, least recently (re)admitted first."""
@@ -615,7 +661,7 @@ class TieredBudgetTracker(BudgetTracker):
                 if give <= 0.0:
                     continue
                 self._vacate_tier(top.name, victim.request_id, give)
-                self._push_into_lower(victim.request_id, give, billed=True)
+                self._push_into_lower(victim.request_id, give)
                 deficit -= give
                 if self.sanitize:
                     self._check_residency(victim)
@@ -675,35 +721,45 @@ class TieredBudgetTracker(BudgetTracker):
         :meth:`~repro.serving.steptime.StepTimeModel.spill_read_seconds`.
         Reads are tallied per tier (the hit-rate base) whether or not they
         cost anything, so a fully-resident drain still reports a 100%
-        top-tier hit rate.
+        top-tier hit rate.  Current bytes are context times
+        :attr:`token_bytes`, and every accumulator adds its terms in
+        request order, as a per-request call would.
         """
-        tiers = self.stack.tiers
-        top_name = tiers[0].name
+        residencies = self._residency
+        token_bytes = self.token_bytes
+        spill = step_time.spill_read_seconds
+        top_name = self.stack.top.name
+        top_ledger = self._ledgers[top_name]
+        lower = [
+            (tier.name, self._ledgers[tier.name], tier.bandwidth_bytes_per_s)
+            for tier in self.stack.tiers[1:]
+        ]
+        top_reads = top_ledger.decode_read_bytes
+        spilled = self.spilled_decode_seconds
         total_extra = 0.0
         for request in running:
-            residency = self._residency.get(request.request_id)
+            residency = residencies.get(request.request_id)
             if not residency:
                 continue
             resident_total = sum(residency.values())
             if resident_total <= 0.0:
                 continue
-            current = request.kv_current_bytes(self.model)
-            top_share = residency.get(top_name, 0.0) / resident_total
-            self._ledgers[top_name].decode_read_bytes += current * top_share
+            current = request.context_tokens * token_bytes
+            top_reads += current * (residency.get(top_name, 0.0) / resident_total)
             extra = 0.0
-            for tier in tiers[1:]:
-                held = residency.get(tier.name, 0.0)
+            for name, ledger, bandwidth in lower:
+                held = residency.get(name, 0.0)
                 if held <= 0.0:
                     continue
                 read = current * (held / resident_total)
-                self._ledgers[tier.name].decode_read_bytes += read
-                extra += step_time.spill_read_seconds(
-                    read, tier.bandwidth_bytes_per_s
-                )
+                ledger.decode_read_bytes += read
+                extra += spill(read, bandwidth)
             if extra > 0.0:
                 request.spilled_decode_seconds += extra
-                self.spilled_decode_seconds += extra
+                spilled += extra
                 total_extra += extra
+        top_ledger.decode_read_bytes = top_reads
+        self.spilled_decode_seconds = spilled
         return total_extra
 
     # --- router / reporting views -----------------------------------------------

@@ -165,6 +165,43 @@ class TestBudgetTrackerErrorPaths:
         with pytest.raises(SchedulingError, match="updated without"):
             tracker.update(make_request())
 
+    def test_batch_update_names_the_unreserved_request(self, tiny_mha):
+        tracker = make_tracker(tiny_mha)
+        first, stray, last = make_request(0), make_request(1), make_request(2)
+        tracker.occupy(first)
+        tracker.occupy(last)
+        with pytest.raises(SchedulingError, match="request 1 updated without"):
+            tracker.update(first, stray, last)
+        # The entry re-marked before the stray one is still counted.
+        assert tracker.reserved_bytes == sum(tracker._held.values())
+
+    def test_corrupted_entry_is_caught_by_the_batch_remark(self, tiny_mha):
+        tracker = make_tracker(tiny_mha)
+        batch = [make_request(6), make_request(7)]
+        for request in batch:
+            tracker.occupy(request)
+            request.tokens_generated = 1  # prefill completion's token
+        tracker.update(*batch)
+        # Corrupt one entry: the next re-mark moves the total by the wrong
+        # amount, so the total no longer equals the entries' sum.
+        tracker._held[7] -= 1e3
+        for request in batch:
+            request.tokens_generated += 1
+        with pytest.raises(SanitizerError, match="entries' sum") as excinfo:
+            tracker.update(*batch)
+        assert excinfo.value.invariant == "budget-conservation"
+
+    def test_remarked_entry_is_checked_against_kv_current_bytes(self, tiny_mha):
+        tracker = make_tracker(tiny_mha)
+        request = make_request(7)
+        tracker.occupy(request)
+        request.tokens_generated = 1
+        tracker.token_bytes += 1.0  # a per-token figure off the model's
+        with pytest.raises(SanitizerError, match="context holds") as excinfo:
+            tracker.update(request)
+        assert excinfo.value.invariant == "budget-conservation"
+        assert excinfo.value.request_id == 7
+
     def test_negative_occupancy_fires_sanitizer(self, tiny_mha):
         tracker = make_tracker(tiny_mha)
         request = make_request(7)

@@ -220,6 +220,159 @@ class TestSingleTierByteIdentity:
         assert top.hit_rate == 1.0
 
 
+class TestThreeTierExactFigures:
+    """A 3-tier hbm/dram/ssd drain pinned exactly (``==``, not approx).
+
+    A mixed Poisson queue under optimistic admission, with preemptions
+    firing, through a stack whose middle (dram) tier takes both unbilled
+    cascaded growth and billed demotion -- the cascade's non-bottom branch,
+    which a 2-tier stack never reaches.  The figures were recorded from
+    the ledger that re-marked each running request with its own call; the
+    batched re-mark must reproduce them bit for bit, float order included
+    (``attention`` and ``static`` split bytes fractionally).
+    """
+
+    N_REQUESTS = 16
+    SEED = 3
+
+    EXPECTED = {
+        "lru": {
+            "preemptions": 2,
+            "completion_times": (
+                105.31710236761683,
+                107.41259225561683,
+                107.41259225561683,
+                380.7571772156168,
+                489.81268579161673,
+                213.75171548761682,
+                213.75171548761682,
+                631.1750558396166,
+                323.25587564761685,
+                432.19136627161674,
+                981.4100546876165,
+                629.6906825276166,
+                1091.7466593276172,
+                762.3855441276165,
+                1306.038165727617,
+                1090.6187770876172,
+            ),
+            "makespan": 1306.038165727617,
+            "spilled_decode_seconds": 0.47650476799999986,
+            # tier: (demoted, promoted, decode-read) bytes
+            "tiers": {
+                "hbm": (0.0, 0.0, 548374400.0),
+                "dram": (1307520.0, 752896.0, 447049984.0),
+                "ssd": (264704.0, 0.0, 364742272.0),
+            },
+        },
+        "attention": {
+            "preemptions": 2,
+            "completion_times": (
+                105.31710236761683,
+                107.41259225561683,
+                107.41259225561683,
+                380.7571641884168,
+                489.8126762002567,
+                213.75170246041682,
+                213.75170246041682,
+                631.1750462482565,
+                323.25586262041685,
+                432.1913566802567,
+                981.4100450962565,
+                629.6906729362565,
+                1091.7515747314565,
+                762.3855345362565,
+                1306.0430811314563,
+                1090.6236433298563,
+            ),
+            "makespan": 1306.0430811314563,
+            "spilled_decode_seconds": 0.4813946143999998,
+            # tier: (demoted, promoted, decode-read) bytes
+            "tiers": {
+                "hbm": (0.0, 0.0, 548374400.0),
+                "dram": (1240307.2000000002, 781999.36, 440530188.7999988),
+                "ssd": (264704.0, 35084.80000000005, 371262067.2000012),
+            },
+        },
+        "static": {
+            "preemptions": 2,
+            "completion_times": (
+                105.32333315161686,
+                107.41882460761687,
+                107.41882460761687,
+                380.7696101116169,
+                489.83000310361695,
+                213.76238508761676,
+                213.76238508761676,
+                631.1922825276168,
+                323.2679058556169,
+                432.2059664316169,
+                981.4169477436167,
+                629.7079421116168,
+                1091.7561915516167,
+                762.3979245436166,
+                1306.0554648316167,
+                1090.6282926396166,
+            ),
+            "makespan": 1306.0554648316167,
+            "spilled_decode_seconds": 0.494369024,
+            # tier: (demoted, promoted, decode-read) bytes
+            "tiers": {
+                "hbm": (0.0, 0.0, 404510336.0),
+                "dram": (325120.0, 0.0, 615049728.0),
+                "ssd": (133376.0, 0.0, 340606592.0),
+            },
+        },
+    }
+
+    @pytest.mark.parametrize(
+        "policy_id, tier_policy_factory",
+        [
+            ("lru", LRUByRequest),
+            ("attention", lambda: AttentionAwareDemotion(0.3)),
+            ("static", lambda: StaticSplit(0.5)),
+        ],
+        ids=["lru", "attention", "static"],
+    )
+    def test_drain_reproduces_the_recorded_figures(
+        self, system, tiny_mha, policy_id, tier_policy_factory
+    ):
+        final = float(tiny_mha.kv_cache_bytes(1, LONG.total_tokens))
+        stack = TierStack(
+            (
+                KVTier("hbm", capacity_bytes=0.25 * final),
+                KVTier("dram", capacity_bytes=0.5 * final, bandwidth_bytes_per_s=4e9),
+                KVTier("ssd", capacity_bytes=0.5 * final, bandwidth_bytes_per_s=1e9),
+            )
+        )
+        report = ClusterScheduler(
+            [
+                Node(
+                    system,
+                    step_time=unit_steps(),
+                    kv_tiers=stack,
+                    kv_policy=tier_policy_factory(),
+                )
+            ],
+            ContinuousBatching(4, admission="optimistic"),
+        ).drain(
+            sample_request_classes(self.N_REQUESTS, seed=self.SEED),
+            arrivals=PoissonArrivals(rate_per_second=2.0, seed=self.SEED),
+        )
+        expected = self.EXPECTED[policy_id]
+        assert report.all_completed
+        assert report.preemptions == expected["preemptions"] > 0
+        assert tuple(r.completion_time for r in report.requests) == (
+            expected["completion_times"]
+        )
+        assert report.makespan_seconds == expected["makespan"]
+        assert report.spilled_decode_seconds == expected["spilled_decode_seconds"]
+        assert {
+            t.tier: (t.demoted_bytes, t.promoted_bytes, t.decode_read_bytes)
+            for t in report.kv_tiers
+        } == expected["tiers"]
+
+
 class TestPlacement:
     def test_static_split_places_the_alpha_share_below(self, tiny_mha):
         final = short_final(tiny_mha)
@@ -463,6 +616,27 @@ class TestTierConservation:
         request.kv_residency["hbm"] *= 0.5
         with pytest.raises(SanitizerError, match="tier-conservation"):
             tracker._check_residency(request)
+
+    def test_residency_missing_its_growth_is_caught(self, tiny_mha, monkeypatch):
+        final = short_final(tiny_mha)
+        tracker = tracker_for(
+            tiny_mha, two_tier_stack(10 * final, 10 * final), LRUByRequest()
+        )
+        batch = make_request_queue([SHORT, SHORT])
+        for request in batch:
+            request.last_admitted_time = 0.0
+            tracker.occupy(request)
+            request.tokens_generated = 1
+        tracker.update(*batch)
+        for request in batch:
+            request.tokens_generated += 1
+        # A placement pass that drops the step's growth: the flat entries
+        # grow, the residency maps do not.
+        monkeypatch.setattr(tracker, "_place", lambda requests, amounts: None)
+        with pytest.raises(SanitizerError, match="residency sums") as excinfo:
+            tracker.update(*batch)
+        assert excinfo.value.invariant == "tier-conservation"
+        assert excinfo.value.request_id == batch[0].request_id
 
     def test_ledger_entries_may_only_grow(self, tiny_mha):
         final = short_final(tiny_mha)
