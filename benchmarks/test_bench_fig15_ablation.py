@@ -9,7 +9,7 @@ def test_fig15(run_experiment, capsys):
     with capsys.disabled():
         print("\n" + format_tables(tables))
     rows = tables[0].to_dicts()
-    for seq_len in {r["seq_len"] for r in rows}:
+    for seq_len in sorted({r["seq_len"] for r in rows}):
         point = {
             r["config"]: r["normalized"] for r in rows if r["seq_len"] == seq_len
         }

@@ -9,10 +9,13 @@ Run with::
     python examples/quickstart.py
 
 By default the simulation substrate folds each homogeneous device array to
-one representative device (``symmetry="auto"``) -- numerically equivalent
-and much faster as device counts grow.  Set ``system.symmetry = "full"``
-(or ``SYMMETRY = "full"`` below) to force the reference full-array path,
-e.g. when inspecting per-device channels interactively.
+one representative device and, once a decode step's state at a layer
+boundary repeats, accounts its remaining layers instead of simulating them
+(``symmetry="auto"``) -- equivalent to within float rounding and much
+faster as device and layer counts grow.  Set ``system.symmetry = "full"``
+(or ``SYMMETRY = "full"`` below) to force the reference path that simulates
+every device and every layer, e.g. when inspecting per-device channels
+interactively.
 """
 
 from __future__ import annotations
@@ -26,8 +29,9 @@ from repro.models import get_model
 MODEL = "OPT-66B"
 BATCH = 16
 SEQ_LEN = 32768
-#: Simulation substrate mode: "auto" (representative-device folding),
-#: "full" (simulate every device), or "representative" (require folding).
+#: Simulation substrate mode: "auto" (representative-device and layer
+#: folding), "full" (simulate every device and layer), or "representative"
+#: (require device folding).
 SYMMETRY = "auto"
 
 

@@ -30,7 +30,7 @@ from repro.baselines import (
 from repro.core import HilosConfig, HilosSystem
 from repro.models import ModelConfig, get_model, list_models
 
-__version__ = "1.2.0"
+__version__ = "1.3.0"
 
 __all__ = [
     "HilosConfig",

@@ -15,6 +15,11 @@ Subclasses implement :meth:`InferenceSystem._setup` (placement, staging
 channels) and :meth:`InferenceSystem._step_process` (one decode step as a
 simulation process).  Weight prefetching -- common to every framework -- is
 provided here as a concurrent streamer process with per-layer ready events.
+
+Step loops and streamers iterate :meth:`StepContext.layers`, which folds
+the layer axis: once the step's state at a layer boundary repeats the one a
+period earlier, the remaining whole periods are accounted instead of
+simulated (:class:`LayerFolding`).
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from repro.analysis.capacity import (
     default_weight_placement,
     max_feasible_batch,
 )
-from repro.errors import CapacityError
+from repro.errors import CapacityError, ConfigurationError
 from repro.models.config import ModelConfig
 from repro.sim.engine import Event
 from repro.sim.metrics import (
@@ -81,6 +86,83 @@ class MeasuredResult:
         )
 
 
+#: Two layer-boundary snapshots repeat when every value agrees within this
+#: many seconds per simulated second elapsed: rounding of absolute times,
+#: not a modelling tolerance.
+FOLD_TOLERANCE = 1e-12
+
+
+class LayerFolding:
+    """Skips a decode step's remaining whole periods once its state repeats.
+
+    Every layer of a decode step runs the same pipeline, so once the
+    simulation's relative state at a layer boundary -- the pending heap
+    entries, every channel's in-flight work
+    (:meth:`~repro.sim.engine.Simulator.relative_state`) and each
+    prefetcher's lead over the step -- equals the state one ``period``
+    earlier (to within float rounding), every later period repeats the
+    last one.  A match
+    only arms the fold: it reads every accumulator then, and the next
+    period must repeat too before whole periods are skipped.  Skipping
+    adds the confirmed period's accumulator deltas times the periods
+    skipped (channel busy seconds and work, drive byte counters, the phase
+    breakdown), adds their duration to :attr:`StepContext.skipped_seconds`
+    and ends the step's layer loops that many layers early.  The simulated
+    tail keeps each prefetcher's lead plus one period, so streamers still
+    run off the end of the step exactly as they would have.
+    """
+
+    def __init__(self, period: int) -> None:
+        self.period = period
+        self._history: list[tuple[list, list[float]]] = []
+        #: (boundary layer, sim time, accumulator readings) of an armed fold.
+        self._armed: tuple[int, float, list] | None = None
+
+    def begin_step(self) -> None:
+        """Forget the previous step: folds never span two steps."""
+        self._history = []
+        self._armed = None
+
+    def boundary(self, ctx: "StepContext", layer: int) -> None:
+        """The step is about to simulate ``layer``; fold if the state repeats."""
+        period = self.period
+        if ctx.end - layer < 2 * period:
+            return  # the tail must keep a period besides the one skipped
+        sim = ctx.sim
+        keys, values = sim.relative_state()
+        leads = [None if at is None else at - layer for at in ctx.prefetching]
+        keys.append(leads)
+        history = self._history
+        history.append((keys, values))
+        if len(history) <= period:
+            return
+        earlier_keys, earlier_values = history.pop(0)
+        tolerance = FOLD_TOLERANCE * sim.now
+        repeats = keys == earlier_keys and all(
+            abs(a - b) <= tolerance for a, b in zip(values, earlier_values)
+        )
+        armed = self._armed
+        if armed is None:
+            if repeats:
+                parts = [*sim.channels, *ctx.system.drives(), ctx.recorder]
+                self._armed = (layer, sim.now, [(p, p.accumulators()) for p in parts])
+            return
+        armed_layer, armed_at, readings = armed
+        if layer - armed_layer < period:
+            return
+        self._armed = None
+        if not repeats:
+            return
+        lead = max((lead for lead in leads if lead is not None), default=0)
+        periods = (ctx.end - layer - lead - period) // period
+        if periods < 1:
+            return
+        for part, before in readings:
+            part.repeat(before, periods)
+        ctx.skipped_seconds += periods * (sim.now - armed_at)
+        ctx.end -= periods * period
+
+
 @dataclass
 class StepContext:
     """Everything a decode-step process needs, bundled."""
@@ -92,11 +174,56 @@ class StepContext:
     recorder: PhaseRecorder
     weight_ready: list[Event] = field(default_factory=list)
     kv_ready: list[Event] = field(default_factory=list)
+    #: Layer folding for this measurement; ``None`` simulates every layer.
+    folding: LayerFolding | None = None
+    #: Simulated seconds of layers folding accounted instead of simulating;
+    #: ``measure()`` adds them to the elapsed time.
+    skipped_seconds: float = 0.0
+    #: One past the last layer the current step simulates (folding lowers it).
+    end: int = 0
+    #: Each prefetcher's in-flight layer this step, ``None`` once done.
+    prefetching: list[int | None] = field(default_factory=list)
 
     @property
     def sim(self):
         """The underlying simulator."""
         return self.system.sim
+
+    def begin_step(self) -> None:
+        """Fresh per-layer ready events and a full layer range for one step."""
+        sim = self.sim
+        n_layers = self.model.n_layers
+        self.weight_ready = [sim.event(f"w{i}") for i in range(n_layers)]
+        self.kv_ready = [sim.event(f"kv{i}") for i in range(n_layers)]
+        self.end = n_layers
+        self.prefetching = []
+        if self.folding is not None:
+            self.folding.begin_step()
+
+    def layers(self, prefetch: bool = False):
+        """The layer indices one decode step simulates, in order.
+
+        The step loop iterates ``ctx.layers()``; at each layer boundary it
+        gives :class:`LayerFolding` the chance to end every loop early.
+        Streamers that run ahead of the step (weight and KV prefetchers)
+        pass ``prefetch=True``: they report their in-flight layer, which
+        folding compares between boundaries and keeps in the simulated
+        tail.
+        """
+        if prefetch:
+            positions = self.prefetching
+            slot = len(positions)
+            positions.append(0)
+        layer = 0
+        while layer < self.end:
+            if prefetch:
+                positions[slot] = layer
+            elif self.folding is not None:
+                self.folding.boundary(self, layer)
+            yield layer
+            layer += 1
+        if prefetch:
+            positions[slot] = None
 
 
 class InferenceSystem(abc.ABC):
@@ -111,8 +238,11 @@ class InferenceSystem(abc.ABC):
     kv_placement: KVPlacement = KVPlacement.STORAGE
     #: Simulation symmetry mode passed to ``build_system`` by ``measure()``:
     #: ``"auto"`` folds homogeneous device arrays to a representative device
-    #: (numerically equivalent, O(n_groups) instead of O(n_devices));
-    #: ``"full"`` forces the reference full-array path.
+    #: (numerically equivalent, O(n_groups) instead of O(n_devices)) and
+    #: folds each decode step's layers once their state repeats (equivalent
+    #: to within float rounding; see :class:`LayerFolding`), as does
+    #: ``"representative"``; ``"full"`` forces the reference path that
+    #: simulates every device and every layer.
     symmetry: str = "auto"
     #: Per-layer fixed overhead: kernel launches, framework bookkeeping.
     per_layer_overhead_s: float = 0.003
@@ -148,7 +278,7 @@ class InferenceSystem(abc.ABC):
 
     @abc.abstractmethod
     def _step_process(self, ctx: StepContext):
-        """Generator: one full decode step (all layers)."""
+        """Generator: one full decode step, iterating ``ctx.layers()``."""
 
     # --- weight streaming (shared by every framework) -----------------------------------
 
@@ -182,7 +312,7 @@ class InferenceSystem(abc.ABC):
         stream while layer ``i`` computes -- the paper's Weights Prefetcher.
         """
         model = self.model
-        for layer in range(model.n_layers):
+        for layer in ctx.layers(prefetch=True):
             n_bytes = (
                 model.attention_weight_bytes_per_layer()
                 + model.mlp_weight_bytes_per_layer(layer)
@@ -219,12 +349,25 @@ class InferenceSystem(abc.ABC):
         self, batch_size: int, seq_len: int, n_steps: int = 2, warmup_steps: int = 1
     ) -> MeasuredResult:
         """Simulate decoding and report steady-state throughput + breakdowns."""
+        for argument, value, least in (
+            ("batch_size", batch_size, 1),
+            ("n_steps", n_steps, 1),
+            ("warmup_steps", warmup_steps, 0),
+        ):
+            if value < least:
+                raise ConfigurationError(
+                    f"{self.name}.measure(): {argument} must be at least {least}, "
+                    f"got {value!r}"
+                )
         effective = self.effective_batch(batch_size, seq_len)
         if effective == 0:
             return MeasuredResult.out_of_memory(
                 self.name, self.model.name, batch_size, seq_len, note="CPU OOM"
             )
         system = build_system(self.hardware_config(), symmetry=self.symmetry)
+        folding = None
+        if self.symmetry != "full":
+            folding = LayerFolding(self.model.layer_period)
         recorder = PhaseRecorder(system.sim)
         ctx = StepContext(
             system=system,
@@ -232,6 +375,7 @@ class InferenceSystem(abc.ABC):
             batch_size=effective,
             seq_len=seq_len,
             recorder=recorder,
+            folding=folding,
         )
         self._weight_staging = None  # channels must bind to the fresh simulator
         self.last_system = system
@@ -246,6 +390,7 @@ class InferenceSystem(abc.ABC):
         # Reset the recorder so breakdowns cover only measured steps.
         ctx.recorder = PhaseRecorder(system.sim)
         measure_start = system.sim.now
+        skipped_start = ctx.skipped_seconds
         # A device is "busy" when either its compute or its memory stream is
         # occupied; decode kernels are memory-bound, so the stream dominates.
         gpu_busy0 = max(system.gpu.compute.busy_seconds, system.gpu.hbm.busy_seconds)
@@ -253,7 +398,7 @@ class InferenceSystem(abc.ABC):
         written0 = self._storage_written(system)
         for _ in range(n_steps):
             self._run_one_step(ctx)
-        elapsed = system.sim.now - measure_start
+        elapsed = (system.sim.now - measure_start) + (ctx.skipped_seconds - skipped_start)
         step_seconds = elapsed / n_steps
         gpu_busy1 = max(system.gpu.compute.busy_seconds, system.gpu.hbm.busy_seconds)
         cpu_busy1 = max(system.cpu.compute.busy_seconds, system.cpu.stream.busy_seconds)
@@ -281,8 +426,7 @@ class InferenceSystem(abc.ABC):
 
     def _run_one_step(self, ctx: StepContext) -> None:
         sim = ctx.system.sim
-        ctx.weight_ready = [sim.event(f"w{i}") for i in range(self.model.n_layers)]
-        ctx.kv_ready = [sim.event(f"kv{i}") for i in range(self.model.n_layers)]
+        ctx.begin_step()
         sim.process(self._weight_streamer(ctx), name=f"{self.name}.weights")
         step = sim.process(self._step_process(ctx), name=f"{self.name}.step")
         sim.run(step)

@@ -58,7 +58,7 @@ class DeepSpeedUVM(InferenceSystem):
         kv_layer_bytes = float(
             model.kv_bytes_per_token_per_layer() * ctx.batch_size * ctx.seq_len
         )
-        for layer in range(model.n_layers):
+        for layer in ctx.layers():
             yield ctx.weight_ready[layer]
             qkv_flops, mlp_flops = self._gpu_projection_and_mlp_flops(layer, ctx.batch_size)
             started = ctx.recorder.start()

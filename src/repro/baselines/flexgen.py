@@ -108,7 +108,7 @@ class FlexGen(InferenceSystem):
 
     def _kv_streamer(self, ctx: StepContext):
         """Prefetches each layer's KV cache from storage into host DRAM."""
-        for layer in range(self.model.n_layers):
+        for layer in ctx.layers(prefetch=True):
             n_bytes = self._kv_layer_bytes(ctx)
             started = ctx.recorder.start()
             inner = ctx.system.read_ssds_to_host(n_bytes, tag=LOAD_KV)
@@ -135,7 +135,7 @@ class FlexGen(InferenceSystem):
         system = ctx.system
         ctx.sim.process(self._kv_streamer(ctx), name=f"{self.name}.kv")
         kv_layer_bytes = self._kv_layer_bytes(ctx)
-        for layer in range(model.n_layers):
+        for layer in ctx.layers():
             yield ctx.weight_ready[layer]
             qkv_flops, mlp_flops = self._gpu_projection_and_mlp_flops(layer, ctx.batch_size)
             started = ctx.recorder.start()
@@ -175,7 +175,7 @@ class FlexGenDRAM(FlexGen):
 
     def _kv_streamer(self, ctx: StepContext):
         """KV is already resident: the CPU streams it straight from DRAM."""
-        for layer in range(self.model.n_layers):
+        for layer in ctx.layers(prefetch=True):
             ctx.kv_ready[layer].succeed()
             if False:  # pragma: no cover - keeps this a generator
                 yield

@@ -5,7 +5,7 @@ Layout: one JSON file per fingerprint under the store root::
     <root>/<fingerprint>.json
     {
       "format": 1,
-      "repro_version": "1.2.0",
+      "repro_version": "1.3.0",
       "fingerprint": "ab12...",
       "description": { ...canonical fingerprint payload... },
       "step_seconds": {"16,4096": 8.579831, ...},

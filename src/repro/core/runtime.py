@@ -305,7 +305,7 @@ class HilosSystem(InferenceSystem):
             * model.bytes_per_element
             * ctx.batch_size
         )
-        for layer in range(model.n_layers):
+        for layer in ctx.layers():
             yield ctx.weight_ready[layer]
             qkv_flops, mlp_flops = self._gpu_projection_and_mlp_flops(layer, ctx.batch_size)
             started = ctx.recorder.start()

@@ -26,8 +26,9 @@ experiment whose ``run()`` accepts them.  ``--prewarm`` measures the
 serving systems' missing calibration cells across ``--jobs`` processes
 before (or instead of) running experiments; ``--symmetry`` forces the
 simulation substrate mode for experiments that accept it ("auto" folds
-homogeneous device arrays to representative devices, "full" simulates
-every device).
+homogeneous device arrays to representative devices and stops simulating
+a decode step's layers once their state repeats, "full" simulates every
+device and every layer).
 """
 
 from __future__ import annotations
@@ -115,7 +116,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--symmetry", choices=("auto", "full", "representative"), default=None,
         help="simulation substrate mode for experiments that accept it "
-        "(auto folds homogeneous device arrays to representative devices)",
+        "(auto folds homogeneous device arrays to representative devices "
+        "and repeating decode-step layers; full simulates every device and "
+        "layer)",
     )
     parser.add_argument(
         "--prewarm", action="store_true",

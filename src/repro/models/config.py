@@ -116,6 +116,12 @@ class ModelConfig:
         return self.n_experts > 0
 
     @property
+    def layer_period(self) -> int:
+        """Layers after which the per-layer work repeats: ``moe_every`` for
+        interleaved MoE models, 1 otherwise."""
+        return self.moe_every if self.is_moe else 1
+
+    @property
     def n_moe_layers(self) -> int:
         """Number of layers whose MLP is a mixture of experts."""
         if not self.is_moe:

@@ -376,15 +376,22 @@ class NodeEngine:
             self.migrations += len(migrated)
             self.migrated_recompute_tokens += dropped_total
         if recovery is not None:
-            self.sim.schedule(recovery, self._recover)
+            self.sim.schedule(recovery, lambda: self._recover(recovery))
         if self.driver is not None:
             self.driver.note_death(self, migrated)
 
-    def _recover(self) -> None:
-        """Provisioning finished: the node is UP again (spot recovery)."""
+    def _recover(self, downtime: float | None = None) -> None:
+        """Provisioning finished: the node is UP again.
+
+        A spot recovery passes its scheduled ``downtime`` and bills exactly
+        that: ``now - down_since`` would carry the rounding of the absolute
+        times.  A provisioned spare bills the time since it went down.
+        """
         if self._state != "down":
             return  # the drain already finalized this engine
-        self.downtime_seconds += self.sim.now - self._down_since
+        if downtime is None:
+            downtime = self.sim.now - self._down_since
+        self.downtime_seconds += downtime
         self._state = "up"
         self._will_recover = False
         if self.driver is not None:

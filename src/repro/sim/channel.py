@@ -38,7 +38,7 @@ from typing import Iterable
 from typing import Callable
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.sim.engine import Barrier, Event, ScheduledCallback, Simulator
+from repro.sim.engine import Barrier, Event, ScheduledCallback, Simulator, callback_kind
 
 #: Relative completion slack for virtual-time comparisons.  The tolerance is
 #: scaled by the magnitude of the flow's virtual finish coordinate (with an
@@ -106,6 +106,7 @@ class Channel:
         self._busy_time = 0.0
         self.total_work = 0.0
         self.work_by_tag: dict[str, float] = {}
+        sim.channels.append(self)
 
     # --- public API ---------------------------------------------------------
 
@@ -160,6 +161,56 @@ class Channel:
     def in_flight(self) -> int:
         """Number of currently active shared-discipline flows."""
         return len(self._flow_heap)
+
+    # --- layer folding ----------------------------------------------------------
+
+    def relative_state(self, keys: list, values: list[float]) -> None:
+        """Append the work in flight, relative to now, to a snapshot.
+
+        FIFO: the backlog still to serve.  Shared: each flow's remaining
+        service seconds at full capacity in completion order, keyed by the
+        completion it reports into, plus whether the armed timer predates
+        the last population change.  Reads the virtual clock as of now
+        without advancing it, so taking a snapshot never perturbs the
+        simulation (see :meth:`Simulator.relative_state`).
+        """
+        now = self.sim.now
+        if self.discipline == "fifo":
+            if self._ready_at > now:
+                keys.append(self)
+                values.append(self._ready_at - now)
+            return
+        heap = self._flow_heap
+        if not heap:
+            return
+        virtual = self._virtual
+        if now > self._last_update:
+            virtual += (now - self._last_update) * self.capacity / len(heap)
+        keys.append((self, self._armed_epoch == self._epoch))
+        for finish, _, done in sorted(heap):
+            keys.append(callback_kind(done))
+            values.append((finish - virtual) / self.capacity)
+
+    def _busy_now(self) -> float:
+        """Busy seconds as of now, without advancing the virtual clock."""
+        now = self.sim.now
+        if self._flow_heap and now > self._last_update:
+            return self._busy_time + (now - self._last_update)
+        return self._busy_time
+
+    def accumulators(self) -> tuple[float, float, dict[str, float]]:
+        """(busy seconds, total work, work per tag) as of now: the
+        ``before`` reading of :meth:`repeat`."""
+        return self._busy_now(), self.total_work, dict(self.work_by_tag)
+
+    def repeat(self, before: tuple[float, float, dict[str, float]], times: int) -> None:
+        """Account ``times`` more repetitions of the work done since the
+        ``before`` reading: layer folding's stand-in for simulating them."""
+        busy, total, by_tag = before
+        self._busy_time += times * (self._busy_now() - busy)
+        self.total_work += times * (self.total_work - total)
+        for tag, work in self.work_by_tag.items():
+            self.work_by_tag[tag] = work + times * (work - by_tag.get(tag, 0.0))
 
     # --- fifo discipline ------------------------------------------------------
 

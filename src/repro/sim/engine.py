@@ -14,9 +14,12 @@ enough to reason about and to property-test (see
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable
 
 from repro.errors import SimulationError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.channel import Channel
 
 #: Type alias for the generator shape driven by :class:`Process`.
 ProcessGenerator = Generator["Event", Any, Any]
@@ -271,6 +274,33 @@ class Process(Event):
             self._step(event.value)
 
 
+def callback_kind(callback: Callable[..., Any]) -> Any:
+    """What ``callback`` does, without the identity of per-layer events.
+
+    A bound method is its function plus its owner, and a closure is its
+    code plus the values it closes over.  Events stand in by name and
+    other objects (channels) by identity, so the same operation issued for
+    a later layer -- a fresh barrier with the same tag -- has the same
+    kind.  Used by :meth:`Simulator.relative_state`.
+    """
+    cells = getattr(callback, "__closure__", None)
+    if cells:
+        return (callback.__code__, *[_value_kind(cell.cell_contents) for cell in cells])
+    return _value_kind(callback)
+
+
+def _value_kind(value: Any) -> Any:
+    """The kind of one callback or closed-over value (not recursive)."""
+    if isinstance(value, Event):
+        return value.name
+    if value is None or isinstance(value, (int, float, str)):
+        return value
+    function = getattr(value, "__func__", None)
+    if function is not None:  # a bound method
+        return (function, _value_kind(value.__self__))
+    return getattr(value, "__code__", None) or id(value)
+
+
 class ScheduledCallback:
     """Handle for one scheduled callback; supports lazy cancellation.
 
@@ -314,6 +344,10 @@ class Simulator:
         self._sequence = 0
         self._processed = 0
         self._unobserved_failures: list[Event] = []
+        #: Every channel built on this simulator, in construction order:
+        #: :meth:`relative_state` snapshots them and layer folding scales
+        #: their accumulators (see ``repro.baselines.base``).
+        self.channels: list[Channel] = []
         if sanitize is None:
             from repro.analysis.sanitizer import sanitize_enabled_by_env
 
@@ -444,6 +478,34 @@ class Simulator:
             # untriggered event is a lost wakeup, not pending work.
             self.sanitizer.check_drained(self)
         return None
+
+    def relative_state(self) -> tuple[list, list[float]]:
+        """The pending work as of now, in a form two instants can compare.
+
+        Returns ``(keys, values)``: ``values`` holds every live heap
+        entry's time relative to now and, per registered channel, each
+        in-flight flow's remaining service seconds and the FIFO backlog;
+        ``keys`` holds what each value belongs to -- the callback's kind
+        (its code and the names of the events it fires, so the same step
+        of a later layer compares equal) and the channel.  Two instants
+        with equal keys and values within rounding have the same future
+        up to a time shift.  Reading the state changes nothing: no channel
+        clock advances.  Callbacks already popped into the running batch
+        share the current timestamp and are not listed.
+        """
+        now = self._now
+        keys: list = []
+        values: list[float] = []
+        for time, _, callback in sorted(self._heap):
+            if callback.__class__ is ScheduledCallback:
+                if callback.cancelled:
+                    continue
+                callback = callback.callback
+            keys.append(callback_kind(callback))
+            values.append(time - now)
+        for channel in self.channels:
+            channel.relative_state(keys, values)
+        return keys, values
 
     def sanitize_check_drained(self) -> None:
         """Run the sanitizer's lost-wakeup check at a drain boundary.

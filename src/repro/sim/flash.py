@@ -159,6 +159,23 @@ class SSD:
         per_op_physical = ceil_div(int(granule), page) * page
         return float(n_ops * per_op_physical)
 
+    # --- layer folding --------------------------------------------------------------
+
+    def accumulators(self) -> tuple[float, float, float]:
+        """(logical read, logical written, physical written) bytes so far."""
+        return (
+            self.logical_bytes_read,
+            self.logical_bytes_written,
+            self.physical_bytes_written,
+        )
+
+    def repeat(self, before: tuple[float, float, float], times: int) -> None:
+        """Count ``times`` more repetitions of the I/O since ``before``."""
+        read, written, physical = before
+        self.logical_bytes_read += times * (self.logical_bytes_read - read)
+        self.logical_bytes_written += times * (self.logical_bytes_written - written)
+        self.physical_bytes_written += times * (self.physical_bytes_written - physical)
+
     # --- derived statistics --------------------------------------------------------
 
     @property

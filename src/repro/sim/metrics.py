@@ -90,6 +90,16 @@ class PhaseRecorder:
         self.breakdown.add(phase, duration)
         return duration
 
+    def accumulators(self) -> dict[str, float]:
+        """Seconds per phase so far: the ``before`` reading of :meth:`repeat`."""
+        return dict(self.breakdown.seconds)
+
+    def repeat(self, before: dict[str, float], times: int) -> None:
+        """Attribute ``times`` more repetitions of the spans since ``before``."""
+        seconds = self.breakdown.seconds
+        for phase, total in seconds.items():
+            seconds[phase] = total + times * (total - before.get(phase, 0.0))
+
 
 def mirrored_sum(
     devices: Iterable[Any], getter: Callable[[Any], float], multiplier: float = 1.0

@@ -34,6 +34,12 @@ member's private channels would have seen the identical request stream, and
 the shared hops (expansion uplink, host interconnect, DRAM bus) carry the
 same aggregate bytes either way.  Array-wide byte/energy accounting is
 reconstructed by multiplication (:mod:`repro.sim.metrics`).
+
+``InferenceSystem.measure()`` also folds along the time axis under
+``"auto"`` and ``"representative"``: once a decode step's state at a layer
+boundary repeats the one a period earlier, the remaining whole periods are
+accounted instead of simulated (:class:`repro.baselines.base.LayerFolding`,
+exact to within float rounding).  ``"full"`` simulates every layer too.
 """
 
 from __future__ import annotations
@@ -292,6 +298,11 @@ class SystemModel:
         if self.ssd_group.representative or self.smartssd_group.representative:
             return "representative"
         return "full"
+
+    def drives(self) -> list[SSD]:
+        """Every simulated flash drive: the conventional SSDs, then the
+        SmartSSDs' own."""
+        return [*self.ssds, *(dev.flash for dev in self.smartssds)]
 
     # --- aggregate bandwidth figures (feed the alpha model) ---------------------
 

@@ -8,6 +8,7 @@ import pytest
 from repro.baselines.flexgen import FlexGenDRAM, FlexGenSSD
 from repro.core.config import HilosConfig
 from repro.core.runtime import HilosSystem
+from repro.errors import ConfigurationError
 from repro.models import get_model
 
 
@@ -99,3 +100,29 @@ class TestBreakdownSanity:
         assert 0.0 <= u.cpu <= 1.0
         assert 0.0 <= u.gpu <= 1.0
         assert 0.0 <= u.dram_capacity <= 1.0
+
+
+class TestMeasureArguments:
+    @pytest.mark.parametrize(
+        "build",
+        [lambda m: HilosSystem(m, HilosConfig(n_devices=8)), FlexGenSSD],
+        ids=["HILOS", "FLEX(SSD)"],
+    )
+    @pytest.mark.parametrize(
+        "argument, kwargs",
+        [
+            ("batch_size", {"batch_size": 0}),
+            ("batch_size", {"batch_size": -2}),
+            ("n_steps", {"n_steps": 0}),
+            ("warmup_steps", {"warmup_steps": -1}),
+        ],
+        ids=["batch0", "batch-2", "steps0", "warmup-1"],
+    )
+    def test_bad_argument_is_named(self, opt30b, build, argument, kwargs):
+        """A non-positive batch or step count is a structured error that
+        names the argument, not a CPU-OOM verdict, a division by zero or a
+        silently skipped warm-up."""
+        call = {"batch_size": 4, "seq_len": 1024, "n_steps": 1, "warmup_steps": 0}
+        call.update(kwargs)
+        with pytest.raises(ConfigurationError, match=argument):
+            build(opt30b).measure(**call)

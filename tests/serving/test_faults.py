@@ -183,6 +183,19 @@ class TestEngineLifecycle:
         assert engine.state == "up" and engine.routable
         assert engine.downtime_seconds == pytest.approx(10.0)
 
+    def test_spot_downtime_is_exactly_the_recovery_time(self, system):
+        # (37.7 + 120.0) - 37.7 is 119.99999999999999 in floats: the
+        # downtime must be the scheduled recovery, not a difference of
+        # absolute times.
+        sim = Simulator()
+        engine = NodeEngine(make_nodes(system, 1)[0], ContinuousBatching(4), sim)
+        sim.run(until=37.7)
+        engine.inject_failure(recovery_seconds=120.0)
+        engine._apply_death()
+        sim.run(until=200.0)
+        assert engine.state == "up"
+        assert engine.downtime_seconds == 120.0
+
     def test_crash_is_permanent(self, system):
         engine = NodeEngine(make_nodes(system, 1)[0], ContinuousBatching(4), Simulator())
         engine.inject_failure()  # no recovery: permanent

@@ -34,7 +34,7 @@ class TestTopLevelExports:
         assert callable(repro.get_model)
         assert repro.HilosSystem is not None
         assert repro.HilosConfig is not None
-        assert repro.__version__ == "1.2.0"
+        assert repro.__version__ == "1.3.0"
 
     def test_all_names_resolve(self):
         for name in repro.__all__:
