@@ -617,8 +617,10 @@ def _fleet_folded_drain(store):
     64-node HILOS-8 fleet under round-robin placement drains 100k uniform
     requests arriving in Poisson-timed bursts;
     ``fleet_symmetry="representative"`` demands the folded path, so the
-    timed body is one representative engine over one node's slice plus
-    the O(requests) plan/mirror bookkeeping."""
+    timed body is one representative engine over the only requests the
+    drain builds (one node's slice) plus the fold plan's list work over
+    arrival times; mirrored requests are built only when the report's
+    request view is read."""
     from repro.models import get_model
     from repro.serving import (
         BatchedArrivals,
@@ -654,7 +656,7 @@ def _assert_fleet_folded_shape(result):
     assert report.all_completed
     assert len(report.node_reports) == FOLDED_NODES
     assert sum(n.completed for n in report.node_reports) == FOLDED_REQUESTS
-    # Mirroring: every node's breakdown is the representative's outcome.
+    # Folding: every node's breakdown is the representative's outcome.
     assert len({n.generated_tokens for n in report.node_reports}) == 1
     assert len(report.requests) == FOLDED_REQUESTS
     assert report.tokens_per_second_per_usd > 0
@@ -679,7 +681,7 @@ def test_serving_fleet_folded_cold(benchmark, tmp_path):
 
 def test_serving_fleet_folded_warm(benchmark, tmp_path):
     """Warm folded drain: zero measurements -- the fold plan, the
-    representative engine, and the mirror pass are what's timed."""
+    representative engine, and the group-tally report are what's timed."""
     store_dir = tmp_path / "ffwarm"
     clear_memory_layer()
     _fleet_folded_drain(CalibrationStore(store_dir))

@@ -42,24 +42,45 @@ class ArrivalProcess(abc.ABC):
     def arrival_times(self, n: int) -> list[float]:
         """Non-decreasing arrival timestamps for ``n`` requests."""
 
+    def checked_times(self, n: int) -> list[float]:
+        """:meth:`arrival_times` for ``n`` requests, as validated floats.
+
+        A drain's arrival-time check: a wrong count, or a time that is not
+        finite, is negative, or decreases, raises a
+        :class:`~repro.errors.SchedulingError` naming the process and the
+        index -- a NaN time would otherwise pass every ordering comparison
+        and stall the drain.
+        """
+        name = type(self).__name__
+        times = list(map(float, self.arrival_times(n)))
+        if len(times) != n:
+            raise SchedulingError(
+                f"{name} produced {len(times)} times for {n} requests"
+            )
+        if not all(map(math.isfinite, times)):
+            index = next(i for i, t in enumerate(times) if not math.isfinite(t))
+            raise SchedulingError(
+                f"{name} produced a non-finite arrival time {times[index]!r} "
+                f"at index {index}"
+            )
+        if times and min(times) < 0:
+            index = next(i for i, t in enumerate(times) if t < 0)
+            raise SchedulingError(
+                f"{name} produced a negative arrival time {times[index]!r} "
+                f"at index {index}"
+            )
+        if times != sorted(times):
+            index = next(i for i in range(1, n) if times[i] < times[i - 1])
+            raise SchedulingError(
+                f"{name} produced decreasing arrival times at index {index} "
+                f"({times[index - 1]!r} then {times[index]!r})"
+            )
+        return times
+
     def assign(self, queue: Sequence[ServingRequest]) -> list[ServingRequest]:
-        """Stamp ``queue`` (in request-id order) with this process's times."""
-        times = self.arrival_times(len(queue))
-        if len(times) != len(queue):
-            raise SchedulingError(
-                f"{type(self).__name__} produced {len(times)} times for "
-                f"{len(queue)} requests"
-            )
-        if any(b < a for a, b in zip(times, times[1:])):
-            raise SchedulingError(
-                f"{type(self).__name__} produced decreasing arrival times"
-            )
-        for request, time in zip(queue, times):
-            if time < 0:
-                raise SchedulingError(
-                    f"negative arrival time {time} for request {request.request_id}"
-                )
-            request.arrival_time = float(time)
+        """Stamp ``queue`` (in queue order) with this process's checked times."""
+        for request, time in zip(queue, self.checked_times(len(queue))):
+            request.arrival_time = time
         return list(queue)
 
 
@@ -70,12 +91,20 @@ class AllAtOnce(ArrivalProcess):
         return [0.0] * n
 
 
+def _check_rate(rate_per_second: float) -> None:
+    """Reject an arrival rate that is not finite and positive: a NaN rate
+    yields all-NaN times and an infinite one stamps every arrival at 0."""
+    if not (math.isfinite(rate_per_second) and rate_per_second > 0):
+        raise ConfigurationError(
+            f"arrival rate must be finite and positive, got {rate_per_second!r}"
+        )
+
+
 class FixedRateArrivals(ArrivalProcess):
     """Deterministic open-loop feed: one request every ``1/rate`` seconds."""
 
     def __init__(self, rate_per_second: float, start: float = 0.0) -> None:
-        if rate_per_second <= 0:
-            raise ConfigurationError("arrival rate must be positive")
+        _check_rate(rate_per_second)
         if start < 0:
             raise ConfigurationError("arrival start time must be non-negative")
         self.rate_per_second = rate_per_second
@@ -96,8 +125,7 @@ class PoissonArrivals(ArrivalProcess):
     """
 
     def __init__(self, rate_per_second: float, seed: int = 0) -> None:
-        if rate_per_second <= 0:
-            raise ConfigurationError("arrival rate must be positive")
+        _check_rate(rate_per_second)
         self.rate_per_second = rate_per_second
         self.seed = seed
 
@@ -132,8 +160,7 @@ class BatchedArrivals(ArrivalProcess):
     def __init__(
         self, rate_per_second: float, burst_size: int, seed: int = 0
     ) -> None:
-        if rate_per_second <= 0:
-            raise ConfigurationError("arrival rate must be positive")
+        _check_rate(rate_per_second)
         if burst_size < 1:
             raise ConfigurationError("burst size must be >= 1")
         self.rate_per_second = rate_per_second

@@ -60,21 +60,26 @@ fleet is symmetric (nodes sharing one system instance and one calibrated
 step-time grid, with equal flat KV budgets and chunking) and the
 router is load-oblivious (:attr:`~repro.serving.routers.Router.load_oblivious`),
 the drain partitions the arrival stream per the router's deterministic
-cycle, groups nodes receiving identical slices, simulates **one**
-representative :class:`~repro.serving.engine.NodeEngine` per group, and
-reconstructs the fleet report by mirroring each representative's
-request outcomes onto its group -- a 1000-node drain at the cost of one
-node.  Heterogeneous fleets, load-dependent
-routers (JSQ, BestFitKV), faults, overload control, and autoscaling all
-auto-fall back to full-fleet simulation; ``"full"`` forces the fallback
-and ``"representative"`` demands folding (raising a
+cycle, groups nodes receiving identical slices, and simulates **one**
+representative :class:`~repro.serving.engine.NodeEngine` per group.  It
+builds requests only for the representative slices.  The report follows
+the groups: one breakdown per group, relabelled for each member, and
+fleet figures from the group tallies times the group sizes; its
+``requests`` are a :class:`~repro.serving.request.FoldedRequests` view
+that builds a mirrored node's request, with its representative's
+outcome, when it is accessed -- a 1000-node drain at the cost of one
+node plus list work over the arrival times.  Heterogeneous fleets,
+load-dependent routers (JSQ, BestFitKV), faults, overload control, and
+autoscaling all auto-fall back to full-fleet simulation; ``"full"``
+forces the fallback and ``"representative"`` demands folding (raising a
 :class:`~repro.errors.ConfigurationError` naming the blocker when the
 fleet cannot fold), mirroring the device-array ``symmetry`` modes.
 """
 
 from __future__ import annotations
 
-from dataclasses import fields
+from dataclasses import fields, replace
+from itertools import repeat
 from typing import Iterable, Sequence
 
 from repro.analysis.sanitizer import SanitizerError
@@ -86,6 +91,7 @@ from repro.serving.autoscale import Autoscaler, AutoscalePolicy
 from repro.serving.engine import Node, NodeEngine
 from repro.serving.faults import FaultDriver, FaultSchedule
 from repro.serving.metrics import (
+    RequestTally,
     ServingReport,
     build_fleet_report,
     build_report,
@@ -93,11 +99,10 @@ from repro.serving.metrics import (
 )
 from repro.serving.overload import OverloadControl
 from repro.serving.policies import ContinuousBatching, SchedulingPolicy
-from repro.serving.request import ServingRequest, make_request_queue
+from repro.serving.request import FoldedRequests, ServingRequest
 from repro.serving.routers import Router, RoundRobin
 from repro.serving.steptime import CalibratedStepTime, StepTimeModel
 from repro.sim.engine import Simulator
-from repro.sim.metrics import mirrored_sum
 from repro.workloads.requests import RequestClass
 
 #: Slot count of the default policy when a cluster is built without one.
@@ -115,6 +120,92 @@ _FRESH_OUTCOME = {
 }
 
 
+def _validated_kind(
+    requests: Sequence[RequestClass] | Sequence[ServingRequest],
+) -> type:
+    """Run :func:`as_request_queue`'s checks; return the element type."""
+    if not requests:
+        raise SchedulingError("cannot drain an empty request queue")
+    expected: type = (
+        ServingRequest if isinstance(requests[0], ServingRequest) else RequestClass
+    )
+    if not all(map(isinstance, requests, repeat(expected))):
+        index, request = next(
+            (i, r) for i, r in enumerate(requests) if not isinstance(r, expected)
+        )
+        raise SchedulingError(
+            f"mixed request queue: element {index} is "
+            f"{type(request).__name__}, expected {expected.__name__} "
+            "(queues must be all RequestClass or all ServingRequest)"
+        )
+    if expected is ServingRequest:
+        first_index: dict[int, int] = {}
+        for index, request in enumerate(requests):
+            for name, fresh in _FRESH_OUTCOME.items():
+                value = getattr(request, name)
+                if value != fresh:
+                    raise SchedulingError(
+                        f"element {index} (request {request.request_id}) already "
+                        f"carries state from an earlier drain ({name}={value!r}); "
+                        "build a fresh queue per drain"
+                    )
+            earlier = first_index.setdefault(request.request_id, index)
+            if earlier != index:
+                raise SchedulingError(
+                    f"elements {earlier} and {index} share request id "
+                    f"{request.request_id}; request ids must be unique in a queue"
+                )
+    return expected
+
+
+class _Queue:
+    """A drain's validated input queue, described without building it.
+
+    ``ids``, ``classes`` and ``times`` give every request's id, shape and
+    arrival time in queue order, and ``order`` lists the queue positions in
+    arrival order.  ``requests`` holds each position's
+    :class:`ServingRequest` once it exists: every element of a caller-built
+    queue, stamped in place, but for bare :class:`RequestClass` shapes only
+    those :meth:`request` has built -- a folded drain builds just the
+    requests it simulates.
+    """
+
+    def __init__(
+        self,
+        requests: Sequence[RequestClass] | Sequence[ServingRequest],
+        arrivals: ArrivalProcess | None = None,
+    ) -> None:
+        n = len(requests)
+        if _validated_kind(requests) is ServingRequest:
+            self.requests: list = list(requests)
+            if arrivals is not None:
+                arrivals.assign(self.requests)
+            self.ids: Sequence[int] = [r.request_id for r in self.requests]
+            self.classes = [r.request_class for r in self.requests]
+            self.times = [r.arrival_time for r in self.requests]
+            self.order: Sequence[int] = sorted(
+                range(n), key=lambda i: (self.times[i], self.ids[i])
+            )
+        else:
+            # Bare shapes take their position as id and non-decreasing
+            # times, so queue order already is arrival order.
+            self.requests = [None] * n
+            self.ids = self.order = range(n)
+            self.classes = list(requests)
+            self.times = (
+                arrivals.checked_times(n) if arrivals is not None else [0.0] * n
+            )
+
+    def request(self, position: int) -> ServingRequest:
+        """The request at queue ``position``, built on first use."""
+        request = self.requests[position]
+        if request is None:
+            request = self.requests[position] = ServingRequest(
+                position, self.classes[position], self.times[position]
+            )
+        return request
+
+
 def as_request_queue(
     requests: Sequence[RequestClass] | Sequence[ServingRequest],
 ) -> list[ServingRequest]:
@@ -122,37 +213,16 @@ def as_request_queue(
 
     Every element is type-checked (mixed queues raise with the offending
     index); bare :class:`RequestClass` shapes are wrapped as an id-ordered
-    all-at-time-zero queue.  A :class:`ServingRequest` must be fresh --
-    every :attr:`~ServingRequest.OUTCOME_FIELDS` entry at its default: one
-    that already carries state from an earlier drain raises with its index
-    and the first stale field, since a drain mutates its requests in place
-    and every report shares them.
+    all-at-time-zero queue, unique by construction.  A
+    :class:`ServingRequest` must be fresh -- every
+    :attr:`~ServingRequest.OUTCOME_FIELDS` entry at its default: one that
+    already carries state from an earlier drain raises with its index and
+    the first stale field, since a drain mutates its requests in place and
+    every report shares them -- and must carry a request id no other
+    element carries: a repeated id raises naming both indices.
     """
-    if not requests:
-        raise SchedulingError("cannot drain an empty request queue")
-    expected: type = (
-        ServingRequest if isinstance(requests[0], ServingRequest) else RequestClass
-    )
-    for index, request in enumerate(requests):
-        if not isinstance(request, expected):
-            raise SchedulingError(
-                f"mixed request queue: element {index} is "
-                f"{type(request).__name__}, expected {expected.__name__} "
-                "(queues must be all RequestClass or all ServingRequest)"
-            )
-        if expected is not ServingRequest:
-            continue
-        for name, fresh in _FRESH_OUTCOME.items():
-            value = getattr(request, name)
-            if value != fresh:
-                raise SchedulingError(
-                    f"element {index} (request {request.request_id}) already "
-                    f"carries state from an earlier drain ({name}={value!r}); "
-                    "build a fresh queue per drain"
-                )
-    if expected is ServingRequest:
-        return list(requests)  # type: ignore[arg-type]
-    return make_request_queue(list(requests))  # type: ignore[arg-type]
+    queue = _Queue(requests)
+    return [queue.request(position) for position in range(len(queue.requests))]
 
 
 def check_report_conservation(
@@ -419,13 +489,16 @@ class ClusterScheduler:
         simulation starts; without it requests keep the arrival times they
         carry (zero for queues built from bare :class:`RequestClass`
         shapes -- the classic offline drain).
+
+        A caller-built :class:`ServingRequest` queue is validated and
+        stamped in place, and the drain writes each simulated request's
+        outcome into it.  A folded drain simulates only its representative
+        slices, so it writes outcomes only into those requests; every other
+        request's outcome is in the report's ``requests`` view.
         """
-        queue = as_request_queue(requests)
-        if arrivals is not None:
-            arrivals.assign(queue)
+        queue = _Queue(requests, arrivals)
         self.router.reset()
-        ordered = sorted(queue, key=_arrival_order)
-        fold = self._fold_plan(ordered)
+        fold = self._fold_plan(queue)
         sim = Simulator()
         # Snapshot the (shared, monotonic) clamp counters so this drain's
         # report covers only its own off-grid queries; distinct models only,
@@ -435,19 +508,21 @@ class ClusterScheduler:
             key: model.clamp_counters() for key, model in step_times.items()
         }
 
-        # The engine plan: ``engines`` are simulated, ``backing[i]`` is the
-        # engine whose outcome node i reports.
+        # The engine plan: one engine per node group, led by the node it
+        # simulates -- every node alone, or the fold plan's groups.
         if fold is None:
-            engines = [NodeEngine(node, self.policy, sim) for node in self.nodes]
-            backing = engines
+            groups = [[index] for index in range(len(self.nodes))]
+            ordered = [queue.request(position) for position in queue.order]
         else:
             slices, groups = fold
-            engines, backing = [], [None] * len(self.nodes)
-            for members in groups:
-                engine = NodeEngine(self.nodes[members[0]], self.policy, sim)
-                engines.append(engine)
-                for index in members:
-                    backing[index] = engine
+            # Only representative slices are simulated, so only they are built.
+            ordered = sorted(
+                (queue.request(p) for members in groups for p in slices[members[0]]),
+                key=_arrival_order,
+            )
+        engines = [
+            NodeEngine(self.nodes[members[0]], self.policy, sim) for members in groups
+        ]
 
         # The feed: the dispatcher with one per-request step, or (one node,
         # no driver, no fold) the preload.
@@ -455,20 +530,16 @@ class ClusterScheduler:
         autoscaler: Autoscaler | None = None
         feed: list[ServingRequest] | None = ordered
         if fold is not None:
-            # Only representative slices are simulated; the plan places
-            # each of their requests on its group's engine.
+            # The plan places each representative request on its group's
+            # engine.
             target = {
-                id(request): engine
+                queue.ids[position]: engine
                 for engine, members in zip(engines, groups)
-                for request in slices[members[0]]
+                for position in slices[members[0]]
             }
-            feed = sorted(
-                (r for members in groups for r in slices[members[0]]),
-                key=_arrival_order,
-            )
 
             def step(request: ServingRequest) -> None:
-                target[id(request)].enqueue(request)
+                target[request.request_id].enqueue(request)
 
         elif self._needs_driver:
             driver = FaultDriver(
@@ -534,16 +605,16 @@ class ClusterScheduler:
                 engine.assert_drained()
             sim.sanitize_check_drained()
         notes = self._step_time_notes(step_times, counters_before)
-        if fold is None:
-            assigned = [engine.assigned for engine in engines]
-        else:
-            assigned = slices
-            self._mirror(slices, groups)
-        breakdowns = tuple(
-            node_breakdown(
+        # One tally and one breakdown per group; the other members report
+        # the representative's breakdown under their own names.
+        tallies = [RequestTally(engine.assigned) for engine in engines]
+        breakdowns: list = [None] * len(self.nodes)
+        for engine, members, tally in zip(engines, groups, tallies):
+            node = engine.node
+            breakdown = node_breakdown(
                 node.name,
                 node.system,
-                share,
+                tally,
                 makespan_seconds=sim.now,
                 peak_kv_reserved_bytes=engine.tracker.peak_reserved_bytes,
                 kv_capacity_bytes=node.budget.kv_capacity_bytes,
@@ -555,31 +626,27 @@ class ClusterScheduler:
                 kv_tiers=engine.tier_reports(),
                 spilled_decode_seconds=engine.spilled_decode_seconds,
             )
-            for node, engine, share in zip(self.nodes, backing, assigned)
-        )
-        if fold is not None and sim.sanitizer is not None:
-            # Mirroring invariant: the summed breakdowns must equal each
-            # representative's totals scaled by its group multiplicity --
-            # the same mirrored-sum arithmetic device-level symmetry uses.
-            mirrored_tokens = sum(
-                mirrored_sum(
-                    [slices[members[0]]],
-                    lambda rep_slice: sum(
-                        r.tokens_generated for r in rep_slice if r.finished
-                    ),
-                    multiplier=len(members),
-                )
-                for members in groups
-            )
-            breakdown_tokens = sum(b.generated_tokens for b in breakdowns)
-            if mirrored_tokens != breakdown_tokens:
-                raise SanitizerError(
-                    f"mirrored representative totals ({mirrored_tokens} "
-                    f"tokens) disagree with the summed node breakdowns "
-                    f"({breakdown_tokens})",
-                    invariant="fold-conservation",
-                    sim_time=sim.now,
-                )
+            breakdowns[members[0]] = breakdown
+            for index in members[1:]:
+                breakdowns[index] = replace(breakdown, node=self.nodes[index].name)
+        if fold is None:
+            reported, fleet_tally = queue.requests, None
+        else:
+            reported = self._folded_view(queue, slices, groups)
+            fleet_tally = RequestTally.merged(zip(tallies, map(len, groups)))
+            if sim.sanitizer is not None:
+                # Fold conservation: one full pass over the view, building
+                # every mirrored request, must re-tally to the merged group
+                # tallies.
+                expected = fleet_tally.figures()
+                for name, value in RequestTally(reported).figures().items():
+                    if value != expected[name]:
+                        raise SanitizerError(
+                            f"folded requests re-tally to {name}={value!r} but "
+                            f"the merged group tallies give {expected[name]!r}",
+                            invariant="fold-conservation",
+                            sim_time=sim.now,
+                        )
         # The label decision: a 1-node drain outside the fault driver
         # reports as the single host it is (the system's name, no router,
         # no fleet path unless it folded); every other drain as a fleet.
@@ -589,9 +656,9 @@ class ClusterScheduler:
             report = build_report(
                 self.nodes[0].system,
                 self.policy.name,
-                queue,
+                reported,
                 sim.now,
-                breakdowns,
+                tuple(breakdowns),
                 step_time_notes=notes,
                 fleet_symmetry=symmetry,
             )
@@ -600,15 +667,16 @@ class ClusterScheduler:
                 fleet_name=self.fleet_name,
                 policy_name=self.policy.name,
                 router_name=self.router.name,
-                requests=queue,
+                requests=reported,
                 makespan_seconds=sim.now,
-                node_reports=breakdowns,
+                node_reports=tuple(breakdowns),
                 step_time_notes=notes,
                 sheds=tuple(driver.sheds) if driver is not None else (),
                 scale_events=(
                     tuple(autoscaler.events) if autoscaler is not None else ()
                 ),
                 fleet_symmetry=symmetry,
+                tally=fleet_tally,
             )
         if sim.sanitizer is not None:
             check_report_conservation(report, sim_time=sim.now)
@@ -642,19 +710,20 @@ class ClusterScheduler:
     # --- folding ----------------------------------------------------------------
 
     def _fold_plan(
-        self, ordered: list[ServingRequest]
-    ) -> tuple[list[list[ServingRequest]], list[list[int]]] | None:
+        self, queue: _Queue
+    ) -> tuple[list[list[int]], list[list[int]]] | None:
         """Partition the stream per the router's cycle and group the nodes.
 
         Returns ``None`` when this drain must simulate every node:
         ``fleet_symmetry="full"``, an ineligible fleet under ``"auto"``, or
         a single node under ``"auto"`` (which keeps the preload feed).
         Otherwise returns ``(slices, groups)``: every node's slice of the
-        arrival stream (FCFS order, from
+        arrival stream as queue positions in FCFS order (from
         :meth:`~repro.serving.routers.Router.static_assignments`), and the
-        node groups whose slices are identical position by position (same
-        request classes and arrival times), each led by its
-        representative -- the lowest node index, the one node simulated.
+        node groups whose slices agree position by position in request
+        class and arrival time, each led by its representative -- the
+        lowest node index, the one node simulated.  The plan reads only the
+        queue's class and time lists; it builds no request.
         """
         if self.fleet_symmetry == "full":
             return None
@@ -662,39 +731,52 @@ class ClusterScheduler:
             len(self.nodes) == 1 or self._fold_ineligibility() is not None
         ):
             return None
-        assignments = self.router.static_assignments(len(ordered), len(self.nodes))
-        if len(assignments) != len(ordered) or any(
-            not 0 <= index < len(self.nodes) for index in assignments
+        n_requests, n_nodes = len(queue.order), len(self.nodes)
+        assignments = self.router.static_assignments(n_requests, n_nodes)
+        if (
+            len(assignments) != n_requests
+            or min(assignments) < 0
+            or max(assignments) >= n_nodes
         ):
             raise SchedulingError(
                 f"router {self.router.name!r} produced an invalid static "
-                f"assignment for {len(ordered)} requests over "
-                f"{len(self.nodes)} nodes"
+                f"assignment for {n_requests} requests over {n_nodes} nodes"
             )
-        slices: list[list[ServingRequest]] = [[] for _ in self.nodes]
-        for request, node_index in zip(ordered, assignments):
-            slices[node_index].append(request)
-        groups: dict[tuple, list[int]] = {}
-        for index, piece in enumerate(slices):
-            signature = tuple((r.request_class, r.arrival_time) for r in piece)
-            groups.setdefault(signature, []).append(index)
-        return slices, list(groups.values())
+        slices: list[list[int]] = [[] for _ in self.nodes]
+        for position, node_index in zip(queue.order, assignments):
+            slices[node_index].append(position)
+        # Group on the hashable time sequence, then compare shapes by value
+        # (identical class objects compare at C speed, no dataclass hash).
+        groups: list[list[int]] = []
+        by_times: dict[tuple[float, ...], list[tuple[list, list[int]]]] = {}
+        for index, positions in enumerate(slices):
+            shapes = list(map(queue.classes.__getitem__, positions))
+            candidates = by_times.setdefault(
+                tuple(map(queue.times.__getitem__, positions)), []
+            )
+            for group_shapes, members in candidates:
+                if group_shapes == shapes:
+                    members.append(index)
+                    break
+            else:
+                groups.append([index])
+                candidates.append((shapes, groups[-1]))
+        return slices, groups
 
     @staticmethod
-    def _mirror(
-        slices: list[list[ServingRequest]], groups: list[list[int]]
-    ) -> None:
-        """Mirror each representative slice onto the rest of its group.
-
-        Every other member node's slice copies the representative slice's
-        outcomes positionally.  The queue shares these request objects, so
-        the report sees fully populated requests.
-        """
-        for representative, *mirrors in groups:
-            rep_slice = slices[representative]
-            for index in mirrors:
-                for mirror, original in zip(slices[index], rep_slice):
-                    mirror.copy_outcome_from(original)
+    def _folded_view(
+        queue: _Queue, slices: list[list[int]], groups: list[list[int]]
+    ) -> FoldedRequests:
+        """A folded drain's requests: each group member's slice position
+        carries the outcome of the representative's request at the same
+        position."""
+        sources: list = [None] * len(queue.requests)
+        for members in groups:
+            simulated = [queue.requests[p] for p in slices[members[0]]]
+            for index in members:
+                for position, request in zip(slices[index], simulated):
+                    sources[position] = request
+        return FoldedRequests(queue.ids, queue.classes, queue.times, sources)
 
     def _step_time_notes(self, step_times: dict, counters_before: dict) -> dict:
         """Per-drain clamp summaries, merged across the fleet's models.

@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain, repeat
+from typing import Iterable, Sequence
 
 from repro.analysis.cost import CostModel
 from repro.baselines.base import InferenceSystem
 from repro.errors import SchedulingError
-from repro.serving.request import ServingRequest
+from repro.serving.request import FoldedRequests, ServingRequest
 
 
 def percentile(values: list[float], fraction: float) -> float:
@@ -22,9 +24,37 @@ def percentile(values: list[float], fraction: float) -> float:
         raise SchedulingError("percentile of an empty sample")
     if not 0.0 < fraction <= 1.0:
         raise SchedulingError(f"percentile fraction {fraction} outside (0, 1]")
-    ordered = sorted(values)
-    rank = max(1, math.ceil(fraction * len(ordered)))
-    return ordered[rank - 1]
+    return _nearest_ranks([(values, 1)], (fraction,))[0]
+
+
+def _nearest_ranks(
+    runs: list[tuple[list[float], int]], fractions: tuple[float, ...]
+) -> tuple[float, ...]:
+    """Nearest-rank percentiles of a multiset given as ``(samples,
+    multiplicity)`` runs: one sort of the runs' samples, then a walk of the
+    cumulative multiplicities up to each (ascending) fraction's rank."""
+    ordered = sorted((value, times) for values, times in runs for value in values)
+    total = sum(times for _, times in ordered)
+    picks = []
+    seen, index = 0, -1
+    for fraction in fractions:
+        rank = max(1, math.ceil(fraction * total))
+        while seen < rank:
+            index += 1
+            seen += ordered[index][1]
+        picks.append(ordered[index][0])
+    return tuple(picks)
+
+
+def _mean(runs: list[tuple[list[float], int]], count: int) -> float:
+    """Mean of a ``count``-sample multiset given as ``(samples,
+    multiplicity)`` runs: one correctly rounded :func:`math.fsum`."""
+    if not count:
+        return 0.0
+    multiset = chain.from_iterable(
+        chain.from_iterable(repeat(samples, times)) for samples, times in runs
+    )
+    return math.fsum(multiset) / count
 
 
 def system_cost_model(system: InferenceSystem) -> CostModel:
@@ -94,35 +124,32 @@ def merge_tier_reports(
     Tiers merge by name in first-seen stack order; hit rates are
     recomputed over the fleet-wide read bytes.  Flat nodes contribute
     nothing, so a mixed flat/tiered fleet reports only the tiered share.
+    Every total is a correctly rounded :func:`math.fsum`.
     """
-    order: list[str] = []
-    totals: dict[str, list[float]] = {}
+    by_name: dict[str, list[TierReport]] = {}
     for node in node_reports:
         for tier in node.kv_tiers:
-            if tier.tier not in totals:
-                order.append(tier.tier)
-                totals[tier.tier] = [0.0, 0.0, 0.0, 0.0, 0.0]
-            entry = totals[tier.tier]
-            entry[0] += tier.capacity_bytes
-            entry[1] += tier.peak_occupied_bytes
-            entry[2] += tier.demoted_bytes
-            entry[3] += tier.promoted_bytes
-            entry[4] += tier.decode_read_bytes
-    total_reads = sum(entry[4] for entry in totals.values())
-    return tuple(
-        TierReport(
-            tier=name,
-            capacity_bytes=totals[name][0],
-            peak_occupied_bytes=totals[name][1],
-            demoted_bytes=totals[name][2],
-            promoted_bytes=totals[name][3],
-            decode_read_bytes=totals[name][4],
-            hit_rate=(
-                totals[name][4] / total_reads if total_reads > 0.0 else 0.0
-            ),
-        )
-        for name in order
+            by_name.setdefault(tier.tier, []).append(tier)
+    total_reads = math.fsum(
+        tier.decode_read_bytes for tiers in by_name.values() for tier in tiers
     )
+    merged = []
+    for name, tiers in by_name.items():
+        reads = math.fsum(tier.decode_read_bytes for tier in tiers)
+        merged.append(
+            TierReport(
+                tier=name,
+                capacity_bytes=math.fsum(tier.capacity_bytes for tier in tiers),
+                peak_occupied_bytes=math.fsum(
+                    tier.peak_occupied_bytes for tier in tiers
+                ),
+                demoted_bytes=math.fsum(tier.demoted_bytes for tier in tiers),
+                promoted_bytes=math.fsum(tier.promoted_bytes for tier in tiers),
+                decode_read_bytes=reads,
+                hit_rate=reads / total_reads if total_reads > 0.0 else 0.0,
+            )
+        )
+    return tuple(merged)
 
 
 @dataclass(frozen=True)
@@ -235,7 +262,10 @@ class ServingReport:
     #: ``"full"`` when every node was simulated, ``""`` for single-node
     #: legacy-shape reports.
     fleet_symmetry: str = ""
-    requests: list[ServingRequest] = field(default_factory=list, repr=False)
+    #: Every request of the queue, in queue order: a list, or for a folded
+    #: drain a read-only :class:`~repro.serving.request.FoldedRequests`
+    #: view that builds each mirrored request when it is accessed.
+    requests: Sequence[ServingRequest] = field(default_factory=list, repr=False)
     #: Structured warnings from the step-time model (e.g. queries clamped to
     #: the calibration grid edge); empty when the drain stayed on-grid.
     step_time_notes: dict = field(default_factory=dict)
@@ -275,20 +305,40 @@ class ServingReport:
                 sums.setdefault(request.request_class.name, []).append(
                     request.latency_seconds
                 )
-        return {name: sum(vals) / len(vals) for name, vals in sums.items()}
+        return {name: math.fsum(vals) / len(vals) for name, vals in sums.items()}
 
 
-class _Tally:
-    """One pass over a drain's (or one node's) requests.
+class RequestTally:
+    """Report figures over a multiset of requests.
 
-    Every report figure that sums over requests comes from here, so the
-    node breakdowns and the drain report aggregate identically.  Latency
-    and queueing samples stay in request order and are averaged with
-    ``sum()``: a float sum depends on its order, and this one keeps
-    reports bit-stable.
+    One pass over a list of requests builds it; :meth:`merged` combines
+    tallies with multiplicities -- a folded drain's group tallies, each
+    counted once per group member -- without visiting a request again.
+    Every report figure that sums over requests comes from here, so node
+    breakdowns, drain reports and folded fleets aggregate identically.
+    Integer counters add, latency and queueing samples stay as
+    ``(samples, multiplicity)`` runs, means are one correctly rounded
+    :func:`math.fsum` over the multiset, and percentiles are weighted
+    nearest-rank over one sort.  No figure depends on request order or on
+    how the multiset was split, so a merged tally equals the one-pass
+    tally of the requests it stands for bit for bit, on every Python
+    version (3.12's builtin ``sum()`` is compensated, 3.10's and 3.11's is
+    not).
     """
 
-    def __init__(self, requests: list[ServingRequest]) -> None:
+    #: Integer counters, summed over requests (times their multiplicity).
+    COUNTERS = (
+        "n_requests",
+        "completed",
+        "generated_tokens",
+        "preemptions",
+        "wasted_prefill_tokens",
+        "migrations",
+        "migrated_recompute_tokens",
+        "retry_attempts",
+    )
+
+    def __init__(self, requests: Sequence[ServingRequest] = ()) -> None:
         latencies: list[float] = []
         queueing: list[float] = []
         generated = preemptions = wasted = migrations = migrated = retries = 0
@@ -304,28 +354,53 @@ class _Tally:
             retries += request.retry_attempts
         self.n_requests = len(requests)
         self.completed = len(latencies)
-        self.queueing = queueing
         self.generated_tokens = generated
         self.preemptions = preemptions
         self.wasted_prefill_tokens = wasted
         self.migrations = migrations
         self.migrated_recompute_tokens = migrated
         self.retry_attempts = retries
-        self.mean_latency_seconds = (
-            sum(latencies) / len(latencies) if latencies else 0.0
-        )
+        #: Completed requests' latency and queueing samples, as
+        #: ``(samples, multiplicity)`` runs.
+        self.latency_runs = [(latencies, 1)]
+        self.queueing_runs = [(queueing, 1)]
+        self._summarise()
+
+    @classmethod
+    def merged(cls, parts: Iterable[tuple["RequestTally", int]]) -> "RequestTally":
+        """The tally of every ``(tally, multiplicity)`` part's requests,
+        each counted ``multiplicity`` times."""
+        tally = cls()
+        tally.latency_runs, tally.queueing_runs = [], []
+        for part, copies in parts:
+            for name in cls.COUNTERS:
+                total = getattr(tally, name) + copies * getattr(part, name)
+                setattr(tally, name, total)
+            tally.latency_runs += [(s, m * copies) for s, m in part.latency_runs]
+            tally.queueing_runs += [(s, m * copies) for s, m in part.queueing_runs]
+        tally._summarise()
+        return tally
+
+    def _summarise(self) -> None:
+        self.mean_latency_seconds = _mean(self.latency_runs, self.completed)
+        self.mean_queueing_seconds = _mean(self.queueing_runs, self.completed)
         #: Nearest-rank p50, p95 and p99 latency (zeros when none finished).
         self.percentiles = (
-            tuple(percentile(latencies, f) for f in (0.50, 0.95, 0.99))
-            if latencies
+            _nearest_ranks(self.latency_runs, (0.50, 0.95, 0.99))
+            if self.completed
             else (0.0, 0.0, 0.0)
         )
+
+    def figures(self) -> dict[str, object]:
+        """Every report-facing figure, by name (for cross-checks)."""
+        means = ("mean_latency_seconds", "mean_queueing_seconds", "percentiles")
+        return {name: getattr(self, name) for name in self.COUNTERS + means}
 
 
 def node_breakdown(
     node_name: str,
     system: InferenceSystem,
-    assigned: list[ServingRequest],
+    tally: RequestTally,
     makespan_seconds: float,
     peak_kv_reserved_bytes: float,
     kv_capacity_bytes: float,
@@ -339,15 +414,15 @@ def node_breakdown(
 ) -> NodeBreakdown:
     """Summarise one node's share of a drain into a :class:`NodeBreakdown`.
 
-    ``migrations``/``migrated_recompute_tokens``/``downtime_seconds`` come
-    from the engine's fault counters (zero on fault-free drains), and
-    ``shed_requests``/``shed_retry_attempts`` from its overload counters
-    (sheds charge the node whose backlog turned the request away; retry
-    attempts of requests that landed here travel with the requests).  A
-    node that was down part of the drain is billed only its uptime
-    fraction of the capital cost (see :func:`uptime_billing`).
+    ``tally`` is the :class:`RequestTally` of the requests the node
+    served.  ``migrations``/``migrated_recompute_tokens``/
+    ``downtime_seconds`` come from the engine's fault counters (zero on
+    fault-free drains), and ``shed_requests``/``shed_retry_attempts`` from
+    its overload counters (sheds charge the node whose backlog turned the
+    request away; retry attempts of requests that landed here travel with
+    the requests).  A node that was down part of the drain is billed only
+    its uptime fraction of the capital cost (see :func:`uptime_billing`).
     """
-    tally = _Tally(assigned)
     rate = (
         tally.generated_tokens / makespan_seconds if makespan_seconds > 0 else 0.0
     )
@@ -394,6 +469,7 @@ def build_fleet_report(
     sheds: tuple = (),
     scale_events: tuple = (),
     fleet_symmetry: str = "full",
+    tally: RequestTally | None = None,
 ) -> ServingReport:
     """Merge per-node shares of a cluster drain into one fleet report.
 
@@ -404,14 +480,18 @@ def build_fleet_report(
     ``sheds`` / ``scale_events`` carry the overload and autoscale
     timelines; a drain that shed *everything* still reports (with zeroed
     latency figures) -- structured degradation, not an exception.
+    ``tally`` is the :class:`RequestTally` of ``requests`` when the caller
+    already holds it (a folded drain merges its group tallies); otherwise
+    one pass over ``requests`` builds it.
     """
-    tally = _Tally(requests)
+    if tally is None:
+        tally = RequestTally(requests)
     if not tally.completed and not sheds:
         raise SchedulingError("drain completed no requests; nothing to report")
     if makespan_seconds <= 0:
         raise SchedulingError("drain makespan must be positive")
     tokens_per_second = tally.generated_tokens / makespan_seconds
-    fleet_cost_usd = sum(node.cost_usd for node in node_reports)
+    fleet_cost_usd = math.fsum(node.cost_usd for node in node_reports)
     p50, p95, p99 = tally.percentiles
     return ServingReport(
         system=fleet_name,
@@ -425,11 +505,11 @@ def build_fleet_report(
         p95_latency_seconds=p95,
         p50_latency_seconds=p50,
         p99_latency_seconds=p99,
-        mean_queueing_seconds=(
-            sum(tally.queueing) / tally.completed if tally.completed else 0.0
+        mean_queueing_seconds=tally.mean_queueing_seconds,
+        peak_kv_reserved_bytes=math.fsum(
+            n.peak_kv_reserved_bytes for n in node_reports
         ),
-        peak_kv_reserved_bytes=sum(n.peak_kv_reserved_bytes for n in node_reports),
-        kv_capacity_bytes=sum(n.kv_capacity_bytes for n in node_reports),
+        kv_capacity_bytes=math.fsum(n.kv_capacity_bytes for n in node_reports),
         system_cost_usd=fleet_cost_usd,
         tokens_per_second_per_usd=(
             tokens_per_second / fleet_cost_usd if fleet_cost_usd > 0 else 0.0
@@ -438,12 +518,15 @@ def build_fleet_report(
         wasted_prefill_tokens=tally.wasted_prefill_tokens,
         migrations=tally.migrations,
         migrated_recompute_tokens=tally.migrated_recompute_tokens,
-        downtime_seconds=sum(n.downtime_seconds for n in node_reports),
+        downtime_seconds=math.fsum(n.downtime_seconds for n in node_reports),
         shed_requests=len(sheds),
         retry_attempts=tally.retry_attempts,
         goodput_tokens_per_s=tokens_per_second,
         fleet_symmetry=fleet_symmetry,
-        requests=list(requests),
+        # A folded drain's read-only view is kept as is; a list is copied.
+        requests=(
+            requests if isinstance(requests, FoldedRequests) else list(requests)
+        ),
         step_time_notes=dict(step_time_notes or {}),
         router=router_name,
         node_reports=node_reports,
@@ -455,7 +538,7 @@ def build_fleet_report(
             if n.billing_note is not None
         ),
         kv_tiers=merge_tier_reports(node_reports),
-        spilled_decode_seconds=sum(
+        spilled_decode_seconds=math.fsum(
             n.spilled_decode_seconds for n in node_reports
         ),
     )

@@ -23,16 +23,20 @@ request that keeps landing on dying nodes eventually fails the drain
 instead of looping forever.
 
 **Fleet folding.** A representative fleet drain (:mod:`repro.serving.cluster`)
-simulates one node per symmetric node group and copies each request's
-outcome onto the matching requests of the mirrored nodes with
-:meth:`ServingRequest.copy_outcome_from`; :attr:`ServingRequest.OUTCOME_FIELDS`
-names that outcome, which is also every field a fresh request must still
-hold at its default (see :func:`repro.serving.cluster.as_request_queue`).
+simulates one node per symmetric node group and builds a request only for
+the representative slices.  Its report's requests are a
+:class:`FoldedRequests` view: a request a mirrored node would have served
+is built when it is accessed, with its own id, class and arrival time and
+the outcome of the simulated request at the same slice position.
+:attr:`ServingRequest.OUTCOME_FIELDS` names that outcome, which is also
+every field a fresh request must still hold at its default (see
+:func:`repro.serving.cluster.as_request_queue`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator, Sequence
 
 from repro.errors import SchedulingError
 from repro.models.config import ModelConfig
@@ -192,13 +196,13 @@ class ServingRequest:
         self.wasted_prefill_tokens += dropped_tokens
         self.prefill_tokens_done = 0
 
-    # --- outcome (mirrored by representative fleet drains) -----------------------
+    # --- outcome ------------------------------------------------------------------
 
-    #: Per-request lifecycle state a drain writes: what a representative
-    #: fleet drain copies onto mirrored requests, and what a request fresh
-    #: enough to drain must still hold at its default.  ``kv_holder``
-    #: belongs here too: a request still naming a holder has KV bytes
-    #: held on that node's ledger.
+    #: Per-request lifecycle state a drain writes: what a folded drain's
+    #: mirrored requests share with their simulated request, and what a
+    #: request fresh enough to drain must still hold at its default.
+    #: ``kv_holder`` belongs here too: a request still naming a holder has
+    #: KV bytes held on that node's ledger.
     OUTCOME_FIELDS = (
         "admitted_time",
         "last_admitted_time",
@@ -216,11 +220,6 @@ class ServingRequest:
         "shed_reason",
         "spilled_decode_seconds",
     )
-
-    def copy_outcome_from(self, other: "ServingRequest") -> None:
-        """Copy ``other``'s dynamic lifecycle state onto this request."""
-        for name in self.OUTCOME_FIELDS:
-            setattr(self, name, getattr(other, name))
 
     def kv_reservation_bytes(self, model: ModelConfig) -> float:
         """KV bytes this request occupies at its *final* context length.
@@ -268,3 +267,82 @@ def make_request_queue(
         )
         for i, cls in enumerate(classes)
     ]
+
+
+class FoldedRequests(Sequence[ServingRequest]):
+    """A folded drain's requests in queue order: a read-only sequence view.
+
+    Position ``i`` holds request ``ids[i]`` of class ``classes[i]``
+    arriving at ``times[i]``, and carries the outcome of ``sources[i]``,
+    the simulated request at the same slice position of its node group's
+    representative.  A simulated request is returned as it is; any other
+    is built on access and not cached, so the view holds only the
+    simulated requests and a full pass over it holds one mirror at a time.
+    Request ids are unique within a queue, so a position is simulated
+    exactly when its source carries its id.
+    """
+
+    def __init__(
+        self,
+        ids: Sequence[int],
+        classes: Sequence[RequestClass],
+        times: Sequence[float],
+        sources: Sequence[ServingRequest],
+    ) -> None:
+        self._ids = ids
+        self._classes = classes
+        self._times = times
+        self._sources = sources
+
+    def __len__(self) -> int:
+        return len(self._sources)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        source = self._sources[index]
+        request_id = self._ids[index]
+        if source.request_id == request_id:
+            return source
+        return self._mirror(
+            source, request_id, self._classes[index], self._times[index]
+        )
+
+    def __iter__(self) -> Iterator[ServingRequest]:
+        mirror = self._mirror
+        for request_id, shape, time, source in zip(
+            self._ids, self._classes, self._times, self._sources
+        ):
+            if source.request_id == request_id:
+                yield source
+            else:
+                yield mirror(source, request_id, shape, time)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (list, FoldedRequests)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+    @staticmethod
+    def _mirror(
+        source: ServingRequest,
+        request_id: int,
+        request_class: RequestClass,
+        arrival_time: float,
+    ) -> ServingRequest:
+        """``source``'s outcome under another request's identity.
+
+        A copy of ``source``'s attribute dict, several times cheaper than
+        :func:`dataclasses.replace`: a pass over a large folded fleet builds
+        one mirror per mirrored request.
+        """
+        state = vars(source).copy()
+        state["request_id"] = request_id
+        state["request_class"] = request_class
+        state["arrival_time"] = arrival_time
+        mirror = object.__new__(ServingRequest)
+        mirror.__dict__ = state
+        return mirror

@@ -21,6 +21,7 @@ re-runs.
 from __future__ import annotations
 
 import abc
+from itertools import cycle, islice
 from typing import Sequence
 
 from repro.errors import ConfigurationError, SchedulingError
@@ -109,7 +110,7 @@ class RoundRobin(Router):
     def static_assignments(self, n_requests: int, n_nodes: int) -> list[int]:
         """Arrival position ``i`` lands on node ``i % n_nodes``, from a
         reset cursor -- exactly the cycle :meth:`route` walks."""
-        return [i % n_nodes for i in range(n_requests)]
+        return list(islice(cycle(range(n_nodes)), n_requests))
 
 
 class WeightedRoundRobin(Router):
@@ -160,7 +161,7 @@ class WeightedRoundRobin(Router):
                 f"router {self.name!r} carries {len(self.weights)} weights "
                 f"but was asked to place across {n_nodes} nodes"
             )
-        return [self._cycle[i % len(self._cycle)] for i in range(n_requests)]
+        return list(islice(cycle(self._cycle), n_requests))
 
 
 class LeastOutstandingTokens(Router):

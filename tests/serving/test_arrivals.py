@@ -9,6 +9,7 @@ import pytest
 from repro.errors import ConfigurationError, SchedulingError
 from repro.serving.arrivals import (
     AllAtOnce,
+    ArrivalProcess,
     BatchedArrivals,
     FixedRateArrivals,
     PoissonArrivals,
@@ -196,11 +197,43 @@ class TestTraceReplay:
             TraceReplay([float("inf")])
 
 
+class FixedTimes(ArrivalProcess):
+    """A custom process replaying exactly the times it was given."""
+
+    def __init__(self, times):
+        self.times = list(times)
+
+    def arrival_times(self, n):
+        return self.times[:n]
+
+
 class TestAssign:
     def test_stamps_queue_in_request_id_order(self):
         queue = make_request_queue([SHORT, MEDIUM, LONG])
         FixedRateArrivals(1.0).assign(queue)
         assert [r.arrival_time for r in queue] == [0.0, 1.0, 2.0]
+
+    def test_non_finite_time_rejected_with_process_and_index(self):
+        # A NaN time passes every ordering comparison; a drain on it would
+        # spin in the simulator instead of failing.
+        queue = make_request_queue([SHORT, SHORT])
+        with pytest.raises(SchedulingError, match="FixedTimes .*non-finite.* index 1"):
+            FixedTimes([0.0, float("nan")]).assign(queue)
+        assert [r.arrival_time for r in queue] == [0.0, 0.0]
+
+    def test_infinite_time_rejected(self):
+        with pytest.raises(SchedulingError, match="non-finite .*inf.* index 2"):
+            FixedTimes([0.0, 1.0, float("inf")]).checked_times(3)
+
+    def test_negative_and_decreasing_times_name_the_index(self):
+        with pytest.raises(SchedulingError, match="negative .* index 0"):
+            FixedTimes([-1.0, 0.0]).checked_times(2)
+        with pytest.raises(SchedulingError, match="decreasing .* index 2"):
+            FixedTimes([0.0, 2.0, 1.0]).checked_times(3)
+
+    def test_checked_times_are_floats(self):
+        assert FixedTimes([0, 1, 1]).checked_times(3) == [0.0, 1.0, 1.0]
+        assert all(type(t) is float for t in FixedTimes([0, 1]).checked_times(2))
 
     def test_make_request_queue_accepts_arrival_times(self):
         queue = make_request_queue([SHORT, LONG], arrival_times=[0.0, 3.0])
@@ -243,6 +276,43 @@ class TestBatchedArrivals:
             BatchedArrivals(0.0, 4)
         with pytest.raises(ConfigurationError):
             BatchedArrivals(1.0, 0)
+
+
+class TestNonFiniteRates:
+    """A NaN rate yields all-NaN times (a drain on them never ends) and an
+    infinite one stamps every arrival at t=0: both fail at construction."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "poisson:nan",
+            "poisson:inf",
+            "poisson:nan:3",
+            "burst:nan:4",
+            "burst:inf:4",
+            "rate:nan",
+            "rate:inf",
+        ],
+    )
+    def test_spec_rejected_naming_the_rate(self, spec):
+        rate = spec.split(":")[1]
+        match = f"finite and positive, got {rate}"
+        with pytest.raises(ConfigurationError, match=match):
+            parse_arrival_spec(spec)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda rate: PoissonArrivals(rate),
+            lambda rate: BatchedArrivals(rate, 4),
+            lambda rate: FixedRateArrivals(rate),
+        ],
+        ids=["poisson", "burst", "rate"],
+    )
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), float("-inf")])
+    def test_constructor_rejects_rate(self, build, rate):
+        with pytest.raises(ConfigurationError, match="finite and positive"):
+            build(rate)
 
 
 class TestParseSpec:

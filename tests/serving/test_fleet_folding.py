@@ -1,33 +1,38 @@
 """Property tests: fleet folding is equivalent to full simulation.
 
-The representative fleet drain must be *numerically indistinguishable*
-from simulating every node of a symmetric fleet:
+The representative fleet drain must be *bit-identical* to simulating
+every node of a symmetric fleet:
 
-* every numeric ``ServingReport`` field (makespan, throughput, latency
-  percentiles, preemption/waste totals) matches to 1e-9 relative
-  tolerance across policies x arrival processes x seeds;
-* every per-request outcome and every ``NodeBreakdown`` field matches the
-  same way -- mirrored nodes carry figures identical to their
+* every ``ServingReport`` field (makespan, throughput, latency means and
+  percentiles, preemption/waste totals) is equal across policies x
+  arrival processes x seeds -- report means are correctly rounded
+  ``math.fsum`` sums, so merging group tallies cannot move a bit;
+* every per-request outcome and every ``NodeBreakdown`` field is equal
+  too -- mirrored nodes carry figures identical to their
   representative's;
 * ineligible configurations (heterogeneous fleets, load-dependent
   routers, faults/overload/autoscale) transparently fall back to the
   full-fleet path under ``fleet_symmetry="auto"`` and refuse
   ``"representative"`` with a :class:`~repro.errors.ConfigurationError`
   naming the blocker;
-* the ``fold-conservation`` sanitizer invariant (the epilogue's
-  mirrored-sum check) catches a representative outcome that was not
-  mirrored onto its group.
+* the ``fold-conservation`` sanitizer invariant (the epilogue's re-tally
+  of the lazy request view against the merged group tallies) catches a
+  representative outcome that was not mirrored onto its group;
+* a folded drain builds only its representative slices' requests, so two
+  fleets with the same per-node load build as many requests and run as
+  many engine iterations whatever their node count.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.sanitizer import SanitizerError
+from repro.analysis.sanitizer import SANITIZE_ENV, SanitizerError
 from repro.core.config import HilosConfig
 from repro.core.runtime import HilosSystem
 from repro.errors import ConfigurationError
@@ -52,14 +57,14 @@ from repro.serving.cluster import (
     check_report_conservation,
 )
 from repro.serving.faults import parse_fault_spec
+from repro.serving.metrics import build_fleet_report
 from repro.serving.overload import parse_overload_spec
+from repro.serving.request import FoldedRequests, ServingRequest
 from repro.workloads import sample_request_classes
 from repro.workloads.requests import MEDIUM, SHORT
 
-REL = 1e-9
-
 #: Report fields that legitimately differ between the two paths (the mode
-#: marker) or need structured comparison instead of scalar closeness.
+#: marker) or need structured comparison field by field.
 REPORT_SKIP = {"fleet_symmetry", "requests", "node_reports"}
 
 #: Per-request outcome fields the two paths must agree on.
@@ -102,32 +107,22 @@ def symmetric_fleet(system, n, budget=None, chunk=None):
     ]
 
 
-def assert_rel_close(a, b, context):
-    if isinstance(a, (int, float)) and isinstance(b, (int, float)):
-        if a is None or b is None:
-            assert a == b, f"{context}: {a!r} != {b!r}"
-            return
-        if a != b:
-            rel = abs(a - b) / max(1e-12, abs(a))
-            assert rel <= REL, f"{context}: {a!r} vs {b!r} (rel {rel:.3e})"
-    else:
-        assert a == b, f"{context}: {a!r} != {b!r}"
+def assert_equal(a, b, context):
+    assert a == b, f"{context}: {a!r} != {b!r}"
 
 
 def assert_folded_matches_full(full, rep):
-    """Every report, breakdown, and per-request field within 1e-9."""
+    """Every report, breakdown, and per-request field bit for bit."""
     assert full.fleet_symmetry == "full"
     assert rep.fleet_symmetry == "representative"
     for f in dataclasses.fields(type(full)):
         if f.name in REPORT_SKIP:
             continue
-        assert_rel_close(
-            getattr(full, f.name), getattr(rep, f.name), f"report.{f.name}"
-        )
+        assert_equal(getattr(full, f.name), getattr(rep, f.name), f"report.{f.name}")
     assert len(full.node_reports) == len(rep.node_reports)
     for fb, rb in zip(full.node_reports, rep.node_reports):
         for f in dataclasses.fields(type(fb)):
-            assert_rel_close(
+            assert_equal(
                 getattr(fb, f.name),
                 getattr(rb, f.name),
                 f"node {fb.node}.{f.name}",
@@ -137,7 +132,7 @@ def assert_folded_matches_full(full, rep):
     assert [r.request_id for r in fa] == [r.request_id for r in fb]
     for x, y in zip(fa, fb):
         for name in REQUEST_FIELDS:
-            assert_rel_close(
+            assert_equal(
                 getattr(x, name), getattr(y, name), f"request {x.request_id}.{name}"
             )
 
@@ -180,7 +175,7 @@ ARRIVALS = [
 
 
 class TestFoldedEquivalence:
-    """ISSUE acceptance: folded vs unfolded within 1e-9 on every field."""
+    """Folded vs unfolded: every field equal, bit for bit."""
 
     N_REQUESTS = 48
 
@@ -416,8 +411,8 @@ class TestFoldFallback:
 
 
 class TestFoldConservation:
-    """The fold-conservation sanitizer invariant: mirrored representative
-    totals must equal the summed node breakdowns."""
+    """The fold-conservation sanitizer invariant: a full pass over the lazy
+    request view must re-tally to the merged group tallies."""
 
     def _report(self, system):
         return ClusterScheduler(
@@ -429,7 +424,7 @@ class TestFoldConservation:
 
     def test_sanitized_folded_drain_runs_the_invariant(self, system):
         # The folded drain under REPRO_SIM_SANITIZE=1 (the autouse test
-        # default) runs the mirror + mirrored-sum cross-check end to end.
+        # default) runs the view re-tally end to end.
         report = ClusterScheduler(
             symmetric_fleet(system, 4),
             ContinuousBatching(4),
@@ -440,11 +435,13 @@ class TestFoldConservation:
         assert report.all_completed
 
     def test_unmirrored_group_is_caught(self, system, monkeypatch):
-        # Without the mirror, the three mirrored nodes report no tokens,
-        # so their breakdowns fall short of the representative's totals
-        # times the group multiplicity.
+        # Without the mirror, the three mirrored nodes' requests come back
+        # fresh and unfinished, so the view re-tallies short of the group
+        # tallies times the group multiplicity.
         monkeypatch.setattr(
-            ClusterScheduler, "_mirror", staticmethod(lambda slices, groups: None)
+            FoldedRequests,
+            "_mirror",
+            staticmethod(lambda source, *identity: ServingRequest(*identity)),
         )
         scheduler = ClusterScheduler(
             symmetric_fleet(system, 4),
@@ -454,6 +451,131 @@ class TestFoldConservation:
         with pytest.raises(SanitizerError) as caught:
             scheduler.drain([SHORT] * 24)
         assert caught.value.invariant == "fold-conservation"
+
+
+class TestExactReportSums:
+    """Report means are correctly rounded sums, so they depend neither on
+    request order nor on the Python version's builtin ``sum()``."""
+
+    def test_ten_tenth_second_latencies_average_to_a_tenth(self):
+        requests = [
+            ServingRequest(
+                i,
+                SHORT,
+                admitted_time=0.0,
+                first_token_time=0.05,
+                completion_time=0.1,
+                tokens_generated=SHORT.output_tokens,
+            )
+            for i in range(10)
+        ]
+        report = build_fleet_report(
+            fleet_name="fleet",
+            policy_name="continuous",
+            router_name="round-robin",
+            requests=requests,
+            makespan_seconds=1.0,
+            node_reports=(),
+        )
+        assert report.mean_latency_seconds == 0.1
+
+    def test_shuffled_requests_report_bit_identically(self, system):
+        full = ClusterScheduler(
+            symmetric_fleet(system, 4),
+            ContinuousBatching(4),
+            router=RoundRobin(),
+            fleet_symmetry="full",
+        ).drain(
+            sample_request_classes(64, seed=3),
+            arrivals=PoissonArrivals(rate_per_second=2.0, seed=3),
+        )
+
+        def rebuild(requests):
+            return build_fleet_report(
+                fleet_name=full.system,
+                policy_name=full.policy,
+                router_name=full.router,
+                requests=requests,
+                makespan_seconds=full.makespan_seconds,
+                node_reports=full.node_reports,
+            )
+
+        reference = rebuild(list(full.requests))
+        floats = [
+            f.name
+            for f in dataclasses.fields(reference)
+            if isinstance(getattr(reference, f.name), float)
+        ]
+        assert "mean_latency_seconds" in floats
+        for seed in range(8):
+            shuffled = list(full.requests)
+            random.Random(seed).shuffle(shuffled)
+            report = rebuild(shuffled)
+            for name in floats:
+                assert getattr(report, name) == getattr(reference, name), (seed, name)
+
+
+class TestFoldScaling:
+    """A folded drain's work follows its representative slice: fleets with
+    the same per-node load build as many requests and run as many engine
+    iterations at 64 nodes as at 256."""
+
+    PER_NODE = 24
+
+    def drain(self, system, monkeypatch, n_nodes):
+        built: list[int] = []
+        mirrored: list[int] = []
+        iterations: list[int] = []
+
+        class CountingSteps(AnalyticStepTime):
+            def step_seconds(self, batch_size, seq_len):
+                iterations.append(batch_size)
+                return super().step_seconds(batch_size, seq_len)
+
+        step = CountingSteps(
+            base_seconds=1.0, per_token_seconds=1e-4, prefill_per_token_seconds=1e-3
+        )
+        nodes = [Node(system, step_time=step, name=f"node{i}") for i in range(n_nodes)]
+        scheduler = ClusterScheduler(
+            nodes,
+            ContinuousBatching(4),
+            router=RoundRobin(),
+            fleet_symmetry="representative",
+        )
+        init, mirror = ServingRequest.__init__, FoldedRequests._mirror
+
+        def counting_init(request, *args, **kwargs):
+            built.append(1)
+            init(request, *args, **kwargs)
+
+        def counting_mirror(*args):
+            mirrored.append(1)
+            return mirror(*args)
+
+        with monkeypatch.context() as patch:
+            # Unsanitized, as in production: the sanitizer's re-tally walks
+            # the whole view on purpose.
+            patch.setenv(SANITIZE_ENV, "0")
+            patch.setattr(ServingRequest, "__init__", counting_init)
+            patch.setattr(FoldedRequests, "_mirror", staticmethod(counting_mirror))
+            report = scheduler.drain(
+                [SHORT] * (self.PER_NODE * n_nodes),
+                arrivals=BatchedArrivals(0.05, 4 * n_nodes, seed=2),
+            )
+        assert report.fleet_symmetry == "representative"
+        assert report.all_completed
+        assert report.n_requests == len(report.requests) == self.PER_NODE * n_nodes
+        assert len(report.node_reports) == n_nodes
+        return len(built), len(mirrored), len(iterations)
+
+    def test_drain_work_does_not_grow_with_the_fleet(self, system, monkeypatch):
+        small = self.drain(system, monkeypatch, 64)
+        large = self.drain(system, monkeypatch, 256)
+        built, mirrored, iterations = small
+        assert built == self.PER_NODE
+        assert mirrored == 0
+        assert iterations > 0
+        assert large == small
 
 
 class TestWeightedRoundRobinFolding:

@@ -17,6 +17,7 @@ from repro.serving import (
     FixedRateArrivals,
     Node,
     PoissonArrivals,
+    RoundRobin,
     StepTimeModel,
     default_policies,
     drain_queue,
@@ -37,6 +38,9 @@ def unit_steps() -> AnalyticStepTime:
         base_seconds=1.0, per_token_seconds=0.0, prefill_per_token_seconds=0.0
     )
 
+
+#: The error a queue repeating request ids 0..2 at elements 3..5 raises.
+DUPLICATE = "elements 0 and 3 share request id 0"
 
 #: A non-default value for every ServingRequest.OUTCOME_FIELDS entry.
 STALE_OUTCOME = {
@@ -285,6 +289,32 @@ class TestQueueValidation:
         )
         with pytest.raises(SchedulingError, match="element 0"):
             scheduler.drain(["not a request", SHORT])  # type: ignore[list-item]
+
+    @staticmethod
+    def _duplicated_ids():
+        # Two id-ordered queues glued together: ids 0..2 appear twice.
+        return make_request_queue([SHORT] * 3) + make_request_queue([LONG] * 3)
+
+    def test_duplicate_ids_rejected_before_a_single_node_drain(self, system):
+        """Without the check the drain died mid-simulation on the KV ledger
+        ("request 0 reserved twice")."""
+        scheduler = ClusterScheduler(
+            [Node(system, step_time=unit_steps())], ContinuousBatching(4)
+        )
+        with pytest.raises(SchedulingError, match=DUPLICATE):
+            scheduler.drain(self._duplicated_ids())
+
+    def test_duplicate_ids_rejected_before_a_folded_drain(self, system):
+        """Without the check a folded drain completed silently."""
+        step = unit_steps()
+        scheduler = ClusterScheduler(
+            [Node(system, step_time=step, name=f"node{i}") for i in range(2)],
+            ContinuousBatching(4),
+            router=RoundRobin(),
+            fleet_symmetry="representative",
+        )
+        with pytest.raises(SchedulingError, match=DUPLICATE):
+            scheduler.drain(self._duplicated_ids())
 
 
 class TestStepTimeInterface:
