@@ -25,23 +25,30 @@ checks are:
   when the waiter is not a process the engine would fail);
 * **budget-conservation** -- enforced by
   :class:`~repro.serving.budget.BudgetTracker` (occupied bytes never go
-  negative; a re-marked entry equals its request's ``kv_current_bytes``
-  and the total the sum of the entries; every reservation is released by
-  drain end) and by
+  negative; after a re-mark the running total equals the sum of the
+  entries -- each re-marked entry derived from the decode-step counter --
+  and every re-marked entry its request's ``kv_current_bytes``; every
+  reservation is released by drain end) and by
   :class:`~repro.serving.cluster.ClusterScheduler` (fleet report token and
   request counts must equal the sum of the per-node outcomes);
 * **tier-conservation** -- enforced by
   :class:`~repro.serving.kvtiers.TieredBudgetTracker` on tiered nodes:
   per-tier occupancy never exceeds the tier's capacity and never goes
-  negative, every request's tier residency sums to its flat-ledger entry,
-  and releases -- including node-death migrations -- drain every tier the
-  request touched;
+  negative; every request's tier residency (settled or accrued from the
+  growth counters) sums to its flat-ledger entry; after each decode step
+  every tier ledger equals its requests' summed residency and the
+  decoding aggregate its growing requests' share; each step's per-tier
+  spilled reads equal the per-request reference loop over the running
+  batch, which must be exactly the decoding set; and releases --
+  including node-death migrations -- drain every tier the request
+  touched;
 * **load-ledger** -- enforced by
   :class:`~repro.serving.engine.NodeEngine`: every running load ledger
   the router-facing views and the decode step read (outstanding tokens,
   committed and queued KV bytes, running context) equals the sum
   re-computed from the engine's queues -- all four at each load probe,
-  the running context at each decode step -- and is zero at drain end.
+  the running context at each decode step -- and is zero at drain end;
+  a decode step the retirement countdown skips has no finished request.
 
 This module sits below the simulation layers on purpose: it imports only
 :mod:`repro.errors`, so :mod:`repro.sim.engine` and

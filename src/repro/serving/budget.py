@@ -16,9 +16,13 @@ budget is derived from the same placement rules
 The :class:`BudgetTracker` ledger here is *flat*: one capacity number, no
 distinction between where within the cache home a request's bytes live.
 Under optimistic admission the engine makes one ledger call per decode
-iteration: :meth:`BudgetTracker.update` re-marks the whole running batch
-from the model's per-token KV size, computed once, since
-``kv_cache_bytes`` is linear in context.
+iteration, and it costs O(1) whatever the batch size:
+:meth:`BudgetTracker.update` over the whole running batch adds the batch
+size times the model's per-token KV size (computed once, since
+``kv_cache_bytes`` is linear in context) to the running total and ticks
+a decode-step counter, and each re-marked entry is derived from that
+counter -- its bytes at its last explicit re-mark plus one token per step
+since, which is its context's bytes.
 
 Nodes configured with a KV tier stack swap in
 :class:`~repro.serving.kvtiers.TieredBudgetTracker`, which keeps this
@@ -99,7 +103,7 @@ class BudgetTracker:
       admission to completion (:meth:`reserve`), so in-flight growth can
       never burst past the budget;
     * *optimistic* -- requests hold only their **current**-context bytes
-      (:meth:`occupy`), re-marked once per decode iteration by one
+      (:meth:`occupy`), re-marked once per decode iteration by one O(1)
       :meth:`update` call over the whole running batch; overflow is
       possible by construction and the scheduler resolves it by
       preempting the youngest request before the step that would burst
@@ -110,10 +114,11 @@ class BudgetTracker:
 
     With ``sanitize`` on (sanitized drains set it from their simulator)
     every ledger movement is conservation-checked: occupied bytes may
-    never go negative, every re-marked entry must equal its request's
+    never go negative, the running total must equal the sum of the
+    entries and every re-marked entry its request's
     :meth:`~repro.serving.request.ServingRequest.kv_current_bytes` (the
-    reference the per-token shortcut stands in for) and the running total
-    the sum of the entries, and :meth:`assert_drained` verifies the ledger is
+    per-request reference the step counter stands in for), and
+    :meth:`assert_drained` verifies the ledger is
     empty -- every reservation released, residue within float tolerance --
     at drain end.  Sanitized trackers also stamp each admitted request's
     :attr:`~repro.serving.request.ServingRequest.kv_holder` with ``owner``
@@ -127,7 +132,14 @@ class BudgetTracker:
     model: ModelConfig
     reserved_bytes: float = 0.0
     peak_reserved_bytes: float = 0.0
+    #: Entry bytes per request as of its admission or last explicit re-mark.
     _held: dict[int, float] = field(default_factory=dict)
+    #: Re-marked (growing) entries: the decode-step count at their last
+    #: explicit re-mark; each such entry holds ``_held`` plus
+    #: :attr:`token_bytes` per decode step since (see :meth:`update`).
+    _marks: dict[int, int] = field(default_factory=dict)
+    #: Decode steps :meth:`update` has applied to the whole re-marked set.
+    _steps: int = 0
     sanitize: bool = False
     #: Display name of the ledger's owner (node name in cluster drains);
     #: used only for kv-holder provenance and error messages.
@@ -201,15 +213,49 @@ class BudgetTracker:
     def update(self, *requests: ServingRequest) -> list[float]:
         """Re-mark occupied requests at their (grown) current contexts.
 
-        The decode step passes its whole running batch, so the ledger moves
-        once per iteration; prefill completion passes the one request it
-        promotes.  Entries move in argument order, each exactly as a
-        one-request call would move it, so the running total and its peak
-        are bit-identical to re-marking one request at a time.  Returns
-        how many bytes each entry grew by, in argument order (what a
-        tiered tracker places).
+        The decode step passes its whole running batch.  When the
+        arguments are exactly the ledger's re-marked entries -- as many of
+        them, and a lone argument one of them -- the call is a decode step:
+        every re-marked entry is one token longer than at its previous
+        re-mark, so the running total moves by the batch size times
+        :attr:`token_bytes` and a step counter ticks, in O(1); each entry
+        is derived from the counter (:meth:`_held_now`).  Any other call
+        -- prefill completion's one request, a first re-mark after
+        admission -- re-marks each request explicitly at
+        ``context_tokens * token_bytes``, in argument order.  The figures
+        are integer-valued floats far below 2**53, so either way the
+        running total and its peak are bit-identical to re-marking one
+        request at a time.  Returns how many bytes each entry grew by, in
+        argument order.
         """
+        if self._is_step(requests):
+            n = len(requests)
+            self._steps += 1
+            reserved = self.reserved_bytes + n * self.token_bytes
+            self.reserved_bytes = reserved
+            if reserved > self.peak_reserved_bytes:
+                self.peak_reserved_bytes = reserved
+            growth = [self.token_bytes] * n
+        else:
+            growth = self._remark_each(requests)
+        if self.sanitize and requests:
+            self._check_remarked(requests)
+        return growth
+
+    def _is_step(self, requests: tuple[ServingRequest, ...]) -> bool:
+        """Whether an :meth:`update` call is a decode step: it names as many
+        requests as there are re-marked entries, and a lone request is one."""
+        n = len(requests)
+        marks = self._marks
+        return bool(n) and n == len(marks) and (
+            n > 1 or requests[0].request_id in marks
+        )
+
+    def _remark_each(self, requests: tuple[ServingRequest, ...]) -> list[float]:
+        """Explicitly re-mark each request at its current context, in order."""
         held = self._held
+        marks = self._marks
+        steps = self._steps
         token_bytes = self.token_bytes
         reserved = self.reserved_bytes
         peak = self.peak_reserved_bytes
@@ -223,8 +269,12 @@ class BudgetTracker:
                 raise SchedulingError(
                     f"request {request_id} updated without a reservation"
                 ) from None
+            mark = marks.get(request_id)
+            if mark is not None:
+                before += token_bytes * (steps - mark)
             now = request.context_tokens * token_bytes
             held[request_id] = now
+            marks[request_id] = steps
             delta = now - before
             reserved += delta
             if reserved > peak:
@@ -232,9 +282,15 @@ class BudgetTracker:
             growth.append(delta)
         self.reserved_bytes = reserved
         self.peak_reserved_bytes = peak
-        if self.sanitize and requests:
-            self._check_remarked(requests)
         return growth
+
+    def _held_now(self, request_id: int) -> float:
+        """Bytes ``request_id``'s entry holds now (``KeyError`` if none)."""
+        held = self._held[request_id]
+        mark = self._marks.get(request_id)
+        if mark is not None:
+            held += self.token_bytes * (self._steps - mark)
+        return held
 
     def release_share(self, request: ServingRequest, members: int = 1) -> None:
         """Retired: every ledger entry is one request, so there is no share.
@@ -257,11 +313,13 @@ class BudgetTracker:
     def release(self, request: ServingRequest) -> None:
         """Return a completed request's reservation to the pool."""
         try:
-            need = self._held.pop(request.request_id)
+            need = self._held_now(request.request_id)
         except KeyError:
             raise SchedulingError(
                 f"request {request.request_id} released without a reservation"
             ) from None
+        del self._held[request.request_id]
+        self._marks.pop(request.request_id, None)
         self.reserved_bytes -= need
         if self.sanitize:
             request.kv_holder = None
@@ -280,11 +338,19 @@ class BudgetTracker:
             )
 
     def _check_remarked(self, requests: tuple[ServingRequest, ...]) -> None:
-        """After a re-mark, each re-marked entry equals its request's
-        :meth:`~repro.serving.request.ServingRequest.kv_current_bytes` and
-        the running total equals the sum of every entry."""
+        """After a re-mark, the running total equals the sum of every entry
+        and each re-marked entry its request's
+        :meth:`~repro.serving.request.ServingRequest.kv_current_bytes`."""
+        entries = sum(self._held_now(request_id) for request_id in self._held)
+        if abs(self.reserved_bytes - entries) > self._conservation_tolerance():
+            raise SanitizerError(
+                f"KV ledger total of {self.reserved_bytes:.3f} bytes differs "
+                f"from its entries' sum of {entries:.3f} after a re-mark "
+                f"(budget {self.budget.description!r})",
+                invariant="budget-conservation",
+            )
         for request in requests:
-            held = self._held[request.request_id]
+            held = self._held_now(request.request_id)
             expected = request.kv_current_bytes(self.model)
             if held != expected:
                 raise SanitizerError(
@@ -293,14 +359,6 @@ class BudgetTracker:
                     invariant="budget-conservation",
                     request_id=request.request_id,
                 )
-        entries = sum(self._held.values())
-        if abs(self.reserved_bytes - entries) > self._conservation_tolerance():
-            raise SanitizerError(
-                f"KV ledger total of {self.reserved_bytes:.3f} bytes differs "
-                f"from its entries' sum of {entries:.3f} after a re-mark "
-                f"(budget {self.budget.description!r})",
-                invariant="budget-conservation",
-            )
         self._check_occupancy(requests[-1].request_id)
 
     def assert_drained(self, context: str = "") -> None:

@@ -37,7 +37,8 @@ and the autoscaler read: :attr:`outstanding_tokens` (JSQ),
 waiting queues).  The token and byte views read a running integer *load
 ledger* in O(1) instead of re-summing the queues per probe; the decode
 step reads one more (the running requests' summed context) for its mean
-context.  The four ledgers move only at transitions the engine already
+context, and retires through a countdown to the batch's next finisher.
+The ledgers and the countdown move only at transitions the engine already
 owns:
 
 =====================  ===================================================
@@ -45,27 +46,35 @@ transition             ledgers moved
 =====================  ===================================================
 enqueue / preload      outstanding, committed KV, queued KV
 admission              queued KV
-prefill chunk          outstanding (completion: running context)
-decode step            running context
+prefill chunk          outstanding (completion: running context, finish
+                       countdown lowered to the completer's tokens left)
+decode step            running context, finish countdown (minus one)
 preemption             outstanding, queued KV (running context when the
                        victim was decoding)
-retirement             outstanding, committed KV, running context
+retirement             outstanding, committed KV, running context (the
+                       countdown resets to the fewest tokens left)
 death                  all cleared (the whole queue leaves the node)
 =====================  ===================================================
 
 The re-summing code survives as the sanitizer's reference: a sanitized
 engine recomputes every ledger at each load probe (queue-depth probes
 included), and the running context at each decode step, and raises
-``SanitizerError(invariant="load-ledger")`` on any difference, and
-:meth:`NodeEngine.assert_drained` demands every ledger back at zero at
-drain end.
+``SanitizerError(invariant="load-ledger")`` on any difference -- also
+when a step the countdown skipped had a finished request to retire --
+and :meth:`NodeEngine.assert_drained` demands every ledger back at zero
+at drain end.
 
-The KV ledger under optimistic admission moves the same way: one tracker
-call per decode iteration, ``tracker.update(*running)``, re-marks the
-whole batch (prefill completion re-marks the one request it promotes),
-and the overflow check before each iteration prices the step's growth in
-O(1) as the batch size times the tracker's per-token KV bytes.  On a
-tiered node that same call places the batch's growth in one pass.
+A decode step's KV bookkeeping costs O(1) in the batch size too.  Under
+optimistic admission one tracker call per iteration,
+``tracker.update(*running)``, re-marks the whole batch by adding the batch
+size times the tracker's per-token KV bytes (prefill completion re-marks
+the one request it promotes), and the overflow check before each
+iteration prices the step's growth the same way.  On a tiered node that
+call lands the batch's growth from integer per-tier counters, and the
+step's spilled reads and promotions read per-tier aggregates, so the
+tracker touches individual requests only at residency events (see
+:mod:`repro.serving.kvtiers`).  The per-token loop that advances each
+running request's emitted tokens is the step's one O(batch) pass.
 
 Under fault injection (:mod:`repro.serving.faults`) the engine carries a
 node lifecycle::
@@ -224,6 +233,10 @@ class NodeEngine:
         self._sanitize = sim.sanitizer is not None
         self._clear_load_ledgers()
         self._batch_slots = 0
+        #: Decode steps until the next running request can finish: a lower
+        #: bound (preemption and death only raise the true figure), so the
+        #: engine scans ``running`` for finishers only when it reaches zero.
+        self._until_finish = 0
         self._wake = None
         self._arrivals_done = False
         #: Fault driver of a fault-mode cluster drain (None otherwise).
@@ -706,6 +719,7 @@ class NodeEngine:
                         self.tracker.update(*self.running)
                     # Every running request grew by one token.
                     self._running_context_tokens += len(self.running)
+                    self._until_finish -= 1
                     self._retire_finished()
                 progressed = True
             if progressed:
@@ -776,6 +790,9 @@ class NodeEngine:
                 self.prefilling.remove(request)
                 self.running.append(request)
                 self._running_context_tokens += request.context_tokens
+                self._until_finish = min(
+                    self._until_finish, request.output_tokens - request.tokens_generated
+                )
 
     # --- preemption ------------------------------------------------------------
 
@@ -865,6 +882,25 @@ class NodeEngine:
             yield self.sim.timeout(seconds * self._slow_factor)
 
     def _retire_finished(self) -> None:
+        """Retire every running request that emitted its last token.
+
+        Runs the scan only when the finish countdown reaches zero, then
+        resets it to the fewest tokens any remaining request still owes;
+        a sanitized engine checks that a skipped scan had nothing to
+        retire.
+        """
+        if self._until_finish > 0:
+            if self._sanitize and any(
+                r.tokens_generated >= r.output_tokens for r in self.running
+            ):
+                raise SanitizerError(
+                    f"node {self.node.name!r} skipped retiring a finished "
+                    f"request with {self._until_finish} decode step(s) left "
+                    "on its finish countdown",
+                    invariant="load-ledger",
+                    sim_time=self.sim.now,
+                )
+            return
         for request in [
             r for r in self.running if r.tokens_generated >= r.output_tokens
         ]:
@@ -878,3 +914,6 @@ class NodeEngine:
             self._running_context_tokens -= request.context_tokens
             if self.driver is not None:
                 self.driver.note_finished(request)
+        self._until_finish = min(
+            (r.output_tokens - r.tokens_generated for r in self.running), default=0
+        )

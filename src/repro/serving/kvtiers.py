@@ -19,11 +19,28 @@ arbitrary tier stack:
     A :class:`~repro.serving.budget.BudgetTracker` whose total-byte ledger
     arithmetic is unchanged (admission, overflow, preemption, and release
     all see the flat figures) but which additionally keeps a per-tier
-    occupancy ledger and a per-request residency map.  Demotion under
-    top-tier admission pressure, promotion before decode, and the
+    occupancy ledger and each request's residency
+    (:meth:`TieredBudgetTracker.residency`).  Demotion under top-tier
+    admission pressure, promotion before decode, and the
     offloaded-attention read surcharge all bill through the engine's
     discrete-event simulation; initial placement is bookkeeping only (the
     prefill pass produces each tier's bytes in place).
+
+A decode step costs the tracker O(tiers), not O(batch).  Every running
+request gains one token per step, and unless a tier fills mid-batch they
+all gain it in the same tiers, so the step ticks an integer per-tier
+growth-step counter and moves the tier ledgers by the batch size times the
+per-request bytes.  The step's spilled reads come from per-tier aggregates
+over the decoding set: the summed bytes of growing (optimistic) entries,
+and a share-weighted context sum ``context × held / total`` for fixed
+(reserve) entries, updated at residency events.  A request's own residency
+and spilled seconds settle in closed form from the counters only when a
+residency event touches it: demotion, promotion, release, or a step where
+a tier fills mid-batch, which settles the batch and runs the per-request
+cascade one request at a time, as before.  The per-request read loop
+survives as the sanitizer's reference.  The figures match the per-request
+model within float reassociation (property-tested at 1e-12 relative in
+``tests/serving/test_kvtiers_lazy.py``).
 
 Policies (:class:`TierPolicy`):
 
@@ -58,9 +75,11 @@ Capacities and bandwidths take optional K/M/G/T suffixes (powers of
 
 **Tier-conservation invariant** (sanitized drains): per-tier occupancy
 never exceeds the tier's capacity and never goes negative, a request's
-residency always sums to its flat-ledger entry, and releases -- including
-node-death migrations -- drain every tier the request touched.  Violations
-raise :class:`~repro.analysis.sanitizer.SanitizerError` with
+residency always sums to its flat-ledger entry, each tier ledger equals
+its requests' summed residency after a decode step, a step's per-tier
+reads equal the per-request reference, and releases -- including
+node-death migrations -- drain every tier the request touched.
+Violations raise :class:`~repro.analysis.sanitizer.SanitizerError` with
 ``invariant="tier-conservation"``.
 """
 
@@ -68,8 +87,8 @@ from __future__ import annotations
 
 import abc
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from repro.analysis.sanitizer import SanitizerError
 from repro.errors import ConfigurationError, SchedulingError
@@ -109,12 +128,12 @@ class KVTier:
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigurationError("KV tier needs a name")
-        if self.capacity_bytes <= 0:
+        if not 0.0 < self.capacity_bytes < math.inf:
             raise ConfigurationError(
-                f"KV tier {self.name!r} needs a positive capacity "
+                f"KV tier {self.name!r} needs a positive, finite capacity "
                 f"(got {self.capacity_bytes!r})"
             )
-        if self.bandwidth_bytes_per_s <= 0:
+        if not self.bandwidth_bytes_per_s > 0.0:
             raise ConfigurationError(
                 f"KV tier {self.name!r} needs a positive bandwidth "
                 f"(got {self.bandwidth_bytes_per_s!r})"
@@ -375,6 +394,44 @@ class TierLedger:
     decode_read_bytes: float = 0.0
 
 
+class _Entry:
+    """One admitted request's tier residency, settled lazily.
+
+    ``res`` holds the request's bytes per tier, in stack order, as of its
+    last settle.  A *growing* entry (an optimistic entry re-marked since
+    admission) also gains every uniform decode step's growth, counted by
+    the tracker's integer growth-step counters; ``counts`` and ``areas``
+    snapshot them at the last settle.  A *decoding* entry (one the engine
+    runs) pays spilled reads from read index ``read_from`` on: a growing
+    entry reads its held bytes, a fixed one ``context × held / total``
+    per tier, with ``context`` its context at ``read_from`` and
+    ``ratios`` its ``held / total`` shares while it decodes.
+    """
+
+    __slots__ = (
+        "request",
+        "res",
+        "growing",
+        "decoding",
+        "counts",
+        "areas",
+        "read_from",
+        "context",
+        "ratios",
+    )
+
+    def __init__(self, request: ServingRequest, n_tiers: int) -> None:
+        self.request = request
+        self.res = [0.0] * n_tiers
+        self.growing = False
+        self.decoding = False
+        self.counts: list[int] = []
+        self.areas: list[int] = []
+        self.read_from = 0
+        self.context = 0
+        self.ratios: list[float] = []
+
+
 @dataclass
 class TieredBudgetTracker(BudgetTracker):
     """A :class:`BudgetTracker` over a tier stack instead of one flat cap.
@@ -385,9 +442,14 @@ class TieredBudgetTracker(BudgetTracker):
     top of it this tracker keeps
 
     * a per-tier :class:`TierLedger` (occupancy, peaks, movement and
-      decode-read counters),
-    * a per-request residency map (tier name -> bytes; mirrored onto
-      :attr:`~repro.serving.request.ServingRequest.kv_residency`), and
+      decode-read counters), kept current at every step;
+    * a per-request residency (tier -> bytes, read through
+      :meth:`residency`), settled lazily: a decode step's growth and
+      spilled reads reach a request only when a residency event --
+      demotion, promotion, release, or a step where a tier fills
+      mid-batch -- touches it, in closed form from integer counters;
+    * per-tier aggregates over the decoding set that price a step's
+      spilled reads in O(tiers); and
     * an accumulator of pending transfer seconds the engine bills as one
       simulated timeout per scheduling point
       (:meth:`consume_transfer_seconds`).
@@ -399,9 +461,19 @@ class TieredBudgetTracker(BudgetTracker):
     #: (at the nominal, un-slowed rate; slowdown windows scale the billed
     #: iteration, not the counter).
     spilled_decode_seconds: float = 0.0
+    #: Decode iterations whose spilled reads were billed
+    #: (:meth:`spill_read_seconds` calls); the read index entries accrue from.
+    decode_steps: int = 0
+    #: Requests settled (lazy growth and spilled reads brought current).
+    settles: int = 0
+    #: Settles made by the decode-iteration passes (:meth:`update`'s
+    #: per-request cascade on steps where a tier fills mid-batch) rather
+    #: than by a residency event.
+    step_settles: int = 0
+    #: Decode steps that fell back to the per-request cascade.
+    cascade_steps: int = 0
     _ledgers: dict = field(default_factory=dict)
-    _residency: dict = field(default_factory=dict)
-    _requests: dict = field(default_factory=dict)
+    _entries: dict = field(default_factory=dict)
     _pending_transfer_seconds: float = 0.0
 
     def __post_init__(self) -> None:
@@ -413,6 +485,39 @@ class TieredBudgetTracker(BudgetTracker):
         self._ledgers = {
             tier.name: TierLedger(tier=tier) for tier in self.stack.tiers
         }
+        #: (capacity, ledger, bandwidth) per tier, in stack order.
+        self._tiers = [
+            (tier.capacity_bytes, self._ledgers[tier.name], tier.bandwidth_bytes_per_s)
+            for tier in self.stack.tiers
+        ]
+        self._lower = self._tiers[1:]
+        n_tiers = len(self._tiers)
+        self._fraction = self.policy.placement_fraction() if n_tiers > 1 else 1.0
+        # Growth-step counters: slot 2t counts uniform steps in which every
+        # growing entry gained ``_units[2t]`` bytes in tier t (the top's
+        # placement share, or below the top what is left of a token after
+        # it), slot 2t + 1 steps in which it gained ``_units[2t + 1]`` (a
+        # whole token, below a full top).  ``_areas`` sums each counter over
+        # the decode steps' reads, which prices a growing entry's reads.
+        want = self._fraction * self.token_bytes
+        self._units = [want, 0.0]
+        for _ in range(n_tiers - 1):
+            self._units += [self.token_bytes - want, self.token_bytes]
+        self._counts = [0] * (2 * n_tiers)
+        self._areas = [0] * (2 * n_tiers)
+        # Aggregates over the decoding set.  Growing entries: their current
+        # bytes per tier.  Fixed entries: their bytes, their held/total
+        # shares, and the shares times their context at read ``_fixed_at``
+        # (a share-weighted context that grows by the share sum per read).
+        self._grown = [0.0] * n_tiers
+        self._fixed_bytes = [0.0] * n_tiers
+        self._ratio_sum = [0.0] * n_tiers
+        self._ratio_context = [0.0] * n_tiers
+        self._fixed_at = 0
+        self._n_growing = 0
+        self._n_fixed = 0
+        #: The step-time model's spill pricing, from the last billed read.
+        self._spill = None
 
     @classmethod
     def for_stack(
@@ -433,18 +538,30 @@ class TieredBudgetTracker(BudgetTracker):
             policy=policy,
         )
 
+    def residency(self, request: ServingRequest) -> dict[str, float] | None:
+        """``request``'s bytes per tier now (tiers it holds nothing in are
+        left out), or ``None`` when it holds no reservation here."""
+        entry = self._entries.get(request.request_id)
+        if entry is None:
+            return None
+        return {
+            tier.name: held
+            for tier, held in zip(self.stack.tiers, self._current(entry))
+            if held > 0.0
+        }
+
     # --- flat-ledger overrides (placement piggybacks on the base arithmetic) ---
 
     def _record(self, request: ServingRequest, need: float) -> None:
         super()._record(request, need)
         request_id = request.request_id
-        self._requests[request_id] = request
-        self._residency[request_id] = request.kv_residency = {}
-        if len(self.stack.tiers) > 1:
-            want_top = self.policy.placement_fraction() * need
+        entry = _Entry(request, len(self._tiers))
+        self._entries[request_id] = entry
+        if len(self._tiers) > 1:
+            want_top = self._fraction * need
             if want_top > 0.0:
                 self._demote_for(want_top, exclude=request_id)
-        self._place((request,), (need,))
+        self._cascade(entry, need)
         if self.sanitize:
             self._check_residency(request)
             self._check_tier_occupancy(request_id)
@@ -452,27 +569,39 @@ class TieredBudgetTracker(BudgetTracker):
     def update(self, *requests: ServingRequest) -> list[float]:
         """Re-mark the requests on the flat ledger, then place their growth.
 
-        One call per decode iteration: the whole batch's growth lands in
-        one :meth:`_place` pass.
+        A decode step (see :meth:`BudgetTracker.update`) lands the whole
+        batch's growth in O(tiers): every running request gains the same
+        bytes in the same tiers, so a counter ticks and the tier ledgers
+        move by the batch size times the per-request bytes, unless a tier
+        fills mid-batch -- then the step settles the batch and runs the
+        per-request cascade, as placing one request at a time would.  Any
+        other call re-marks and places each request in argument order.
         """
+        step = self._is_step(requests)
         growth = super().update(*requests)
-        self._place(requests, growth)
-        if self.sanitize:
+        if not step:
+            for request, amount in zip(requests, growth):
+                self._remark(request, amount)
+        elif not self._grow_uniform(len(requests)):
+            self._cascade_step(requests)
+        if self.sanitize and requests:
             for request in requests:
                 self._check_residency(request)
+            self._check_aggregates(requests[-1].request_id)
         return growth
 
     def release(self, request: ServingRequest) -> None:
         super().release(request)
-        residency = self._residency.pop(request.request_id, None)
-        self._requests.pop(request.request_id, None)
-        request.kv_residency = None
-        if residency:
+        entry = self._entries.pop(request.request_id, None)
+        if entry is not None:
             # Every tier the request touched drains here -- including on the
             # node-death migration path, which releases through this method
             # before the dispatcher re-routes the request elsewhere.
-            for name, held in residency.items():
-                self._ledgers[name].occupied_bytes -= held
+            self._settle(entry)
+            self._detach(entry)
+            for (_, ledger, _), held in zip(self._tiers, entry.res):
+                if held:
+                    ledger.occupied_bytes -= held
         if self.sanitize:
             self._check_tier_occupancy(request.request_id)
 
@@ -481,111 +610,307 @@ class TieredBudgetTracker(BudgetTracker):
         because perfbench's tracer looks this name up in the class body."""
         raise SchedulingError("KV ledger entries are whole requests; use release()")
 
+    # --- lazy residency -----------------------------------------------------------
+
+    def _current(self, entry: _Entry) -> list[float]:
+        """``entry``'s bytes per tier now, without settling it."""
+        res = entry.res
+        if not entry.growing:
+            return list(res)
+        current = list(res)
+        counts, snapshot, units = self._counts, entry.counts, self._units
+        for slot, count in enumerate(counts):
+            moved = count - snapshot[slot]
+            if moved:
+                current[slot >> 1] += units[slot] * moved
+        return current
+
+    def _settle(self, entry: _Entry) -> None:
+        """Bring a decoding entry current: accrue its growth and its reads.
+
+        Closed form over the steps since its last settle: a growing entry's
+        bytes in tier t are its settled bytes plus each counter's ticks
+        times the counter's unit, and its reads sum the same over the
+        counters' areas; a fixed entry's reads are its shares of the
+        arithmetic series of its contexts.  The spilled share is priced
+        per tier like a step's reads and added to the request's
+        :attr:`~repro.serving.request.ServingRequest.spilled_decode_seconds`.
+        """
+        if not entry.decoding:
+            return
+        self.settles += 1
+        res = entry.res
+        reads = self.decode_steps - entry.read_from
+        spilled = None
+        if entry.growing:
+            counts, areas, units = self._counts, self._areas, self._units
+            snapshot, swept_from = entry.counts, entry.areas
+            if reads:
+                spilled = [reads * held for held in res]
+            for slot, count in enumerate(counts):
+                moved = count - snapshot[slot]
+                if reads:
+                    swept = areas[slot] - swept_from[slot] - reads * snapshot[slot]
+                    if swept:
+                        spilled[slot >> 1] += units[slot] * swept
+                if moved:
+                    res[slot >> 1] += units[slot] * moved
+            entry.counts = counts.copy()
+            entry.areas = areas.copy()
+        elif reads:
+            total = sum(res)
+            if total > 0.0:
+                tokens = reads * entry.context + reads * (reads - 1) // 2
+                swept_bytes = tokens * self.token_bytes
+                spilled = [swept_bytes * (held / total) for held in res]
+            entry.context += reads
+        entry.read_from = self.decode_steps
+        if spilled is not None:
+            extra = 0.0
+            for (_, _, bandwidth), read in zip(self._lower, spilled[1:]):
+                if read > 0.0:
+                    extra += self._spill(read, bandwidth)
+            if extra > 0.0:
+                entry.request.spilled_decode_seconds += extra
+
+    def _attach(self, entry: _Entry) -> None:
+        """Add a settled decoding entry to the decoding-set aggregates."""
+        if not entry.decoding:
+            return
+        if entry.growing:
+            self._n_growing += 1
+            for tier, held in enumerate(entry.res):
+                self._grown[tier] += held
+            return
+        self._advance_fixed()
+        self._n_fixed += 1
+        total = sum(entry.res)
+        entry.ratios = [
+            held / total if total > 0.0 else 0.0 for held in entry.res
+        ]
+        context = entry.context
+        for tier, (held, ratio) in enumerate(zip(entry.res, entry.ratios)):
+            self._fixed_bytes[tier] += held
+            self._ratio_sum[tier] += ratio
+            self._ratio_context[tier] += ratio * context
+
+    def _detach(self, entry: _Entry) -> None:
+        """Take a settled decoding entry out of the aggregates (the inverse
+        of :meth:`_attach`; float dust is cleared when a set empties)."""
+        if not entry.decoding:
+            return
+        n_tiers = len(self._tiers)
+        if entry.growing:
+            self._n_growing -= 1
+            if not self._n_growing:
+                self._grown = [0.0] * n_tiers
+                return
+            for tier, held in enumerate(entry.res):
+                self._grown[tier] -= held
+            return
+        self._advance_fixed()
+        self._n_fixed -= 1
+        if not self._n_fixed:
+            self._fixed_bytes = [0.0] * n_tiers
+            self._ratio_sum = [0.0] * n_tiers
+            self._ratio_context = [0.0] * n_tiers
+            return
+        context = entry.context
+        for tier, (held, ratio) in enumerate(zip(entry.res, entry.ratios)):
+            self._fixed_bytes[tier] -= held
+            self._ratio_sum[tier] -= ratio
+            self._ratio_context[tier] -= ratio * context
+
+    def _advance_fixed(self) -> None:
+        """Move the fixed entries' share-weighted context to the current
+        read index (each read adds one token to every context)."""
+        reads = self.decode_steps - self._fixed_at
+        if reads:
+            self._fixed_at = self.decode_steps
+            for tier, ratio in enumerate(self._ratio_sum):
+                self._ratio_context[tier] += reads * ratio
+
+    def _sync_decoding(self, running: list[ServingRequest]) -> None:
+        """Join requests the engine started decoding since the last call.
+
+        Optimistic entries join at their first re-mark (prefill completion);
+        the rest join here.  The engine appends prefill completers to the
+        running list and every request leaves it through :meth:`release`,
+        so the newcomers are the list's tail beyond the decoding count.
+        """
+        joining = len(running) - self._n_growing - self._n_fixed
+        if joining <= 0:
+            return
+        for request in running[-joining:]:
+            entry = self._entries.get(request.request_id)
+            if entry is None or entry.decoding:
+                continue
+            entry.decoding = True
+            entry.read_from = self.decode_steps
+            entry.context = request.context_tokens
+            self._attach(entry)
+
     # --- placement, demotion, promotion -----------------------------------------
 
-    def _occupy_tier(self, name: str, request_id: int, amount: float) -> None:
-        ledger = self._ledgers[name]
-        ledger.occupied_bytes += amount
-        ledger.peak_occupied_bytes = max(
-            ledger.peak_occupied_bytes, ledger.occupied_bytes
-        )
-        residency = self._residency[request_id]
-        residency[name] = residency.get(name, 0.0) + amount
+    def _fill(self, ledger: TierLedger, amount: float) -> None:
+        occupied = ledger.occupied_bytes + amount
+        ledger.occupied_bytes = occupied
+        if occupied > ledger.peak_occupied_bytes:
+            ledger.peak_occupied_bytes = occupied
 
-    def _vacate_tier(self, name: str, request_id: int, amount: float) -> None:
-        ledger = self._ledgers[name]
+    def _vacate(self, entry: _Entry, tier: int, amount: float) -> None:
+        ledger = self._tiers[tier][1]
         ledger.occupied_bytes -= amount
-        residency = self._residency[request_id]
-        remaining = residency.get(name, 0.0) - amount
+        remaining = entry.res[tier] - amount
         if remaining <= 0.0:
             # Vacated the whole holding; reclaim any float dust so the
-            # ledger and the residency map move in lockstep.
-            residency.pop(name, None)
+            # ledger and the residency move in lockstep.
+            entry.res[tier] = 0.0
             ledger.occupied_bytes -= remaining
         else:
-            residency[name] = remaining
+            entry.res[tier] = remaining
 
-    def _place(
-        self, requests: tuple[ServingRequest, ...], amounts: Sequence[float]
-    ) -> None:
-        """Place bytes the requests newly hold: an admission, or decode growth.
+    def _cascade(self, entry: _Entry, amount: float) -> None:
+        """Place bytes one settled entry newly holds: an admission, or growth.
 
-        The one placement path, unbilled (the prefill or decode pass writes
-        these bytes where they land).  Per request, in order, the policy's
-        top share of ``amounts[i]`` goes into top-tier headroom and the rest
-        cascades top-down through the lower tiers, the bottom tier
-        absorbing the float residue; a single-tier stack takes everything
-        in its one tier.  Tiers and ledgers are looked up once per call and
-        each request's float operations run in the order a one-request call
-        would run them, so placing a batch moves exactly the bytes placing
-        its requests one by one would.  A negative amount is an entry that
-        shrank mid-flight, which residency cannot follow.
+        The per-request placement, unbilled (the prefill or decode pass
+        writes these bytes where they land): the policy's top share of
+        ``amount`` goes into top-tier headroom and the rest cascades
+        top-down through the lower tiers, the bottom tier absorbing the
+        float residue; a single-tier stack takes everything in its one
+        tier.  A negative amount is an entry that shrank mid-flight, which
+        residency cannot follow.
         """
-        residencies = self._residency
-        single = len(self.stack.tiers) == 1
-        fraction = self.policy.placement_fraction()
-        tolerance = self._conservation_tolerance()
-        tiers = [
-            (tier.name, tier.capacity_bytes, self._ledgers[tier.name])
-            for tier in self.stack.tiers
-        ]
-        top_name, top_capacity, top_ledger = tiers[0]
-        bottom_name, bottom_capacity, bottom_ledger = tiers[-1]
-        middle = tiers[1:-1]
-        for request, amount in zip(requests, amounts):
-            if amount <= 0.0:
-                if amount < 0.0:
-                    raise SchedulingError(
-                        f"request {request.request_id} shrank its KV ledger "
-                        "entry mid-flight; tiered residency only grows "
-                        "between admission and release"
-                    )
-                continue
-            request_id = request.request_id
-            residency = residencies[request_id]
-            remaining = amount
-            if not single:
-                # min(want, max(0.0, free)) spelled out: this runs once per
-                # running request per decode step, where the builtins' call
-                # cost shows.
-                want = fraction * amount
-                free = top_capacity - top_ledger.occupied_bytes
-                if not free > 0.0:
-                    free = 0.0
-                placed = free if free < want else want
-                if placed > 0.0:
-                    occupied = top_ledger.occupied_bytes + placed
-                    top_ledger.occupied_bytes = occupied
-                    if occupied > top_ledger.peak_occupied_bytes:
-                        top_ledger.peak_occupied_bytes = occupied
-                    residency[top_name] = residency.get(top_name, 0.0) + placed
-                remaining = amount - placed
-                if remaining <= 0.0:
+        if amount <= 0.0:
+            if amount < 0.0:
+                raise SchedulingError(
+                    f"request {entry.request.request_id} shrank its KV ledger "
+                    "entry mid-flight; tiered residency only grows between "
+                    "admission and release"
+                )
+            return
+        tiers = self._tiers
+        res = entry.res
+        remaining = amount
+        if len(tiers) > 1:
+            top_capacity, top_ledger, _ = tiers[0]
+            want = self._fraction * amount
+            free = top_capacity - top_ledger.occupied_bytes
+            if not free > 0.0:
+                free = 0.0
+            placed = free if free < want else want
+            if placed > 0.0:
+                self._fill(top_ledger, placed)
+                res[0] += placed
+            remaining = amount - placed
+            if remaining <= 0.0:
+                return
+            for tier in range(1, len(tiers) - 1):
+                capacity, ledger, _ = tiers[tier]
+                take = min(remaining, max(0.0, capacity - ledger.occupied_bytes))
+                if take <= 0.0:
                     continue
-                for name, capacity, ledger in middle:
-                    take = min(remaining, max(0.0, capacity - ledger.occupied_bytes))
-                    if take <= 0.0:
-                        continue
-                    self._occupy_tier(name, request_id, take)
-                    remaining -= take
-                    if remaining <= 0.0:
-                        break
+                self._fill(ledger, take)
+                res[tier] += take
+                remaining -= take
                 if remaining <= 0.0:
-                    continue
-                if (
-                    remaining
-                    > bottom_capacity - bottom_ledger.occupied_bytes + tolerance
-                ):
-                    raise self._lower_tiers_full(remaining)
-            # The bottom tier (the only one, on a single-tier stack) absorbs
-            # the rest, float residue included.
-            occupied = bottom_ledger.occupied_bytes + remaining
-            bottom_ledger.occupied_bytes = occupied
-            if occupied > bottom_ledger.peak_occupied_bytes:
-                bottom_ledger.peak_occupied_bytes = occupied
-            residency[bottom_name] = residency.get(bottom_name, 0.0) + remaining
+                    return
+            capacity, ledger, _ = tiers[-1]
+            room = capacity - ledger.occupied_bytes
+            if remaining > room + self._conservation_tolerance():
+                raise self._lower_tiers_full(remaining)
+        # The bottom tier (the only one, on a single-tier stack) absorbs
+        # the rest, float residue included.
+        self._fill(tiers[-1][1], remaining)
+        res[-1] += remaining
 
-    def _push_into_lower(self, request_id: int, amount: float) -> None:
+    def _remark(self, request: ServingRequest, amount: float) -> None:
+        """Place one explicitly re-marked request's growth; it grows from now."""
+        entry = self._entries[request.request_id]
+        self._settle(entry)
+        self._detach(entry)
+        self._cascade(entry, amount)
+        entry.growing = True
+        entry.counts = self._counts.copy()
+        entry.areas = self._areas.copy()
+        if not entry.decoding:
+            entry.decoding = True
+            entry.read_from = self.decode_steps
+        self._attach(entry)
+
+    def _grow_uniform(self, n: int) -> bool:
+        """Land one decode step's growth for all ``n`` growing entries at once.
+
+        Every entry gains one token: the policy's top share goes to the top
+        tier if its headroom takes the whole batch's share (nothing if the
+        top is full), and the rest to the first lower tier with headroom,
+        which must take the whole batch's rest.  Ticks the matching
+        counters and moves the tier ledgers by ``n`` times the per-entry
+        bytes.  Returns ``False``, moving nothing, when some tier would fill
+        mid-batch: requests would then land differently, which only the
+        per-request cascade reproduces.
+        """
+        tiers = self._tiers
+        units = self._units
+        grown = self._grown
+        counts = self._counts
+        top_capacity, top_ledger, _ = tiers[0]
+        if len(tiers) == 1:
+            counts[0] += 1
+            self._fill(top_ledger, n * units[0])
+            grown[0] += n * units[0]
+            return True
+        want = units[0]
+        free = top_capacity - top_ledger.occupied_bytes
+        if want > 0.0 and free >= n * want:
+            kind = 0
+        elif not free > 0.0 or want == 0.0:
+            kind = 1
+        else:
+            return False
+        rest = units[2 + kind]
+        destination = None
+        if rest > 0.0:
+            need = n * rest
+            for tier in range(1, len(tiers) - 1):
+                capacity, ledger, _ = tiers[tier]
+                room = capacity - ledger.occupied_bytes
+                if not room > 0.0:
+                    continue
+                if room < need:
+                    return False
+                destination = tier
+                break
+            else:
+                capacity, ledger, _ = tiers[-1]
+                room = capacity - ledger.occupied_bytes
+                if need > room + self._conservation_tolerance():
+                    return False  # the cascade raises on the overflowing request
+                destination = len(tiers) - 1
+        if kind == 0:
+            counts[0] += 1
+            self._fill(top_ledger, n * want)
+            grown[0] += n * want
+        if destination is not None:
+            counts[2 * destination + kind] += 1
+            self._fill(tiers[destination][1], n * rest)
+            grown[destination] += n * rest
+        return True
+
+    def _cascade_step(self, requests: tuple[ServingRequest, ...]) -> None:
+        """A decode step in which a tier fills mid-batch: settle the batch and
+        place each request's token through the per-request cascade, in order."""
+        self.cascade_steps += 1
+        token_bytes = self.token_bytes
+        for request in requests:
+            entry = self._entries[request.request_id]
+            self._settle(entry)
+            self.step_settles += 1
+            self._detach(entry)
+            self._cascade(entry, token_bytes)
+            self._attach(entry)
+
+    def _push_into_lower(self, entry: _Entry, amount: float) -> None:
         """Demote ``amount`` bytes into the lower tiers, top-down (billed).
 
         Pressure-driven movement: each tier's take pays that (destination)
@@ -594,11 +919,11 @@ class TieredBudgetTracker(BudgetTracker):
         if amount <= 0.0:
             return
         remaining = amount
-        lower = self.stack.tiers[1:]
-        for index, tier in enumerate(lower):
-            ledger = self._ledgers[tier.name]
-            free = tier.capacity_bytes - ledger.occupied_bytes
-            if index == len(lower) - 1:
+        last = len(self._tiers) - 1
+        for tier in range(1, last + 1):
+            capacity, ledger, bandwidth = self._tiers[tier]
+            free = capacity - ledger.occupied_bytes
+            if tier == last:
                 take = remaining  # bottom tier absorbs the float residue
                 if remaining > free + self._conservation_tolerance():
                     raise self._lower_tiers_full(remaining)
@@ -606,9 +931,10 @@ class TieredBudgetTracker(BudgetTracker):
                 take = min(remaining, max(0.0, free))
             if take <= 0.0:
                 continue
-            self._occupy_tier(tier.name, request_id, take)
+            self._fill(ledger, take)
+            entry.res[tier] += take
             ledger.demoted_in_bytes += take
-            self._pending_transfer_seconds += take / tier.bandwidth_bytes_per_s
+            self._pending_transfer_seconds += take / bandwidth
             remaining -= take
             if remaining <= 0.0:
                 return
@@ -620,19 +946,20 @@ class TieredBudgetTracker(BudgetTracker):
             "should have refused this"
         )
 
-    def _victims(self, exclude: int) -> list[ServingRequest]:
+    def _victims(self, exclude: int) -> list[_Entry]:
         """Demotion candidates, least recently (re)admitted first."""
-        top_name = self.stack.top.name
+        current = self._current
         return sorted(
             (
-                request
-                for request_id, request in self._requests.items()
-                if request_id != exclude
-                and self._residency[request_id].get(top_name, 0.0) > 0.0
+                entry
+                for request_id, entry in self._entries.items()
+                if request_id != exclude and current(entry)[0] > 0.0
             ),
-            key=lambda r: (
-                r.last_admitted_time if r.last_admitted_time is not None else -1.0,
-                r.request_id,
+            key=lambda e: (
+                e.request.last_admitted_time
+                if e.request.last_admitted_time is not None
+                else -1.0,
+                e.request.request_id,
             ),
         )
 
@@ -645,9 +972,8 @@ class TieredBudgetTracker(BudgetTracker):
         pass while ``attention`` keeps hot sets resident unless pressure
         forces the second pass.
         """
-        top = self.stack.top
-        ledger = self._ledgers[top.name]
-        deficit = want_bytes - (top.capacity_bytes - ledger.occupied_bytes)
+        top_capacity, top_ledger, _ = self._tiers[0]
+        deficit = want_bytes - (top_capacity - top_ledger.occupied_bytes)
         if deficit <= 0.0:
             return
         for fraction in (self.policy.demotion_fraction(), 1.0):
@@ -656,20 +982,21 @@ class TieredBudgetTracker(BudgetTracker):
             for victim in self._victims(exclude):
                 if deficit <= 0.0:
                     return
-                have = self._residency[victim.request_id].get(top.name, 0.0)
-                give = min(have * fraction, deficit, self._lower_free_bytes())
+                self._settle(victim)
+                give = min(victim.res[0] * fraction, deficit, self._lower_free_bytes())
                 if give <= 0.0:
                     continue
-                self._vacate_tier(top.name, victim.request_id, give)
-                self._push_into_lower(victim.request_id, give)
+                self._detach(victim)
+                self._vacate(victim, 0, give)
+                self._push_into_lower(victim, give)
+                self._attach(victim)
                 deficit -= give
                 if self.sanitize:
-                    self._check_residency(victim)
+                    self._check_residency(victim.request)
 
     def _lower_free_bytes(self) -> float:
         return sum(
-            tier.capacity_bytes - self._ledgers[tier.name].occupied_bytes
-            for tier in self.stack.tiers[1:]
+            capacity - ledger.occupied_bytes for capacity, ledger, _ in self._tiers[1:]
         )
 
     def promote_for_decode(self, running: list[ServingRequest]) -> None:
@@ -680,30 +1007,45 @@ class TieredBudgetTracker(BudgetTracker):
         bytes into top-tier headroom until it runs out.  Each promotion
         bills the *source* tier's bandwidth.  Static-split policies skip
         promotion entirely -- their spilled share pays the read surcharge
-        instead.
+        instead.  With no top headroom, or no decoding bytes below the
+        top, there is nothing to walk.
         """
-        if not self.policy.promotes or len(self.stack.tiers) == 1:
+        self._sync_decoding(running)
+        tiers = self._tiers
+        if not self.policy.promotes or len(tiers) == 1:
             return
-        top = self.stack.top
-        top_ledger = self._ledgers[top.name]
+        top_capacity, top_ledger, _ = tiers[0]
+        if not top_capacity - top_ledger.occupied_bytes > 0.0:
+            return
+        if not any(
+            grown + fixed > 0.0
+            for grown, fixed in zip(self._grown[1:], self._fixed_bytes[1:])
+        ):
+            return
+        entries = self._entries
         for request in running:
-            residency = self._residency.get(request.request_id)
-            if not residency:
+            if not top_capacity - top_ledger.occupied_bytes > 0.0:
+                return
+            entry = entries.get(request.request_id)
+            if entry is None or not any(h > 0.0 for h in self._current(entry)[1:]):
                 continue
-            for tier in self.stack.tiers[1:]:
-                have = residency.get(tier.name, 0.0)
+            self._settle(entry)
+            self._detach(entry)
+            for tier in range(1, len(tiers)):
+                have = entry.res[tier]
                 if have <= 0.0:
                     continue
-                free = top.capacity_bytes - top_ledger.occupied_bytes
+                free = top_capacity - top_ledger.occupied_bytes
                 if free <= 0.0:
-                    return
+                    break
                 take = min(have, free)
-                self._vacate_tier(tier.name, request.request_id, take)
-                self._occupy_tier(top.name, request.request_id, take)
-                self._ledgers[tier.name].promoted_out_bytes += take
-                self._pending_transfer_seconds += (
-                    take / tier.bandwidth_bytes_per_s
-                )
+                _, ledger, bandwidth = tiers[tier]
+                self._vacate(entry, tier, take)
+                self._fill(top_ledger, take)
+                entry.res[0] += take
+                ledger.promoted_out_bytes += take
+                self._pending_transfer_seconds += take / bandwidth
+            self._attach(entry)
             if self.sanitize:
                 self._check_residency(request)
 
@@ -714,53 +1056,42 @@ class TieredBudgetTracker(BudgetTracker):
         return seconds
 
     def spill_read_seconds(self, running: list[ServingRequest], step_time) -> float:
-        """Offloaded-attention surcharge for one decode iteration.
+        """Offloaded-attention surcharge for one decode iteration, in O(tiers).
 
-        Every running request re-reads its current KV; the share resident
-        below the top tier is billed at that tier's bandwidth through
-        :meth:`~repro.serving.steptime.StepTimeModel.spill_read_seconds`.
-        Reads are tallied per tier (the hit-rate base) whether or not they
-        cost anything, so a fully-resident drain still reports a 100%
-        top-tier hit rate.  Current bytes are context times
-        :attr:`token_bytes`, and every accumulator adds its terms in
-        request order, as a per-request call would.
+        Every running request re-reads its current KV, and each tier's
+        share of those reads comes from the decoding-set aggregates: a
+        growing entry reads the bytes it holds there (its entry is its
+        current context's bytes), a fixed one ``context × held / total``.
+        The bytes read below the top tier are billed at the tier's
+        bandwidth through
+        :meth:`~repro.serving.steptime.StepTimeModel.spill_read_seconds`,
+        once per tier for the whole batch.  Reads are tallied per tier (the
+        hit-rate base) whether or not they cost anything, so a
+        fully-resident drain still reports a 100% top-tier hit rate.  A
+        request's own spilled seconds settle with its residency.
         """
-        residencies = self._residency
-        token_bytes = self.token_bytes
-        spill = step_time.spill_read_seconds
-        top_name = self.stack.top.name
-        top_ledger = self._ledgers[top_name]
-        lower = [
-            (tier.name, self._ledgers[tier.name], tier.bandwidth_bytes_per_s)
-            for tier in self.stack.tiers[1:]
-        ]
-        top_reads = top_ledger.decode_read_bytes
-        spilled = self.spilled_decode_seconds
-        total_extra = 0.0
-        for request in running:
-            residency = residencies.get(request.request_id)
-            if not residency:
-                continue
-            resident_total = sum(residency.values())
-            if resident_total <= 0.0:
-                continue
-            current = request.context_tokens * token_bytes
-            top_reads += current * (residency.get(top_name, 0.0) / resident_total)
-            extra = 0.0
-            for name, ledger, bandwidth in lower:
-                held = residency.get(name, 0.0)
-                if held <= 0.0:
-                    continue
-                read = current * (held / resident_total)
-                ledger.decode_read_bytes += read
+        self._sync_decoding(running)
+        spill = self._spill = step_time.spill_read_seconds
+        self._areas = list(map(operator.add, self._areas, self._counts))
+        reads = self._grown.copy()
+        if self._n_fixed:
+            since = self.decode_steps - self._fixed_at
+            token_bytes = self.token_bytes
+            for tier, (weighted, ratio) in enumerate(
+                zip(self._ratio_context, self._ratio_sum)
+            ):
+                reads[tier] += token_bytes * (weighted + since * ratio)
+        self.decode_steps += 1
+        self._tiers[0][1].decode_read_bytes += reads[0]
+        extra = 0.0
+        for (_, ledger, bandwidth), read in zip(self._lower, reads[1:]):
+            ledger.decode_read_bytes += read
+            if read > 0.0:
                 extra += spill(read, bandwidth)
-            if extra > 0.0:
-                request.spilled_decode_seconds += extra
-                spilled += extra
-                total_extra += extra
-        top_ledger.decode_read_bytes = top_reads
-        self.spilled_decode_seconds = spilled
-        return total_extra
+        self.spilled_decode_seconds += extra
+        if self.sanitize:
+            self._check_reads(running, reads)
+        return extra
 
     # --- router / reporting views -----------------------------------------------
 
@@ -829,11 +1160,12 @@ class TieredBudgetTracker(BudgetTracker):
                 )
 
     def _check_residency(self, request: ServingRequest) -> None:
-        """A request's residency map sums to its flat-ledger entry."""
-        held = self._held.get(request.request_id)
-        if held is None:
+        """A request's tier residency sums to its flat-ledger entry."""
+        entry = self._entries.get(request.request_id)
+        if entry is None or request.request_id not in self._held:
             return
-        total = sum(self._residency.get(request.request_id, {}).values())
+        held = self._held_now(request.request_id)
+        total = sum(self._current(entry))
         if abs(total - held) > self._conservation_tolerance():
             raise SanitizerError(
                 f"request {request.request_id} holds {held:.3f} flat bytes "
@@ -842,13 +1174,104 @@ class TieredBudgetTracker(BudgetTracker):
                 request_id=request.request_id,
             )
 
+    def _check_aggregates(self, request_id: int) -> None:
+        """After a decode step, each tier ledger equals its requests' summed
+        residency and the growing aggregate its decoding requests' share --
+        the per-request reference the counters stand in for."""
+        tolerance = self._conservation_tolerance()
+        occupied = [0.0] * len(self._tiers)
+        grown = [0.0] * len(self._tiers)
+        for entry in self._entries.values():
+            for tier, held in enumerate(self._current(entry)):
+                occupied[tier] += held
+                if entry.growing and entry.decoding:
+                    grown[tier] += held
+        for (tier, (_, ledger, _)), total, growing in zip(
+            enumerate(self._tiers), occupied, grown
+        ):
+            name = ledger.tier.name
+            if abs(total - ledger.occupied_bytes) > tolerance:
+                raise SanitizerError(
+                    f"KV tier {name!r} ledger holds "
+                    f"{ledger.occupied_bytes:.3f} bytes but its requests' "
+                    f"residency sums to {total:.3f} ({self.budget.description!r})",
+                    invariant="tier-conservation",
+                    request_id=request_id,
+                )
+            if abs(growing - self._grown[tier]) > tolerance:
+                raise SanitizerError(
+                    f"KV tier {name!r} decoding aggregate holds "
+                    f"{self._grown[tier]:.3f} bytes but its growing requests "
+                    f"hold {growing:.3f} ({self.budget.description!r})",
+                    invariant="tier-conservation",
+                    request_id=request_id,
+                )
+        self._check_tier_occupancy(request_id)
+
+    def _reference_reads(
+        self, running: list[ServingRequest]
+    ) -> list[tuple[ServingRequest, list[float]]]:
+        """Each running request's reads per tier in one decode step, one
+        request at a time: ``context × held / total`` from every tier it
+        holds bytes in (the per-request loop the aggregates stand in for)."""
+        entries = self._entries
+        token_bytes = self.token_bytes
+        reads = []
+        for request in running:
+            entry = entries.get(request.request_id)
+            if entry is None:
+                continue
+            residency = self._current(entry)
+            resident_total = sum(residency)
+            if resident_total <= 0.0:
+                continue
+            current = request.context_tokens * token_bytes
+            reads.append(
+                (
+                    request,
+                    [
+                        current * (held / resident_total) if held > 0.0 else 0.0
+                        for held in residency
+                    ],
+                )
+            )
+        return reads
+
+    def _check_reads(self, running: list[ServingRequest], reads: list[float]) -> None:
+        """A step's per-tier reads equal the per-request reference: every
+        running request reading ``context × held / total`` from each tier,
+        and the decoding set is exactly the running batch."""
+        entries = self._entries
+        if len(running) != self._n_growing + self._n_fixed or not all(
+            entries[r.request_id].decoding for r in running if r.request_id in entries
+        ):
+            raise SanitizerError(
+                f"decoding set of {self._n_growing + self._n_fixed} requests "
+                f"differs from the running batch of {len(running)} "
+                f"({self.budget.description!r})",
+                invariant="tier-conservation",
+            )
+        reference = [0.0] * len(self._tiers)
+        for _, request_reads in self._reference_reads(running):
+            for tier, read in enumerate(request_reads):
+                reference[tier] += read
+        tolerance = self._conservation_tolerance()
+        for (_, ledger, _), billed, expected in zip(self._tiers, reads, reference):
+            if abs(billed - expected) > tolerance:
+                raise SanitizerError(
+                    f"KV tier {ledger.tier.name!r} read {billed:.3f} bytes in a "
+                    f"decode step but its running requests read {expected:.3f} "
+                    f"({self.budget.description!r})",
+                    invariant="tier-conservation",
+                )
+
     def assert_drained(self, context: str = "") -> None:
         super().assert_drained(context)
         where = f" on {context}" if context else ""
-        if self._residency:
-            ids = sorted(self._residency)
+        if self._entries:
+            ids = sorted(self._entries)
             raise SanitizerError(
-                f"{len(ids)} tier residency map(s) never drained{where}: "
+                f"{len(ids)} tier residenc(ies) never drained{where}: "
                 f"request(s) {', '.join(str(i) for i in ids[:5])}",
                 invariant="tier-conservation",
                 request_id=ids[0],

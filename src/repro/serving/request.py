@@ -35,7 +35,7 @@ every field a fresh request must still hold at its default (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from repro.errors import SchedulingError
@@ -85,16 +85,13 @@ class ServingRequest:
     #: (see :mod:`repro.serving.overload`); distinct from
     #: :attr:`migration_count`, which counts node-death re-routing.
     retry_attempts: int = 0
-    #: Live per-tier KV residency (tier name -> bytes) while admitted to a
-    #: tiered node -- the same dict the node's
-    #: :class:`~repro.serving.kvtiers.TieredBudgetTracker` maintains, so
-    #: reads are zero-copy; ``None`` on flat nodes and whenever the
-    #: request holds no reservation.  Excluded from equality/repr: it is
-    #: transient tracker state, not an outcome.
-    kv_residency: dict | None = field(default=None, repr=False, compare=False)
     #: Extra decode seconds this request paid re-reading its spilled KV at
     #: the near-storage rate (tiered nodes with bytes below the top tier;
-    #: counted at the nominal rate, before slowdown-fault scaling).
+    #: counted at the nominal rate, before slowdown-fault scaling).  The
+    #: tier tracker settles it lazily, at residency events and release, so
+    #: it is final once the request completes.  (A tiered node's live
+    #: per-tier residency is read from its tracker:
+    #: :meth:`~repro.serving.kvtiers.TieredBudgetTracker.residency`.)
     spilled_decode_seconds: float = 0.0
     #: When admission control shed this request (``None`` if never shed).
     shed_time: float | None = None

@@ -100,7 +100,9 @@ class StepTimeModel(abc.ABC):
 
         The offloaded-attention step-time mode: KV resident below a tiered
         node's compute tier is re-read each iteration at the holding
-        tier's near-storage rate (see :mod:`repro.serving.kvtiers`).  The
+        tier's near-storage rate (see :mod:`repro.serving.kvtiers`, which
+        prices a whole batch's reads from one tier in one call, and a
+        request's settled reads from one tier in another).  The
         declared default is a pure bandwidth bill, ``bytes / bandwidth``;
         models that overlap the transfer with compute (the paper's
         SmartSSD pipelines attention against the flash read) override it

@@ -118,11 +118,36 @@ class TestParseTiersSpec:
             "hbm:abc",  # malformed capacity
             "hbm:0",  # non-positive capacity
             "hbm:40g,ssd:2t:0",  # non-positive bandwidth
+            "hbm:nan",  # NaN capacity
+            "hbm:inf",  # infinite capacity
+            "hbm:40g,ssd:nan:3g",  # NaN lower capacity
+            "hbm:40g,ssd:2t:nan",  # NaN bandwidth
         ],
     )
     def test_malformed_specs_rejected(self, spec):
         with pytest.raises(ConfigurationError, match="malformed kv-tiers spec"):
             parse_kv_tiers_spec(spec)
+
+
+class TestTierValidation:
+    """Capacities must be finite and positive, bandwidths positive and not
+    NaN: a NaN bandwidth compares false against zero, which would make
+    every demotion, promotion and spilled read free."""
+
+    @pytest.mark.parametrize(
+        "capacity", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0]
+    )
+    def test_bad_capacity_names_the_tier(self, capacity):
+        with pytest.raises(ConfigurationError, match="'dram'.*capacity"):
+            KVTier("dram", capacity_bytes=capacity, bandwidth_bytes_per_s=1e9)
+
+    @pytest.mark.parametrize("bandwidth", [float("nan"), 0.0, -1e9])
+    def test_bad_bandwidth_names_the_tier(self, bandwidth):
+        with pytest.raises(ConfigurationError, match="'ssd'.*bandwidth"):
+            KVTier("ssd", capacity_bytes=1e9, bandwidth_bytes_per_s=bandwidth)
+
+    def test_top_tier_keeps_its_infinite_bandwidth(self):
+        assert KVTier("hbm", capacity_bytes=1e9).bandwidth_bytes_per_s == float("inf")
 
 
 class TestParsePolicySpec:
@@ -226,10 +251,12 @@ class TestThreeTierExactFigures:
     A mixed Poisson queue under optimistic admission, with preemptions
     firing, through a stack whose middle (dram) tier takes both unbilled
     cascaded growth and billed demotion -- the cascade's non-bottom branch,
-    which a 2-tier stack never reaches.  The figures were recorded from
-    the ledger that re-marked each running request with its own call; the
-    batched re-mark must reproduce them bit for bit, float order included
-    (``attention`` and ``static`` split bytes fractionally).
+    which a 2-tier stack never reaches.  The figures come from the lazy
+    tracker, which lands a decode step's growth in O(tiers) and prices its
+    spilled reads once per tier for the whole batch.  The per-request
+    ledger before it recorded the same figures except
+    ``spilled_decode_seconds``, which sums the same reads in another order
+    (:attr:`PER_REQUEST_SPILLED`); the two must agree within 1e-12.
     """
 
     N_REQUESTS = 16
@@ -257,7 +284,7 @@ class TestThreeTierExactFigures:
                 1090.6187770876172,
             ),
             "makespan": 1306.038165727617,
-            "spilled_decode_seconds": 0.47650476799999986,
+            "spilled_decode_seconds": 0.4765047679999999,
             # tier: (demoted, promoted, decode-read) bytes
             "tiers": {
                 "hbm": (0.0, 0.0, 548374400.0),
@@ -286,7 +313,7 @@ class TestThreeTierExactFigures:
                 1090.6236433298563,
             ),
             "makespan": 1306.0430811314563,
-            "spilled_decode_seconds": 0.4813946143999998,
+            "spilled_decode_seconds": 0.48139461439999987,
             # tier: (demoted, promoted, decode-read) bytes
             "tiers": {
                 "hbm": (0.0, 0.0, 548374400.0),
@@ -315,7 +342,7 @@ class TestThreeTierExactFigures:
                 1090.6282926396166,
             ),
             "makespan": 1306.0554648316167,
-            "spilled_decode_seconds": 0.494369024,
+            "spilled_decode_seconds": 0.49436902400000005,
             # tier: (demoted, promoted, decode-read) bytes
             "tiers": {
                 "hbm": (0.0, 0.0, 404510336.0),
@@ -323,6 +350,14 @@ class TestThreeTierExactFigures:
                 "ssd": (133376.0, 0.0, 340606592.0),
             },
         },
+    }
+
+    #: ``spilled_decode_seconds`` as the per-request ledger recorded it, one
+    #: request's reads at a time; every other figure above is unchanged.
+    PER_REQUEST_SPILLED = {
+        "lru": 0.47650476799999986,
+        "attention": 0.4813946143999998,
+        "static": 0.494369024,
     }
 
     @pytest.mark.parametrize(
@@ -367,6 +402,9 @@ class TestThreeTierExactFigures:
         )
         assert report.makespan_seconds == expected["makespan"]
         assert report.spilled_decode_seconds == expected["spilled_decode_seconds"]
+        assert report.spilled_decode_seconds == pytest.approx(
+            self.PER_REQUEST_SPILLED[policy_id], rel=1e-12, abs=0.0
+        )
         assert {
             t.tier: (t.demoted_bytes, t.promoted_bytes, t.decode_read_bytes)
             for t in report.kv_tiers
@@ -381,8 +419,8 @@ class TestPlacement:
         )
         (request,) = make_request_queue([SHORT])
         admit(tracker, request, at=0.0)
-        assert request.kv_residency["hbm"] == pytest.approx(0.75 * final)
-        assert request.kv_residency["ssd"] == pytest.approx(0.25 * final)
+        assert tracker.residency(request)["hbm"] == pytest.approx(0.75 * final)
+        assert tracker.residency(request)["ssd"] == pytest.approx(0.25 * final)
         # Initial placement is bookkeeping, not billed movement.
         assert tracker.consume_transfer_seconds() == 0.0
 
@@ -395,7 +433,7 @@ class TestPlacement:
         )
         (request,) = make_request_queue([SHORT])
         admit(tracker, request, at=0.0)
-        assert request.kv_residency == {"hbm": pytest.approx(final)}
+        assert tracker.residency(request) == {"hbm": pytest.approx(final)}
 
     def test_overflow_past_the_top_cascades_unbilled(self, tiny_mha):
         final = short_final(tiny_mha)
@@ -408,10 +446,10 @@ class TestPlacement:
         # first demoted to make way, second takes the whole top; what still
         # does not fit cascades below.
         total_top = sum(
-            r.kv_residency.get("hbm", 0.0) for r in (first, second)
+            tracker.residency(r).get("hbm", 0.0) for r in (first, second)
         )
         total_ssd = sum(
-            r.kv_residency.get("ssd", 0.0) for r in (first, second)
+            tracker.residency(r).get("ssd", 0.0) for r in (first, second)
         )
         assert total_top == pytest.approx(1.5 * final)
         assert total_ssd == pytest.approx(0.5 * final)
@@ -432,9 +470,9 @@ class TestVictimOrdering:
         admit(tracker, incoming, at=2.0)
         # The coldest request yields its entire top residency; the newer
         # one is untouched.
-        assert oldest.kv_residency == {"ssd": pytest.approx(final)}
-        assert newer.kv_residency == {"hbm": pytest.approx(final)}
-        assert incoming.kv_residency == {"hbm": pytest.approx(final)}
+        assert tracker.residency(oldest) == {"ssd": pytest.approx(final)}
+        assert tracker.residency(newer) == {"hbm": pytest.approx(final)}
+        assert tracker.residency(incoming) == {"hbm": pytest.approx(final)}
         # Demotion is billed movement: bytes crossed at the ssd bandwidth.
         assert tracker.consume_transfer_seconds() == pytest.approx(final / 1e9)
 
@@ -452,9 +490,9 @@ class TestVictimOrdering:
         # One pass takes 75% of the oldest victim, then 75% of the next is
         # capped by the remaining deficit -- both keep KV top-resident,
         # unlike LRU's whole-request eviction.
-        assert oldest.kv_residency["hbm"] == pytest.approx(0.25 * final)
-        assert newer.kv_residency["hbm"] == pytest.approx(0.75 * final)
-        assert incoming.kv_residency["hbm"] == pytest.approx(final)
+        assert tracker.residency(oldest)["hbm"] == pytest.approx(0.25 * final)
+        assert tracker.residency(newer)["hbm"] == pytest.approx(0.75 * final)
+        assert tracker.residency(incoming)["hbm"] == pytest.approx(final)
 
     def test_attention_second_pass_takes_hot_sets_under_pressure(self, tiny_mha):
         final = short_final(tiny_mha)
@@ -467,8 +505,8 @@ class TestVictimOrdering:
         admit(tracker, victim, at=0.0)
         admit(tracker, incoming, at=1.0)
         # Capacity beats locality: the hot share demotes too.
-        assert victim.kv_residency == {"ssd": pytest.approx(final)}
-        assert incoming.kv_residency == {"hbm": pytest.approx(final)}
+        assert tracker.residency(victim) == {"ssd": pytest.approx(final)}
+        assert tracker.residency(incoming) == {"hbm": pytest.approx(final)}
 
     def test_victim_ties_break_by_request_id(self, tiny_mha):
         final = short_final(tiny_mha)
@@ -479,8 +517,8 @@ class TestVictimOrdering:
         admit(tracker, first, at=5.0)
         admit(tracker, second, at=5.0)
         admit(tracker, incoming, at=6.0)
-        assert first.kv_residency == {"ssd": pytest.approx(final)}
-        assert second.kv_residency == {"hbm": pytest.approx(final)}
+        assert tracker.residency(first) == {"ssd": pytest.approx(final)}
+        assert tracker.residency(second) == {"hbm": pytest.approx(final)}
 
 
 class TestPromotion:
@@ -492,11 +530,11 @@ class TestPromotion:
         spilled, blocker = make_request_queue([SHORT, SHORT])
         admit(tracker, spilled, at=0.0)
         admit(tracker, blocker, at=1.0)
-        assert spilled.kv_residency == {"ssd": pytest.approx(final)}
+        assert tracker.residency(spilled) == {"ssd": pytest.approx(final)}
         tracker.consume_transfer_seconds()  # drop the demotion bill
         tracker.release(blocker)
         tracker.promote_for_decode([spilled])
-        assert spilled.kv_residency == {"hbm": pytest.approx(final)}
+        assert tracker.residency(spilled) == {"hbm": pytest.approx(final)}
         # Promotion bills the source (ssd) tier's bandwidth.
         assert tracker.consume_transfer_seconds() == pytest.approx(final / 1e9)
         reports = {report.tier: report for report in tracker.tier_reports()}
@@ -511,7 +549,7 @@ class TestPromotion:
         (request,) = make_request_queue([SHORT])
         admit(tracker, request, at=0.0)
         tracker.promote_for_decode([request])
-        assert request.kv_residency["ssd"] == pytest.approx(0.5 * final)
+        assert tracker.residency(request)["ssd"] == pytest.approx(0.5 * final)
         assert tracker.consume_transfer_seconds() == 0.0
 
 
@@ -531,6 +569,9 @@ class TestSpillReadSurcharge:
         current = float(tiny_mha.kv_cache_bytes(1, request.context_tokens))
         extra = tracker.spill_read_seconds([request], unit_steps())
         assert extra == pytest.approx(0.5 * current / bandwidth)
+        # A request's own spilled seconds settle with its residency (here,
+        # at release); the node total moves every step.
+        tracker.release(request)
         assert request.spilled_decode_seconds == pytest.approx(extra)
         assert tracker.spilled_decode_seconds == pytest.approx(extra)
         reports = {report.tier: report for report in tracker.tier_reports()}
@@ -562,9 +603,9 @@ class TestTierConservation:
         )
         (request,) = make_request_queue([SHORT])
         admit(tracker, request, at=0.0)
-        assert set(request.kv_residency) == {"hbm", "ssd"}
+        assert set(tracker.residency(request)) == {"hbm", "ssd"}
         tracker.release(request)
-        assert request.kv_residency is None
+        assert tracker.residency(request) is None
         tracker.assert_drained("unit release")
 
     def test_migration_release_path_drains_all_tiers(self, tiny_mha):
@@ -577,7 +618,7 @@ class TestTierConservation:
         spilled, resident = make_request_queue([SHORT, SHORT])
         admit(tracker, spilled, at=0.0)
         admit(tracker, resident, at=1.0)
-        assert spilled.kv_residency == {"ssd": pytest.approx(final)}
+        assert tracker.residency(spilled) == {"ssd": pytest.approx(final)}
         tracker.release(spilled)
         tracker.release(resident)
         tracker.assert_drained("migration release")
@@ -590,7 +631,7 @@ class TestTierConservation:
         (request,) = make_request_queue([SHORT])
         admit(tracker, request, at=0.0)
         # Bypass the tier-aware override: the flat ledger drains but the
-        # residency map leaks -- exactly what the invariant must catch.
+        # tier residency leaks -- exactly what the invariant must catch.
         super(TieredBudgetTracker, tracker).release(request)
         with pytest.raises(SanitizerError, match="tier-conservation"):
             tracker.assert_drained("leak")
@@ -613,7 +654,7 @@ class TestTierConservation:
         )
         (request,) = make_request_queue([SHORT])
         admit(tracker, request, at=0.0)
-        request.kv_residency["hbm"] *= 0.5
+        tracker._entries[request.request_id].res[0] *= 0.5
         with pytest.raises(SanitizerError, match="tier-conservation"):
             tracker._check_residency(request)
 
@@ -627,12 +668,12 @@ class TestTierConservation:
             request.last_admitted_time = 0.0
             tracker.occupy(request)
             request.tokens_generated = 1
-        tracker.update(*batch)
+        tracker.update(*batch)  # the first re-mark: the batch starts growing
         for request in batch:
             request.tokens_generated += 1
-        # A placement pass that drops the step's growth: the flat entries
-        # grow, the residency maps do not.
-        monkeypatch.setattr(tracker, "_place", lambda requests, amounts: None)
+        # A decode step whose batch growth is dropped: the flat entries grow
+        # by a token, the tier counters claim the step but never tick.
+        monkeypatch.setattr(tracker, "_grow_uniform", lambda n: True)
         with pytest.raises(SanitizerError, match="residency sums") as excinfo:
             tracker.update(*batch)
         assert excinfo.value.invariant == "tier-conservation"
@@ -731,7 +772,7 @@ class TestTieredDrains:
         assert running.tokens_generated > 1 and not running.finished
         for waiting in queued:
             engine.enqueue(waiting)
-        occupied = running.kv_residency["hbm"]
+        occupied = engine.tracker.residency(running)["hbm"]
         assert occupied == 0.75 * final  # reserve mode: the final footprint
         queued_bytes = sum(
             tiny_mha.kv_cache_bytes(1, r.final_context_tokens) for r in queued

@@ -393,6 +393,22 @@ class TestLoadLedgers:
             _ = engine.outstanding_tokens
         assert caught.value.invariant == "load-ledger"
 
+    def test_retirement_scans_only_when_the_countdown_runs_out(
+        self, system, tiny_mha
+    ):
+        plain = self._engine(system, tiny_mha, sanitize=False, tiered=False)
+        plain.running = _Unscannable()
+        plain._until_finish = 2
+        plain._retire_finished()  # no finisher due: running is not scanned
+        twin = self._engine(system, tiny_mha, sanitize=True, tiered=False)
+        done = request(SHORT)
+        done.tokens_generated = done.output_tokens
+        twin.running.append(done)
+        twin._until_finish = 2  # wrong: the request already finished
+        with pytest.raises(SanitizerError, match="finish countdown") as caught:
+            twin._retire_finished()
+        assert caught.value.invariant == "load-ledger"
+
     def test_drain_end_residue_is_caught(self, system, tiny_mha):
         engine = self._engine(system, tiny_mha, sanitize=True, tiered=False)
         engine.enqueue(request(SHORT))  # routed but never drained
