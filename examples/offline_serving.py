@@ -24,8 +24,7 @@ recompute bill and the uptime-only cost discount interact.
 
 Act five overloads a 2-node fleet with a hot stream and bounds admission:
 shed-on-arrival drops the overflow as structured outcomes (every request
-still accounted), retry-with-backoff re-delivers it, and the report
-separates raw tokens/s from goodput.
+still accounted), and retry-with-backoff re-delivers it.
 
 Act six hands the same hot stream to an elastic 1..4-node fleet: a
 reactive autoscaler provisions offline spares on queue pressure (through
@@ -265,7 +264,7 @@ def overload_act(model, queue) -> None:
     print("\n2-node fleet under a hot stream (0.2 req/s), waiting queues "
           "bounded at 8 requests per node:")
     print(f"{'overload':16s} {'done':>9s} {'shed':>5s} {'retries':>8s} "
-          f"{'goodput tok/s':>14s} {'p95 lat':>10s}")
+          f"{'p95 lat':>10s}")
     for spec in ("shed:8", "retry:8:-:6"):
         nodes = [
             Node(system, step_time=step_time, name=f"node{i}") for i in range(2)
@@ -280,7 +279,6 @@ def overload_act(model, queue) -> None:
         print(
             f"{spec:16s} {report.completed:4d}/{report.n_requests:<4d} "
             f"{report.shed_requests:5d} {report.retry_attempts:8d} "
-            f"{report.goodput_tokens_per_s:14.3f} "
             f"{report.p95_latency_seconds / 3600:9.2f}h"
         )
         # Nothing vanishes: every arrival either completed on a node or

@@ -28,9 +28,13 @@ checks are:
   negative; after a re-mark the running total equals the sum of the
   entries -- each re-marked entry derived from the decode-step counter --
   and every re-marked entry its request's ``kv_current_bytes``; every
-  reservation is released by drain end) and by
-  :class:`~repro.serving.cluster.ClusterScheduler` (fleet report token and
-  request counts must equal the sum of the per-node outcomes);
+  reservation is released by drain end);
+* **request-conservation** -- enforced at the end of every
+  :class:`~repro.serving.cluster.ClusterScheduler` drain: one re-tally of
+  the report's requests must give every request-derived figure of the
+  report, and every request must have completed or been shed;
+* **migration-conservation** -- at the same point: the migrations the
+  requests counted must be the ones the dying nodes' engines counted;
 * **tier-conservation** -- enforced by
   :class:`~repro.serving.kvtiers.TieredBudgetTracker` on tiered nodes:
   per-tier occupancy never exceeds the tier's capacity and never goes

@@ -27,7 +27,7 @@ seeded node
 failures (spot preemption / crash / slowdown) into the drain, with
 per-node migration and downtime accounting in the breakdown,
 ``--overload SPEC`` bounds admission (shed / retry-with-backoff / park,
-with shed/retry/goodput accounting), ``--autoscale SPEC`` hands the
+with shed/retry accounting), ``--autoscale SPEC`` hands the
 fleet to a reactive autoscaler whose scale decisions land in a fourth
 scale-event table, and ``--kv-tiers SPEC --kv-policy SPEC`` mounts a
 tiered KV hierarchy (HBM/DRAM/SSD stack with demotion/promotion billed
@@ -209,7 +209,6 @@ def run(
             "shed",
             "retries",
             "tokens_per_s",
-            "goodput_tok_s",
             "mean_latency_s",
             "p95_latency_s",
             "peak_kv_gb",
@@ -365,7 +364,6 @@ def run(
                 report.shed_requests,
                 report.retry_attempts,
                 report.tokens_per_second,
-                report.goodput_tokens_per_s,
                 report.mean_latency_seconds,
                 report.p95_latency_seconds,
                 report.peak_kv_reserved_bytes / 1e9,

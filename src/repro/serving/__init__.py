@@ -45,7 +45,7 @@ Overload control bounds admission at the dispatcher
 (:mod:`repro.serving.overload`): ``overload=parse_overload_spec(
 "retry:32")`` parks, retries with seeded backoff, or sheds over-limit
 arrivals as structured :class:`ShedRequest` outcomes, and the report
-grows shed/retry/goodput accounting.  Elastic fleets hand scaling to a
+grows shed/retry accounting.  Elastic fleets hand scaling to a
 reactive autoscaler (:mod:`repro.serving.autoscale`):
 ``autoscale=parse_autoscale_spec("auto:1:4:8")`` provisions offline
 spares on queue-depth/TTFT pressure (through the fault layer's
@@ -119,7 +119,6 @@ from repro.serving.budget import (
 from repro.serving.cluster import (
     FLEET_SYMMETRY_MODES,
     ClusterScheduler,
-    as_request_queue,
     build_fleet,
     drain_queue,
 )
@@ -145,9 +144,6 @@ from repro.serving.metrics import (
     NodeBreakdown,
     ServingReport,
     TierReport,
-    merge_tier_reports,
-    percentile,
-    system_cost_model,
     uptime_billing,
 )
 from repro.serving.overload import (
@@ -223,13 +219,11 @@ __all__ = [
     "TokenRateThrottle",
     "TraceReplay",
     "WeightedRoundRobin",
-    "as_request_queue",
     "build_fleet",
     "capacity_budget_for",
     "default_policies",
     "drain_queue",
     "make_request_queue",
-    "merge_tier_reports",
     "parse_arrival_spec",
     "parse_autoscale_spec",
     "parse_fault_spec",
@@ -237,7 +231,5 @@ __all__ = [
     "parse_kv_tiers_spec",
     "parse_overload_spec",
     "parse_router_spec",
-    "percentile",
-    "system_cost_model",
     "uptime_billing",
 ]

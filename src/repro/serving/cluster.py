@@ -39,9 +39,8 @@ nodes die and recover mid-drain, their requests migrate
 recompute-on-migrate through the router (bounded retry), a fully-down
 fleet parks arrivals until a recovery, and an unrecoverable fleet raises
 a structured :class:`~repro.errors.SchedulingError` naming the stranded
-requests.  :func:`check_report_conservation` extends to migration and
-downtime accounting so every request is still accounted by exactly one
-node.
+requests.  :func:`check_report_conservation` checks that the migrations
+the requests counted are the ones the dying nodes counted.
 
 **Overload control & elasticity.** ``overload=OverloadControl(...)``
 bounds admission at the dispatcher (queue depth and/or fleet token rate;
@@ -123,7 +122,17 @@ _FRESH_OUTCOME = {
 def _validated_kind(
     requests: Sequence[RequestClass] | Sequence[ServingRequest],
 ) -> type:
-    """Run :func:`as_request_queue`'s checks; return the element type."""
+    """Validate a drain's input queue; return its element type.
+
+    Every element is type-checked (mixed queues raise with the offending
+    index); bare :class:`RequestClass` shapes make an id-ordered queue,
+    unique by construction.  A :class:`ServingRequest` must be fresh --
+    every :attr:`~ServingRequest.OUTCOME_FIELDS` entry at its default: one
+    that already carries state from an earlier drain raises with its index
+    and the first stale field, since a drain mutates its requests in place
+    and every report shares them -- and must carry a request id no other
+    element carries: a repeated id raises naming both indices.
+    """
     if not requests:
         raise SchedulingError("cannot drain an empty request queue")
     expected: type = (
@@ -206,118 +215,50 @@ class _Queue:
         return request
 
 
-def as_request_queue(
-    requests: Sequence[RequestClass] | Sequence[ServingRequest],
-) -> list[ServingRequest]:
-    """Validate and normalise a drain's input queue.
-
-    Every element is type-checked (mixed queues raise with the offending
-    index); bare :class:`RequestClass` shapes are wrapped as an id-ordered
-    all-at-time-zero queue, unique by construction.  A
-    :class:`ServingRequest` must be fresh -- every
-    :attr:`~ServingRequest.OUTCOME_FIELDS` entry at its default: one that
-    already carries state from an earlier drain raises with its index and
-    the first stale field, since a drain mutates its requests in place and
-    every report shares them -- and must carry a request id no other
-    element carries: a repeated id raises naming both indices.
-    """
-    queue = _Queue(requests)
-    return [queue.request(position) for position in range(len(queue.requests))]
-
-
 def check_report_conservation(
     report: ServingReport, sim_time: float | None = None
 ) -> None:
-    """Token/request conservation between node outcomes and the fleet report.
+    """Check a drain report against the figures it has two sources for.
 
-    Every generated token and every arrived request must be accounted for
-    by exactly one node breakdown -- completed on it, or shed and charged
-    to it -- and the fleet's shed/retry totals must equal the per-node
-    sums.  A mismatch means an engine's outcome was dropped or
-    double-counted on the way into the fleet report.  Sanitized drains run
-    this automatically; it is exported so tests can aim it at deliberately
-    inconsistent reports.
+    * ``request-conservation``: one re-tally of ``report.requests`` must
+      give every request-derived figure of the report (counts, tokens,
+      latency and queueing figures, migration and retry counters), and
+      every request must have completed or been shed;
+    * ``migration-conservation``: the migrations the requests counted must
+      be the ones the dying nodes' engines counted;
+    * ``tier-conservation``: no node reports a tier peak above the tier's
+      capacity (the tracker enforces this live; the check catches
+      hand-built reports).
+
+    The fleet's other figures are sums of its breakdowns by construction
+    and need no check.  Sanitized drains run this automatically; it is
+    exported so tests can aim it at deliberately inconsistent reports.
     """
-    if not report.node_reports:
-        return
-    node_tokens = sum(node.generated_tokens for node in report.node_reports)
-    if node_tokens != report.generated_tokens:
-        raise SanitizerError(
-            f"fleet report counts {report.generated_tokens} generated tokens "
-            f"but the node breakdowns sum to {node_tokens}",
-            invariant="token-conservation",
-            sim_time=sim_time,
-        )
-    # Shed requests never join a node's assigned list, so the node
-    # n_requests sums cover only the routed share of the queue.
-    node_routed = sum(node.n_requests for node in report.node_reports)
-    if node_routed + report.shed_requests != report.n_requests:
-        raise SanitizerError(
-            f"fleet report counts {report.n_requests} n_requests but the "
-            f"node breakdowns sum to {node_routed} routed plus "
-            f"{report.shed_requests} shed",
-            invariant="token-conservation",
-            sim_time=sim_time,
-        )
-    node_completed = sum(node.completed for node in report.node_reports)
-    if node_completed != report.completed:
-        raise SanitizerError(
-            f"fleet report counts {report.completed} completed but the "
-            f"node breakdowns sum to {node_completed}",
-            invariant="token-conservation",
-            sim_time=sim_time,
-        )
-    # Request conservation under overload control: every request either
-    # completed on exactly one node or was shed (and charged to exactly
-    # one node); retry attempts conserve the same way.
+    expected = RequestTally(report.requests).figures(report.makespan_seconds)
+    for name, value in expected.items():
+        if getattr(report, name) != value:
+            raise SanitizerError(
+                f"report carries {name}={getattr(report, name)!r} but its "
+                f"requests tally to {value!r}",
+                invariant="request-conservation",
+                sim_time=sim_time,
+            )
     if report.completed + report.shed_requests != report.n_requests:
         raise SanitizerError(
-            f"fleet report loses requests: {report.completed} completed + "
+            f"report loses requests: {report.completed} completed + "
             f"{report.shed_requests} shed != {report.n_requests} arrived",
             invariant="request-conservation",
             sim_time=sim_time,
         )
-    for field_name in ("shed_requests", "retry_attempts"):
-        node_total = sum(getattr(node, field_name) for node in report.node_reports)
-        if node_total != getattr(report, field_name):
-            raise SanitizerError(
-                f"fleet report counts {getattr(report, field_name)} "
-                f"{field_name} but the node breakdowns sum to {node_total}",
-                invariant="request-conservation",
-                sim_time=sim_time,
-            )
-    # Conservation across migrations: the fleet totals come from per-request
-    # counters, the node figures from the dying engines' counters; every
-    # migration must be charged to exactly one node death.
     for field_name in ("migrations", "migrated_recompute_tokens"):
         node_total = sum(getattr(node, field_name) for node in report.node_reports)
         if node_total != getattr(report, field_name):
             raise SanitizerError(
-                f"fleet report counts {getattr(report, field_name)} "
-                f"{field_name} but the node breakdowns sum to {node_total}",
+                f"requests count {getattr(report, field_name)} {field_name} "
+                f"but the dying nodes count {node_total}",
                 invariant="migration-conservation",
                 sim_time=sim_time,
             )
-    node_downtime = sum(node.downtime_seconds for node in report.node_reports)
-    if abs(node_downtime - report.downtime_seconds) > 1e-6:
-        raise SanitizerError(
-            f"fleet report carries {report.downtime_seconds} downtime "
-            f"seconds but the node breakdowns sum to {node_downtime}",
-            invariant="migration-conservation",
-            sim_time=sim_time,
-        )
-    # Tier conservation at the report boundary: the fleet's spilled-decode
-    # total and merged per-tier shares must equal the per-node sums, and no
-    # node may report a tier peak above the tier's capacity (the tracker
-    # enforces this live; the report check catches hand-built reports).
-    node_spilled = sum(node.spilled_decode_seconds for node in report.node_reports)
-    if abs(node_spilled - report.spilled_decode_seconds) > 1e-6:
-        raise SanitizerError(
-            f"fleet report carries {report.spilled_decode_seconds} spilled "
-            f"decode seconds but the node breakdowns sum to {node_spilled}",
-            invariant="tier-conservation",
-            sim_time=sim_time,
-        )
     for node in report.node_reports:
         for tier in node.kv_tiers:
             if tier.peak_occupied_bytes > tier.capacity_bytes * (1 + 1e-9) + 1e-6:
@@ -629,24 +570,19 @@ class ClusterScheduler:
             breakdowns[members[0]] = breakdown
             for index in members[1:]:
                 breakdowns[index] = replace(breakdown, node=self.nodes[index].name)
+        # The fleet tally: the group tallies, each counted once per member,
+        # and the tally of the requests the driver shed.
+        shed = driver.sheds if driver is not None else []
+        fleet_tally = RequestTally.merged(
+            [
+                *zip(tallies, map(len, groups)),
+                (RequestTally([request for _, request in shed]), 1),
+            ]
+        )
         if fold is None:
-            reported, fleet_tally = queue.requests, None
+            reported = queue.requests
         else:
             reported = self._folded_view(queue, slices, groups)
-            fleet_tally = RequestTally.merged(zip(tallies, map(len, groups)))
-            if sim.sanitizer is not None:
-                # Fold conservation: one full pass over the view, building
-                # every mirrored request, must re-tally to the merged group
-                # tallies.
-                expected = fleet_tally.figures()
-                for name, value in RequestTally(reported).figures().items():
-                    if value != expected[name]:
-                        raise SanitizerError(
-                            f"folded requests re-tally to {name}={value!r} but "
-                            f"the merged group tallies give {expected[name]!r}",
-                            invariant="fold-conservation",
-                            sim_time=sim.now,
-                        )
         # The label decision: a 1-node drain outside the fault driver
         # reports as the single host it is (the system's name, no router,
         # no fleet path unless it folded); every other drain as a fleet.
@@ -659,6 +595,7 @@ class ClusterScheduler:
                 reported,
                 sim.now,
                 tuple(breakdowns),
+                fleet_tally,
                 step_time_notes=notes,
                 fleet_symmetry=symmetry,
             )
@@ -670,13 +607,13 @@ class ClusterScheduler:
                 requests=reported,
                 makespan_seconds=sim.now,
                 node_reports=tuple(breakdowns),
+                tally=fleet_tally,
                 step_time_notes=notes,
-                sheds=tuple(driver.sheds) if driver is not None else (),
+                sheds=tuple(record for record, _ in shed),
                 scale_events=(
                     tuple(autoscaler.events) if autoscaler is not None else ()
                 ),
                 fleet_symmetry=symmetry,
-                tally=fleet_tally,
             )
         if sim.sanitizer is not None:
             check_report_conservation(report, sim_time=sim.now)

@@ -30,8 +30,8 @@ discrete-event simulator:
   :class:`~repro.serving.overload.OverloadControl` bounds per-node queue
   depth and fleet token rate at the same front door; over-limit arrivals
   are shed as structured outcomes, retried with seeded exponential
-  backoff, or parked with a deadline.  Without one, delivery runs the
-  exact pre-overload code path.
+  backoff, or parked with a deadline.  Without one, delivery places each
+  request at once.
 
 Everything is deterministic under fixed seeds: :class:`SpotPreemptions`
 draws inter-failure gaps from a private per-node ``random.Random``, so two
@@ -287,8 +287,9 @@ class FaultDriver:
         self._returned: deque[ServingRequest] = deque()
         self._return_wake = None
         self._recovery_waiters: list = []
-        #: Structured load-shedding outcomes, in shed order.
-        self.sheds: list[ShedRequest] = []
+        #: Structured load-shedding outcomes, in shed order, each next to
+        #: the request it shed.
+        self.sheds: list[tuple[ShedRequest, ServingRequest]] = []
         #: Deliveries parked on a full queue / throttle deficit, woken by
         #: the next admission (queue depth dropped) or recovery.
         self._capacity_waiters: list = []
@@ -352,31 +353,10 @@ class FaultDriver:
         Only routable engines are offered to the router, so liveness
         awareness holds for every router implementation.  With the whole
         fleet down, parks until a recovery event; with no recovery pending
-        either, raises the structured stranded-fleet error.  Under
-        admission control (``overload``) the bounded path also enforces
-        queue-depth and token-rate limits; without it the unbounded path
-        below is the exact pre-overload code.
-        """
-        if self.overload is None:
-            yield from self._deliver_unbounded(request)
-        else:
-            yield from self._deliver_bounded(request)
-
-    def _deliver_unbounded(self, request: ServingRequest):
-        """The overload-free delivery loop (byte-identical legacy path)."""
-        while True:
-            alive = [engine for engine in self.engines if engine.routable]
-            if alive:
-                self.router.place(request, alive).enqueue(request)
-                return
-            if not any(engine.recovery_pending for engine in self.engines):
-                raise self.stranded_error(request)
-            waiter = self.sim.event("faults.recovery-wake")
-            self._recovery_waiters.append(waiter)
-            yield waiter
-
-    def _deliver_bounded(self, request: ServingRequest):
-        """Admission-controlled delivery: bound, then shed/retry/park.
+        either, raises the structured stranded-fleet error.  Without
+        admission control the request is placed at once; under it
+        (``overload``) delivery also enforces queue-depth and token-rate
+        limits, and sheds, retries or parks an over-limit request.
 
         Delivery stays a single sequential front door (head-of-line
         blocking by design): requests are admitted, backed off, or shed
@@ -393,10 +373,13 @@ class FaultDriver:
             if not alive:
                 # Whole fleet down: fault-layer degradation, except that a
                 # park deadline still bounds how long the request waits.
+                # Without overload only a scale-draining node admits while
+                # none is routable, so an early wake just parks again.
                 if not any(engine.recovery_pending for engine in self.engines):
                     raise self.stranded_error(request)
                 if (
-                    control.action == "park"
+                    control is not None
+                    and control.action == "park"
                     and control.park_deadline_seconds is not None
                 ):
                     if park_deadline is None:
@@ -408,6 +391,9 @@ class FaultDriver:
                 else:
                     yield from self._park(None, recovery=True)
                 continue
+            if control is None:
+                self.router.place(request, alive).enqueue(request)
+                return
             if self._throttle is not None and not self._throttle.ready(now):
                 reason = "token-rate"
                 wait = self._throttle.seconds_until_ready(now)
@@ -503,15 +489,14 @@ class FaultDriver:
         engine = self._charge_node()
         engine.shed_requests += 1
         engine.shed_retry_attempts += request.retry_attempts
-        self.sheds.append(
-            ShedRequest(
-                request_id=request.request_id,
-                time=self.sim.now,
-                reason=reason,
-                attempts=attempts,
-                node=engine.node.name,
-            )
+        record = ShedRequest(
+            request_id=request.request_id,
+            time=self.sim.now,
+            reason=reason,
+            attempts=attempts,
+            node=engine.node.name,
         )
+        self.sheds.append((record, request))
         self._maybe_release()
 
     def _charge_node(self):

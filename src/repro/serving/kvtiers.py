@@ -33,13 +33,14 @@ growth-step counter and moves the tier ledgers by the batch size times the
 per-request bytes.  The step's spilled reads come from per-tier aggregates
 over the decoding set: the summed bytes of growing (optimistic) entries,
 and a share-weighted context sum ``context × held / total`` for fixed
-(reserve) entries, updated at residency events.  A request's own residency
-and spilled seconds settle in closed form from the counters only when a
-residency event touches it: demotion, promotion, release, or a step where
-a tier fills mid-batch, which settles the batch and runs the per-request
-cascade one request at a time, as before.  The per-request read loop
-survives as the sanitizer's reference.  The figures match the per-request
-model within float reassociation (property-tested at 1e-12 relative in
+(reserve) entries, updated at residency events; the node's spilled seconds
+are billed from them once per step.  A request's own residency settles in
+closed form from the counters only when a residency event touches it:
+demotion, promotion, release, or a step where a tier fills mid-batch,
+which settles the batch and runs the per-request cascade one request at a
+time, as before.  The per-request read loop survives as the sanitizer's
+reference.  The figures match the per-request model within float
+reassociation (property-tested at 1e-12 relative in
 ``tests/serving/test_kvtiers_lazy.py``).
 
 Policies (:class:`TierPolicy`):
@@ -87,7 +88,6 @@ from __future__ import annotations
 
 import abc
 import math
-import operator
 from dataclasses import dataclass, field
 
 from repro.analysis.sanitizer import SanitizerError
@@ -170,8 +170,9 @@ class TierStack:
 
     @property
     def total_capacity_bytes(self) -> float:
-        """Aggregate byte capacity -- the node's admission budget."""
-        return sum(tier.capacity_bytes for tier in self.tiers)
+        """Aggregate byte capacity -- the node's admission budget (a
+        correctly rounded sum, the same on every Python version)."""
+        return math.fsum(tier.capacity_bytes for tier in self.tiers)
 
     def capacity_budget(self, owner: str = "") -> CapacityBudget:
         """The flat admission budget this stack presents to the scheduler."""
@@ -400,25 +401,14 @@ class _Entry:
     ``res`` holds the request's bytes per tier, in stack order, as of its
     last settle.  A *growing* entry (an optimistic entry re-marked since
     admission) also gains every uniform decode step's growth, counted by
-    the tracker's integer growth-step counters; ``counts`` and ``areas``
-    snapshot them at the last settle.  A *decoding* entry (one the engine
-    runs) pays spilled reads from read index ``read_from`` on: a growing
-    entry reads its held bytes, a fixed one ``context × held / total``
-    per tier, with ``context`` its context at ``read_from`` and
-    ``ratios`` its ``held / total`` shares while it decodes.
+    the tracker's integer growth-step counters; ``counts`` snapshots them
+    at the last settle.  A *decoding* entry (one the engine runs) reads
+    its KV every decode step: a growing entry its held bytes, a fixed one
+    ``context × held / total`` per tier, with ``ratios`` its
+    ``held / total`` shares while it decodes.
     """
 
-    __slots__ = (
-        "request",
-        "res",
-        "growing",
-        "decoding",
-        "counts",
-        "areas",
-        "read_from",
-        "context",
-        "ratios",
-    )
+    __slots__ = ("request", "res", "growing", "decoding", "counts", "ratios")
 
     def __init__(self, request: ServingRequest, n_tiers: int) -> None:
         self.request = request
@@ -426,9 +416,6 @@ class _Entry:
         self.growing = False
         self.decoding = False
         self.counts: list[int] = []
-        self.areas: list[int] = []
-        self.read_from = 0
-        self.context = 0
         self.ratios: list[float] = []
 
 
@@ -444,10 +431,10 @@ class TieredBudgetTracker(BudgetTracker):
     * a per-tier :class:`TierLedger` (occupancy, peaks, movement and
       decode-read counters), kept current at every step;
     * a per-request residency (tier -> bytes, read through
-      :meth:`residency`), settled lazily: a decode step's growth and
-      spilled reads reach a request only when a residency event --
-      demotion, promotion, release, or a step where a tier fills
-      mid-batch -- touches it, in closed form from integer counters;
+      :meth:`residency`), settled lazily: a decode step's growth reaches
+      a request only when a residency event -- demotion, promotion,
+      release, or a step where a tier fills mid-batch -- touches it, in
+      closed form from integer counters;
     * per-tier aggregates over the decoding set that price a step's
       spilled reads in O(tiers); and
     * an accumulator of pending transfer seconds the engine bills as one
@@ -462,9 +449,9 @@ class TieredBudgetTracker(BudgetTracker):
     #: iteration, not the counter).
     spilled_decode_seconds: float = 0.0
     #: Decode iterations whose spilled reads were billed
-    #: (:meth:`spill_read_seconds` calls); the read index entries accrue from.
+    #: (:meth:`spill_read_seconds` calls).
     decode_steps: int = 0
-    #: Requests settled (lazy growth and spilled reads brought current).
+    #: Growing requests settled (lazy growth brought current).
     settles: int = 0
     #: Settles made by the decode-iteration passes (:meth:`update`'s
     #: per-request cascade on steps where a tier fills mid-batch) rather
@@ -497,14 +484,12 @@ class TieredBudgetTracker(BudgetTracker):
         # growing entry gained ``_units[2t]`` bytes in tier t (the top's
         # placement share, or below the top what is left of a token after
         # it), slot 2t + 1 steps in which it gained ``_units[2t + 1]`` (a
-        # whole token, below a full top).  ``_areas`` sums each counter over
-        # the decode steps' reads, which prices a growing entry's reads.
+        # whole token, below a full top).
         want = self._fraction * self.token_bytes
         self._units = [want, 0.0]
         for _ in range(n_tiers - 1):
             self._units += [self.token_bytes - want, self.token_bytes]
         self._counts = [0] * (2 * n_tiers)
-        self._areas = [0] * (2 * n_tiers)
         # Aggregates over the decoding set.  Growing entries: their current
         # bytes per tier.  Fixed entries: their bytes, their held/total
         # shares, and the shares times their context at read ``_fixed_at``
@@ -516,8 +501,6 @@ class TieredBudgetTracker(BudgetTracker):
         self._fixed_at = 0
         self._n_growing = 0
         self._n_fixed = 0
-        #: The step-time model's spill pricing, from the last billed read.
-        self._spill = None
 
     @classmethod
     def for_stack(
@@ -626,52 +609,13 @@ class TieredBudgetTracker(BudgetTracker):
         return current
 
     def _settle(self, entry: _Entry) -> None:
-        """Bring a decoding entry current: accrue its growth and its reads.
-
-        Closed form over the steps since its last settle: a growing entry's
-        bytes in tier t are its settled bytes plus each counter's ticks
-        times the counter's unit, and its reads sum the same over the
-        counters' areas; a fixed entry's reads are its shares of the
-        arithmetic series of its contexts.  The spilled share is priced
-        per tier like a step's reads and added to the request's
-        :attr:`~repro.serving.request.ServingRequest.spilled_decode_seconds`.
-        """
-        if not entry.decoding:
+        """Bring a growing entry current: its bytes per tier become
+        :meth:`_current`'s, and it grows from the counters' ticks now."""
+        if not entry.growing:
             return
         self.settles += 1
-        res = entry.res
-        reads = self.decode_steps - entry.read_from
-        spilled = None
-        if entry.growing:
-            counts, areas, units = self._counts, self._areas, self._units
-            snapshot, swept_from = entry.counts, entry.areas
-            if reads:
-                spilled = [reads * held for held in res]
-            for slot, count in enumerate(counts):
-                moved = count - snapshot[slot]
-                if reads:
-                    swept = areas[slot] - swept_from[slot] - reads * snapshot[slot]
-                    if swept:
-                        spilled[slot >> 1] += units[slot] * swept
-                if moved:
-                    res[slot >> 1] += units[slot] * moved
-            entry.counts = counts.copy()
-            entry.areas = areas.copy()
-        elif reads:
-            total = sum(res)
-            if total > 0.0:
-                tokens = reads * entry.context + reads * (reads - 1) // 2
-                swept_bytes = tokens * self.token_bytes
-                spilled = [swept_bytes * (held / total) for held in res]
-            entry.context += reads
-        entry.read_from = self.decode_steps
-        if spilled is not None:
-            extra = 0.0
-            for (_, _, bandwidth), read in zip(self._lower, spilled[1:]):
-                if read > 0.0:
-                    extra += self._spill(read, bandwidth)
-            if extra > 0.0:
-                entry.request.spilled_decode_seconds += extra
+        entry.res[:] = self._current(entry)
+        entry.counts = self._counts.copy()
 
     def _attach(self, entry: _Entry) -> None:
         """Add a settled decoding entry to the decoding-set aggregates."""
@@ -688,7 +632,7 @@ class TieredBudgetTracker(BudgetTracker):
         entry.ratios = [
             held / total if total > 0.0 else 0.0 for held in entry.res
         ]
-        context = entry.context
+        context = entry.request.context_tokens
         for tier, (held, ratio) in enumerate(zip(entry.res, entry.ratios)):
             self._fixed_bytes[tier] += held
             self._ratio_sum[tier] += ratio
@@ -715,7 +659,7 @@ class TieredBudgetTracker(BudgetTracker):
             self._ratio_sum = [0.0] * n_tiers
             self._ratio_context = [0.0] * n_tiers
             return
-        context = entry.context
+        context = entry.request.context_tokens
         for tier, (held, ratio) in enumerate(zip(entry.res, entry.ratios)):
             self._fixed_bytes[tier] -= held
             self._ratio_sum[tier] -= ratio
@@ -746,8 +690,6 @@ class TieredBudgetTracker(BudgetTracker):
             if entry is None or entry.decoding:
                 continue
             entry.decoding = True
-            entry.read_from = self.decode_steps
-            entry.context = request.context_tokens
             self._attach(entry)
 
     # --- placement, demotion, promotion -----------------------------------------
@@ -832,10 +774,7 @@ class TieredBudgetTracker(BudgetTracker):
         self._cascade(entry, amount)
         entry.growing = True
         entry.counts = self._counts.copy()
-        entry.areas = self._areas.copy()
-        if not entry.decoding:
-            entry.decoding = True
-            entry.read_from = self.decode_steps
+        entry.decoding = True
         self._attach(entry)
 
     def _grow_uniform(self, n: int) -> bool:
@@ -995,7 +934,7 @@ class TieredBudgetTracker(BudgetTracker):
                     self._check_residency(victim.request)
 
     def _lower_free_bytes(self) -> float:
-        return sum(
+        return math.fsum(
             capacity - ledger.occupied_bytes for capacity, ledger, _ in self._tiers[1:]
         )
 
@@ -1067,12 +1006,10 @@ class TieredBudgetTracker(BudgetTracker):
         :meth:`~repro.serving.steptime.StepTimeModel.spill_read_seconds`,
         once per tier for the whole batch.  Reads are tallied per tier (the
         hit-rate base) whether or not they cost anything, so a
-        fully-resident drain still reports a 100% top-tier hit rate.  A
-        request's own spilled seconds settle with its residency.
+        fully-resident drain still reports a 100% top-tier hit rate.
         """
         self._sync_decoding(running)
-        spill = self._spill = step_time.spill_read_seconds
-        self._areas = list(map(operator.add, self._areas, self._counts))
+        spill = step_time.spill_read_seconds
         reads = self._grown.copy()
         if self._n_fixed:
             since = self.decode_steps - self._fixed_at
@@ -1116,7 +1053,7 @@ class TieredBudgetTracker(BudgetTracker):
 
     def tier_reports(self) -> tuple[TierReport, ...]:
         """Per-tier occupancy/movement/hit-rate snapshot for the report."""
-        total_reads = sum(
+        total_reads = math.fsum(
             ledger.decode_read_bytes for ledger in self._ledgers.values()
         )
         return tuple(

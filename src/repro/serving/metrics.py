@@ -18,15 +18,6 @@ from repro.errors import SchedulingError
 from repro.serving.request import FoldedRequests, ServingRequest
 
 
-def percentile(values: list[float], fraction: float) -> float:
-    """Nearest-rank percentile (``fraction`` in (0, 1]) of a non-empty list."""
-    if not values:
-        raise SchedulingError("percentile of an empty sample")
-    if not 0.0 < fraction <= 1.0:
-        raise SchedulingError(f"percentile fraction {fraction} outside (0, 1]")
-    return _nearest_ranks([(values, 1)], (fraction,))[0]
-
-
 def _nearest_ranks(
     runs: list[tuple[list[float], int]], fractions: tuple[float, ...]
 ) -> tuple[float, ...]:
@@ -152,62 +143,82 @@ def merge_tier_reports(
     return tuple(merged)
 
 
-@dataclass(frozen=True)
-class NodeBreakdown:
-    """One node's share of a fleet drain (see :mod:`repro.serving.cluster`).
+@dataclass(frozen=True, kw_only=True)
+class DrainFigures:
+    """The figures a node's share of a drain and a whole drain both report.
 
-    ``tokens_per_second`` is the node's generated tokens over the *fleet*
-    makespan, so the per-node rates sum to the fleet rate; a node that was
-    routed nothing contributes all-zero counters (and no latency figure).
-
-    Under fault injection, ``migrations`` / ``migrated_recompute_tokens``
-    are charged to the node that *died* (the per-request counters travel
-    to the completing node, so ``preemptions``/``wasted_prefill_tokens``
-    attribute there); ``downtime_seconds`` is time spent DOWN, and
-    ``cost_usd`` is billed only for UP time -- a preempted spot node costs
-    its uptime fraction of the capital price, which is exactly the
-    discount the spot-vs-recompute trade prices.
+    :class:`NodeBreakdown` carries them for one node and
+    :class:`ServingReport` for the drain; :meth:`RequestTally.figures`
+    fills the request-derived ones for both.  Where the two differ in
+    meaning, the field says how.
     """
 
-    node: str
     system: str
     n_requests: int
     completed: int
     generated_tokens: int
+    #: Generated tokens over the *fleet* makespan, so the per-node rates
+    #: sum to the fleet rate.
     tokens_per_second: float
     mean_latency_seconds: float
-    peak_kv_reserved_bytes: float
-    kv_capacity_bytes: float
-    preemptions: int
-    wasted_prefill_tokens: int
-    cost_usd: float
-    #: Latency percentiles of the requests completed on this node (zero
-    #: when nothing finished here); lets tests assert mirrored breakdowns
-    #: preserve the latency *distribution*, not just its mean.
+    #: Nearest-rank latency percentiles over completed requests (zero when
+    #: nothing finished).
     p50_latency_seconds: float = 0.0
     p95_latency_seconds: float = 0.0
     p99_latency_seconds: float = 0.0
+    peak_kv_reserved_bytes: float
+    kv_capacity_bytes: float
+    #: Evictions (optimistic admission only; zero under reserve-mode
+    #: accounting), charged to the node the request completed on.
+    preemptions: int = 0
+    #: Context tokens whose KV preemptions dropped and readmission prefills
+    #: had to recompute -- the work optimistic admission gambled away
+    #: (includes the migration share counted in
+    #: ``migrated_recompute_tokens``).
+    wasted_prefill_tokens: int = 0
+    #: Requests re-routed off dying nodes (fault-injected drains only): a
+    #: breakdown counts them from its engine, charged to the node that
+    #: *died*; the report from the requests' own counters.
     migrations: int = 0
+    #: Context tokens dropped by node deaths and recomputed elsewhere,
+    #: attributed like ``migrations``.
     migrated_recompute_tokens: int = 0
+    #: Time spent DOWN (summed over the nodes for the report); the cost
+    #: figures bill only uptime.
     downtime_seconds: float = 0.0
-    #: Requests admission control shed against this node's backlog.
+    #: Requests admission control shed (structured, never silent; see
+    #: :class:`~repro.serving.overload.ShedRequest`), each charged to the
+    #: node whose backlog turned it away.
     shed_requests: int = 0
-    #: Backoff re-deliveries by requests that ended here (or were shed here).
+    #: Admission-control backoff re-deliveries; a node counts those of the
+    #: requests that ended on it or were shed against it.
     retry_attempts: int = 0
-    #: Tokens from completed (never-shed) requests over the fleet makespan.
-    goodput_tokens_per_s: float = 0.0
-    #: Structured uptime-billing caveat (degenerate drains only).
-    billing_note: str | None = None
-    #: Per-tier occupancy/movement/hit-rate shares (tiered nodes only;
-    #: see :class:`TierReport`).  Empty for flat-budget nodes.
+    #: Per-tier occupancy/movement/hit-rate shares (tiered nodes only; see
+    #: :class:`TierReport`), merged by tier name for the report.
     kv_tiers: tuple = ()
-    #: Extra decode seconds this node's spilled-attention reads cost
-    #: (near-storage rate for KV resident below the top tier).
+    #: Extra decode seconds spilled-attention reads cost (near-storage
+    #: rate for KV resident below the top tier), summed for the report.
     spilled_decode_seconds: float = 0.0
 
 
-@dataclass(frozen=True)
-class ServingReport:
+@dataclass(frozen=True, kw_only=True)
+class NodeBreakdown(DrainFigures):
+    """One node's share of a fleet drain (see :mod:`repro.serving.cluster`).
+
+    A node that was routed nothing contributes all-zero counters (and no
+    latency figure).  ``cost_usd`` is billed only for UP time -- a
+    preempted spot node costs its uptime fraction of the capital price,
+    which is exactly the discount the spot-vs-recompute trade prices.
+    """
+
+    node: str
+    cost_usd: float
+    #: Structured uptime-billing caveat (degenerate drains only).
+    billing_note: str | None = None
+
+
+@dataclass(frozen=True, kw_only=True)
+class ServingReport(DrainFigures):
     """Outcome of draining one request queue under one policy.
 
     Fleet drains (:class:`~repro.serving.cluster.ClusterScheduler` with
@@ -216,47 +227,13 @@ class ServingReport:
     legacy single-system report shape is a special case of the fleet one.
     """
 
-    system: str
     policy: str
-    n_requests: int
-    completed: int
     makespan_seconds: float
-    generated_tokens: int
-    tokens_per_second: float
-    mean_latency_seconds: float
-    p95_latency_seconds: float
     mean_queueing_seconds: float
-    peak_kv_reserved_bytes: float
-    kv_capacity_bytes: float
+    #: Summed node capital costs, each billed for its uptime only, so
+    #: tokens/s/$ prices spot capacity honestly.
     system_cost_usd: float
     tokens_per_second_per_usd: float
-    #: Total evictions across the drain (optimistic admission only; zero
-    #: under reserve-mode accounting).
-    preemptions: int = 0
-    #: Context tokens whose KV preemptions dropped and readmission prefills
-    #: had to recompute -- the work optimistic admission gambled away
-    #: (includes the migration share counted in
-    #: ``migrated_recompute_tokens``).
-    wasted_prefill_tokens: int = 0
-    #: Requests re-routed off dying nodes (fault-injected drains only).
-    migrations: int = 0
-    #: Context tokens dropped by node deaths and recomputed elsewhere.
-    migrated_recompute_tokens: int = 0
-    #: Summed per-node DOWN time; ``system_cost_usd`` already reflects the
-    #: uptime-only billing, so tokens/s/$ prices spot capacity honestly.
-    downtime_seconds: float = 0.0
-    #: Requests admission control rejected (structured, never silent;
-    #: see :class:`~repro.serving.overload.ShedRequest`).
-    shed_requests: int = 0
-    #: Total admission-control backoff re-deliveries across the queue.
-    retry_attempts: int = 0
-    #: Tokens from completed (never-shed) requests over the makespan --
-    #: the useful-work rate an overloaded drain actually sustained.
-    goodput_tokens_per_s: float = 0.0
-    #: Median and tail latency alongside the p95 figure (nearest-rank,
-    #: over completed requests; zero when nothing finished).
-    p50_latency_seconds: float = 0.0
-    p99_latency_seconds: float = 0.0
     #: Which fleet path produced this report: ``"representative"`` when the
     #: drain folded symmetric node groups to representative engines,
     #: ``"full"`` when every node was simulated, ``""`` for single-node
@@ -281,11 +258,6 @@ class ServingReport:
     scale_events: tuple = field(default=(), repr=False)
     #: Per-node uptime-billing caveats, as ``"node: note"`` strings.
     billing_notes: tuple = ()
-    #: Fleet-merged per-tier KV shares (tiered drains only; tiers merge by
-    #: name across nodes, hit rates over fleet-wide reads).
-    kv_tiers: tuple = ()
-    #: Summed extra decode seconds spilled-attention reads cost the fleet.
-    spilled_decode_seconds: float = 0.0
 
     @property
     def all_completed(self) -> bool:
@@ -296,16 +268,6 @@ class ServingReport:
     def all_accounted(self) -> bool:
         """Whether every request either completed or was explicitly shed."""
         return self.completed + self.shed_requests == self.n_requests
-
-    def per_class_mean_latency(self) -> dict[str, float]:
-        """Mean latency split by request class (Short/Medium/Long)."""
-        sums: dict[str, list[float]] = {}
-        for request in self.requests:
-            if request.finished:
-                sums.setdefault(request.request_class.name, []).append(
-                    request.latency_seconds
-                )
-        return {name: math.fsum(vals) / len(vals) for name, vals in sums.items()}
 
 
 class RequestTally:
@@ -391,10 +353,27 @@ class RequestTally:
             else (0.0, 0.0, 0.0)
         )
 
-    def figures(self) -> dict[str, object]:
-        """Every report-facing figure, by name (for cross-checks)."""
-        means = ("mean_latency_seconds", "mean_queueing_seconds", "percentiles")
-        return {name: getattr(self, name) for name in self.COUNTERS + means}
+    def figures(self, makespan_seconds: float) -> dict[str, object]:
+        """Every report figure this tally determines, by field name: the
+        counters, the latency and queueing means, the p50/p95/p99 latency,
+        and the throughput over ``makespan_seconds``."""
+        figures: dict[str, object] = {
+            name: getattr(self, name) for name in self.COUNTERS
+        }
+        p50, p95, p99 = self.percentiles
+        figures.update(
+            tokens_per_second=(
+                self.generated_tokens / makespan_seconds
+                if makespan_seconds > 0
+                else 0.0
+            ),
+            mean_latency_seconds=self.mean_latency_seconds,
+            mean_queueing_seconds=self.mean_queueing_seconds,
+            p50_latency_seconds=p50,
+            p95_latency_seconds=p95,
+            p99_latency_seconds=p99,
+        )
+        return figures
 
 
 def node_breakdown(
@@ -423,38 +402,28 @@ def node_breakdown(
     the requests).  A node that was down part of the drain is billed only
     its uptime fraction of the capital cost (see :func:`uptime_billing`).
     """
-    rate = (
-        tally.generated_tokens / makespan_seconds if makespan_seconds > 0 else 0.0
+    figures = tally.figures(makespan_seconds)
+    del figures["mean_queueing_seconds"]  # a report-only figure
+    figures.update(
+        migrations=migrations,
+        migrated_recompute_tokens=migrated_recompute_tokens,
+        retry_attempts=tally.retry_attempts + shed_retry_attempts,
     )
     cost_usd, billing_note = uptime_billing(
         system_cost_model(system).total_usd(), downtime_seconds, makespan_seconds
     )
-    p50, p95, p99 = tally.percentiles
     return NodeBreakdown(
         node=node_name,
         system=system.name,
-        n_requests=tally.n_requests,
-        completed=tally.completed,
-        generated_tokens=tally.generated_tokens,
-        tokens_per_second=rate,
-        mean_latency_seconds=tally.mean_latency_seconds,
+        **figures,
         peak_kv_reserved_bytes=peak_kv_reserved_bytes,
         kv_capacity_bytes=kv_capacity_bytes,
-        preemptions=tally.preemptions,
-        wasted_prefill_tokens=tally.wasted_prefill_tokens,
-        cost_usd=cost_usd,
-        p50_latency_seconds=p50,
-        p95_latency_seconds=p95,
-        p99_latency_seconds=p99,
-        migrations=migrations,
-        migrated_recompute_tokens=migrated_recompute_tokens,
         downtime_seconds=downtime_seconds,
         shed_requests=shed_requests,
-        retry_attempts=tally.retry_attempts + shed_retry_attempts,
-        goodput_tokens_per_s=rate,
-        billing_note=billing_note,
         kv_tiers=tuple(kv_tiers),
         spilled_decode_seconds=spilled_decode_seconds,
+        cost_usd=cost_usd,
+        billing_note=billing_note,
     )
 
 
@@ -462,66 +431,56 @@ def build_fleet_report(
     fleet_name: str,
     policy_name: str,
     router_name: str,
-    requests: list[ServingRequest],
+    requests: Sequence[ServingRequest],
     makespan_seconds: float,
     node_reports: tuple[NodeBreakdown, ...],
+    tally: RequestTally,
     step_time_notes: dict | None = None,
     sheds: tuple = (),
     scale_events: tuple = (),
     fleet_symmetry: str = "full",
-    tally: RequestTally | None = None,
 ) -> ServingReport:
     """Merge per-node shares of a cluster drain into one fleet report.
 
-    The fleet tokens/s/$ divides the fleet throughput by the *sum* of the
-    nodes' capital costs -- the Section 6.6 comparison's unit of account
-    (the 2-node vLLM deployment is priced as a fleet, not per host) --
-    and capacity/peak figures are fleet-wide sums for the same reason.
-    ``sheds`` / ``scale_events`` carry the overload and autoscale
-    timelines; a drain that shed *everything* still reports (with zeroed
-    latency figures) -- structured degradation, not an exception.
-    ``tally`` is the :class:`RequestTally` of ``requests`` when the caller
-    already holds it (a folded drain merges its group tallies); otherwise
-    one pass over ``requests`` builds it.
+    ``tally`` is the :class:`RequestTally` of ``requests``, and every
+    request-derived figure comes from it; a drain merges it from its node
+    tallies and the tally of the requests it shed.  Every other figure
+    sums the breakdowns: the fleet tokens/s/$ divides the fleet throughput
+    by the *sum* of the nodes' capital costs -- the Section 6.6
+    comparison's unit of account (the 2-node vLLM deployment is priced as
+    a fleet, not per host) -- and capacity/peak figures are fleet-wide
+    sums for the same reason.  ``sheds`` / ``scale_events`` carry the
+    overload and autoscale timelines; a drain that shed *everything* still
+    reports (with zeroed latency figures) -- structured degradation, not an
+    exception.
     """
-    if tally is None:
-        tally = RequestTally(requests)
     if not tally.completed and not sheds:
         raise SchedulingError("drain completed no requests; nothing to report")
     if makespan_seconds <= 0:
         raise SchedulingError("drain makespan must be positive")
-    tokens_per_second = tally.generated_tokens / makespan_seconds
+    figures = tally.figures(makespan_seconds)
     fleet_cost_usd = math.fsum(node.cost_usd for node in node_reports)
-    p50, p95, p99 = tally.percentiles
     return ServingReport(
         system=fleet_name,
         policy=policy_name,
-        n_requests=tally.n_requests,
-        completed=tally.completed,
         makespan_seconds=makespan_seconds,
-        generated_tokens=tally.generated_tokens,
-        tokens_per_second=tokens_per_second,
-        mean_latency_seconds=tally.mean_latency_seconds,
-        p95_latency_seconds=p95,
-        p50_latency_seconds=p50,
-        p99_latency_seconds=p99,
-        mean_queueing_seconds=tally.mean_queueing_seconds,
+        **figures,
         peak_kv_reserved_bytes=math.fsum(
             n.peak_kv_reserved_bytes for n in node_reports
         ),
         kv_capacity_bytes=math.fsum(n.kv_capacity_bytes for n in node_reports),
-        system_cost_usd=fleet_cost_usd,
-        tokens_per_second_per_usd=(
-            tokens_per_second / fleet_cost_usd if fleet_cost_usd > 0 else 0.0
-        ),
-        preemptions=tally.preemptions,
-        wasted_prefill_tokens=tally.wasted_prefill_tokens,
-        migrations=tally.migrations,
-        migrated_recompute_tokens=tally.migrated_recompute_tokens,
         downtime_seconds=math.fsum(n.downtime_seconds for n in node_reports),
         shed_requests=len(sheds),
-        retry_attempts=tally.retry_attempts,
-        goodput_tokens_per_s=tokens_per_second,
+        kv_tiers=merge_tier_reports(node_reports),
+        spilled_decode_seconds=math.fsum(
+            n.spilled_decode_seconds for n in node_reports
+        ),
+        system_cost_usd=fleet_cost_usd,
+        tokens_per_second_per_usd=(
+            figures["tokens_per_second"] / fleet_cost_usd
+            if fleet_cost_usd > 0
+            else 0.0
+        ),
         fleet_symmetry=fleet_symmetry,
         # A folded drain's read-only view is kept as is; a list is copied.
         requests=(
@@ -537,19 +496,16 @@ def build_fleet_report(
             for n in node_reports
             if n.billing_note is not None
         ),
-        kv_tiers=merge_tier_reports(node_reports),
-        spilled_decode_seconds=math.fsum(
-            n.spilled_decode_seconds for n in node_reports
-        ),
     )
 
 
 def build_report(
     system: InferenceSystem,
     policy_name: str,
-    requests: list[ServingRequest],
+    requests: Sequence[ServingRequest],
     makespan_seconds: float,
     node_reports: tuple[NodeBreakdown, ...],
+    tally: RequestTally,
     step_time_notes: dict | None = None,
     fleet_symmetry: str = "",
 ) -> ServingReport:
@@ -566,6 +522,7 @@ def build_report(
         requests,
         makespan_seconds,
         node_reports,
+        tally,
         step_time_notes,
         fleet_symmetry=fleet_symmetry,
     )

@@ -30,7 +30,7 @@ is built when it is accessed, with its own id, class and arrival time and
 the outcome of the simulated request at the same slice position.
 :attr:`ServingRequest.OUTCOME_FIELDS` names that outcome, which is also
 every field a fresh request must still hold at its default (see
-:func:`repro.serving.cluster.as_request_queue`).
+:meth:`repro.serving.cluster.ClusterScheduler.drain`).
 """
 
 from __future__ import annotations
@@ -85,14 +85,6 @@ class ServingRequest:
     #: (see :mod:`repro.serving.overload`); distinct from
     #: :attr:`migration_count`, which counts node-death re-routing.
     retry_attempts: int = 0
-    #: Extra decode seconds this request paid re-reading its spilled KV at
-    #: the near-storage rate (tiered nodes with bytes below the top tier;
-    #: counted at the nominal rate, before slowdown-fault scaling).  The
-    #: tier tracker settles it lazily, at residency events and release, so
-    #: it is final once the request completes.  (A tiered node's live
-    #: per-tier residency is read from its tracker:
-    #: :meth:`~repro.serving.kvtiers.TieredBudgetTracker.residency`.)
-    spilled_decode_seconds: float = 0.0
     #: When admission control shed this request (``None`` if never shed).
     shed_time: float | None = None
     #: Which bound shed it: ``"queue-bound"``, ``"token-rate"``,
@@ -215,7 +207,6 @@ class ServingRequest:
         "retry_attempts",
         "shed_time",
         "shed_reason",
-        "spilled_decode_seconds",
     )
 
     def kv_reservation_bytes(self, model: ModelConfig) -> float:

@@ -316,36 +316,36 @@ class TestReportConservation:
         forged = dataclasses.replace(
             fleet_report, generated_tokens=fleet_report.generated_tokens + 1
         )
-        with pytest.raises(SanitizerError, match="token-conservation"):
+        with pytest.raises(SanitizerError, match="request-conservation"):
             check_report_conservation(forged, sim_time=12.5)
 
     def test_forged_request_count_detected(self, fleet_report):
         forged = dataclasses.replace(fleet_report, completed=fleet_report.completed - 1)
-        with pytest.raises(SanitizerError, match="token-conservation"):
+        with pytest.raises(SanitizerError, match="request-conservation"):
             check_report_conservation(forged)
 
     def test_single_node_report_without_breakdowns_is_skipped(self, fleet_report):
         bare = dataclasses.replace(fleet_report, node_reports=[])
         check_report_conservation(bare)  # nothing to cross-check
 
+    @staticmethod
+    def forge_node(report, **changes):
+        """``report`` with its first node breakdown's fields changed."""
+        nodes = list(report.node_reports)
+        nodes[0] = dataclasses.replace(nodes[0], **changes)
+        return dataclasses.replace(report, node_reports=tuple(nodes))
+
     def test_forged_migration_total_detected(self, fleet_report):
-        forged = dataclasses.replace(
-            fleet_report, migrations=fleet_report.migrations + 1
-        )
+        first = fleet_report.node_reports[0]
+        forged = self.forge_node(fleet_report, migrations=first.migrations + 1)
         with pytest.raises(SanitizerError, match="migration-conservation"):
             check_report_conservation(forged)
 
     def test_forged_recompute_total_detected(self, fleet_report):
-        forged = dataclasses.replace(
+        first = fleet_report.node_reports[0]
+        forged = self.forge_node(
             fleet_report,
-            migrated_recompute_tokens=fleet_report.migrated_recompute_tokens + 8,
-        )
-        with pytest.raises(SanitizerError, match="migration-conservation"):
-            check_report_conservation(forged)
-
-    def test_forged_downtime_total_detected(self, fleet_report):
-        forged = dataclasses.replace(
-            fleet_report, downtime_seconds=fleet_report.downtime_seconds + 1.0
+            migrated_recompute_tokens=first.migrated_recompute_tokens + 8,
         )
         with pytest.raises(SanitizerError, match="migration-conservation"):
             check_report_conservation(forged)

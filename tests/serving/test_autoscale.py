@@ -159,7 +159,7 @@ class TestAutoscaledDrain:
     def test_burst_scales_up_and_completes(self, system):
         report = drain(system, 4, parse_autoscale_spec("auto:1:4:3:30"))
         assert report.all_completed
-        assert report.goodput_tokens_per_s > 0
+        assert report.tokens_per_second > 0
         ups = [e for e in report.scale_events if e.action == "scale-up"]
         assert ups, "a 2x burst against one warm node must scale up"
         for event in ups:

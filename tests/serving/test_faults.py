@@ -29,6 +29,7 @@ from repro.serving import (
     SpotPreemptions,
     make_request_queue,
     parse_fault_spec,
+    parse_overload_spec,
 )
 from repro.serving.cluster import check_report_conservation
 from repro.sim.engine import Simulator
@@ -203,13 +204,13 @@ class TestEngineLifecycle:
         assert engine.state == "down" and not engine.recovery_pending
 
     def test_enqueue_to_dead_node_raises(self, system):
-        from repro.serving import as_request_queue
+        from repro.serving import make_request_queue
         from repro.workloads.requests import SHORT
 
         engine = NodeEngine(make_nodes(system, 1)[0], ContinuousBatching(4), Simulator())
         engine.inject_failure()
         engine._apply_death()
-        (request,) = as_request_queue([SHORT])
+        (request,) = make_request_queue([SHORT])
         with pytest.raises(SchedulingError, match="state 'down'"):
             engine.enqueue(request)
 
@@ -235,6 +236,27 @@ class TestFaultDrains:
         dead = report.node_reports[1]
         assert dead.downtime_seconds == pytest.approx(120.0)
         assert dead.migrations == report.migrations
+
+    def test_shed_requests_keep_their_migrations_in_the_report(self, system):
+        # A request can migrate off a dying node and then be shed.  The
+        # fleet tally merges the shed requests' tally with the nodes', so
+        # those migrations still match the dying nodes' counters.
+        report = drain(
+            system,
+            3,
+            parse_fault_spec("spot:200:15:2"),
+            n_requests=40,
+            rate=2.0,
+            overload=parse_overload_spec("shed:2"),
+        )
+        shed = [r for r in report.requests if r.shed]
+        assert sum(r.migration_count for r in shed) > 0
+        assert report.migrations == sum(r.migration_count for r in report.requests)
+        assert report.migrations == sum(n.migrations for n in report.node_reports)
+        assert report.migrated_recompute_tokens == sum(
+            n.migrated_recompute_tokens for n in report.node_reports
+        )
+        check_report_conservation(report)
 
     def test_downtime_discounts_node_cost(self, system):
         faults = FaultSchedule(

@@ -15,9 +15,9 @@ every node of a symmetric fleet:
   full-fleet path under ``fleet_symmetry="auto"`` and refuse
   ``"representative"`` with a :class:`~repro.errors.ConfigurationError`
   naming the blocker;
-* the ``fold-conservation`` sanitizer invariant (the epilogue's re-tally
-  of the lazy request view against the merged group tallies) catches a
-  representative outcome that was not mirrored onto its group;
+* the ``request-conservation`` sanitizer invariant (a re-tally of the
+  lazy request view against the report the merged group tallies built)
+  catches a representative outcome that was not mirrored onto its group;
 * a folded drain builds only its representative slices' requests, so two
   fleets with the same per-node load build as many requests and run as
   many engine iterations whatever their node count.
@@ -57,7 +57,7 @@ from repro.serving.cluster import (
     check_report_conservation,
 )
 from repro.serving.faults import parse_fault_spec
-from repro.serving.metrics import build_fleet_report
+from repro.serving.metrics import RequestTally, build_fleet_report
 from repro.serving.overload import parse_overload_spec
 from repro.serving.request import FoldedRequests, ServingRequest
 from repro.workloads import sample_request_classes
@@ -411,8 +411,9 @@ class TestFoldFallback:
 
 
 class TestFoldConservation:
-    """The fold-conservation sanitizer invariant: a full pass over the lazy
-    request view must re-tally to the merged group tallies."""
+    """The request-conservation sanitizer invariant on folded drains: a
+    full pass over the lazy request view must re-tally to the report's
+    figures, which come from the merged group tallies."""
 
     def _report(self, system):
         return ClusterScheduler(
@@ -450,7 +451,7 @@ class TestFoldConservation:
         )
         with pytest.raises(SanitizerError) as caught:
             scheduler.drain([SHORT] * 24)
-        assert caught.value.invariant == "fold-conservation"
+        assert caught.value.invariant == "request-conservation"
 
 
 class TestExactReportSums:
@@ -476,6 +477,7 @@ class TestExactReportSums:
             requests=requests,
             makespan_seconds=1.0,
             node_reports=(),
+            tally=RequestTally(requests),
         )
         assert report.mean_latency_seconds == 0.1
 
@@ -498,6 +500,7 @@ class TestExactReportSums:
                 requests=requests,
                 makespan_seconds=full.makespan_seconds,
                 node_reports=full.node_reports,
+                tally=RequestTally(requests),
             )
 
         reference = rebuild(list(full.requests))
@@ -513,6 +516,34 @@ class TestExactReportSums:
             report = rebuild(shuffled)
             for name in floats:
                 assert getattr(report, name) == getattr(reference, name), (seed, name)
+
+    def test_merged_tally_equals_the_one_pass_tally(self, system):
+        # Every drain builds its fleet tally by merging node, group and
+        # shed tallies, so a merge with multiplicities must give the
+        # figures of one pass over the multiset it stands for, bit for bit.
+        report = ClusterScheduler(
+            symmetric_fleet(system, 2),
+            ContinuousBatching(4, admission="optimistic"),
+            overload=parse_overload_spec("shed:2"),
+        ).drain(
+            sample_request_classes(32, seed=23),
+            arrivals=PoissonArrivals(rate_per_second=2.0, seed=23),
+        )
+        requests = list(report.requests)
+        assert any(r.shed for r in requests) and any(r.finished for r in requests)
+        parts = [requests[0::3], requests[1::3], requests[2::3]]
+        merged = RequestTally.merged(
+            [
+                (RequestTally(parts[0]), 1),
+                (RequestTally(parts[1]), 3),
+                (RequestTally(parts[2]), 1),
+                (RequestTally(), 5),
+            ]
+        )
+        one_pass = RequestTally(parts[0] + parts[1] * 3 + parts[2])
+        assert merged.figures(report.makespan_seconds) == one_pass.figures(
+            report.makespan_seconds
+        )
 
 
 class TestFoldScaling:

@@ -2,8 +2,8 @@
 
 :class:`~repro.serving.kvtiers.TieredBudgetTracker` lands a decode step's
 KV growth for the whole batch from integer counters and prices its
-spilled reads from per-tier aggregates; a request's residency and spilled
-seconds settle only at residency events.  These tests pin the two claims
+spilled reads from per-tier aggregates; a request's residency settles
+only at residency events.  These tests pin the two claims
 that make that safe:
 
 * the figures match the per-request model -- every decode step placing
@@ -50,9 +50,7 @@ class PerRequestTracker(TieredBudgetTracker):
 
     Every decode step places each running request's token through the
     per-request cascade, and each step's reads are priced one request at a
-    time through the sanitizer's reference loop, billing the request's
-    spilled seconds on the spot.  The read index never advances, so
-    nothing accrues lazily.
+    time through the sanitizer's reference loop.
     """
 
     def _grow_uniform(self, n: int) -> bool:
@@ -62,15 +60,13 @@ class PerRequestTracker(TieredBudgetTracker):
         spill = step_time.spill_read_seconds
         ledgers = list(self._ledgers.values())
         total = 0.0
-        for request, reads in self._reference_reads(running):
+        for _, reads in self._reference_reads(running):
             extra = 0.0
             for ledger, read in zip(ledgers, reads):
                 ledger.decode_read_bytes += read
                 if ledger is not ledgers[0] and read > 0.0:
                     extra += spill(read, ledger.tier.bandwidth_bytes_per_s)
-            if extra > 0.0:
-                request.spilled_decode_seconds += extra
-                total += extra
+            total += extra
         self.spilled_decode_seconds += total
         return total
 

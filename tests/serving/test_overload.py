@@ -232,10 +232,10 @@ class TestSheddingDrain:
             assert charged.count(node) == count
         check_report_conservation(report)
 
-    def test_goodput_counts_only_finished_work(self, system):
+    def test_throughput_counts_only_finished_work(self, system):
         report = drain(system, 2, parse_overload_spec("shed:2"))
-        assert report.goodput_tokens_per_s == pytest.approx(
-            report.tokens_per_second
+        assert report.tokens_per_second == pytest.approx(
+            report.generated_tokens / report.makespan_seconds
         )
         finished_tokens = sum(
             r.tokens_generated for r in report.requests if r.finished
@@ -383,17 +383,6 @@ class TestRequestConservation:
         )
         with pytest.raises(SanitizerError, match="request-conservation|n_requests"):
             check_report_conservation(broken)
-
-    def test_node_shed_mismatch_detected(self, system):
-        report = drain(system, 2, parse_overload_spec("shed:2"))
-        nodes = list(report.node_reports)
-        nodes[0] = dataclasses.replace(
-            nodes[0], shed_requests=nodes[0].shed_requests + 1
-        )
-        broken = dataclasses.replace(report, node_reports=tuple(nodes))
-        with pytest.raises(SanitizerError) as excinfo:
-            check_report_conservation(broken)
-        assert excinfo.value.invariant == "request-conservation"
 
     def test_retry_sum_mismatch_detected(self, system):
         report = drain(system, 2, parse_overload_spec("retry:4"), rate=1.0)

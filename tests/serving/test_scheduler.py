@@ -58,7 +58,6 @@ STALE_OUTCOME = {
     "retry_attempts": 1,
     "shed_time": 0.0,
     "shed_reason": "queue-bound",
-    "spilled_decode_seconds": 1.0,
 }
 
 

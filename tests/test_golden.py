@@ -1,0 +1,336 @@
+"""Golden digests: one small drain per serving mechanism, pinned bit for bit.
+
+``GOLDEN.json`` at the repository root maps every scenario in
+:data:`SCENARIOS` to a digest of its drain: a sha256 over the sorted-key
+JSON of the report (every dataclass field but ``requests``, nested
+dataclasses as dicts), then over one line per request holding its id,
+class name, arrival time and every
+:attr:`~repro.serving.request.ServingRequest.OUTCOME_FIELDS` entry.  A
+change that moves any simulated figure of any mechanism moves a digest,
+and since floats are encoded exactly, so does a figure that depends on
+the Python version.
+
+A change that moves figures on purpose regenerates the file and names
+every changed digest::
+
+    PYTHONPATH=src python tests/test_golden.py --regenerate
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import json
+import os
+import sys
+from pathlib import Path
+
+from repro.analysis.sanitizer import SANITIZE_ENV
+from repro.core.config import HilosConfig
+from repro.core.runtime import HilosSystem
+from repro.models.registry import tiny_model
+from repro.serving import (
+    AnalyticStepTime,
+    AttentionAwareDemotion,
+    BatchedArrivals,
+    BestFitKV,
+    CapacityBudget,
+    ClusterScheduler,
+    ContinuousBatching,
+    FCFSFixedBatch,
+    KVTier,
+    LeastOutstandingTokens,
+    LengthBucketedBatch,
+    LRUByRequest,
+    Node,
+    PoissonArrivals,
+    RoundRobin,
+    ServingRequest,
+    StaticSplit,
+    TierStack,
+    WeightedRoundRobin,
+    parse_autoscale_spec,
+    parse_fault_spec,
+    parse_overload_spec,
+)
+from repro.workloads import sample_request_classes
+from repro.workloads.requests import LONG, MEDIUM, SHORT
+
+GOLDEN_PATH = Path(__file__).resolve().parent.parent / "GOLDEN.json"
+
+MODEL = tiny_model(n_layers=2, hidden=32, intermediate=64, n_heads=4)
+#: One Long request's final-context KV bytes: the unit tier stacks and
+#: tight budgets are sized in.
+LONG_BYTES = float(MODEL.kv_cache_bytes(1, LONG.total_tokens))
+
+
+def _drain(
+    system,
+    n_nodes=1,
+    policy=None,
+    n_requests=16,
+    seed=1,
+    rate=1.0,
+    classes=None,
+    arrivals=None,
+    node=None,
+    **cluster,
+):
+    """Drain a Poisson queue on ``n_nodes`` nodes sharing one step-time
+    model; ``node`` and ``cluster`` pass through to :class:`Node` and
+    :class:`ClusterScheduler`."""
+    steps = AnalyticStepTime(
+        base_seconds=1.0, per_token_seconds=1e-4, prefill_per_token_seconds=1e-3
+    )
+    nodes = [
+        Node(system, step_time=steps, name=f"node{i}", **(node or {}))
+        for i in range(n_nodes)
+    ]
+    scheduler = ClusterScheduler(
+        nodes, policy or ContinuousBatching(4, admission="optimistic"), **cluster
+    )
+    return scheduler.drain(
+        classes or sample_request_classes(n_requests, seed=seed),
+        arrivals=arrivals or PoissonArrivals(rate_per_second=rate, seed=seed),
+    )
+
+
+def _stack(levels: int) -> TierStack:
+    """A 2-tier hbm/ssd or 3-tier hbm/dram/ssd stack, sized so a mixed
+    queue demotes, promotes and spills."""
+    top = KVTier("hbm", capacity_bytes=0.25 * LONG_BYTES)
+    ssd_share = 1.0 if levels == 2 else 0.5
+    ssd = KVTier(
+        "ssd", capacity_bytes=ssd_share * LONG_BYTES, bandwidth_bytes_per_s=1e9
+    )
+    if levels == 2:
+        return TierStack((top, ssd))
+    dram = KVTier("dram", capacity_bytes=0.5 * LONG_BYTES, bandwidth_bytes_per_s=4e9)
+    return TierStack((top, dram, ssd))
+
+
+def _tiered(policy_factory, admission: str, levels: int):
+    def scenario(system):
+        return _drain(
+            system,
+            policy=ContinuousBatching(4, admission=admission),
+            rate=2.0,
+            seed=3,
+            node={"kv_tiers": _stack(levels), "kv_policy": policy_factory()},
+        )
+
+    return scenario
+
+
+def _overload(spec: str, rate: float):
+    def scenario(system):
+        return _drain(
+            system,
+            2,
+            n_requests=24,
+            seed=23,
+            rate=rate,
+            router=LeastOutstandingTokens(),
+            overload=parse_overload_spec(spec),
+        )
+
+    return scenario
+
+
+#: The folded scenarios' queue: a Short/Medium cycle in bursts of eight,
+#: so round-robin deals four nodes two groups of identical slices.
+_FOLDABLE = [SHORT, MEDIUM] * 12
+
+
+def _round_robin(symmetry: str):
+    def scenario(system):
+        return _drain(
+            system,
+            4,
+            classes=_FOLDABLE,
+            arrivals=BatchedArrivals(rate_per_second=0.05, burst_size=8, seed=5),
+            router=RoundRobin(),
+            fleet_symmetry=symmetry,
+        )
+
+    return scenario
+
+
+SCENARIOS = {
+    "node-fcfs": lambda s: _drain(s, policy=FCFSFixedBatch(4)),
+    "node-length-bucketed": lambda s: _drain(s, policy=LengthBucketedBatch(4)),
+    "node-optimistic-chunked": lambda s: _drain(
+        s, rate=2.0, node={"prefill_chunk_tokens": 256}
+    ),
+    "node-optimistic-tight-budget": lambda s: _drain(
+        s,
+        policy=ContinuousBatching(8, admission="optimistic"),
+        rate=2.0,
+        seed=3,
+        node={
+            "prefill_chunk_tokens": 512,
+            "budget": CapacityBudget(1.5 * LONG_BYTES, description="tight"),
+        },
+    ),
+    "fleet-jsq": lambda s: _drain(
+        s, 3, n_requests=24, rate=2.0, router=LeastOutstandingTokens()
+    ),
+    "fleet-bestfit": lambda s: _drain(
+        s, 3, n_requests=24, rate=2.0, router=BestFitKV()
+    ),
+    "fleet-wrr": lambda s: _drain(
+        s, 3, n_requests=24, rate=2.0, router=WeightedRoundRobin((2, 1, 1))
+    ),
+    "fleet-rr-full": _round_robin("full"),
+    "fleet-rr-representative": _round_robin("representative"),
+    "faults-spot": lambda s: _drain(
+        s,
+        3,
+        n_requests=24,
+        rate=0.5,
+        router=LeastOutstandingTokens(),
+        faults=parse_fault_spec("spot:200:15:2"),
+    ),
+    "faults-crash-slow": lambda s: _drain(
+        s,
+        3,
+        n_requests=24,
+        rate=0.5,
+        router=RoundRobin(),
+        faults=parse_fault_spec("crash:40:1,slow:10:60:2.5:0"),
+    ),
+    "overload-shed": _overload("shed:2", 2.0),
+    "overload-retry": _overload("retry:4", 1.0),
+    "overload-retry-exhausted": _overload("retry:1:-:1", 4.0),
+    "overload-park-deadline": _overload("park:1:-:5", 4.0),
+    "overload-token-rate": _overload("shed:-:50", 4.0),
+    "faults-overload": lambda s: _drain(
+        s,
+        3,
+        n_requests=40,
+        seed=23,
+        rate=2.0,
+        router=LeastOutstandingTokens(),
+        faults=parse_fault_spec("spot:200:15:2"),
+        overload=parse_overload_spec("shed:2"),
+    ),
+    "autoscale": lambda s: _drain(
+        s,
+        4,
+        n_requests=24,
+        seed=23,
+        rate=2.0,
+        router=LeastOutstandingTokens(),
+        autoscale=parse_autoscale_spec("auto:1:4:3:30"),
+    ),
+    "autoscale-faults": lambda s: _drain(
+        s,
+        4,
+        n_requests=24,
+        seed=23,
+        rate=2.0,
+        router=LeastOutstandingTokens(),
+        autoscale=parse_autoscale_spec("auto:2:4:3:30"),
+        faults=parse_fault_spec("crash:60:0"),
+    ),
+    **{
+        f"tiered-{name}-{admission}-{levels}tier": _tiered(factory, admission, levels)
+        for name, factory in (
+            ("lru", LRUByRequest),
+            ("attention", lambda: AttentionAwareDemotion(0.3)),
+            ("static", lambda: StaticSplit(0.5)),
+        )
+        for admission in ("reserve", "optimistic")
+        for levels in (2, 3)
+    },
+    "tiered-fleet-bestfit": lambda s: _drain(
+        s,
+        2,
+        n_requests=24,
+        seed=3,
+        rate=2.0,
+        router=BestFitKV(),
+        node={"kv_tiers": _stack(2), "kv_policy": LRUByRequest()},
+    ),
+    "tiered-fleet-faults": lambda s: _drain(
+        s,
+        3,
+        n_requests=24,
+        seed=3,
+        rate=1.0,
+        router=LeastOutstandingTokens(),
+        faults=parse_fault_spec("spot:150:20:4"),
+        node={"kv_tiers": _stack(3), "kv_policy": AttentionAwareDemotion(0.3)},
+    ),
+}
+
+
+def _plain(value):
+    """A JSON-ready copy of a report value (dataclasses become dicts)."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {
+            f.name: _plain(getattr(value, f.name))
+            for f in dataclasses.fields(value)
+            if f.name != "requests"
+        }
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): _plain(v) for k, v in value.items()}
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    return repr(value)
+
+
+def digest(report) -> str:
+    """sha256 over the report's plain form, then one line per request."""
+    lines = [_plain(report)]
+    lines += [
+        [r.request_id, r.request_class.name, r.arrival_time]
+        + [getattr(r, name) for name in ServingRequest.OUTCOME_FIELDS]
+        for r in report.requests
+    ]
+    sha = hashlib.sha256()
+    for line in lines:
+        sha.update(json.dumps(line, sort_keys=True, allow_nan=True).encode())
+        sha.update(b"\n")
+    return sha.hexdigest()
+
+
+def digests() -> dict[str, str]:
+    """Every scenario's digest, by name."""
+    system = HilosSystem(MODEL, HilosConfig(n_devices=2))
+    return {name: digest(run(system)) for name, run in SCENARIOS.items()}
+
+
+def test_drains_match_golden_digests():
+    expected = json.loads(GOLDEN_PATH.read_text())
+    actual = digests()
+    changed = sorted(
+        name for name in expected.keys() | actual.keys()
+        if expected.get(name) != actual.get(name)
+    )
+    assert not changed, (
+        f"drain digests differ from {GOLDEN_PATH.name}: {', '.join(changed)}; "
+        "if the change is intended, regenerate with "
+        "`python tests/test_golden.py --regenerate` and name them"
+    )
+
+
+def main(argv: list[str]) -> int:
+    if argv != ["--regenerate"]:
+        print(f"usage: python {Path(__file__).name} --regenerate", file=sys.stderr)
+        return 2
+    # The suite recomputes the digests under the sanitizer; so does this.
+    os.environ.setdefault(SANITIZE_ENV, "1")
+    old = json.loads(GOLDEN_PATH.read_text()) if GOLDEN_PATH.exists() else {}
+    new = digests()
+    GOLDEN_PATH.write_text(json.dumps(new, indent=2, sort_keys=True) + "\n")
+    for name in sorted(old.keys() | new.keys()):
+        if old.get(name) != new.get(name):
+            print(f"changed: {name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
