@@ -51,8 +51,9 @@ checks are:
   the router-facing views and the decode step read (outstanding tokens,
   committed and queued KV bytes, running context) equals the sum
   re-computed from the engine's queues -- all four at each load probe,
-  the running context at each decode step -- and is zero at drain end;
-  a decode step the retirement countdown skips has no finished request.
+  the running context at each decode step and coast start -- and is
+  zero at drain end; a decode step or coast the retirement countdown
+  skips has no finished request.
 
 This module sits below the simulation layers on purpose: it imports only
 :mod:`repro.errors`, so :mod:`repro.sim.engine` and

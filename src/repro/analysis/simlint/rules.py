@@ -274,7 +274,7 @@ def check_sim002(source: SourceFile, config: SimlintConfig) -> list[Finding]:
 
 # --- SIM003: events constructed but never observed --------------------------------
 
-_EVENT_FACTORY_METHODS = {"event", "timeout", "all_of"}
+_EVENT_FACTORY_METHODS = {"event", "timeout", "timeout_at", "all_of"}
 _EVENT_CLASS_NAMES = {"Event", "Timeout", "AllOf", "Barrier"}
 
 

@@ -16,13 +16,13 @@ budget is derived from the same placement rules
 The :class:`BudgetTracker` ledger here is *flat*: one capacity number, no
 distinction between where within the cache home a request's bytes live.
 Under optimistic admission the engine makes one ledger call per decode
-iteration, and it costs O(1) whatever the batch size:
-:meth:`BudgetTracker.update` over the whole running batch adds the batch
-size times the model's per-token KV size (computed once, since
-``kv_cache_bytes`` is linear in context) to the running total and ticks
-a decode-step counter, and each re-marked entry is derived from that
-counter -- its bytes at its last explicit re-mark plus one token per step
-since, which is its context's bytes.
+iteration (or per coast of several), and it costs O(1) whatever the
+batch size: :meth:`BudgetTracker.update` over the whole running batch
+adds the steps times the batch size times the model's per-token KV size
+(computed once, since ``kv_cache_bytes`` is linear in context) to the
+running total and advances a decode-step counter, and each re-marked
+entry is derived from that counter -- its bytes at its last explicit
+re-mark plus one token per step since, which is its context's bytes.
 
 Nodes configured with a KV tier stack swap in
 :class:`~repro.serving.kvtiers.TieredBudgetTracker`, which keeps this
@@ -103,8 +103,8 @@ class BudgetTracker:
       admission to completion (:meth:`reserve`), so in-flight growth can
       never burst past the budget;
     * *optimistic* -- requests hold only their **current**-context bytes
-      (:meth:`occupy`), re-marked once per decode iteration by one O(1)
-      :meth:`update` call over the whole running batch; overflow is
+      (:meth:`occupy`), re-marked once per decode iteration (or coast) by
+      one O(1) :meth:`update` call over the whole running batch; overflow is
       possible by construction and the scheduler resolves it by
       preempting the youngest request before the step that would burst
       (the batch size times :attr:`token_bytes` prices that check).
@@ -210,7 +210,7 @@ class BudgetTracker:
         """
         self._record(request, request.kv_admission_bytes(self.model))
 
-    def update(self, *requests: ServingRequest) -> list[float]:
+    def update(self, *requests: ServingRequest, steps: int = 1) -> list[float]:
         """Re-mark occupied requests at their (grown) current contexts.
 
         The decode step passes its whole running batch.  When the
@@ -219,23 +219,31 @@ class BudgetTracker:
         every re-marked entry is one token longer than at its previous
         re-mark, so the running total moves by the batch size times
         :attr:`token_bytes` and a step counter ticks, in O(1); each entry
-        is derived from the counter (:meth:`_held_now`).  Any other call
-        -- prefill completion's one request, a first re-mark after
-        admission -- re-marks each request explicitly at
-        ``context_tokens * token_bytes``, in argument order.  The figures
-        are integer-valued floats far below 2**53, so either way the
-        running total and its peak are bit-identical to re-marking one
-        request at a time.  Returns how many bytes each entry grew by, in
-        argument order.
+        is derived from the counter (:meth:`_held_now`).  ``steps`` lands
+        that many decode steps in the one call (a coasting engine's wake):
+        the counter moves by ``steps`` and the total by ``steps`` times the
+        step's growth.  Any other call -- prefill completion's one request,
+        a first re-mark after admission -- re-marks each request explicitly
+        at ``context_tokens * token_bytes``, in argument order, and takes
+        no ``steps``.  The figures are integer-valued floats far below
+        2**53, so either way the running total and its peak are
+        bit-identical to re-marking one request, one step, at a time (the
+        total only grows, so the peak is its last value).  Returns how many
+        bytes each entry grew by, in argument order.
         """
         if self._is_step(requests):
             n = len(requests)
-            self._steps += 1
-            reserved = self.reserved_bytes + n * self.token_bytes
+            self._steps += steps
+            grown = steps * self.token_bytes
+            reserved = self.reserved_bytes + n * grown
             self.reserved_bytes = reserved
             if reserved > self.peak_reserved_bytes:
                 self.peak_reserved_bytes = reserved
-            growth = [self.token_bytes] * n
+            growth = [grown] * n
+        elif steps != 1:
+            raise SchedulingError(
+                f"a {steps}-step re-mark must name the whole decode batch"
+            )
         else:
             growth = self._remark_each(requests)
         if self.sanitize and requests:

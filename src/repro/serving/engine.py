@@ -48,7 +48,8 @@ enqueue / preload      outstanding, committed KV, queued KV
 admission              queued KV
 prefill chunk          outstanding (completion: running context, finish
                        countdown lowered to the completer's tokens left)
-decode step            running context, finish countdown (minus one)
+decode step / coast    running context (the batch size per step), finish
+                       countdown (minus the steps)
 preemption             outstanding, queued KV (running context when the
                        victim was decoding)
 retirement             outstanding, committed KV, running context (the
@@ -58,23 +59,39 @@ death                  all cleared (the whole queue leaves the node)
 
 The re-summing code survives as the sanitizer's reference: a sanitized
 engine recomputes every ledger at each load probe (queue-depth probes
-included), and the running context at each decode step, and raises
-``SanitizerError(invariant="load-ledger")`` on any difference -- also
-when a step the countdown skipped had a finished request to retire --
-and :meth:`NodeEngine.assert_drained` demands every ledger back at zero
-at drain end.
+included), and the running context at each decode step and coast start,
+and raises ``SanitizerError(invariant="load-ledger")`` on any difference
+-- also when a step the countdown skipped had a finished request to
+retire -- and :meth:`NodeEngine.assert_drained` demands every ledger back
+at zero at drain end.
+
+A full batch *coasts* to its next finisher.  When no other process can
+see the decode iterations before the next retirement -- no fault driver,
+a flat node, nothing prefilling, and a policy that can admit nothing
+until a slot frees (:meth:`~repro.serving.policies.SchedulingPolicy.full`,
+or an arrival stream that is done with nothing queued) -- the engine
+prices all but the last of them in one pass (one step-time query each,
+the end time summed step by step as the clock would) and sleeps once,
+with :meth:`~repro.sim.engine.Simulator.timeout_at`, to that boundary.
+The finishing iteration then runs on the per-step path, so its timeout is
+scheduled at the same instant as without the coast.  Under optimistic
+admission a coast also stops before the first iteration whose growth
+would overflow the budget, so the preemption lands where it would per
+step.  Every simulated figure is bit-identical to stepping one iteration
+per wake.
 
 A decode step's KV bookkeeping costs O(1) in the batch size too.  Under
-optimistic admission one tracker call per iteration,
-``tracker.update(*running)``, re-marks the whole batch by adding the batch
-size times the tracker's per-token KV bytes (prefill completion re-marks
-the one request it promotes), and the overflow check before each
-iteration prices the step's growth the same way.  On a tiered node that
-call lands the batch's growth from integer per-tier counters, and the
-step's spilled reads and promotions read per-tier aggregates, so the
-tracker touches individual requests only at residency events (see
-:mod:`repro.serving.kvtiers`).  The per-token loop that advances each
-running request's emitted tokens is the step's one O(batch) pass.
+optimistic admission one tracker call per iteration or coast,
+``tracker.update(*running, steps=steps)``, re-marks the whole batch by
+adding the steps times the batch size times the tracker's per-token KV
+bytes (prefill completion re-marks the one request it promotes), and the
+overflow check before each iteration prices the step's growth the same
+way.  On a tiered node that call lands the batch's growth from integer
+per-tier counters, and the step's spilled reads and promotions read
+per-tier aggregates, so the tracker touches individual requests only at
+residency events (see :mod:`repro.serving.kvtiers`).  The loop that
+advances each running request's emitted tokens is the one O(batch) pass,
+once per step or coast.
 
 Under fault injection (:mod:`repro.serving.faults`) the engine carries a
 node lifecycle::
@@ -711,15 +728,23 @@ class NodeEngine:
                         # the iteration they accelerate.
                         self.tracker.promote_for_decode(self.running)
                         yield from self._bill_kv_movement()
-                    yield sim.timeout(self._iteration_seconds())
+                    steps = self._coast_steps()
+                    if steps:
+                        # Nothing can see the iterations before the next
+                        # retirement: price them in one pass, sleep once.
+                        steps, wake = self._coast(steps, optimistic)
+                        yield sim.timeout_at(wake)
+                    else:
+                        steps = 1
+                        yield sim.timeout(self._iteration_seconds())
                     for request in self.running:
-                        request.tokens_generated += 1
+                        request.tokens_generated += steps
                     if optimistic:
                         # One ledger call re-marks the whole batch.
-                        self.tracker.update(*self.running)
-                    # Every running request grew by one token.
-                    self._running_context_tokens += len(self.running)
-                    self._until_finish -= 1
+                        self.tracker.update(*self.running, steps=steps)
+                    # Every running request grew by one token per step.
+                    self._running_context_tokens += steps * len(self.running)
+                    self._until_finish -= steps
                     self._retire_finished()
                 progressed = True
             if progressed:
@@ -841,6 +866,79 @@ class NodeEngine:
             self._queued_kv_bytes += self._final_kv_bytes(victim)
             victim.record_preemption(dropped)
             self.waiting.appendleft(victim)
+
+    # --- coasting decode ------------------------------------------------------
+
+    def _coast_steps(self) -> int:
+        """Decode iterations the engine may take in one wake (0: just one).
+
+        A coast covers the iterations up to, not including, the one that
+        retires the batch's next finisher (the countdown is a lower bound,
+        so none finishes inside it).  Nobody can see those boundaries when
+        no fault driver can kill, slow or scale the node there, the node is
+        flat (tier movement and spilled reads are per step), nothing is
+        prefilling, and no admission can happen before a retirement: the
+        policy is :meth:`~repro.serving.policies.SchedulingPolicy.full`, or
+        the arrival stream is done and nothing is pending or waiting.  At
+        each skipped boundary the per-step loop would only move due
+        arrivals from pending to waiting, and the wake moves them in the
+        same order before any admission; the router-facing load views do
+        not move during decode.  (Exact ties are the one exception: the
+        wake's heap entry is older than a per-step boundary's, so
+        arrivals landing exactly on the wake and on the retirement instant
+        can order differently against the retirement.)
+        """
+        if (
+            self._until_finish < 2
+            or self.tiered
+            or self.driver is not None
+            or self.prefilling
+        ):
+            return 0
+        if self.policy.full(self.running) or (
+            self._arrivals_done and not self.pending and not self.waiting
+        ):
+            return self._until_finish - 1
+        return 0
+
+    def _coast(self, steps: int, optimistic: bool) -> tuple[int, float]:
+        """Price up to ``steps`` decode iterations; return (count, end time).
+
+        Each iteration makes the step-time query the per-step path would:
+        the same batch, and the context :meth:`_iteration_seconds` would
+        read after the previous iterations' growth (the padded longest
+        context plus one per step, or the ledger advanced by the batch size
+        per step, then rounded -- ``round`` is half-to-even, so rounding
+        once and adding would drift).  The end time accumulates one step at
+        a time, as the clock does across successive timeouts, so it is
+        bit-equal to the per-step boundary.  Under optimistic admission the
+        coast stops before the first iteration whose growth the budget
+        would not fit (the :meth:`_resolve_overflow` test), so the
+        preemption lands at that boundary, on the per-step path, as it
+        would without the coast.
+        """
+        if self._sanitize:
+            self._check_load_ledgers(running_only=True)
+        running = self.running
+        n = len(running)
+        if self.policy.padded:
+            batch = max(self._batch_slots, n)
+            longest = max(r.context_tokens for r in running)
+            contexts = (longest + step for step in range(steps))
+        else:
+            batch = n
+            total = self._running_context_tokens
+            contexts = (round((total + step * n) / n) for step in range(steps))
+        step_seconds = self.node.step_time.step_seconds
+        slow = self._slow_factor
+        growth = n * self.tracker.token_bytes
+        fits = self.tracker.fits_bytes
+        time = self.sim.now
+        for step, context in enumerate(contexts):
+            if optimistic and step and not fits(growth, extra_bytes=step * growth):
+                return step, time
+            time += step_seconds(batch, max(1, context)) * slow
+        return steps, time
 
     # --- timing helpers --------------------------------------------------------
 

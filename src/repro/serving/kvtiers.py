@@ -549,7 +549,7 @@ class TieredBudgetTracker(BudgetTracker):
             self._check_residency(request)
             self._check_tier_occupancy(request_id)
 
-    def update(self, *requests: ServingRequest) -> list[float]:
+    def update(self, *requests: ServingRequest, steps: int = 1) -> list[float]:
         """Re-mark the requests on the flat ledger, then place their growth.
 
         A decode step (see :meth:`BudgetTracker.update`) lands the whole
@@ -559,7 +559,10 @@ class TieredBudgetTracker(BudgetTracker):
         fills mid-batch -- then the step settles the batch and runs the
         per-request cascade, as placing one request at a time would.  Any
         other call re-marks and places each request in argument order.
+        Tiered nodes never coast, so growth lands one step per call.
         """
+        if steps != 1:
+            raise SchedulingError("a tiered ledger places one decode step per call")
         step = self._is_step(requests)
         growth = super().update(*requests)
         if not step:

@@ -19,6 +19,15 @@ iteration-level (``padded = False``)
     each request's final-context KV up front (no preemption ever needed),
     ``"optimistic"`` charges only the current footprint and lets the
     scheduler preempt the youngest request when decode growth overflows.
+
+Every policy also answers :meth:`SchedulingPolicy.full`: whether its
+``admit`` would return nothing for the given active set whatever is
+waiting.  Admission starts with that test, so the two cannot drift, and
+the engine relies on it: while the policy is full and no request can
+retire, a decode iteration boundary changes nothing an admission could
+see, so the engine runs a full batch to its next finisher in one
+simulator wake instead of one wake per iteration.  The base answer is
+``False`` -- a custom policy never lets the engine skip its boundaries.
 """
 
 from __future__ import annotations
@@ -50,6 +59,17 @@ class SchedulingPolicy(abc.ABC):
         if batch_size < 1:
             raise ConfigurationError("policy batch size must be >= 1")
         self.batch_size = batch_size
+
+    def full(self, active: list[ServingRequest]) -> bool:
+        """Whether :meth:`admit` returns nothing for ``active``, whatever waits.
+
+        Only the active set may decide it (not the waiting queue or the
+        ledger): the engine asks once and then skips every iteration
+        boundary up to the batch's next retirement, during which the active
+        set cannot change.  ``False`` is always safe; a policy that
+        overrides this must begin :meth:`admit` with the same test.
+        """
+        return False
 
     @abc.abstractmethod
     def admit(
@@ -105,8 +125,11 @@ class FCFSFixedBatch(SchedulingPolicy):
     name = "fcfs-fixed"
     padded = True
 
+    def full(self, active):
+        return bool(active)
+
     def admit(self, waiting, active, tracker):
-        if active:
+        if self.full(active):
             return []
         return self._take_fitting(waiting, tracker, self.batch_size)
 
@@ -125,8 +148,11 @@ class LengthBucketedBatch(SchedulingPolicy):
     name = "length-bucketed"
     padded = True
 
+    def full(self, active):
+        return bool(active)
+
     def admit(self, waiting, active, tracker):
-        if active or not waiting:
+        if self.full(active) or not waiting:
             return []
         # Pick the bucket whose oldest member has waited longest.  Keyed on
         # arrival time (not request id): with online arrival processes, ids
@@ -189,11 +215,13 @@ class ContinuousBatching(SchedulingPolicy):
             "continuous" if admission == "reserve" else "continuous-optimistic"
         )
 
+    def full(self, active):
+        return len(active) >= self.batch_size
+
     def admit(self, waiting, active, tracker):
-        free_slots = self.batch_size - len(active)
-        if free_slots <= 0:
+        if self.full(active):
             return []
-        return self._take_fitting(waiting, tracker, free_slots)
+        return self._take_fitting(waiting, tracker, self.batch_size - len(active))
 
 
 def default_policies(

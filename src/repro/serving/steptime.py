@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import abc
 import bisect
+import math
 
 from repro.baselines.base import InferenceSystem
 from repro.calibration import CalibrationStore, system_fingerprint
@@ -127,8 +128,12 @@ class AnalyticStepTime(StepTimeModel):
         per_token_seconds: float = 1e-4,
         prefill_per_token_seconds: float = 1e-3,
     ) -> None:
-        if base_seconds < 0 or per_token_seconds < 0 or prefill_per_token_seconds < 0:
-            raise ConfigurationError("step-time coefficients must be non-negative")
+        for value in (base_seconds, per_token_seconds, prefill_per_token_seconds):
+            if not 0.0 <= value < math.inf:
+                raise ConfigurationError(
+                    f"step-time coefficients must be finite and non-negative "
+                    f"(got {value!r})"
+                )
         self.base_seconds = base_seconds
         self.per_token_seconds = per_token_seconds
         self.prefill_per_token_seconds = prefill_per_token_seconds

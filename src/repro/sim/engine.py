@@ -5,10 +5,13 @@ SimPy, which is not available offline): *processes* are Python generators
 that ``yield`` :class:`Event` objects and are resumed when those events
 trigger.  The :class:`Simulator` owns virtual time and an event heap.
 
-Only the features the library needs are implemented -- timeouts, process
-completion events, and all-of conjunction -- which keeps the kernel small
-enough to reason about and to property-test (see
-``tests/sim/test_engine.py``).
+Only the features the library needs are implemented -- timeouts (after a
+delay, or at an absolute time), process completion events, and all-of
+conjunction -- which keeps the kernel small enough to reason about and to
+property-test (see ``tests/sim/test_engine.py``).  Every delay and time
+must be finite and not in the past: a NaN would break the heap order (and
+never compare equal to itself when the clock sweeps it), and an infinite
+one would end the clock, so both raise :class:`SimulationError`.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Type alias for the generator shape driven by :class:`Process`.
 ProcessGenerator = Generator["Event", Any, Any]
+
+_INF = float("inf")
 
 
 class Event:
@@ -128,13 +133,15 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires after a fixed simulated delay."""
+    """An event that fires after a fixed simulated delay.
+
+    The delay is validated by :meth:`Simulator.schedule`: a negative, NaN
+    or infinite one raises :class:`SimulationError`.
+    """
 
     __slots__ = ()
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay}")
         super().__init__(sim, name="timeout")
         sim.schedule(delay, lambda: self.succeed(value))
 
@@ -378,12 +385,22 @@ class Simulator:
         """Number of scheduled callbacks executed so far (for diagnostics)."""
         return self._processed
 
-    def schedule(self, delay: float, callback: Callable[[], None]) -> None:
-        """Run ``callback`` after ``delay`` simulated seconds."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
+    def _reject_delay(self, delay: float) -> None:
+        """Raise for a delay outside ``[0, inf)``: negative, NaN or infinite.
+
+        A sanitized simulator reports a non-finite delay as its
+        ``finite-delay`` invariant first.
+        """
         if self.sanitizer is not None:
             self.sanitizer.check_schedule(self._now, delay)
+        if delay < 0:
+            raise SimulationError(f"cannot schedule in the past (delay={delay})")
+        raise SimulationError(f"cannot schedule a non-finite delay ({delay})")
+
+    def schedule(self, delay: float, callback: Callable[[], None]) -> None:
+        """Run ``callback`` after ``delay`` simulated seconds."""
+        if not 0.0 <= delay < _INF:
+            self._reject_delay(delay)
         self._sequence += 1
         heapq.heappush(self._heap, (self._now + delay, self._sequence, callback))
 
@@ -396,10 +413,8 @@ class Simulator:
         stays in the heap and is skipped (without advancing time) when
         popped, so cancellation is O(1) instead of an O(n) heap removal.
         """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        if self.sanitizer is not None:
-            self.sanitizer.check_schedule(self._now, delay)
+        if not 0.0 <= delay < _INF:
+            self._reject_delay(delay)
         self._sequence += 1
         handle = ScheduledCallback(self._now + delay, callback)
         heapq.heappush(self._heap, (handle.time, self._sequence, handle))
@@ -408,6 +423,22 @@ class Simulator:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event that fires after ``delay`` seconds."""
         return Timeout(self, delay, value)
+
+    def timeout_at(self, time: float, value: Any = None) -> Event:
+        """Create an event that fires at the absolute simulated ``time``.
+
+        ``timeout(time - now)`` lands on ``now + (time - now)``, which need
+        not round back to ``time``; this lands on ``time`` itself, so a
+        process that sums a run of delays the way successive timeouts
+        would (``t += delay``) sleeps once to the very instant the last of
+        them would have fired.  ``time`` must be finite and not before now.
+        """
+        if not self._now <= time < _INF:
+            self._reject_delay(time - self._now)
+        event = Event(self, name="timeout")
+        self._sequence += 1
+        heapq.heappush(self._heap, (time, self._sequence, lambda: event.succeed(value)))
+        return event
 
     def event(self, name: str = "") -> Event:
         """Create a bare, manually-triggered event."""

@@ -60,6 +60,11 @@ class TestRulesOnFixtures:
         assert finding.format().startswith(f"{finding.path}:{finding.line}:")
         assert "SIM006" in finding.format()
 
+    def test_discarded_absolute_timeout_is_sim003(self):
+        source = "def f(sim):\n    sim.timeout_at(3.0)\n"
+        findings = lint_file("mod.py", source, SimlintConfig())
+        assert [f.code for f in findings] == ["SIM003"]
+
 
 class TestSuppressions:
     def test_inline_disable_specific_code(self):

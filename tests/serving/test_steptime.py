@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.config import HilosConfig
 from repro.core.runtime import HilosSystem
-from repro.errors import SchedulingError
+from repro.errors import ConfigurationError, SchedulingError
 from repro.serving.steptime import AnalyticStepTime, CalibratedStepTime
 
 
@@ -21,6 +21,17 @@ class TestAnalyticStepTime:
     def test_empty_batch_rejected(self):
         with pytest.raises(SchedulingError):
             AnalyticStepTime().step_seconds(0, 128)
+
+    @pytest.mark.parametrize(
+        "coefficient",
+        ["base_seconds", "per_token_seconds", "prefill_per_token_seconds"],
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_bad_coefficients_rejected(self, coefficient, value):
+        """A NaN or infinite step time would reach the simulator as a delay;
+        the model refuses it at construction, as ``KVTier`` does."""
+        with pytest.raises(ConfigurationError, match="finite and non-negative"):
+            AnalyticStepTime(**{coefficient: value})
 
 
 class TestCalibratedStepTime:

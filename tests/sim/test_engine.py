@@ -6,8 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.sanitizer import SanitizerError
 from repro.errors import SimulationError
 from repro.sim.engine import Event, Simulator
+
+NAN = float("nan")
+INF = float("inf")
 
 
 class TestEvent:
@@ -53,6 +57,78 @@ class TestTimeout:
     def test_timeout_carries_value(self, sim):
         done = sim.timeout(1.0, value="payload")
         assert sim.run(done) == "payload"
+
+    @pytest.mark.parametrize("delay", [NAN, INF, -INF, -1.0])
+    def test_unsanitized_kernel_rejects_bad_delays(self, delay):
+        """Without the sanitizer a NaN delay used to enter the heap, where
+        ``NaN == NaN`` is false, so run() swept nothing and spun forever;
+        an infinite one ended the clock.  Every entry point refuses both."""
+        sim = Simulator(sanitize=False)
+        with pytest.raises(SimulationError) as excinfo:
+            sim.schedule(delay, lambda: None)
+        assert not isinstance(excinfo.value, SanitizerError)
+        with pytest.raises(SimulationError):
+            sim.schedule_cancellable(delay, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.timeout(delay)  # simlint: disable=SIM003
+        with pytest.raises(SimulationError):
+            sim.timeout_at(delay)  # simlint: disable=SIM003
+        assert not sim._heap
+        sim.run()
+        assert sim.events_processed == 0
+
+    def test_sanitized_kernel_reports_finite_delay_first(self):
+        sim = Simulator(sanitize=True)
+        for schedule in (sim.schedule, sim.schedule_cancellable):
+            with pytest.raises(SanitizerError, match="finite-delay"):
+                schedule(NAN, lambda: None)
+        with pytest.raises(SanitizerError, match="finite-delay"):
+            sim.timeout_at(INF)  # simlint: disable=SIM003
+        with pytest.raises(SimulationError, match="past") as excinfo:
+            sim.timeout(-1.0)  # simlint: disable=SIM003
+        assert not isinstance(excinfo.value, SanitizerError)
+
+
+class TestTimeoutAt:
+    def test_lands_on_the_absolute_time(self, sim):
+        start, target = 0.0938595867742349, 2.834747652200631
+        # The relative delay does not round back to the target ...
+        assert start + (target - start) != target
+        sim.run(sim.timeout(start))
+        done = sim.timeout_at(target, value="payload")
+        assert sim.run(done) == "payload"
+        # ... the absolute time is the target itself.
+        assert sim.now == target
+
+    def test_matches_summed_timeouts(self, sim):
+        """Sleeping once to a sum of delays accumulated as the clock does
+        reaches the instant the chain of timeouts reaches."""
+        delays = [0.1, 0.7, 1e-3, 2.9, 0.30000000000000004]
+
+        def chain():
+            for delay in delays:
+                yield sim.timeout(delay)
+            return sim.now
+
+        wake = 0.0
+        for delay in delays:
+            wake += delay
+        chained = sim.run(sim.process(chain()))
+        other = Simulator()
+        other.run(other.timeout_at(wake))
+        assert other.now == chained
+
+    def test_same_time_fires_in_schedule_order(self, sim):
+        order = []
+        sim.timeout_at(2.0).add_callback(lambda event: order.append("at"))
+        sim.timeout(2.0).add_callback(lambda event: order.append("after"))
+        sim.run()
+        assert order == ["at", "after"]
+
+    def test_past_time_rejected(self, sim):
+        sim.run(sim.timeout(1.0))
+        with pytest.raises(SimulationError, match="past"):
+            sim.timeout_at(0.5)  # simlint: disable=SIM003
 
 
 class TestProcess:

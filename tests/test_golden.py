@@ -10,8 +10,14 @@ change that moves any simulated figure of any mechanism moves a digest,
 and since floats are encoded exactly, so does a figure that depends on
 the Python version.
 
-A change that moves figures on purpose regenerates the file and names
-every changed digest::
+Next to each digest the file pins two exact work counters of the drain:
+``events``, the callbacks its simulator processed, and ``step_queries``,
+the decode step-time queries it made of the scenario's step-time model.
+They are deterministic, so any change in the work a drain does -- a
+saving or a regression -- shows as a changed counter, noise-free.
+
+A change that moves figures or counters on purpose regenerates the file
+and names every changed digest and counter::
 
     PYTHONPATH=src python tests/test_golden.py --regenerate
 """
@@ -23,7 +29,11 @@ import hashlib
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+from unittest import mock
+
+import pytest
 
 from repro.analysis.sanitizer import SANITIZE_ENV
 from repro.core.config import HilosConfig
@@ -53,6 +63,8 @@ from repro.serving import (
     parse_fault_spec,
     parse_overload_spec,
 )
+from repro.serving import cluster
+from repro.sim.engine import Simulator
 from repro.workloads import sample_request_classes
 from repro.workloads.requests import LONG, MEDIUM, SHORT
 
@@ -282,14 +294,18 @@ def _plain(value):
     return repr(value)
 
 
-def digest(report) -> str:
-    """sha256 over the report's plain form, then one line per request."""
-    lines = [_plain(report)]
-    lines += [
+def outcome_lines(report) -> list[list]:
+    """One line per request: its id, class, arrival time and outcome."""
+    return [
         [r.request_id, r.request_class.name, r.arrival_time]
         + [getattr(r, name) for name in ServingRequest.OUTCOME_FIELDS]
         for r in report.requests
     ]
+
+
+def digest(report) -> str:
+    """sha256 over the report's plain form, then one line per request."""
+    lines = [_plain(report), *outcome_lines(report)]
     sha = hashlib.sha256()
     for line in lines:
         sha.update(json.dumps(line, sort_keys=True, allow_nan=True).encode())
@@ -297,22 +313,88 @@ def digest(report) -> str:
     return sha.hexdigest()
 
 
-def digests() -> dict[str, str]:
-    """Every scenario's digest, by name."""
+#: The exact work counters pinned next to each digest.
+COUNTERS = ("events", "step_queries")
+
+
+@contextmanager
+def recorded_simulators():
+    """Yield a list that collects every simulator a drain builds."""
+    sims: list[Simulator] = []
+
+    class Recording(Simulator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            sims.append(self)
+
+    with mock.patch.object(cluster, "Simulator", Recording):
+        yield sims
+
+
+def observe(run, system) -> dict:
+    """Drain one scenario: its digest and its exact work counters."""
+    queries = 0
+    step_seconds = AnalyticStepTime.step_seconds
+
+    def counted(self, batch_size, seq_len):
+        nonlocal queries
+        queries += 1
+        return step_seconds(self, batch_size, seq_len)
+
+    with recorded_simulators() as sims, mock.patch.object(
+        AnalyticStepTime, "step_seconds", counted
+    ):
+        report = run(system)
+    (sim,) = sims
+    return {
+        "digest": digest(report),
+        "events": sim.events_processed,
+        "step_queries": queries,
+    }
+
+
+def observations() -> dict[str, dict]:
+    """Every scenario's digest and counters, by name."""
     system = HilosSystem(MODEL, HilosConfig(n_devices=2))
-    return {name: digest(run(system)) for name, run in SCENARIOS.items()}
+    return {name: observe(run, system) for name, run in SCENARIOS.items()}
 
 
-def test_drains_match_golden_digests():
-    expected = json.loads(GOLDEN_PATH.read_text())
-    actual = digests()
-    changed = sorted(
-        name for name in expected.keys() | actual.keys()
-        if expected.get(name) != actual.get(name)
-    )
+def changes(old: dict, new: dict, fields) -> list[str]:
+    """Each scenario whose digest moved, and each moved counter with its
+    old and new value."""
+    changed = []
+    for name in sorted(old.keys() | new.keys()):
+        was, now = old.get(name, {}), new.get(name, {})
+        for field in fields:
+            if was.get(field) == now.get(field):
+                continue
+            if field == "digest":
+                changed.append(name)
+            else:
+                changed.append(f"{name} {field} {was.get(field)} -> {now.get(field)}")
+    return changed
+
+
+@pytest.fixture(scope="module")
+def golden():
+    """The file's entries and this tree's, computed once for both checks."""
+    return json.loads(GOLDEN_PATH.read_text()), observations()
+
+
+def test_drains_match_golden_digests(golden):
+    changed = changes(*golden, ("digest",))
     assert not changed, (
         f"drain digests differ from {GOLDEN_PATH.name}: {', '.join(changed)}; "
         "if the change is intended, regenerate with "
+        "`python tests/test_golden.py --regenerate` and name them"
+    )
+
+
+def test_drains_match_golden_work_counters(golden):
+    changed = changes(*golden, COUNTERS)
+    assert not changed, (
+        f"drain work counters differ from {GOLDEN_PATH.name}: "
+        f"{'; '.join(changed)}; if the change is intended, regenerate with "
         "`python tests/test_golden.py --regenerate` and name them"
     )
 
@@ -321,14 +403,13 @@ def main(argv: list[str]) -> int:
     if argv != ["--regenerate"]:
         print(f"usage: python {Path(__file__).name} --regenerate", file=sys.stderr)
         return 2
-    # The suite recomputes the digests under the sanitizer; so does this.
+    # The suite recomputes the drains under the sanitizer; so does this.
     os.environ.setdefault(SANITIZE_ENV, "1")
     old = json.loads(GOLDEN_PATH.read_text()) if GOLDEN_PATH.exists() else {}
-    new = digests()
+    new = observations()
     GOLDEN_PATH.write_text(json.dumps(new, indent=2, sort_keys=True) + "\n")
-    for name in sorted(old.keys() | new.keys()):
-        if old.get(name) != new.get(name):
-            print(f"changed: {name}")
+    for change in changes(old, new, ("digest", *COUNTERS)):
+        print(f"changed: {change}")
     return 0
 
 
