@@ -53,7 +53,6 @@ from repro.serving import (
     PoissonArrivals,
     RoundRobin,
     default_policies,
-    drain_queue,
     parse_autoscale_spec,
     parse_overload_spec,
 )
@@ -84,7 +83,11 @@ def main() -> None:
         FlexGenSSD(model),
     ):
         print(header)
-        for report in drain_queue(system, default_policies(BATCH_SLOTS), queue):
+        # One node per system: its calibrated step-time model is measured
+        # once and shared by every policy's drain.
+        node = Node(system)
+        for policy in default_policies(BATCH_SLOTS):
+            report = ClusterScheduler([node], policy).drain(queue)
             throughput[(report.system, report.policy)] = report.tokens_per_second
             print(
                 f"{report.system:22s} {report.policy:16s} "
@@ -136,7 +139,7 @@ def online_act(model, queue) -> None:
         scheduler = ClusterScheduler(
             [node], ContinuousBatching(BATCH_SLOTS, admission=admission)
         )
-        report = scheduler.drain(list(queue), arrivals=arrivals)
+        report = scheduler.drain(queue, arrivals=arrivals)
         results[admission] = report
         print(
             f"{report.policy:24s} {report.tokens_per_second:8.3f} "
@@ -181,7 +184,7 @@ def fleet_act(model, queue) -> None:
         fleet = ClusterScheduler(
             nodes, ContinuousBatching(BATCH_SLOTS), router=router
         )
-        report = fleet.drain(list(queue), arrivals=arrivals)
+        report = fleet.drain(queue, arrivals=arrivals)
         results[router.name] = report
         shares = "/".join(str(n.n_requests) for n in report.node_reports)
         print(
@@ -234,7 +237,7 @@ def fault_act(model, queue) -> None:
             router=LeastOutstandingTokens(),
             faults=faults,
         )
-        report = fleet.drain(list(queue), arrivals=arrivals)
+        report = fleet.drain(queue, arrivals=arrivals)
         results[admission] = report
         print(
             f"{admission:14s} {report.tokens_per_second:8.3f} "
@@ -275,7 +278,7 @@ def overload_act(model, queue) -> None:
             router=LeastOutstandingTokens(),
             overload=parse_overload_spec(spec, seed=SEED),
         )
-        report = fleet.drain(list(queue), arrivals=arrivals)
+        report = fleet.drain(queue, arrivals=arrivals)
         print(
             f"{spec:16s} {report.completed:4d}/{report.n_requests:<4d} "
             f"{report.shed_requests:5d} {report.retry_attempts:8d} "
@@ -304,7 +307,7 @@ def autoscale_act(model, queue) -> None:
         router=LeastOutstandingTokens(),
         autoscale=parse_autoscale_spec("auto:1:4:8:600", seed=SEED),
     )
-    report = fleet.drain(list(queue), arrivals=arrivals)
+    report = fleet.drain(queue, arrivals=arrivals)
 
     print("\nelastic fleet (1 node warm, 3 offline spares, target queue "
           "depth 8, 600s provisioning) on the same hot stream:")

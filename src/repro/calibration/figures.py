@@ -14,7 +14,7 @@ figure re-runs measurement-free; tokens/sec and OOM verdicts are
 reconstructed from the cached cells plus the (analytic, cheap) effective
 batch computation.
 
-Measurements default to ``warmup_steps=0``, matching the serving
+Measurements take one step and no warm-up, matching the serving
 calibration pipeline: the event-level simulators are deterministic and
 reach steady state on the first decode step (warm-up moves step times only
 at the 1e-14 relative level), so the redundant warm-up simulation would
@@ -59,20 +59,23 @@ class FigurePointCache:
     """measure()-compatible caching for a system's fixed figure points.
 
     Parameters mirror :class:`~repro.serving.steptime.CalibratedStepTime`:
-    the (batch, seq) grids plus step counts define the fingerprint, so two
-    runs of the same harness hit the same store file while a changed sweep
-    (or library version) re-measures from scratch.  Unlike the interpolating
-    serving model this cache only ever serves exact grid points -- figure
-    harnesses measure the points they plot.
+    the (batch, seq) grids plus the class's step counts define the
+    fingerprint, so two runs of the same harness hit the same store file
+    while a changed sweep (or library version) re-measures from scratch.
+    Unlike the interpolating serving model this cache only ever serves
+    exact grid points -- figure harnesses measure the points they plot.
     """
+
+    #: ``measure()`` step counts of every point, part of the fingerprint
+    #: (see the module docstring for why there is no warm-up).
+    n_steps = 1
+    warmup_steps = 0
 
     def __init__(
         self,
         system,
         batch_grid: tuple[int, ...],
         seq_grid: tuple[int, ...],
-        n_steps: int = 1,
-        warmup_steps: int = 0,
         store: CalibrationStore | None = None,
     ) -> None:
         if not batch_grid or not seq_grid:
@@ -80,8 +83,6 @@ class FigurePointCache:
         self.system = system
         self.batch_grid = tuple(sorted(set(batch_grid)))
         self.seq_grid = tuple(sorted(set(seq_grid)))
-        self.n_steps = n_steps
-        self.warmup_steps = warmup_steps
         self.store = store
         #: Full-simulator ``measure()`` runs performed by this instance
         #: (store hits do not count); zero on a warm re-run.

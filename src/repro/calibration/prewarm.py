@@ -55,8 +55,6 @@ def _build_step_time(
     model_name: str,
     batch_grid: tuple[int, ...],
     seq_grid: tuple[int, ...],
-    n_steps: int,
-    warmup_steps: int,
     store: CalibrationStore | None,
 ):
     from repro.baselines.registry import build_inference_system
@@ -65,12 +63,7 @@ def _build_step_time(
 
     system = build_inference_system(label, get_model(model_name))
     return CalibratedStepTime(
-        system,
-        batch_grid=batch_grid,
-        seq_grid=seq_grid,
-        n_steps=n_steps,
-        warmup_steps=warmup_steps,
-        store=store,
+        system, batch_grid=batch_grid, seq_grid=seq_grid, store=store
     )
 
 
@@ -79,8 +72,6 @@ def _measure_cell_job(
     model_name: str,
     batch_grid: tuple[int, ...],
     seq_grid: tuple[int, ...],
-    n_steps: int,
-    warmup_steps: int,
     cell: tuple[int, int],
 ) -> tuple[str, tuple[int, int], float | None]:
     """Worker body: measure one grid cell; ``None`` marks infeasible cells.
@@ -91,9 +82,7 @@ def _measure_cell_job(
     """
     from repro.errors import SchedulingError
 
-    step_time = _build_step_time(
-        label, model_name, batch_grid, seq_grid, n_steps, warmup_steps, store=None
-    )
+    step_time = _build_step_time(label, model_name, batch_grid, seq_grid, store=None)
     try:
         return label, cell, step_time.step_seconds(*cell)
     except SchedulingError:
@@ -110,8 +99,6 @@ def prewarm_step_grids(
     seq_grid: tuple[int, ...] = DEFAULT_SEQ_GRID,
     store: CalibrationStore | None = None,
     jobs: int = 1,
-    n_steps: int = 1,
-    warmup_steps: int = 0,
 ) -> list[PrewarmReport]:
     """Measure every missing cell of every system's grid, in parallel.
 
@@ -131,9 +118,7 @@ def prewarm_step_grids(
     missing: list[tuple[str, tuple[int, int]]] = []
     already: dict[str, int] = {}
     for label in labels:
-        step_time = _build_step_time(
-            label, model_name, batch_grid, seq_grid, n_steps, warmup_steps, store
-        )
+        step_time = _build_step_time(label, model_name, batch_grid, seq_grid, store)
         already[label] = step_time.prewarm()
         step_times[label] = step_time
         missing.extend((label, cell) for cell in step_time.missing_cells())
@@ -152,14 +137,7 @@ def prewarm_step_grids(
         with ProcessPoolExecutor(max_workers=min(jobs, len(missing))) as pool:
             futures = [
                 pool.submit(
-                    _measure_cell_job,
-                    label,
-                    model_name,
-                    batch_grid,
-                    seq_grid,
-                    n_steps,
-                    warmup_steps,
-                    cell,
+                    _measure_cell_job, label, model_name, batch_grid, seq_grid, cell
                 )
                 for label, cell in missing
             ]
@@ -167,9 +145,7 @@ def prewarm_step_grids(
                 _record(*future.result())
     else:
         for label, cell in missing:
-            _record(*_measure_cell_job(
-                label, model_name, batch_grid, seq_grid, n_steps, warmup_steps, cell
-            ))
+            _record(*_measure_cell_job(label, model_name, batch_grid, seq_grid, cell))
     store.flush_dirty()
     return [
         PrewarmReport(

@@ -136,7 +136,7 @@ def run(
                 name="node0",
             )
             scheduler = ClusterScheduler([node], ContinuousBatching(BATCH))
-            report = scheduler.drain(list(classes))
+            report = scheduler.drain(classes)
             top = report.kv_tiers[0]
             table.add_row(
                 100 * alpha,

@@ -39,12 +39,11 @@ from __future__ import annotations
 
 import argparse
 
-from repro.baselines.registry import build_inference_system
 from repro.calibration import CalibrationStore, resolve_store
 from repro.errors import ConfigurationError
 from repro.experiments.harness import Table
 from repro.models import get_model
-from repro.serving import TraceReplay, default_policies, drain_queue, parse_arrival_spec
+from repro.serving import TraceReplay, default_policies, parse_arrival_spec
 from repro.serving.autoscale import parse_autoscale_spec
 from repro.serving.cluster import (
     FLEET_SYMMETRY_MODES,
@@ -56,12 +55,7 @@ from repro.serving.kvtiers import parse_kv_policy_spec, parse_kv_tiers_spec
 from repro.serving.overload import parse_overload_spec
 from repro.serving.policies import ADMISSION_MODES
 from repro.serving.routers import parse_router_spec
-from repro.serving.steptime import (
-    DEFAULT_BATCH_GRID,
-    DEFAULT_SEQ_GRID,
-    CalibratedStepTime,
-    parse_grid,
-)
+from repro.serving.steptime import DEFAULT_BATCH_GRID, DEFAULT_SEQ_GRID, parse_grid
 from repro.workloads import sample_request_classes
 
 MODEL = "OPT-66B"
@@ -105,6 +99,10 @@ def run(
 ) -> list[Table]:
     """Drain one seeded queue through every (system, policy) pair.
 
+    Every row is a :class:`~repro.serving.cluster.ClusterScheduler` drain
+    of a :func:`~repro.serving.cluster.build_fleet` fleet, one node by
+    default.
+
     ``store`` overrides the calibration store (``use_store=False`` disables
     persistence entirely -- every run then measures from scratch); the grid
     arguments override the default calibration grids.  ``symmetry`` selects
@@ -114,36 +112,36 @@ def run(
     simulates one representative node per homogeneous group when the
     fleet is symmetric and the router load-oblivious; "full" always
     simulates every node; "representative" demands folding and fails
-    fast on ineligible configurations).  ``admission``
-    picks the continuous-batching accounting, ``arrival`` is an arrival
-    spec (``poisson:RATE[:SEED]``, ``rate:RATE``, ``trace:PATH``), and
-    ``prefill_chunk`` enables chunked prefill at that many tokens.
+    fast on ineligible configurations; a single host without faults,
+    overload control, autoscaling or tiers always drains under "auto").
+    ``admission`` picks the continuous-batching accounting, ``arrival`` is
+    an arrival spec (``poisson:RATE[:SEED]``, ``rate:RATE``,
+    ``trace:PATH``), and ``prefill_chunk`` enables chunked prefill at that
+    many tokens.
 
     ``nodes`` > 1 turns every system row into an N-node fleet of that
     system draining the *same* queue through a
     :class:`~repro.serving.cluster.ClusterScheduler` under the ``router``
     placement policy (``rr`` | ``jsq`` | ``bestfit``); the report table
     then carries fleet-level tokens/s and tokens/s/$ and a third table
-    breaks each drain down per node.  ``nodes=1`` is the unchanged legacy
-    single-host sweep.  ``faults`` is a fault spec
+    breaks each drain down per node.  ``faults`` is a fault spec
     (``spot:MTBF:RECOVERY[:SEED]``, ``crash:TIME:NODE``,
     ``slow:TIME:DURATION:FACTOR:NODE``, comma-separated); any fault
-    schedule routes the drain through the cluster path (even one node)
-    and the per-node table reports migrations and downtime.
+    schedule makes the row a fleet (even one node) with the per-node
+    table, which reports migrations and downtime.
 
     ``kv_tiers`` is a tier-stack spec (``hbm:CAP,dram:CAP:BW,ssd:CAP:BW``)
     mounting a tiered KV hierarchy on every node, and ``kv_policy``
     (``lru`` | ``attention[:HOT]`` | ``static:ALPHA``) its
     demotion/placement policy (default LRU-by-request); tier stacks
-    route the drain through the cluster path and add a per-tier
-    traffic/hit-rate table.
+    make the row a fleet too and add a per-tier traffic/hit-rate table.
 
     ``overload`` is an overload-control spec (``shed:QDEPTH[:TPS]``,
     ``retry:QDEPTH[:TPS[:ATTEMPTS[:SEED]]]``,
     ``park:QDEPTH[:TPS[:DEADLINE_S]]``; ``-`` leaves a bound unset) and
     ``autoscale`` an autoscale spec
-    (``auto:MIN:MAX:TARGET_QDEPTH[:PROVISION_S[:SEED]]``); either routes
-    the drain through the cluster path too.  Under autoscaling the fleet
+    (``auto:MIN:MAX:TARGET_QDEPTH[:PROVISION_S[:SEED]]``); either makes
+    the row a fleet too.  Under autoscaling the fleet
     is built at ``max(nodes, MAX)`` size and the scale-event timeline
     becomes a fourth table.
     """
@@ -314,48 +312,34 @@ def run(
     )
     clamped_any = False
     for label in systems:
-        if fleet_mode:
-            fleet = build_fleet(
-                model,
-                [label] * fleet_nodes,
-                store=store,
-                batch_grid=batch_grid,
-                seq_grid=seq_grid,
-                symmetry=symmetry,
-                prefill_chunk_tokens=prefill_chunk,
-                kv_tiers=tier_stack,
-                kv_policy=tier_policy,
-            )
-            step_time = fleet[0].step_time  # shared across the symmetric fleet
-            prewarmed = step_time.prewarm()
-            reports = [
-                ClusterScheduler(
-                    fleet,
-                    policy,
-                    router=parse_router_spec(router),
-                    faults=fault_schedule,
-                    overload=overload_control,
-                    autoscale=autoscale_policy,
-                    fleet_symmetry=fleet_symmetry,
-                ).drain(list(queue), arrivals=arrivals)
-                for policy in default_policies(BATCH_SLOTS, admission=admission)
-            ]
-            step_time.flush()
-        else:
-            system = build_inference_system(label, model)
-            system.symmetry = symmetry
-            step_time = CalibratedStepTime(
-                system, batch_grid=batch_grid, seq_grid=seq_grid, store=store
-            )
-            prewarmed = step_time.prewarm()
-            reports = drain_queue(
-                system,
-                default_policies(BATCH_SLOTS, admission=admission),
-                queue,
-                step_time=step_time,
-                arrivals=arrivals,
-                prefill_chunk_tokens=prefill_chunk,
-            )
+        fleet = build_fleet(
+            model,
+            [label] * fleet_nodes,
+            store=store,
+            batch_grid=batch_grid,
+            seq_grid=seq_grid,
+            symmetry=symmetry,
+            prefill_chunk_tokens=prefill_chunk,
+            kv_tiers=tier_stack,
+            kv_policy=tier_policy,
+        )
+        step_time = fleet[0].step_time  # shared across the symmetric fleet
+        prewarmed = step_time.prewarm()
+        reports = [
+            ClusterScheduler(
+                fleet,
+                policy,
+                router=parse_router_spec(router),
+                faults=fault_schedule,
+                overload=overload_control,
+                autoscale=autoscale_policy,
+                # A single host keeps the preload feed, which admits a
+                # same-time burst together (see repro.serving.cluster).
+                fleet_symmetry=fleet_symmetry if fleet_mode else "auto",
+            ).drain(queue, arrivals=arrivals)
+            for policy in default_policies(BATCH_SLOTS, admission=admission)
+        ]
+        step_time.flush()
         for report in reports:
             table.add_row(
                 report.system if fleet_mode else label,

@@ -48,7 +48,7 @@ arrivals as structured :class:`ShedRequest` outcomes, and the report
 grows shed/retry accounting.  Elastic fleets hand scaling to a
 reactive autoscaler (:mod:`repro.serving.autoscale`):
 ``autoscale=parse_autoscale_spec("auto:1:4:8")`` provisions offline
-spares on queue-depth/TTFT pressure (through the fault layer's
+spares on queue-depth pressure (through the fault layer's
 RECOVERING lifecycle and uptime-only billing) and gracefully drains idle
 nodes, recording every decision as a :class:`ScaleEvent`.
 
@@ -120,7 +120,6 @@ from repro.serving.cluster import (
     FLEET_SYMMETRY_MODES,
     ClusterScheduler,
     build_fleet,
-    drain_queue,
 )
 from repro.serving.engine import Node, NodeEngine
 from repro.serving.faults import (
@@ -222,7 +221,6 @@ __all__ = [
     "build_fleet",
     "capacity_budget_for",
     "default_policies",
-    "drain_queue",
     "make_request_queue",
     "parse_arrival_spec",
     "parse_autoscale_spec",

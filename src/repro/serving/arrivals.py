@@ -24,7 +24,6 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.errors import ConfigurationError, SchedulingError
-from repro.serving.request import ServingRequest
 from repro.serving.specs import spec_error, spec_float, spec_int
 from repro.workloads.requests import REQUEST_CLASSES, RequestClass
 
@@ -77,12 +76,6 @@ class ArrivalProcess(abc.ABC):
             )
         return times
 
-    def assign(self, queue: Sequence[ServingRequest]) -> list[ServingRequest]:
-        """Stamp ``queue`` (in queue order) with this process's checked times."""
-        for request, time in zip(queue, self.checked_times(len(queue))):
-            request.arrival_time = time
-        return list(queue)
-
 
 class AllAtOnce(ArrivalProcess):
     """The classic offline queue: every request arrives at time zero."""
@@ -103,16 +96,13 @@ def _check_rate(rate_per_second: float) -> None:
 class FixedRateArrivals(ArrivalProcess):
     """Deterministic open-loop feed: one request every ``1/rate`` seconds."""
 
-    def __init__(self, rate_per_second: float, start: float = 0.0) -> None:
+    def __init__(self, rate_per_second: float) -> None:
         _check_rate(rate_per_second)
-        if start < 0:
-            raise ConfigurationError("arrival start time must be non-negative")
         self.rate_per_second = rate_per_second
-        self.start = start
 
     def arrival_times(self, n: int) -> list[float]:
         gap = 1.0 / self.rate_per_second
-        return [self.start + i * gap for i in range(n)]
+        return [i * gap for i in range(n)]
 
 
 class PoissonArrivals(ArrivalProcess):
@@ -322,8 +312,9 @@ def parse_arrival_spec(spec: str | None, seed: int = 0) -> ArrivalProcess | None
     Accepted forms: ``poisson:RATE`` (seeded with ``seed``),
     ``poisson:RATE:SEED``, ``burst:RATE:SIZE`` / ``burst:RATE:SIZE:SEED``
     (Poisson-timed fixed-size bursts), ``rate:RATE``, ``trace:PATH``, and
-    ``None`` / ``"offline"`` for the implicit all-at-time-zero queue
-    (returns ``None`` so callers can keep the legacy no-arrivals path).
+    ``None`` / ``"offline"`` for the all-at-time-zero queue, which returns
+    ``None``: a drain without an arrival process starts every request at
+    zero.
     """
     if spec is None or spec == "offline":
         return None

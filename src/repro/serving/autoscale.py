@@ -3,13 +3,12 @@
 The ROADMAP's elasticity item asks for "a simulated autoscaler that
 adds/drains nodes on queue-depth or TTFT signals, reusing the fault
 layer's lifecycle (RECOVERING is provisioning) and per-second billing";
-this module is that autoscaler.  An :class:`Autoscaler` runs as a
-fire-and-forget process on the drain's simulator, sampling the fleet
-every ``interval_seconds``:
+this module is that autoscaler, on the queue-depth signal.  An
+:class:`Autoscaler` runs as a fire-and-forget process on the drain's
+simulator, sampling the fleet every :data:`DECISION_INTERVAL_SECONDS`:
 
 * **scale up** when the mean waiting-queue depth per active node exceeds
-  ``target_queue_depth`` (or the oldest queued request has waited past
-  ``target_ttft_seconds``): a node still gracefully draining is
+  ``target_queue_depth``: a node still gracefully draining is
   reactivated instantly (warm cancel), otherwise an offline spare starts
   provisioning -- the engine's existing RECOVERING path with a
   ``provision_seconds`` delay, so cold capacity takes realistic time to
@@ -43,8 +42,8 @@ from repro.serving.specs import spec_error, spec_fields, spec_float, spec_int
 #: Default cold-provisioning delay for a scaled-up node (seconds).
 DEFAULT_PROVISION_SECONDS = 120.0
 
-#: Default spacing between autoscaler decisions (simulated seconds).
-DEFAULT_DECISION_INTERVAL_SECONDS = 5.0
+#: Spacing between autoscaler decisions (simulated seconds).
+DECISION_INTERVAL_SECONDS = 5.0
 
 #: Scale down only when depth falls below this fraction of the target --
 #: the hysteresis band that keeps the fleet from flapping at the target.
@@ -73,9 +72,7 @@ class AutoscalePolicy:
     The fleet is built at ``max_nodes`` size; nodes past ``min_nodes``
     start offline and only cost money (and serve work) after the
     autoscaler provisions them.  ``target_queue_depth`` is the mean
-    waiting-queue depth per active node the scaler defends;
-    ``target_ttft_seconds`` optionally adds a time-to-first-token breach
-    signal on top.
+    waiting-queue depth per active node the scaler defends.
     """
 
     min_nodes: int
@@ -83,8 +80,6 @@ class AutoscalePolicy:
     target_queue_depth: float
     provision_seconds: float = DEFAULT_PROVISION_SECONDS
     seed: int = 0
-    interval_seconds: float = DEFAULT_DECISION_INTERVAL_SECONDS
-    target_ttft_seconds: float | None = None
 
     def __post_init__(self) -> None:
         if self.min_nodes < 1:
@@ -96,18 +91,11 @@ class AutoscalePolicy:
                 f"autoscale max_nodes ({self.max_nodes}) must be >= "
                 f"min_nodes ({self.min_nodes})"
             )
-        for name in ("target_queue_depth", "provision_seconds", "interval_seconds"):
+        for name in ("target_queue_depth", "provision_seconds"):
             value = getattr(self, name)
             if not math.isfinite(value) or value <= 0:
                 raise ConfigurationError(
                     f"autoscale {name} must be positive and finite, got {value!r}"
-                )
-        if self.target_ttft_seconds is not None:
-            value = self.target_ttft_seconds
-            if not math.isfinite(value) or value <= 0:
-                raise ConfigurationError(
-                    "autoscale target_ttft_seconds must be positive and "
-                    f"finite, got {value!r}"
                 )
 
     def validate_for(self, n_nodes: int) -> None:
@@ -173,12 +161,11 @@ class Autoscaler:
         # A seeded phase offset desynchronises the tick from round
         # boundaries (and gives two seeds two distinct, replayable
         # schedules), mirroring the spot injectors' per-stream RNGs.
-        interval = self.policy.interval_seconds
         phase = random.Random(f"autoscale:{self.policy.seed}").random()
-        yield self.sim.timeout(interval * (0.5 + phase))
+        yield self.sim.timeout(DECISION_INTERVAL_SECONDS * (0.5 + phase))
         while not self.driver.done:
             self._decide()
-            yield self.sim.timeout(interval)
+            yield self.sim.timeout(DECISION_INTERVAL_SECONDS)
 
     # --- one decision -----------------------------------------------------------
 
@@ -189,37 +176,18 @@ class Autoscaler:
         capacity = len(active) + len(provisioning)
         queued = sum(e.queued_requests for e in active)
         depth = queued / max(1, capacity)
-        ttft_breach = self._ttft_breach(active)
         if (
-            depth > self.policy.target_queue_depth or ttft_breach
-        ) and capacity < self.policy.max_nodes:
-            self._scale_up(
-                depth, len(active), "ttft" if ttft_breach else "queue-depth"
-            )
+            depth > self.policy.target_queue_depth
+            and capacity < self.policy.max_nodes
+        ):
+            self._scale_up(depth, len(active), "queue-depth")
         elif (
             depth < self.policy.target_queue_depth * SCALE_DOWN_FRACTION
-            and not ttft_breach
             and not provisioning
             and not draining
             and len(active) > self.policy.min_nodes
         ):
             self._scale_down(depth, len(active))
-
-    def _ttft_breach(self, active) -> bool:
-        if self.policy.target_ttft_seconds is None:
-            return False
-        oldest = min(
-            (
-                r.arrival_time
-                for engine in active
-                for r in list(engine.waiting) + list(engine.pending)
-            ),
-            default=None,
-        )
-        return (
-            oldest is not None
-            and self.sim.now - oldest > self.policy.target_ttft_seconds
-        )
 
     def _scale_up(self, depth: float, active: int, reason: str) -> None:
         # Prefer reactivating a gracefully-draining node (instant, warm)

@@ -77,12 +77,11 @@ fleet cannot fold), mirroring the device-array ``symmetry`` modes.
 
 from __future__ import annotations
 
-from dataclasses import fields, replace
+from dataclasses import replace
 from itertools import repeat
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.analysis.sanitizer import SanitizerError
-from repro.baselines.base import InferenceSystem
 from repro.errors import ConfigurationError, SchedulingError
 from repro.models.config import ModelConfig
 from repro.serving.arrivals import ArrivalProcess
@@ -100,7 +99,7 @@ from repro.serving.overload import OverloadControl
 from repro.serving.policies import ContinuousBatching, SchedulingPolicy
 from repro.serving.request import FoldedRequests, ServingRequest
 from repro.serving.routers import Router, RoundRobin
-from repro.serving.steptime import CalibratedStepTime, StepTimeModel
+from repro.serving.steptime import CalibratedStepTime
 from repro.sim.engine import Simulator
 from repro.workloads.requests import RequestClass
 
@@ -111,99 +110,36 @@ DEFAULT_BATCH_SLOTS = 16
 #: device-array ``symmetry`` grammar.
 FLEET_SYMMETRY_MODES = ("auto", "full", "representative")
 
-#: A fresh request's outcome: each ``OUTCOME_FIELDS`` name -> its default.
-_FRESH_OUTCOME = {
-    f.name: f.default
-    for f in fields(ServingRequest)
-    if f.name in ServingRequest.OUTCOME_FIELDS
-}
-
-
-def _validated_kind(
-    requests: Sequence[RequestClass] | Sequence[ServingRequest],
-) -> type:
-    """Validate a drain's input queue; return its element type.
-
-    Every element is type-checked (mixed queues raise with the offending
-    index); bare :class:`RequestClass` shapes make an id-ordered queue,
-    unique by construction.  A :class:`ServingRequest` must be fresh --
-    every :attr:`~ServingRequest.OUTCOME_FIELDS` entry at its default: one
-    that already carries state from an earlier drain raises with its index
-    and the first stale field, since a drain mutates its requests in place
-    and every report shares them -- and must carry a request id no other
-    element carries: a repeated id raises naming both indices.
-    """
-    if not requests:
-        raise SchedulingError("cannot drain an empty request queue")
-    expected: type = (
-        ServingRequest if isinstance(requests[0], ServingRequest) else RequestClass
-    )
-    if not all(map(isinstance, requests, repeat(expected))):
-        index, request = next(
-            (i, r) for i, r in enumerate(requests) if not isinstance(r, expected)
-        )
-        raise SchedulingError(
-            f"mixed request queue: element {index} is "
-            f"{type(request).__name__}, expected {expected.__name__} "
-            "(queues must be all RequestClass or all ServingRequest)"
-        )
-    if expected is ServingRequest:
-        first_index: dict[int, int] = {}
-        for index, request in enumerate(requests):
-            for name, fresh in _FRESH_OUTCOME.items():
-                value = getattr(request, name)
-                if value != fresh:
-                    raise SchedulingError(
-                        f"element {index} (request {request.request_id}) already "
-                        f"carries state from an earlier drain ({name}={value!r}); "
-                        "build a fresh queue per drain"
-                    )
-            earlier = first_index.setdefault(request.request_id, index)
-            if earlier != index:
-                raise SchedulingError(
-                    f"elements {earlier} and {index} share request id "
-                    f"{request.request_id}; request ids must be unique in a queue"
-                )
-    return expected
-
-
 class _Queue:
     """A drain's validated input queue, described without building it.
 
-    ``ids``, ``classes`` and ``times`` give every request's id, shape and
-    arrival time in queue order, and ``order`` lists the queue positions in
-    arrival order.  ``requests`` holds each position's
-    :class:`ServingRequest` once it exists: every element of a caller-built
-    queue, stamped in place, but for bare :class:`RequestClass` shapes only
-    those :meth:`request` has built -- a folded drain builds just the
-    requests it simulates.
+    ``classes`` and ``times`` give every request's shape and arrival time
+    in queue order, which is also arrival order: a request's id is its
+    queue position and the arrival process's times never decrease.
+    ``requests`` holds each position's :class:`ServingRequest` once it
+    exists -- a folded drain builds just the requests it simulates.
     """
 
     def __init__(
-        self,
-        requests: Sequence[RequestClass] | Sequence[ServingRequest],
-        arrivals: ArrivalProcess | None = None,
+        self, requests: Sequence[RequestClass], arrivals: ArrivalProcess | None
     ) -> None:
+        if not requests:
+            raise SchedulingError("cannot drain an empty request queue")
+        if not all(map(isinstance, requests, repeat(RequestClass))):
+            index, request = next(
+                (i, r)
+                for i, r in enumerate(requests)
+                if not isinstance(r, RequestClass)
+            )
+            raise SchedulingError(
+                f"element {index} of the request queue is "
+                f"{type(request).__name__}, expected RequestClass (a drain "
+                "takes request shapes and builds the requests itself)"
+            )
         n = len(requests)
-        if _validated_kind(requests) is ServingRequest:
-            self.requests: list = list(requests)
-            if arrivals is not None:
-                arrivals.assign(self.requests)
-            self.ids: Sequence[int] = [r.request_id for r in self.requests]
-            self.classes = [r.request_class for r in self.requests]
-            self.times = [r.arrival_time for r in self.requests]
-            self.order: Sequence[int] = sorted(
-                range(n), key=lambda i: (self.times[i], self.ids[i])
-            )
-        else:
-            # Bare shapes take their position as id and non-decreasing
-            # times, so queue order already is arrival order.
-            self.requests = [None] * n
-            self.ids = self.order = range(n)
-            self.classes = list(requests)
-            self.times = (
-                arrivals.checked_times(n) if arrivals is not None else [0.0] * n
-            )
+        self.classes = list(requests)
+        self.times = arrivals.checked_times(n) if arrivals is not None else [0.0] * n
+        self.requests: list = [None] * n
 
     def request(self, position: int) -> ServingRequest:
         """The request at queue ``position``, built on first use."""
@@ -269,10 +205,6 @@ def check_report_conservation(
                     invariant="tier-conservation",
                     sim_time=sim_time,
                 )
-
-
-def _arrival_order(request: ServingRequest) -> tuple[float, int]:
-    return request.arrival_time, request.request_id
 
 
 class ClusterScheduler:
@@ -421,21 +353,19 @@ class ClusterScheduler:
 
     def drain(
         self,
-        requests: Sequence[RequestClass] | Sequence[ServingRequest],
+        requests: Sequence[RequestClass],
         arrivals: ArrivalProcess | None = None,
     ) -> ServingReport:
         """Run the queue to empty across the fleet; return the fleet report.
 
-        ``arrivals`` stamps the queue with an arrival schedule before the
-        simulation starts; without it requests keep the arrival times they
-        carry (zero for queues built from bare :class:`RequestClass`
-        shapes -- the classic offline drain).
-
-        A caller-built :class:`ServingRequest` queue is validated and
-        stamped in place, and the drain writes each simulated request's
-        outcome into it.  A folded drain simulates only its representative
-        slices, so it writes outcomes only into those requests; every other
-        request's outcome is in the report's ``requests`` view.
+        ``requests`` are :class:`RequestClass` shapes; the drain builds
+        every request itself, with its queue position as its id, so a
+        queue can be drained any number of times.  Any other element
+        raises a :class:`~repro.errors.SchedulingError` naming its index
+        and type.  ``arrivals`` gives request ``i`` the ``i``-th arrival
+        time; without it every request arrives at zero (the classic
+        offline drain).  Outcomes are read back through the report's
+        ``requests``.
         """
         queue = _Queue(requests, arrivals)
         self.router.reset()
@@ -453,13 +383,16 @@ class ClusterScheduler:
         # simulates -- every node alone, or the fold plan's groups.
         if fold is None:
             groups = [[index] for index in range(len(self.nodes))]
-            ordered = [queue.request(position) for position in queue.order]
+            ordered = list(map(queue.request, range(len(queue.classes))))
         else:
             slices, groups = fold
-            # Only representative slices are simulated, so only they are built.
-            ordered = sorted(
-                (queue.request(p) for members in groups for p in slices[members[0]]),
-                key=_arrival_order,
+            # Only representative slices are simulated, so only they are
+            # built; queue order is arrival order.
+            ordered = list(
+                map(
+                    queue.request,
+                    sorted(p for members in groups for p in slices[members[0]]),
+                )
             )
         engines = [
             NodeEngine(self.nodes[members[0]], self.policy, sim) for members in groups
@@ -474,7 +407,7 @@ class ClusterScheduler:
             # The plan places each representative request on its group's
             # engine.
             target = {
-                queue.ids[position]: engine
+                position: engine
                 for engine, members in zip(engines, groups)
                 for position in slices[members[0]]
             }
@@ -668,7 +601,7 @@ class ClusterScheduler:
             len(self.nodes) == 1 or self._fold_ineligibility() is not None
         ):
             return None
-        n_requests, n_nodes = len(queue.order), len(self.nodes)
+        n_requests, n_nodes = len(queue.classes), len(self.nodes)
         assignments = self.router.static_assignments(n_requests, n_nodes)
         if (
             len(assignments) != n_requests
@@ -680,7 +613,7 @@ class ClusterScheduler:
                 f"assignment for {n_requests} requests over {n_nodes} nodes"
             )
         slices: list[list[int]] = [[] for _ in self.nodes]
-        for position, node_index in zip(queue.order, assignments):
+        for position, node_index in enumerate(assignments):
             slices[node_index].append(position)
         # Group on the hashable time sequence, then compare shapes by value
         # (identical class objects compare at C speed, no dataclass hash).
@@ -713,7 +646,7 @@ class ClusterScheduler:
             for index in members:
                 for position, request in zip(slices[index], simulated):
                     sources[position] = request
-        return FoldedRequests(queue.ids, queue.classes, queue.times, sources)
+        return FoldedRequests(queue.classes, queue.times, sources)
 
     def _step_time_notes(self, step_times: dict, counters_before: dict) -> dict:
         """Per-drain clamp summaries, merged across the fleet's models.
@@ -791,41 +724,3 @@ def build_fleet(
         )
     return nodes
 
-
-def drain_queue(
-    system: InferenceSystem,
-    policies: Iterable[SchedulingPolicy],
-    requests: Sequence[RequestClass],
-    step_time: StepTimeModel | None = None,
-    store=None,
-    batch_grid: tuple[int, ...] | None = None,
-    seq_grid: tuple[int, ...] | None = None,
-    arrivals: ArrivalProcess | None = None,
-    prefill_chunk_tokens: int | None = None,
-) -> list[ServingReport]:
-    """Drain the same queue under several policies on one system.
-
-    The step-time model (and its calibration cache) is shared across
-    policies; each policy gets a fresh copy of the queue so per-request
-    state never leaks between drains.  ``store`` (plus optional grid
-    overrides) builds the default :class:`CalibratedStepTime` against a
-    persistent calibration cache so repeated sweeps skip re-measuring.
-    ``arrivals`` and ``prefill_chunk_tokens`` pass through to every drain;
-    seeded arrival processes replay the identical schedule per policy.
-    """
-    if step_time is None:
-        step_time = CalibratedStepTime(
-            system, batch_grid=batch_grid, seq_grid=seq_grid, store=store
-        )
-    elif store is not None or batch_grid is not None or seq_grid is not None:
-        raise ConfigurationError(
-            "drain_queue: store/batch_grid/seq_grid configure the default "
-            "CalibratedStepTime and conflict with an explicit step_time"
-        )
-    node = Node(system, step_time=step_time, prefill_chunk_tokens=prefill_chunk_tokens)
-    reports = [
-        ClusterScheduler([node], policy).drain(list(requests), arrivals=arrivals)
-        for policy in policies
-    ]
-    step_time.flush()
-    return reports

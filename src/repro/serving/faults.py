@@ -57,7 +57,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.errors import ConfigurationError, SchedulingError
-from repro.serving.overload import OverloadControl, ShedRequest, TokenRateThrottle
+from repro.serving.overload import (
+    BACKOFF_SECONDS,
+    BURST_SECONDS,
+    OverloadControl,
+    ShedRequest,
+    TokenRateThrottle,
+)
 from repro.serving.request import ServingRequest
 from repro.serving.specs import spec_error, spec_fields, spec_float, spec_int
 
@@ -297,7 +303,7 @@ class FaultDriver:
         if overload is not None and overload.max_tokens_per_second is not None:
             self._throttle = TokenRateThrottle(
                 rate=overload.max_tokens_per_second,
-                burst=overload.max_tokens_per_second * overload.burst_seconds,
+                burst=overload.max_tokens_per_second * BURST_SECONDS,
             )
 
     # --- engine notifications ---------------------------------------------------
@@ -420,25 +426,15 @@ class FaultDriver:
                 return
             if control.action == "retry":
                 if attempts >= control.max_attempts:
-                    if control.shed_on_exhaustion:
-                        self._shed(request, "retry-exhausted", attempts)
-                        return
-                    raise SchedulingError(
-                        f"request {request.request_id} exhausted "
-                        f"{control.max_attempts} admission retries "
-                        f"({reason}); the fleet cannot absorb this load"
-                    )
+                    self._shed(request, "retry-exhausted", attempts)
+                    return
                 attempts += 1
                 request.retry_attempts += 1
                 rng = random.Random(
                     f"backoff:{control.backoff_seed}:"
                     f"{request.request_id}:{attempts}"
                 )
-                delay = (
-                    control.backoff_seconds
-                    * (2 ** (attempts - 1))
-                    * rng.uniform(0.5, 1.5)
-                )
+                delay = BACKOFF_SECONDS * (2 ** (attempts - 1)) * rng.uniform(0.5, 1.5)
                 yield self.sim.timeout(delay)
                 continue
             # action == "park": hold at the front door until capacity.

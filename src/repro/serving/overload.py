@@ -12,8 +12,7 @@ never silently dropped -- the configured ``action`` decides its fate:
   :class:`ShedRequest` outcome on the fleet report;
 * ``"retry"`` -- re-attempt delivery after seeded exponential backoff,
   bounded by ``max_attempts`` (mirroring the fault layer's
-  ``max_migrations``); exhausting the budget sheds (or raises, when
-  ``shed_on_exhaustion=False``);
+  ``max_migrations``); exhausting the budget sheds;
 * ``"park"`` -- hold the request at the front door until capacity frees
   up, optionally bounded by ``park_deadline_seconds`` after which it is
   shed with reason ``"park-deadline"``.
@@ -45,12 +44,12 @@ OVERLOAD_ACTIONS = ("shed", "retry", "park")
 #: Default retry budget before a request is shed (mirrors max_migrations).
 DEFAULT_MAX_ATTEMPTS = 8
 
-#: Default base delay of the exponential backoff schedule.
-DEFAULT_BACKOFF_SECONDS = 1.0
+#: Base delay of the exponential backoff schedule (seconds).
+BACKOFF_SECONDS = 1.0
 
 #: Token-bucket burst window: the throttle accumulates this many seconds
 #: of credit, so short bursts above the sustained rate are absorbed.
-DEFAULT_BURST_SECONDS = 1.0
+BURST_SECONDS = 1.0
 
 #: The CLI grammar, shared by the parser and its error messages.
 OVERLOAD_GRAMMAR = (
@@ -86,7 +85,7 @@ class OverloadControl:
     ``max_queue_depth`` bounds every node's waiting queue (pending plus
     waiting requests); ``max_tokens_per_second`` is the fleet-level
     sustained admission rate in request tokens (prompt + output), with a
-    burst allowance of ``burst_seconds`` worth of credit.  Either bound
+    burst allowance of :data:`BURST_SECONDS` worth of credit.  Either bound
     may be ``None``; with both ``None`` the control :attr:`is_empty` and
     the cluster normalises it away.
     """
@@ -95,11 +94,8 @@ class OverloadControl:
     max_queue_depth: int | None = None
     max_tokens_per_second: float | None = None
     max_attempts: int = DEFAULT_MAX_ATTEMPTS
-    backoff_seconds: float = DEFAULT_BACKOFF_SECONDS
     backoff_seed: int = 0
-    shed_on_exhaustion: bool = True
     park_deadline_seconds: float | None = None
-    burst_seconds: float = DEFAULT_BURST_SECONDS
 
     def __post_init__(self) -> None:
         if self.action not in OVERLOAD_ACTIONS:
@@ -122,11 +118,6 @@ class OverloadControl:
             raise ConfigurationError(
                 f"max_attempts must be >= 0, got {self.max_attempts}"
             )
-        if not math.isfinite(self.backoff_seconds) or self.backoff_seconds <= 0:
-            raise ConfigurationError(
-                f"backoff_seconds must be positive and finite, got "
-                f"{self.backoff_seconds!r}"
-            )
         if self.park_deadline_seconds is not None:
             value = self.park_deadline_seconds
             if not math.isfinite(value) or value <= 0:
@@ -134,11 +125,6 @@ class OverloadControl:
                     "park_deadline_seconds must be positive and finite, "
                     f"got {value!r}"
                 )
-        if not math.isfinite(self.burst_seconds) or self.burst_seconds <= 0:
-            raise ConfigurationError(
-                f"burst_seconds must be positive and finite, got "
-                f"{self.burst_seconds!r}"
-            )
 
     @property
     def is_empty(self) -> bool:

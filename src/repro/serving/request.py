@@ -28,14 +28,16 @@ the representative slices.  Its report's requests are a
 :class:`FoldedRequests` view: a request a mirrored node would have served
 is built when it is accessed, with its own id, class and arrival time and
 the outcome of the simulated request at the same slice position.
-:attr:`ServingRequest.OUTCOME_FIELDS` names that outcome, which is also
-every field a fresh request must still hold at its default (see
-:meth:`repro.serving.cluster.ClusterScheduler.drain`).
+:attr:`ServingRequest.OUTCOME_FIELDS` names that outcome.  Every drain
+builds its own requests from request shapes (see
+:meth:`repro.serving.cluster.ClusterScheduler.drain`), so a request id is
+its queue position.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from typing import Iterator, Sequence
 
 from repro.errors import SchedulingError
@@ -188,10 +190,9 @@ class ServingRequest:
     # --- outcome ------------------------------------------------------------------
 
     #: Per-request lifecycle state a drain writes: what a folded drain's
-    #: mirrored requests share with their simulated request, and what a
-    #: request fresh enough to drain must still hold at its default.
-    #: ``kv_holder`` belongs here too: a request still naming a holder has
-    #: KV bytes held on that node's ledger.
+    #: mirrored requests share with their simulated request.  ``kv_holder``
+    #: belongs here too: a request still naming a holder has KV bytes held
+    #: on that node's ledger.
     OUTCOME_FIELDS = (
         "admitted_time",
         "last_admitted_time",
@@ -234,50 +235,35 @@ class ServingRequest:
         return float(model.kv_cache_bytes(1, self.context_tokens + 1))
 
 
-def make_request_queue(
-    classes: list[RequestClass], arrival_times: list[float] | None = None
-) -> list[ServingRequest]:
-    """Wrap sampled request classes as an id-ordered request queue.
+def make_request_queue(classes: list[RequestClass]) -> list[ServingRequest]:
+    """Wrap request classes as id-ordered requests, all arriving at zero.
 
-    Without ``arrival_times`` the queue is the classic offline
-    all-at-time-zero drain; with it, request ``i`` arrives at
-    ``arrival_times[i]`` (see :mod:`repro.serving.arrivals`).
+    A drain builds its own requests (see
+    :meth:`repro.serving.cluster.ClusterScheduler.drain`); this is for
+    code that drives policies, ledgers or routers directly.
     """
-    if arrival_times is not None and len(arrival_times) != len(classes):
-        raise SchedulingError(
-            f"{len(arrival_times)} arrival times for {len(classes)} requests"
-        )
-    return [
-        ServingRequest(
-            request_id=i,
-            request_class=cls,
-            arrival_time=0.0 if arrival_times is None else float(arrival_times[i]),
-        )
-        for i, cls in enumerate(classes)
-    ]
+    return [ServingRequest(i, cls) for i, cls in enumerate(classes)]
 
 
 class FoldedRequests(Sequence[ServingRequest]):
     """A folded drain's requests in queue order: a read-only sequence view.
 
-    Position ``i`` holds request ``ids[i]`` of class ``classes[i]``
-    arriving at ``times[i]``, and carries the outcome of ``sources[i]``,
-    the simulated request at the same slice position of its node group's
-    representative.  A simulated request is returned as it is; any other
-    is built on access and not cached, so the view holds only the
-    simulated requests and a full pass over it holds one mirror at a time.
-    Request ids are unique within a queue, so a position is simulated
-    exactly when its source carries its id.
+    Position ``i`` holds request ``i`` of class ``classes[i]`` arriving at
+    ``times[i]``, and carries the outcome of ``sources[i]``, the simulated
+    request at the same slice position of its node group's representative.
+    A simulated request is returned as it is; any other is built on access
+    and not cached, so the view holds only the simulated requests and a
+    full pass over it holds one mirror at a time.  A request's id is its
+    queue position, so a position is simulated exactly when its source
+    carries that id.
     """
 
     def __init__(
         self,
-        ids: Sequence[int],
         classes: Sequence[RequestClass],
         times: Sequence[float],
         sources: Sequence[ServingRequest],
     ) -> None:
-        self._ids = ids
         self._classes = classes
         self._times = times
         self._sources = sources
@@ -289,7 +275,7 @@ class FoldedRequests(Sequence[ServingRequest]):
         if isinstance(index, slice):
             return [self[i] for i in range(*index.indices(len(self)))]
         source = self._sources[index]
-        request_id = self._ids[index]
+        request_id = range(len(self))[index]  # a negative index counts back
         if source.request_id == request_id:
             return source
         return self._mirror(
@@ -299,7 +285,7 @@ class FoldedRequests(Sequence[ServingRequest]):
     def __iter__(self) -> Iterator[ServingRequest]:
         mirror = self._mirror
         for request_id, shape, time, source in zip(
-            self._ids, self._classes, self._times, self._sources
+            count(), self._classes, self._times, self._sources
         ):
             if source.request_id == request_id:
                 yield source

@@ -56,13 +56,12 @@ class Router(abc.ABC):
     def place(self, request: ServingRequest, engines: Sequence):
         """Route ``request`` and return the offered engine that takes it.
 
-        A router may return the engine or its bare ``node``; anything else
-        is a :class:`~repro.errors.SchedulingError`.
+        Anything but one of ``engines`` is a
+        :class:`~repro.errors.SchedulingError`.
         """
         chosen = self.route(request, engines)
-        for engine in engines:
-            if chosen is engine or chosen is engine.node:
-                return engine
+        if chosen in engines:
+            return chosen
         raise SchedulingError(
             f"router {self.name!r} returned an object that is not one of "
             "this cluster's nodes it was offered"

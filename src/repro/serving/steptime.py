@@ -102,8 +102,7 @@ class StepTimeModel(abc.ABC):
         The offloaded-attention step-time mode: KV resident below a tiered
         node's compute tier is re-read each iteration at the holding
         tier's near-storage rate (see :mod:`repro.serving.kvtiers`, which
-        prices a whole batch's reads from one tier in one call, and a
-        request's settled reads from one tier in another).  The
+        prices a whole batch's reads from one tier in one call).  The
         declared default is a pure bandwidth bill, ``bytes / bandwidth``;
         models that overlap the transfer with compute (the paper's
         SmartSSD pipelines attention against the flash read) override it
@@ -161,23 +160,23 @@ class CalibratedStepTime(StepTimeModel):
     deterministic fingerprint of (model, hardware, grid, version): a system
     is then measured *once ever* across experiments, sweeps, and re-runs.
 
-    ``warmup_steps`` defaults to 0: the event-level simulators are
-    deterministic and reach steady state on the first decode step (warm-up
-    changes measured step times only at the 1e-14 relative level), so the
-    calibration pipeline skips the redundant warm-up simulation and halves
-    its cost.
-
     ``batch_grid`` / ``seq_grid`` of ``None`` select the default grids
     (:data:`DEFAULT_BATCH_GRID`, :data:`DEFAULT_SEQ_GRID`).
     """
+
+    #: ``measure()`` step counts of every grid cell, part of the
+    #: fingerprint.  No warm-up: the event-level simulators are
+    #: deterministic and reach steady state on the first decode step
+    #: (warm-up changes measured step times only at the 1e-14 relative
+    #: level), so a warm-up simulation would double every cell's cost.
+    n_steps = 1
+    warmup_steps = 0
 
     def __init__(
         self,
         system: InferenceSystem,
         batch_grid: tuple[int, ...] | None = None,
         seq_grid: tuple[int, ...] | None = None,
-        n_steps: int = 1,
-        warmup_steps: int = 0,
         store: CalibrationStore | None = None,
     ) -> None:
         if batch_grid is None:
@@ -189,8 +188,6 @@ class CalibratedStepTime(StepTimeModel):
         self.system = system
         self.batch_grid = tuple(sorted(set(batch_grid)))
         self.seq_grid = tuple(sorted(set(seq_grid)))
-        self.n_steps = n_steps
-        self.warmup_steps = warmup_steps
         self.store = store
         #: Number of full-simulator ``measure()`` runs this instance
         #: actually performed (cache hits -- in-memory or persisted -- do

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.calibration import CalibrationStore
+from repro.calibration import CalibrationStore, system_fingerprint
 from repro.calibration.figures import FigurePoint, FigurePointCache
 from repro.calibration.prewarm import prewarm_step_grids
 from repro.calibration.store import clear_memory_layer
@@ -179,3 +179,28 @@ class TestPrewarm:
         assert step_time.missing_cells() == [(2, 256)]
         assert step_time.step_seconds(1, 256) == pytest.approx(0.125)
         assert step_time.measurement_count == 0
+
+
+class TestStepCounts:
+    """Serving grids and figure points measure one decode step without
+    warm-up.  The counts are part of every fingerprint, so changing them
+    would turn every stored grid into a miss."""
+
+    def test_serving_grid_fingerprint(self, system):
+        assert (CalibratedStepTime.n_steps, CalibratedStepTime.warmup_steps) == (1, 0)
+        step_time = CalibratedStepTime(system, batch_grid=(1, 2), seq_grid=(256,))
+        assert step_time.fingerprint == system_fingerprint(
+            system, (1, 2), (256,), n_steps=1, warmup_steps=0
+        )
+
+    def test_figure_point_fingerprint(self, system):
+        assert (FigurePointCache.n_steps, FigurePointCache.warmup_steps) == (1, 0)
+        cache = FigurePointCache(system, (1, 2), (256,))
+        assert cache.fingerprint == system_fingerprint(
+            system,
+            (1, 2),
+            (256,),
+            n_steps=1,
+            warmup_steps=0,
+            semantics=FigurePointCache.SEMANTICS,
+        )

@@ -6,6 +6,7 @@ import pytest
 
 from repro.calibration.store import clear_memory_layer
 from repro.experiments import runner, serving_throughput
+from repro.serving import cluster
 from repro.serving.steptime import CalibratedStepTime
 
 
@@ -20,7 +21,8 @@ def isolated_store(tmp_path, monkeypatch):
 
 @pytest.fixture
 def tracked_step_times(monkeypatch):
-    """Record every CalibratedStepTime the serving experiment constructs."""
+    """Record every CalibratedStepTime the serving experiment's fleets
+    construct (:func:`~repro.serving.cluster.build_fleet` builds them)."""
     created: list[CalibratedStepTime] = []
 
     class Tracking(CalibratedStepTime):
@@ -28,7 +30,7 @@ def tracked_step_times(monkeypatch):
             super().__init__(*args, **kwargs)
             created.append(self)
 
-    monkeypatch.setattr(serving_throughput, "CalibratedStepTime", Tracking)
+    monkeypatch.setattr(cluster, "CalibratedStepTime", Tracking)
     return created
 
 
@@ -168,6 +170,29 @@ class TestServingClusterCli:
         assert set(tables[2].column("node")) == {"node0", "node1"}
         assert "scale-up" in tables[3].column("action")
         assert "autoscale: auto:1:2:2:60" in tables[0].title
+
+    def test_single_host_rows_ignore_fleet_symmetry(self):
+        # A one-node row is not a fleet: it drains under "auto" whatever
+        # fleet_symmetry says, so a same-time burst keeps the preload feed.
+        kwargs = dict(
+            fast=True,
+            systems=["HILOS (8 SmartSSDs)"],
+            n_requests=16,
+            arrival="burst:0.05:4",
+        )
+        default = serving_throughput.run(**kwargs)
+        representative = serving_throughput.run(
+            fleet_symmetry="representative", **kwargs
+        )
+        assert representative[0].rows == default[0].rows
+        assert len(representative) == 2  # still no per-node table
+
+    def test_standalone_cli_prints_the_serving_tables(self, capsys):
+        assert serving_throughput.main(["--requests", "16"]) == 0
+        out = capsys.readouterr().out
+        assert "Serving throughput (" in out
+        assert "Calibration cache utilisation" in out
+        assert "HILOS (8 SmartSSDs)" in out
 
     def test_overload_cli_rejects_malformed_spec(self):
         with pytest.raises(SystemExit):

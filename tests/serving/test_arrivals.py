@@ -16,7 +16,6 @@ from repro.serving.arrivals import (
     TraceReplay,
     parse_arrival_spec,
 )
-from repro.serving.request import make_request_queue
 from repro.workloads.requests import LONG, MEDIUM, SHORT
 
 
@@ -30,15 +29,9 @@ class TestFixedRate:
         times = FixedRateArrivals(rate_per_second=2.0).arrival_times(4)
         assert times == [0.0, 0.5, 1.0, 1.5]
 
-    def test_start_offset(self):
-        times = FixedRateArrivals(rate_per_second=1.0, start=10.0).arrival_times(2)
-        assert times == [10.0, 11.0]
-
     def test_invalid_rate_rejected(self):
         with pytest.raises(ConfigurationError):
             FixedRateArrivals(0.0)
-        with pytest.raises(ConfigurationError):
-            FixedRateArrivals(1.0, start=-1.0)
 
 
 class TestPoisson:
@@ -207,19 +200,14 @@ class FixedTimes(ArrivalProcess):
         return self.times[:n]
 
 
-class TestAssign:
-    def test_stamps_queue_in_request_id_order(self):
-        queue = make_request_queue([SHORT, MEDIUM, LONG])
-        FixedRateArrivals(1.0).assign(queue)
-        assert [r.arrival_time for r in queue] == [0.0, 1.0, 2.0]
+class TestCheckedTimes:
+    """A drain's arrival-time check names the process and the index."""
 
     def test_non_finite_time_rejected_with_process_and_index(self):
         # A NaN time passes every ordering comparison; a drain on it would
         # spin in the simulator instead of failing.
-        queue = make_request_queue([SHORT, SHORT])
         with pytest.raises(SchedulingError, match="FixedTimes .*non-finite.* index 1"):
-            FixedTimes([0.0, float("nan")]).assign(queue)
-        assert [r.arrival_time for r in queue] == [0.0, 0.0]
+            FixedTimes([0.0, float("nan")]).checked_times(2)
 
     def test_infinite_time_rejected(self):
         with pytest.raises(SchedulingError, match="non-finite .*inf.* index 2"):
@@ -234,12 +222,6 @@ class TestAssign:
     def test_checked_times_are_floats(self):
         assert FixedTimes([0, 1, 1]).checked_times(3) == [0.0, 1.0, 1.0]
         assert all(type(t) is float for t in FixedTimes([0, 1]).checked_times(2))
-
-    def test_make_request_queue_accepts_arrival_times(self):
-        queue = make_request_queue([SHORT, LONG], arrival_times=[0.0, 3.0])
-        assert [r.arrival_time for r in queue] == [0.0, 3.0]
-        with pytest.raises(SchedulingError):
-            make_request_queue([SHORT], arrival_times=[0.0, 1.0])
 
 
 class TestBatchedArrivals:

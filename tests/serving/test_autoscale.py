@@ -24,6 +24,7 @@ from repro.serving import (
     parse_autoscale_spec,
     parse_overload_spec,
 )
+from repro.serving.autoscale import DECISION_INTERVAL_SECONDS
 from repro.serving.cluster import check_report_conservation
 from repro.sim.engine import Simulator
 from repro.workloads import sample_request_classes
@@ -163,7 +164,7 @@ class TestAutoscaledDrain:
         ups = [e for e in report.scale_events if e.action == "scale-up"]
         assert ups, "a 2x burst against one warm node must scale up"
         for event in ups:
-            assert event.reason.startswith(("queue-depth", "ttft"))
+            assert event.reason.startswith("queue-depth")
         check_report_conservation(report)
 
     def test_idle_tail_scales_down(self, system):
@@ -189,6 +190,19 @@ class TestAutoscaledDrain:
         first = drain(system, 4, parse_autoscale_spec("auto:1:4:3:30:9"))
         second = drain(system, 4, parse_autoscale_spec("auto:1:4:3:30:9"))
         assert report_bytes(first) == report_bytes(second)
+
+    def test_decisions_fall_on_one_interval_grid(self, system):
+        # After a seeded phase of 0.5x-1.5x the interval, the autoscaler
+        # decides every DECISION_INTERVAL_SECONDS, so every recorded event
+        # sits a whole number of intervals after the first one.
+        report = drain(system, 4, parse_autoscale_spec("auto:1:4:3:30:9"))
+        times = [event.time for event in report.scale_events]
+        assert len(times) >= 2
+        assert times[0] >= 0.5 * DECISION_INTERVAL_SECONDS
+        for time in times[1:]:
+            ticks = (time - times[0]) / DECISION_INTERVAL_SECONDS
+            assert ticks >= 1
+            assert ticks == pytest.approx(round(ticks), abs=1e-9)
 
     def test_two_seeds_two_schedules(self, system):
         first = drain(system, 4, parse_autoscale_spec("auto:1:4:3:30:1"))

@@ -20,7 +20,6 @@ from repro.serving import (
     Node,
     PoissonArrivals,
     RoundRobin,
-    drain_queue,
 )
 from repro.serving.faults import parse_fault_spec
 from repro.workloads import sample_request_classes
@@ -46,9 +45,8 @@ def make_nodes(system, n, **node_kwargs):
 
 
 class TestSingleNodeBitIdentity:
-    """The legacy single-host entry point, :func:`drain_queue`, reproduces a
-    directly built ``ClusterScheduler([node], router=RoundRobin())`` drain
-    bit for bit -- for every policy it drains in turn, so no per-request or
+    """Two consecutive drains of one 1-node scheduler reproduce a freshly
+    built scheduler's drain bit for bit, so no per-request, router or
     arrival state leaks from one drain into the next."""
 
     N_REQUESTS = 40
@@ -73,31 +71,27 @@ class TestSingleNodeBitIdentity:
     )
     @pytest.mark.parametrize("chunk", [None, 128], ids=["whole", "chunked"])
     @pytest.mark.parametrize("seed", [3, 11])
-    def test_one_node_cluster_matches_legacy_scheduler(
+    def test_consecutive_drains_match_a_fresh_scheduler(
         self, system, policy_factory, arrival_factory, chunk, seed
     ):
         queue = sample_request_classes(self.N_REQUESTS, seed=seed)
-        # Two consecutive drains through one shared step model and one
-        # arrival process.
-        legacy = drain_queue(
-            system,
-            [policy_factory(), policy_factory()],
-            queue,
-            step_time=unit_steps(),
-            arrivals=arrival_factory(seed),
-            prefill_chunk_tokens=chunk,
-        )
+        # Two consecutive drains through one scheduler, one shared step
+        # model and one arrival process.
+        arrivals = arrival_factory(seed)
         node = Node(system, step_time=unit_steps(), prefill_chunk_tokens=chunk)
-        cluster = ClusterScheduler(
-            [node], policy_factory(), router=RoundRobin()
-        ).drain(list(queue), arrivals=arrival_factory(seed))
+        scheduler = ClusterScheduler([node], policy_factory(), router=RoundRobin())
+        drains = [scheduler.drain(queue, arrivals=arrivals) for _ in range(2)]
+        fresh = ClusterScheduler(
+            [Node(system, step_time=unit_steps(), prefill_chunk_tokens=chunk)],
+            policy_factory(),
+        ).drain(queue, arrivals=arrival_factory(seed))
         # Same per-request finish times, same report -- bit for bit.
-        for report in legacy:
-            assert repr(report.requests) == repr(cluster.requests)
+        for report in drains:
+            assert repr(report.requests) == repr(fresh.requests)
             assert [r.completion_time for r in report.requests] == [
-                r.completion_time for r in cluster.requests
+                r.completion_time for r in fresh.requests
             ]
-            assert report == cluster
+            assert report == fresh
 
     def test_default_policy_and_router(self, system):
         """The minimal spelling (default policy, explicit router) drains."""
@@ -109,17 +103,6 @@ class TestSingleNodeBitIdentity:
         assert report.router == ""  # single node: routing is trivial
         assert len(report.node_reports) == 1
         assert report.node_reports[0].completed == 8
-
-    def test_single_node_report_matches_legacy_shape(self, system):
-        queue = sample_request_classes(12, seed=2)
-        report = ClusterScheduler(
-            [Node(system, step_time=unit_steps())], ContinuousBatching(4)
-        ).drain(list(queue))
-        (legacy,) = drain_queue(
-            system, [ContinuousBatching(4)], queue, step_time=unit_steps()
-        )
-        assert report.system == legacy.system == system.name
-        assert report.step_time_notes == legacy.step_time_notes
 
 
 class TestReportLabels:
@@ -306,13 +289,13 @@ class TestClusterValidation:
         with pytest.raises(ConfigurationError, match="different models"):
             ClusterScheduler(nodes)
 
-    def test_mixed_queue_rejected_with_index(self, system):
+    def test_non_shape_element_rejected_with_index_and_type(self, system):
         from repro.serving import make_request_queue
         from repro.workloads.requests import SHORT
 
         cluster = ClusterScheduler(make_nodes(system, 2), ContinuousBatching(4))
         mixed = [SHORT, make_request_queue([SHORT])[0]]
-        with pytest.raises(SchedulingError, match="element 1"):
+        with pytest.raises(SchedulingError, match="element 1 .* is ServingRequest"):
             cluster.drain(mixed)
 
     def test_rogue_router_rejected(self, system):
@@ -326,20 +309,19 @@ class TestClusterValidation:
         with pytest.raises(SchedulingError, match="not one of this cluster"):
             cluster.drain(sample_request_classes(4, seed=1))
 
-    def test_router_may_return_the_node_itself(self, system):
-        """route() contractually returns an element of ``nodes``, but a
-        router returning the underlying Node is mapped back."""
-        nodes = make_nodes(system, 2)
+    def test_router_returning_a_bare_node_rejected(self, system):
+        """A router returns one of the engines it was offered; the node
+        behind an engine is not one of them."""
 
         class NodeReturning(RoundRobin):
             def route(self, request, views):
                 return views[0].node
 
-        report = ClusterScheduler(
-            nodes, ContinuousBatching(4), router=NodeReturning()
-        ).drain(sample_request_classes(6, seed=2))
-        assert report.node_reports[0].n_requests == 6
-        assert report.node_reports[1].n_requests == 0
+        cluster = ClusterScheduler(
+            make_nodes(system, 2), ContinuousBatching(4), router=NodeReturning()
+        )
+        with pytest.raises(SchedulingError, match="not one of this cluster"):
+            cluster.drain(sample_request_classes(6, seed=2))
 
     def test_invalid_prefill_chunk_rejected(self, system):
         with pytest.raises(ConfigurationError):

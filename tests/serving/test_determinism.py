@@ -28,7 +28,7 @@ N_REQUESTS = 48
 SEED = 23
 
 
-def drain_once(tiny_mha, faults=None):
+def build_scheduler(tiny_mha, faults=None):
     system = HilosSystem(tiny_mha, HilosConfig(n_devices=2))
     nodes = [
         Node(
@@ -47,7 +47,11 @@ def drain_once(tiny_mha, faults=None):
         ContinuousBatching(4, admission="optimistic"),
         router=LeastOutstandingTokens(),
         faults=faults,
-    ).drain(
+    )
+
+
+def drain_once(tiny_mha, faults=None):
+    return build_scheduler(tiny_mha, faults).drain(
         sample_request_classes(N_REQUESTS, seed=SEED),
         arrivals=PoissonArrivals(rate_per_second=0.5, seed=SEED),
     )
@@ -82,6 +86,23 @@ def test_spot_preemption_double_drain_is_byte_identical(tiny_mha):
     assert first.all_completed
     assert first.migrations > 0  # the schedule actually disturbed the drain
     assert report_bytes(first) == report_bytes(second)
+
+
+def test_one_scheduler_redrains_its_queue_byte_identically(tiny_mha):
+    """A drain builds its requests from the queue's shapes, so one
+    scheduler drains the same queue and arrival process again to the same
+    bytes as a fresh scheduler, spot preemptions included."""
+    faults = FaultSchedule(
+        spot=SpotPreemptions(mtbf_seconds=400.0, recovery_seconds=60.0, seed=5)
+    )
+    scheduler = build_scheduler(tiny_mha, faults=faults)
+    queue = sample_request_classes(N_REQUESTS, seed=SEED)
+    arrivals = PoissonArrivals(rate_per_second=0.5, seed=SEED)
+    first = scheduler.drain(queue, arrivals=arrivals)
+    second = scheduler.drain(queue, arrivals=arrivals)
+    assert first.migrations > 0
+    assert report_bytes(second) == report_bytes(first)
+    assert report_bytes(first) == report_bytes(drain_once(tiny_mha, faults=faults))
 
 
 def test_node_breakdowns_survive_round_trip(tiny_mha):

@@ -282,24 +282,26 @@ class TestFaultDrains:
             drain(system, 3, faults, n_requests=24, seed=3)
         assert excinfo.value.stranded_request_ids  # names the stranded work
 
-    def test_requests_left_by_a_stranded_fleet_are_not_redrainable(self, system):
-        # Queued requests migrate off each dying node without running; a
-        # fault-free re-drain must refuse them instead of reporting
-        # migrations no node breakdown accounts for.
-        queue = make_request_queue([SHORT] * 8)
-        with pytest.raises(SchedulingError, match="stranded"):
+    def test_a_stranded_queue_drains_again_on_a_healthy_fleet(self, system):
+        # The failed drain leaves its input alone: the stranded ids are
+        # queue positions, and the same queue drains cleanly afterwards.
+        queue = [SHORT] * 8
+        with pytest.raises(SchedulingError, match="stranded") as excinfo:
             ClusterScheduler(
                 make_nodes(system, 2),
                 ContinuousBatching(1),
                 router=RoundRobin(),
                 faults=parse_fault_spec("crash:1:0,crash:1:1"),
             ).drain(queue)
-        migrated = [r for r in queue if r.migration_count and not r.admitted]
-        assert len(migrated) == 3
-        with pytest.raises(SchedulingError, match="element 0 .*migration_count=1"):
-            ClusterScheduler(
-                make_nodes(system, 2), ContinuousBatching(1), router=RoundRobin()
-            ).drain(migrated)
+        stranded = excinfo.value.stranded_request_ids
+        assert stranded and set(stranded) <= set(range(8))
+        assert queue == [SHORT] * 8
+        report = ClusterScheduler(
+            make_nodes(system, 2), ContinuousBatching(1), router=RoundRobin()
+        ).drain(queue)
+        assert report.all_completed
+        assert report.migrations == 0
+        assert [r.request_id for r in report.requests] == list(range(8))
 
     def test_single_crash_fleet_survives(self, system):
         faults = FaultSchedule(faults=(NodeFault(kind="crash", time=30.0, node=0),))

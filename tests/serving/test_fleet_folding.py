@@ -673,3 +673,79 @@ class TestReportPercentiles:
         ).drain(sample_request_classes(16, seed=2))
         assert report.p50_latency_seconds > 0
         assert report.p99_latency_seconds >= report.p50_latency_seconds
+
+
+class TestFoldedRequestView:
+    """A folded drain's ``requests`` is a read-only view in queue order:
+    request ``i`` is the queue's element ``i``, whether it was simulated or
+    mirrored."""
+
+    N_REQUESTS = 30
+
+    @pytest.fixture
+    def drained(self, system):
+        # Three-request bursts of one shape deal each of the three nodes an
+        # identical slice, so node0 is simulated and nodes 1-2 mirror it.
+        classes = [cls for cls in (SHORT, MEDIUM) * 5 for _ in range(3)]
+        arrivals = BatchedArrivals(0.05, 3, seed=4)
+        report = ClusterScheduler(
+            symmetric_fleet(system, 3),
+            ContinuousBatching(4),
+            router=RoundRobin(),
+            fleet_symmetry="representative",
+        ).drain(classes, arrivals=arrivals)
+        view = report.requests
+        assert isinstance(view, FoldedRequests)
+        assert view[0] is view[0]  # simulated: returned as it is
+        assert view[1] is not view[1]  # mirrored: built on each access
+        return classes, arrivals.checked_times(self.N_REQUESTS), view
+
+    def test_a_second_drain_builds_its_own_requests(self, system):
+        # The folded drain writes outcomes only into requests it built, so
+        # one scheduler drains the same queue again to the same view and
+        # leaves the first view's requests alone.
+        classes = [SHORT] * 12
+        scheduler = ClusterScheduler(
+            symmetric_fleet(system, 3),
+            ContinuousBatching(4),
+            router=RoundRobin(),
+            fleet_symmetry="representative",
+        )
+        first = scheduler.drain(classes).requests
+        before = [repr(r) for r in first]
+        second = scheduler.drain(classes).requests
+        assert [repr(r) for r in second] == before
+        assert [repr(r) for r in first] == before
+        assert first[0] is not second[0]
+
+    def test_request_i_is_queue_element_i(self, drained):
+        classes, times, view = drained
+        assert len(view) == self.N_REQUESTS
+        assert [r.request_id for r in view] == list(range(self.N_REQUESTS))
+        assert [r.request_class for r in view] == classes
+        assert [r.arrival_time for r in view] == times
+
+    def test_indexing_matches_iteration(self, drained):
+        _, _, view = drained
+        assert [repr(view[i]) for i in range(len(view))] == [
+            repr(r) for r in view
+        ]
+
+    def test_negative_index_counts_back(self, drained):
+        _, _, view = drained
+        n = self.N_REQUESTS
+        assert view[-1].request_id == n - 1
+        assert view[-n].request_id == 0
+        assert repr(view[-2]) == repr(view[n - 2])
+
+    def test_out_of_range_index_raises(self, drained):
+        _, _, view = drained
+        for index in (self.N_REQUESTS, -self.N_REQUESTS - 1):
+            with pytest.raises(IndexError):
+                view[index]
+
+    def test_slice_is_a_list_of_the_same_requests(self, drained):
+        _, _, view = drained
+        expected = [repr(r) for r in view]
+        assert [repr(r) for r in view[4:17:3]] == expected[4:17:3]
+        assert [repr(r) for r in view[::-1]] == expected[::-1]

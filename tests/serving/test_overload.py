@@ -13,12 +13,13 @@ import pytest
 from repro.analysis.sanitizer import SanitizerError
 from repro.core.config import HilosConfig
 from repro.core.runtime import HilosSystem
-from repro.errors import ConfigurationError, SchedulingError
+from repro.errors import ConfigurationError
 from repro.serving import (
     AnalyticStepTime,
     ClusterScheduler,
     ContinuousBatching,
     FaultSchedule,
+    FixedRateArrivals,
     LeastOutstandingTokens,
     Node,
     NodeFault,
@@ -30,13 +31,13 @@ from repro.serving import (
     parse_autoscale_spec,
     parse_fault_spec,
     parse_overload_spec,
-    make_request_queue,
     parse_router_spec,
     uptime_billing,
 )
 from repro.serving.cluster import check_report_conservation
+from repro.serving.overload import BACKOFF_SECONDS, BURST_SECONDS
 from repro.workloads import sample_request_classes
-from repro.workloads.requests import SHORT
+from repro.workloads.requests import MEDIUM, SHORT
 
 
 @pytest.fixture
@@ -202,6 +203,21 @@ class TestTokenRateThrottle:
         throttle.take(100.0, 0.0)
         assert throttle.ready(98.0 + 0.5)
 
+    def test_fleet_bucket_starts_with_one_burst_window_of_credit(self, system):
+        # Every request arrives at zero, before any refill: with
+        # BURST_SECONDS x rate = 2.5 requests' tokens of credit, the first
+        # three are admitted (the third drives the level negative) and the
+        # rest are shed on the token rate.
+        rate = 2.5 * SHORT.total_tokens / BURST_SECONDS
+        report = ClusterScheduler(
+            make_nodes(system, 1),
+            ContinuousBatching(4),
+            overload=OverloadControl(action="shed", max_tokens_per_second=rate),
+        ).drain([SHORT] * 6)
+        assert report.completed == 3
+        assert [s.request_id for s in report.sheds] == [3, 4, 5]
+        assert {s.reason for s in report.sheds} == {"token-rate"}
+
 
 class TestSheddingDrain:
     def test_graceful_degradation(self, system):
@@ -316,42 +332,51 @@ class TestRetryDrain:
         for shed in report.sheds:
             assert shed.attempts == 1
 
-    def test_exhaustion_raises_when_shedding_disabled(self, system):
-        control = dataclasses.replace(
-            parse_overload_spec("retry:1:-:1"), shed_on_exhaustion=False
-        )
-        with pytest.raises(SchedulingError, match="admission retries"):
-            drain(system, 2, control, rate=4.0)
-
-    def test_requests_left_by_exhaustion_are_not_redrainable(self, system):
-        # The failed drain leaves requests queued that never ran but carry
-        # backoff attempts; a re-drain must refuse them instead of
-        # reporting those attempts as its own.
-        queue = make_request_queue([SHORT] * 40)
-        control = OverloadControl(
-            action="retry",
-            max_queue_depth=1,
-            max_attempts=1,
-            shed_on_exhaustion=False,
-        )
-        with pytest.raises(SchedulingError, match="exhausted 1 admission retries"):
-            ClusterScheduler(
-                make_nodes(system, 1), ContinuousBatching(4), overload=control
-            ).drain(queue)
-        retried = [
-            r for r in queue if r.retry_attempts and not r.admitted and not r.shed
-        ]
-        assert len(retried) == 2
-        with pytest.raises(SchedulingError, match="element 0 .*retry_attempts=1"):
-            ClusterScheduler(make_nodes(system, 1), ContinuousBatching(4)).drain(
-                retried
-            )
-
     def test_seeded_backoff_is_deterministic(self, system):
         spec = "retry:2:-:3:11"
         first = drain(system, 2, parse_overload_spec(spec), rate=2.0)
         second = drain(system, 2, parse_overload_spec(spec), rate=2.0)
         assert report_bytes(first) == report_bytes(second)
+
+    @pytest.mark.parametrize("attempts", [1, 2, 3])
+    def test_exhausted_request_waited_the_doubling_backoff(self, system, attempts):
+        # Request 0 holds the only slot for 350 s and request 1 fills the
+        # one-deep queue, so every later arrival is turned away.  Arrivals
+        # 20 s apart find the front door free, so each backs off from its
+        # own arrival: attempt k waits BACKOFF_SECONDS * 2**(k-1), jittered
+        # by 0.5x-1.5x, and k attempts add up to 0.5x-1.5x of (2**k - 1)
+        # base delays.
+        report = ClusterScheduler(
+            make_nodes(system, 1),
+            ContinuousBatching(1),
+            overload=OverloadControl(
+                action="retry", max_queue_depth=1, max_attempts=attempts
+            ),
+        ).drain([MEDIUM] * 6, arrivals=FixedRateArrivals(0.05))
+        assert [s.request_id for s in report.sheds] == [2, 3, 4, 5]
+        span = BACKOFF_SECONDS * (2**attempts - 1)
+        for shed in report.sheds:
+            assert shed.reason == "retry-exhausted"
+            assert shed.attempts == attempts
+            waited = shed.time - report.requests[shed.request_id].arrival_time
+            assert 0.5 * span <= waited <= 1.5 * span
+
+    def test_queue_left_by_exhaustion_drains_again_identically(self, system):
+        # A drain that sheds exhausted retries leaves its input alone: one
+        # scheduler drains the same queue again to the same bytes.
+        queue = [SHORT] * 40
+        scheduler = ClusterScheduler(
+            make_nodes(system, 1),
+            ContinuousBatching(4),
+            overload=OverloadControl(
+                action="retry", max_queue_depth=1, max_attempts=1
+            ),
+        )
+        first = scheduler.drain(queue)
+        assert "retry-exhausted" in {s.reason for s in first.sheds}
+        second = scheduler.drain(queue)
+        assert queue == [SHORT] * 40
+        assert report_bytes(second) == report_bytes(first)
 
 
 class TestParkDrain:

@@ -72,6 +72,27 @@ class TestRoundRobin:
         assert router.route(request(), nodes) is nodes[0]
 
 
+class TestPlace:
+    """``Router.place`` hands back the routed engine only if it was one of
+    the engines offered."""
+
+    def test_returns_the_offered_engine_itself(self, system):
+        nodes = engines(system, 2)
+        assert RoundRobin().place(request(), nodes) is nodes[0]
+
+    def test_engine_outside_the_offer_rejected(self, system):
+        # The fault driver offers only live engines: a router that picks a
+        # node it was not offered (here node0, as if it were down) fails.
+        fleet = engines(system, 3)
+
+        class Stale(RoundRobin):
+            def route(self, request, views):
+                return fleet[0]
+
+        with pytest.raises(SchedulingError, match="not one of this cluster"):
+            Stale().place(request(), fleet[1:])
+
+
 class TestLoadObliviousness:
     """The fold-eligibility hook: a declared class attribute (no runtime
     probing) plus the static placement that folding partitions by."""

@@ -17,12 +17,11 @@ from repro.serving import (
     FixedRateArrivals,
     Node,
     PoissonArrivals,
-    RoundRobin,
     StepTimeModel,
+    TraceReplay,
     default_policies,
-    drain_queue,
 )
-from repro.serving.request import ServingRequest, make_request_queue
+from repro.serving.request import make_request_queue
 from repro.workloads import sample_request_classes
 from repro.workloads.requests import LONG, SHORT, RequestClass
 
@@ -37,28 +36,6 @@ def unit_steps() -> AnalyticStepTime:
     return AnalyticStepTime(
         base_seconds=1.0, per_token_seconds=0.0, prefill_per_token_seconds=0.0
     )
-
-
-#: The error a queue repeating request ids 0..2 at elements 3..5 raises.
-DUPLICATE = "elements 0 and 3 share request id 0"
-
-#: A non-default value for every ServingRequest.OUTCOME_FIELDS entry.
-STALE_OUTCOME = {
-    "admitted_time": 0.0,
-    "last_admitted_time": 0.0,
-    "first_token_time": 0.0,
-    "completion_time": 1.0,
-    "tokens_generated": 1,
-    "prefill_tokens_done": 1,
-    "preemption_count": 1,
-    "wasted_prefill_tokens": 1,
-    "migration_count": 1,
-    "migrated_recompute_tokens": 1,
-    "kv_holder": "node0",
-    "retry_attempts": 1,
-    "shed_time": 0.0,
-    "shed_reason": "queue-bound",
-}
 
 
 class TestHandComputableDrains:
@@ -81,8 +58,8 @@ class TestHandComputableDrains:
         scheduler = ClusterScheduler(
             [Node(system, step_time=unit_steps())], FCFSFixedBatch(2)
         )
-        report = scheduler.drain(make_request_queue([quick, slow, quick]))
-        first, second, third = sorted(report.requests, key=lambda r: r.request_id)
+        report = scheduler.drain([quick, slow, quick])
+        first, second, third = report.requests
         assert first.completion_time == pytest.approx(1.0)
         assert second.completion_time == pytest.approx(4.0)
         # The third request waits for the whole first batch despite the
@@ -98,7 +75,7 @@ class TestHandComputableDrains:
         )
         for policy in (FCFSFixedBatch(4), ContinuousBatching(4)):
             scheduler = ClusterScheduler([Node(system, step_time=step_time)], policy)
-            report = scheduler.drain(make_request_queue([one_shot] * 6))
+            report = scheduler.drain([one_shot] * 6)
             assert report.all_completed
             assert report.generated_tokens == 6
 
@@ -118,7 +95,7 @@ class TestHandComputableDrains:
         scheduler = ClusterScheduler(
             [Node(system, step_time=BatchPricedStepTime())], FCFSFixedBatch(2)
         )
-        report = scheduler.drain(make_request_queue([one_shot, slow]))
+        report = scheduler.drain([one_shot, slow])
         # Prefill (0.5s) + two decode iterations billed at the formed
         # 2-slot batch (2.0s each), not at the single surviving request.
         assert report.makespan_seconds == pytest.approx(0.5 + 2 * 2.0)
@@ -129,7 +106,7 @@ class TestHandComputableDrains:
         scheduler = ClusterScheduler(
             [Node(system, step_time=unit_steps())], ContinuousBatching(2)
         )
-        report = scheduler.drain(make_request_queue([quick, slow, quick]))
+        report = scheduler.drain([quick, slow, quick])
         third = report.requests[2]
         # The quick request frees its slot at t=1; the waiter joins then.
         assert third.admitted_time == pytest.approx(1.0)
@@ -144,9 +121,10 @@ class TestSeededMixedDrains:
     @pytest.fixture
     def reports(self, system):
         queue = sample_request_classes(self.N_REQUESTS, seed=self.SEED)
+        node = Node(system)
         return {
-            report.policy: report
-            for report in drain_queue(system, default_policies(8), queue)
+            policy.name: ClusterScheduler([node], policy).drain(queue)
+            for policy in default_policies(8)
         }
 
     def test_every_policy_completes_every_request(self, reports):
@@ -238,82 +216,69 @@ class TestCapacityConstrainedDrain:
 
 
 class TestQueueValidation:
-    """Every element is type-checked, not just the head (the old code
-    crashed deep inside the drain on mixed queues)."""
+    """A drain takes request shapes: every element is type-checked, not
+    just the head, and the drain builds its own requests."""
 
-    def test_serving_request_amid_classes_rejected_with_index(self, system):
-        mixed = [SHORT, LONG, make_request_queue([SHORT])[0], LONG]
+    @pytest.mark.parametrize(
+        "queue, index, kind",
+        [
+            ([SHORT, LONG, make_request_queue([SHORT])[0], LONG], 2, "ServingRequest"),
+            (["not a request", SHORT], 0, "str"),
+            ([SHORT, None], 1, "NoneType"),
+        ],
+        ids=["serving-request", "garbage", "none"],
+    )
+    def test_non_shape_element_rejected_with_index_and_type(
+        self, system, queue, index, kind
+    ):
         scheduler = ClusterScheduler(
             [Node(system, step_time=unit_steps())], ContinuousBatching(4)
         )
-        with pytest.raises(SchedulingError, match="element 2"):
-            scheduler.drain(mixed)
+        with pytest.raises(SchedulingError, match=f"element {index} .* is {kind},"):
+            scheduler.drain(queue)
 
-    def test_class_amid_serving_requests_rejected_with_index(self, system):
-        mixed = make_request_queue([SHORT, SHORT]) + [LONG]  # type: ignore[list-item]
-        scheduler = ClusterScheduler(
-            [Node(system, step_time=unit_steps())], ContinuousBatching(4)
-        )
-        with pytest.raises(SchedulingError, match="element 2"):
-            scheduler.drain(mixed)
-
-    def test_second_drain_of_one_queue_rejected(self, system):
-        """A drain mutates its requests and its report shares them: draining
-        the same ServingRequest list again must fail loudly instead of
-        reporting stale tokens and rewriting the first report's times."""
-        queue = make_request_queue([SHORT] * 4)
+    def test_one_queue_drains_twice_without_touching_the_first_report(self, system):
+        """The drain never mutates its input, so a queue can be drained
+        again, and the second drain leaves the first report's requests as
+        they were."""
+        queue = [SHORT] * 4
         scheduler = ClusterScheduler(
             [Node(system, step_time=unit_steps())], ContinuousBatching(4)
         )
         first = scheduler.drain(queue)
         completions = [r.completion_time for r in first.requests]
-        with pytest.raises(SchedulingError, match="element 0"):
-            scheduler.drain(queue)
+        second = scheduler.drain(queue)
+        assert queue == [SHORT] * 4
+        assert second == first
+        assert all(a is not b for a, b in zip(first.requests, second.requests))
         assert first.generated_tokens == 4 * SHORT.output_tokens
         assert [r.completion_time for r in first.requests] == completions
+        assert [r.request_id for r in second.requests] == [0, 1, 2, 3]
 
-    @pytest.mark.parametrize("field", ServingRequest.OUTCOME_FIELDS)
-    def test_request_carrying_drain_state_rejected_with_index(self, system, field):
-        queue = make_request_queue([SHORT] * 3)
-        setattr(queue[2], field, STALE_OUTCOME[field])
+    def test_empty_queue_rejected(self, system):
         scheduler = ClusterScheduler(
             [Node(system, step_time=unit_steps())], ContinuousBatching(4)
         )
-        with pytest.raises(SchedulingError, match=f"element 2 .*{field}="):
-            scheduler.drain(queue)
+        with pytest.raises(SchedulingError, match="empty request queue"):
+            scheduler.drain([])
 
-    def test_arbitrary_garbage_rejected_at_its_index(self, system):
-        scheduler = ClusterScheduler(
+    def test_request_i_is_shape_i_at_arrival_time_i(self, system):
+        """A request's id is its queue position: it carries that element's
+        shape and the arrival process's time at that index."""
+        queue = [LONG, SHORT, SHORT, LONG]
+        times = [0.0, 0.5, 0.5, 7.0]
+        report = ClusterScheduler(
             [Node(system, step_time=unit_steps())], ContinuousBatching(4)
-        )
-        with pytest.raises(SchedulingError, match="element 0"):
-            scheduler.drain(["not a request", SHORT])  # type: ignore[list-item]
+        ).drain(queue, arrivals=TraceReplay(times))
+        assert [r.request_id for r in report.requests] == [0, 1, 2, 3]
+        assert [r.request_class for r in report.requests] == queue
+        assert [r.arrival_time for r in report.requests] == times
 
-    @staticmethod
-    def _duplicated_ids():
-        # Two id-ordered queues glued together: ids 0..2 appear twice.
-        return make_request_queue([SHORT] * 3) + make_request_queue([LONG] * 3)
-
-    def test_duplicate_ids_rejected_before_a_single_node_drain(self, system):
-        """Without the check the drain died mid-simulation on the KV ledger
-        ("request 0 reserved twice")."""
-        scheduler = ClusterScheduler(
-            [Node(system, step_time=unit_steps())], ContinuousBatching(4)
-        )
-        with pytest.raises(SchedulingError, match=DUPLICATE):
-            scheduler.drain(self._duplicated_ids())
-
-    def test_duplicate_ids_rejected_before_a_folded_drain(self, system):
-        """Without the check a folded drain completed silently."""
-        step = unit_steps()
-        scheduler = ClusterScheduler(
-            [Node(system, step_time=step, name=f"node{i}") for i in range(2)],
-            ContinuousBatching(4),
-            router=RoundRobin(),
-            fleet_symmetry="representative",
-        )
-        with pytest.raises(SchedulingError, match=DUPLICATE):
-            scheduler.drain(self._duplicated_ids())
+    def test_make_request_queue_numbers_requests_by_position(self):
+        queue = make_request_queue([LONG, SHORT, LONG])
+        assert [r.request_id for r in queue] == [0, 1, 2]
+        assert [r.request_class for r in queue] == [LONG, SHORT, LONG]
+        assert [r.arrival_time for r in queue] == [0.0, 0.0, 0.0]
 
 
 class TestStepTimeInterface:
@@ -359,9 +324,7 @@ class TestArrivalDrains:
         scheduler = ClusterScheduler(
             [Node(system, step_time=unit_steps())], ContinuousBatching(2)
         )
-        report = scheduler.drain(
-            [SHORT], arrivals=FixedRateArrivals(1.0, start=5.0)
-        )
+        report = scheduler.drain([SHORT], arrivals=TraceReplay([5.0]))
         request = report.requests[0]
         assert request.arrival_time == pytest.approx(5.0)
         assert request.admitted_time == pytest.approx(5.0)
@@ -374,9 +337,7 @@ class TestArrivalDrains:
         scheduler = ClusterScheduler(
             [Node(system, step_time=unit_steps())], ContinuousBatching(2)
         )
-        report = scheduler.drain(
-            make_request_queue([quick, quick], arrival_times=[0.0, 1.5])
-        )
+        report = scheduler.drain([quick, quick], arrivals=TraceReplay([0.0, 1.5]))
         late = report.requests[1]
         # Arrives mid-iteration at 1.5; the scheduler only acts at the next
         # boundary (t=2), so queueing time is the 0.5s remainder.
@@ -453,15 +414,11 @@ class TestChunkedPrefill:
         )
         first = RequestClass("First", input_tokens=8, output_tokens=3)
         late = RequestClass("Late", input_tokens=16, output_tokens=2)
-        queue = [
-            lambda: make_request_queue([first, late], arrival_times=[0.0, 1.5])
-        ]
-
         def run(chunk):
             return ClusterScheduler(
                 [Node(system, step_time=step_time, prefill_chunk_tokens=chunk)],
                 ContinuousBatching(2),
-            ).drain(queue[0]())
+            ).drain([first, late], arrivals=TraceReplay([0.0, 1.5]))
 
         unchunked = run(None)
         # t0 admit First, prefill 8s -> token1@8; decode -> token2@9;
@@ -476,6 +433,34 @@ class TestChunkedPrefill:
         assert chunked.requests[0].completion_time == pytest.approx(18.0)
         assert chunked.requests[1].completion_time == pytest.approx(27.0)
 
+    @pytest.mark.parametrize(
+        "policy", default_policies(4), ids=lambda policy: policy.name
+    )
+    def test_arrivals_and_chunking_reach_every_policy(self, system, policy):
+        """One node drains a spread, chunked queue under each evaluated
+        policy: every request keeps its arrival time, and the chunk size
+        changes the schedule."""
+        queue = sample_request_classes(12, seed=1)
+        step_time = AnalyticStepTime(
+            base_seconds=1.0, per_token_seconds=1e-4, prefill_per_token_seconds=1e-3
+        )
+
+        def run(chunk):
+            return ClusterScheduler(
+                [Node(system, step_time=step_time, prefill_chunk_tokens=chunk)],
+                policy,
+            ).drain(queue, arrivals=FixedRateArrivals(0.5))
+
+        chunked = run(512)
+        assert chunked.all_completed
+        assert [r.arrival_time for r in chunked.requests] == [
+            2.0 * i for i in range(12)
+        ]
+        unchunked = run(None)
+        assert [r.completion_time for r in chunked.requests] != [
+            r.completion_time for r in unchunked.requests
+        ]
+
     def test_chunked_totals_conserved(self, system):
         queue = sample_request_classes(24, seed=9)
         report = ClusterScheduler(
@@ -485,17 +470,3 @@ class TestChunkedPrefill:
         assert report.all_completed
         for request in report.requests:
             assert request.tokens_generated == request.output_tokens
-
-    def test_drain_queue_passes_arrivals_and_chunking_through(self, system):
-        queue = sample_request_classes(12, seed=1)
-        reports = drain_queue(
-            system,
-            default_policies(4),
-            queue,
-            step_time=unit_steps(),
-            arrivals=FixedRateArrivals(0.5),
-            prefill_chunk_tokens=512,
-        )
-        for report in reports:
-            assert report.all_completed
-            assert max(r.arrival_time for r in report.requests) > 0.0
