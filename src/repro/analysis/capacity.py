@@ -128,11 +128,14 @@ def max_feasible_batch(
     host_dram_bytes: float,
     requested_batch: int,
 ) -> int:
-    """Largest power-of-two batch <= requested that fits the placement.
+    """The requested batch if it fits the placement, else the largest power
+    of two below it that does.
 
     Returns 0 when even batch size 1 OOMs (reported as ``CPU OOM``).
     Offloading frameworks halve the batch until resident state fits, which
-    is how FLEX(DRAM) lands on batch 2 for OPT-66B at 32K (Figure 11a).
+    is how FLEX(DRAM) lands on batch 2 for OPT-66B at 32K (Figure 11a); a
+    request that is not a power of two first drops to the power of two
+    below it (7 to 4, not to 3).
     """
     batch = requested_batch
     while batch >= 1:
@@ -140,7 +143,8 @@ def max_feasible_batch(
             plan_placement(model, batch, seq_len, kv_placement, host_dram_bytes)
             return batch
         except CapacityError:
-            batch //= 2
+            # The next power of two down (0 below a batch of 1).
+            batch = 1 << ((batch - 1).bit_length() - 1) if batch > 1 else 0
     return 0
 
 

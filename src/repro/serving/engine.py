@@ -67,18 +67,21 @@ at zero at drain end.
 
 A full batch *coasts* to its next finisher.  When no other process can
 see the decode iterations before the next retirement -- no fault driver,
-a flat node, nothing prefilling, and a policy that can admit nothing
-until a slot frees (:meth:`~repro.serving.policies.SchedulingPolicy.full`,
-or an arrival stream that is done with nothing queued) -- the engine
-prices all but the last of them in one pass (one step-time query each,
-the end time summed step by step as the clock would) and sleeps once,
-with :meth:`~repro.sim.engine.Simulator.timeout_at`, to that boundary.
-The finishing iteration then runs on the per-step path, so its timeout is
+nothing prefilling, a policy that can admit nothing until a slot frees
+(:meth:`~repro.serving.policies.SchedulingPolicy.full`, or an arrival
+stream that is done with nothing queued), and on a tiered node no
+iteration that can move the top tier's ledger, the one tier figure
+routers read -- the engine prices all but the last of them in one pass
+(one step-time query each, plus a tiered node's spilled reads, the end
+time summed step by step as the clock would) and sleeps once, with
+:meth:`~repro.sim.engine.Simulator.timeout_at`, to that boundary.  The
+finishing iteration then runs on the per-step path, so its timeout is
 scheduled at the same instant as without the coast.  Under optimistic
 admission a coast also stops before the first iteration whose growth
-would overflow the budget, so the preemption lands where it would per
-step.  Every simulated figure is bit-identical to stepping one iteration
-per wake.
+would overflow the budget, and on a tiered node before the first in
+which a tier would fill mid-batch, so the preemption or the per-request
+cascade lands where it would per step.  Every simulated figure is
+bit-identical to stepping one iteration per wake.
 
 A decode step's KV bookkeeping costs O(1) in the batch size too.  Under
 optimistic admission one tracker call per iteration or coast,
@@ -728,11 +731,13 @@ class NodeEngine:
                         # the iteration they accelerate.
                         self.tracker.promote_for_decode(self.running)
                         yield from self._bill_kv_movement()
-                    steps = self._coast_steps()
-                    if steps:
+                    coasted = self._coast_steps()
+                    if coasted:
                         # Nothing can see the iterations before the next
                         # retirement: price them in one pass, sleep once.
-                        steps, wake = self._coast(steps, optimistic)
+                        coasted, wake = self._coast(coasted, optimistic)
+                    if coasted:
+                        steps = coasted
                         yield sim.timeout_at(wake)
                     else:
                         steps = 1
@@ -742,6 +747,8 @@ class NodeEngine:
                     if optimistic:
                         # One ledger call re-marks the whole batch.
                         self.tracker.update(*self.running, steps=steps)
+                    if coasted and self.tiered and self._sanitize:
+                        self.tracker.check_coast(self.running)
                     # Every running request grew by one token per step.
                     self._running_context_tokens += steps * len(self.running)
                     self._until_finish -= steps
@@ -875,31 +882,32 @@ class NodeEngine:
         A coast covers the iterations up to, not including, the one that
         retires the batch's next finisher (the countdown is a lower bound,
         so none finishes inside it).  Nobody can see those boundaries when
-        no fault driver can kill, slow or scale the node there, the node is
-        flat (tier movement and spilled reads are per step), nothing is
-        prefilling, and no admission can happen before a retirement: the
+        no fault driver can kill, slow or scale the node there, nothing is
+        prefilling, no admission can happen before a retirement (the
         policy is :meth:`~repro.serving.policies.SchedulingPolicy.full`, or
-        the arrival stream is done and nothing is pending or waiting.  At
-        each skipped boundary the per-step loop would only move due
-        arrivals from pending to waiting, and the wake moves them in the
-        same order before any admission; the router-facing load views do
-        not move during decode.  (Exact ties are the one exception: the
-        wake's heap entry is older than a per-step boundary's, so
-        arrivals landing exactly on the wake and on the retirement instant
-        can order differently against the retirement.)
+        the arrival stream is done and nothing is pending or waiting), and
+        on a tiered node the steps leave the top tier's ledger alone
+        (:meth:`~repro.serving.kvtiers.TieredBudgetTracker.decode_leaves_top_alone`:
+        no promotion, and any growth lands below the top).  At each skipped
+        boundary the per-step loop would only move due arrivals from
+        pending to waiting, and the wake moves them in the same order
+        before any admission; the router-facing load views, the top tier's
+        headroom included, do not move during such a run.  (Exact ties are
+        the one exception: the wake's heap entry is older than a per-step
+        boundary's, so arrivals landing exactly on the wake and on the
+        retirement instant can order differently against the retirement.)
         """
-        if (
-            self._until_finish < 2
-            or self.tiered
-            or self.driver is not None
-            or self.prefilling
-        ):
+        if self._until_finish < 2 or self.driver is not None or self.prefilling:
             return 0
-        if self.policy.full(self.running) or (
+        if not self.policy.full(self.running) and not (
             self._arrivals_done and not self.pending and not self.waiting
         ):
-            return self._until_finish - 1
-        return 0
+            return 0
+        if self.tiered and not self.tracker.decode_leaves_top_alone(
+            self.policy.admission == "optimistic"
+        ):
+            return 0
+        return self._until_finish - 1
 
     def _coast(self, steps: int, optimistic: bool) -> tuple[int, float]:
         """Price up to ``steps`` decode iterations; return (count, end time).
@@ -915,7 +923,12 @@ class NodeEngine:
         coast stops before the first iteration whose growth the budget
         would not fit (the :meth:`_resolve_overflow` test), so the
         preemption lands at that boundary, on the per-step path, as it
-        would without the coast.
+        would without the coast.  On a tiered node each iteration also
+        bills its spilled reads
+        (:meth:`~repro.serving.kvtiers.TieredBudgetTracker.coast_reads`)
+        and adds them as :meth:`_iteration_seconds` does, and the coast
+        stops before the first iteration whose growth a tier would take
+        only part of; that can leave nothing to coast (0 iterations).
         """
         if self._sanitize:
             self._check_load_ledgers(running_only=True)
@@ -929,11 +942,21 @@ class NodeEngine:
             batch = n
             total = self._running_context_tokens
             contexts = (round((total + step * n) / n) for step in range(steps))
-        step_seconds = self.node.step_time.step_seconds
-        slow = self._slow_factor
         growth = n * self.tracker.token_bytes
         fits = self.tracker.fits_bytes
         time = self.sim.now
+        if self.tiered:
+            reads = self.tracker.coast_reads(running, self.node.step_time, optimistic)
+            for step, context in enumerate(contexts):
+                if optimistic and step and not fits(growth, extra_bytes=step * growth):
+                    return step, time
+                spill = next(reads, None)
+                if spill is None:
+                    return step, time
+                time += self._step_seconds(batch, context, spill)
+            return steps, time
+        step_seconds = self.node.step_time.step_seconds
+        slow = self._slow_factor
         for step, context in enumerate(contexts):
             if optimistic and step and not fits(growth, extra_bytes=step * growth):
                 return step, time
@@ -954,17 +977,23 @@ class NodeEngine:
         else:
             batch = len(running)
             context = round(self._running_context_tokens / batch)
+        spill = 0.0
+        if self.tiered:
+            spill = self.tracker.spill_read_seconds(running, self.node.step_time)
+        return self._step_seconds(batch, context, spill)
+
+    def _step_seconds(self, batch: int, context: int, spill: float) -> float:
+        """One decode iteration's seconds: the step-time query, plus
+        ``spill`` seconds of spilled-attention reads, both slowed."""
         seconds = (
             self.node.step_time.step_seconds(batch, max(1, context))
             * self._slow_factor
         )
-        if self.tiered:
+        if spill > 0.0:
             # Offloaded attention: KV resident below the compute tier is
             # re-read at the holding tier's near-storage rate.  Zero spill
             # adds nothing, so fully-resident batches are untouched.
-            extra = self.tracker.spill_read_seconds(running, self.node.step_time)
-            if extra > 0.0:
-                seconds += extra * self._slow_factor
+            seconds += spill * self._slow_factor
         return seconds
 
     def _bill_kv_movement(self):

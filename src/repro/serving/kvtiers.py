@@ -43,6 +43,13 @@ reference.  The figures match the per-request model within float
 reassociation (property-tested at 1e-12 relative in
 ``tests/serving/test_kvtiers_lazy.py``).
 
+A run of decode steps that leaves the top tier's ledger alone -- the
+only tier figure anything outside the node reads -- can coast (see
+:mod:`repro.serving.engine`): :meth:`TieredBudgetTracker.coast_reads`
+bills each step's reads as the per-step path would, from the aggregates
+as the earlier steps' growth leaves them, and the wake's
+``update(..., steps=k)`` lands the k steps' growth one after another.
+
 Policies (:class:`TierPolicy`):
 
 ``lru`` -- :class:`LRUByRequest`
@@ -77,9 +84,10 @@ Capacities and bandwidths take optional K/M/G/T suffixes (powers of
 **Tier-conservation invariant** (sanitized drains): per-tier occupancy
 never exceeds the tier's capacity and never goes negative, a request's
 residency always sums to its flat-ledger entry, each tier ledger equals
-its requests' summed residency after a decode step, a step's per-tier
-reads equal the per-request reference, and releases -- including
-node-death migrations -- drain every tier the request touched.
+its requests' summed residency after a decode step or coast, a step's
+per-tier reads equal the per-request reference (a coast's first step),
+a coast leaves the top tier's ledger where it found it, and releases --
+including node-death migrations -- drain every tier the request touched.
 Violations raise :class:`~repro.analysis.sanitizer.SanitizerError` with
 ``invariant="tier-conservation"``.
 """
@@ -449,7 +457,7 @@ class TieredBudgetTracker(BudgetTracker):
     #: iteration, not the counter).
     spilled_decode_seconds: float = 0.0
     #: Decode iterations whose spilled reads were billed
-    #: (:meth:`spill_read_seconds` calls).
+    #: (:meth:`spill_read_seconds` calls and coasted steps).
     decode_steps: int = 0
     #: Growing requests settled (lazy growth brought current).
     settles: int = 0
@@ -501,6 +509,8 @@ class TieredBudgetTracker(BudgetTracker):
         self._fixed_at = 0
         self._n_growing = 0
         self._n_fixed = 0
+        #: The top tier's occupancy when the latest coast began.
+        self._coast_top = 0.0
 
     @classmethod
     def for_stack(
@@ -557,23 +567,22 @@ class TieredBudgetTracker(BudgetTracker):
         bytes in the same tiers, so a counter ticks and the tier ledgers
         move by the batch size times the per-request bytes, unless a tier
         fills mid-batch -- then the step settles the batch and runs the
-        per-request cascade, as placing one request at a time would.  Any
-        other call re-marks and places each request in argument order.
-        Tiered nodes never coast, so growth lands one step per call.
+        per-request cascade, as placing one request at a time would.  A
+        coast's wake lands its ``steps`` one after another, exactly as that
+        many single-step calls would.  Any other call re-marks and places
+        each request in argument order.
         """
-        if steps != 1:
-            raise SchedulingError("a tiered ledger places one decode step per call")
         step = self._is_step(requests)
-        growth = super().update(*requests)
+        growth = super().update(*requests, steps=steps)
         if not step:
             for request, amount in zip(requests, growth):
                 self._remark(request, amount)
-        elif not self._grow_uniform(len(requests)):
-            self._cascade_step(requests)
+        else:
+            for _ in range(steps):
+                if not self._grow_uniform(len(requests)):
+                    self._cascade_step(requests)
         if self.sanitize and requests:
-            for request in requests:
-                self._check_residency(request)
-            self._check_aggregates(requests[-1].request_id)
+            self._check_step(requests)
         return growth
 
     def release(self, request: ServingRequest) -> None:
@@ -780,63 +789,68 @@ class TieredBudgetTracker(BudgetTracker):
         entry.decoding = True
         self._attach(entry)
 
-    def _grow_uniform(self, n: int) -> bool:
-        """Land one decode step's growth for all ``n`` growing entries at once.
+    def _uniform_step(
+        self, n: int, occupied: list[float]
+    ) -> list[tuple[int, int, float]] | None:
+        """Where one decode step's growth lands for all ``n`` growing entries.
 
         Every entry gains one token: the policy's top share goes to the top
         tier if its headroom takes the whole batch's share (nothing if the
         top is full), and the rest to the first lower tier with headroom,
-        which must take the whole batch's rest.  Ticks the matching
-        counters and moves the tier ledgers by ``n`` times the per-entry
-        bytes.  Returns ``False``, moving nothing, when some tier would fill
-        mid-batch: requests would then land differently, which only the
-        per-request cascade reproduces.
+        which must take the whole batch's rest.  ``occupied`` is each
+        tier's occupancy before the step.  Returns the step's moves as
+        (growth-step counter slot, tier, bytes for the batch), or ``None``
+        when some tier would fill mid-batch: requests would then land
+        differently, which only the per-request cascade reproduces.
         """
         tiers = self._tiers
         units = self._units
-        grown = self._grown
-        counts = self._counts
-        top_capacity, top_ledger, _ = tiers[0]
         if len(tiers) == 1:
-            counts[0] += 1
-            self._fill(top_ledger, n * units[0])
-            grown[0] += n * units[0]
-            return True
+            return [(0, 0, n * units[0])]
         want = units[0]
-        free = top_capacity - top_ledger.occupied_bytes
+        free = tiers[0][0] - occupied[0]
         if want > 0.0 and free >= n * want:
             kind = 0
         elif not free > 0.0 or want == 0.0:
             kind = 1
         else:
-            return False
+            return None
+        moves = [(0, 0, n * want)] if kind == 0 else []
         rest = units[2 + kind]
-        destination = None
         if rest > 0.0:
             need = n * rest
             for tier in range(1, len(tiers) - 1):
-                capacity, ledger, _ = tiers[tier]
-                room = capacity - ledger.occupied_bytes
+                room = tiers[tier][0] - occupied[tier]
                 if not room > 0.0:
                     continue
                 if room < need:
-                    return False
-                destination = tier
+                    return None
                 break
             else:
-                capacity, ledger, _ = tiers[-1]
-                room = capacity - ledger.occupied_bytes
+                tier = len(tiers) - 1
+                room = tiers[tier][0] - occupied[tier]
                 if need > room + self._conservation_tolerance():
-                    return False  # the cascade raises on the overflowing request
-                destination = len(tiers) - 1
-        if kind == 0:
-            counts[0] += 1
-            self._fill(top_ledger, n * want)
-            grown[0] += n * want
-        if destination is not None:
-            counts[2 * destination + kind] += 1
-            self._fill(tiers[destination][1], n * rest)
-            grown[destination] += n * rest
+                    return None  # the cascade raises on the overflowing request
+            moves.append((2 * tier + kind, tier, need))
+        return moves
+
+    def _grow_uniform(self, n: int) -> bool:
+        """Land one decode step's growth for all ``n`` growing entries at once.
+
+        Ticks the counters of :meth:`_uniform_step`'s moves and moves the
+        tier ledgers and the growing aggregate by them.  Returns ``False``,
+        moving nothing, when some tier would fill mid-batch.
+        """
+        tiers = self._tiers
+        moves = self._uniform_step(n, [ledger.occupied_bytes for _, ledger, _ in tiers])
+        if moves is None:
+            return False
+        counts = self._counts
+        grown = self._grown
+        for slot, tier, amount in moves:
+            counts[slot] += 1
+            self._fill(tiers[tier][1], amount)
+            grown[tier] += amount
         return True
 
     def _cascade_step(self, requests: tuple[ServingRequest, ...]) -> None:
@@ -959,10 +973,7 @@ class TieredBudgetTracker(BudgetTracker):
         top_capacity, top_ledger, _ = tiers[0]
         if not top_capacity - top_ledger.occupied_bytes > 0.0:
             return
-        if not any(
-            grown + fixed > 0.0
-            for grown, fixed in zip(self._grown[1:], self._fixed_bytes[1:])
-        ):
+        if not self._decoding_below_top():
             return
         entries = self._entries
         for request in running:
@@ -991,6 +1002,13 @@ class TieredBudgetTracker(BudgetTracker):
             if self.sanitize:
                 self._check_residency(request)
 
+    def _decoding_below_top(self) -> bool:
+        """Whether the decoding-set aggregates hold bytes below the top."""
+        return any(
+            grown + fixed > 0.0
+            for grown, fixed in zip(self._grown[1:], self._fixed_bytes[1:])
+        )
+
     def consume_transfer_seconds(self) -> float:
         """Drain the accumulated movement bill (the engine yields it)."""
         seconds = self._pending_transfer_seconds
@@ -1012,8 +1030,17 @@ class TieredBudgetTracker(BudgetTracker):
         fully-resident drain still reports a 100% top-tier hit rate.
         """
         self._sync_decoding(running)
-        spill = step_time.spill_read_seconds
-        reads = self._grown.copy()
+        reads, extra = self._read_step(self._grown, step_time.spill_read_seconds)
+        if self.sanitize:
+            self._check_reads(running, reads)
+        return extra
+
+    def _read_step(self, grown: list[float], spill) -> tuple[list[float], float]:
+        """Bill one decode step's reads; return them per tier, and their
+        spilled seconds.  ``grown`` is the growing entries' bytes per tier
+        at the step, the fixed entries' share comes from their aggregates
+        at the step's read index, and ``spill`` prices one tier's reads."""
+        reads = grown.copy()
         if self._n_fixed:
             since = self.decode_steps - self._fixed_at
             token_bytes = self.token_bytes
@@ -1029,9 +1056,82 @@ class TieredBudgetTracker(BudgetTracker):
             if read > 0.0:
                 extra += spill(read, bandwidth)
         self.spilled_decode_seconds += extra
-        if self.sanitize:
-            self._check_reads(running, reads)
-        return extra
+        return reads, extra
+
+    # --- coasting decode ----------------------------------------------------------
+
+    def decode_leaves_top_alone(self, grows: bool) -> bool:
+        """Whether the coming decode steps leave the top tier's ledger alone.
+
+        The top ledger is the one figure a decode step moves that anything
+        outside the node reads (:meth:`top_headroom_for_routing`), so the
+        engine coasts only while it holds still.  It does when no step
+        boundary can promote bytes into the top and, if the batch ``grows``
+        (optimistic admission), every step's growth lands below it: the
+        top is full (it takes no growth, and promotion needs headroom), or
+        the policy places nothing on top and never promotes.  A batch that
+        does not grow (reserve admission) moves no tier ledger unless a
+        promotion could.  A single-tier stack's only tier is the top.
+        """
+        tiers = self._tiers
+        if len(tiers) == 1:
+            return not grows
+        top_capacity, top_ledger, _ = tiers[0]
+        if not top_capacity - top_ledger.occupied_bytes > 0.0:
+            return True
+        if grows:
+            return self._fraction == 0.0 and not self.policy.promotes
+        return not (self.policy.promotes and self._decoding_below_top())
+
+    def coast_reads(self, running: list[ServingRequest], step_time, grows: bool):
+        """Bill a coast's decode steps one at a time; yield each one's
+        spilled-read seconds.
+
+        Step ``j`` reads as :meth:`spill_read_seconds` would read it after
+        ``j`` steps of growth, so the engine can price the steps before the
+        growth lands (:meth:`update` lands all of it at the wake).  When
+        the batch ``grows``, the pass follows :meth:`_uniform_step` on a
+        copy of the tier ledgers -- a lower tier that fills exactly at a
+        step boundary moves the next step's growth down -- and stops before
+        the first step in which a tier would fill mid-batch, which the
+        per-step path hands to the per-request cascade.  A sanitized
+        tracker checks the first step's reads against the per-request
+        reference (the one step whose contexts are current) and keeps the
+        top tier's occupancy for :meth:`check_coast`.
+        """
+        self._sync_decoding(running)
+        spill = step_time.spill_read_seconds
+        n = len(running)
+        grown = self._grown.copy()
+        occupied = [ledger.occupied_bytes for _, ledger, _ in self._tiers]
+        self._coast_top = occupied[0]
+        check = self.sanitize
+        while True:
+            moves = self._uniform_step(n, occupied) if grows else []
+            if moves is None:
+                return
+            reads, extra = self._read_step(grown, spill)
+            if check:
+                self._check_reads(running, reads)
+                check = False
+            yield extra
+            for _, tier, amount in moves:
+                occupied[tier] += amount
+                grown[tier] += amount
+
+    def check_coast(self, running: list[ServingRequest]) -> None:
+        """Sanitizer, at a coast's wake: the decode-step checks of
+        :meth:`update`, and the top tier's ledger where the coast found it."""
+        self._check_step(running)
+        top = self._tiers[0][1]
+        if top.occupied_bytes != self._coast_top:
+            raise SanitizerError(
+                f"KV tier {top.tier.name!r} moved from {self._coast_top:.3f} to "
+                f"{top.occupied_bytes:.3f} bytes during a coast, whose skipped "
+                f"steps routers may read it at ({self.budget.description!r})",
+                invariant="tier-conservation",
+                request_id=running[-1].request_id,
+            )
 
     # --- router / reporting views -----------------------------------------------
 
@@ -1113,6 +1213,12 @@ class TieredBudgetTracker(BudgetTracker):
                 invariant="tier-conservation",
                 request_id=request.request_id,
             )
+
+    def _check_step(self, requests) -> None:
+        """After a decode step: each request's residency and the aggregates."""
+        for request in requests:
+            self._check_residency(request)
+        self._check_aggregates(requests[-1].request_id)
 
     def _check_aggregates(self, request_id: int) -> None:
         """After a decode step, each tier ledger equals its requests' summed

@@ -51,6 +51,50 @@ class TestBatchFeasibility:
         batch = max_feasible_batch(get_model("Qwen2.5-32B"), 32768, KVPlacement.DRAM, HOST_DRAM, 16)
         assert batch == 16
 
+    @pytest.mark.parametrize(
+        "requested, limit, tried",
+        [
+            (16, 4, [16, 8, 4]),
+            (7, 4, [7, 4]),
+            (11, 4, [11, 8, 4]),
+            (12, 4, [12, 8, 4]),
+            (3, 4, [3]),
+            (6, 1, [6, 4, 2, 1]),
+            (3, 0, [3, 2, 1]),
+        ],
+    )
+    def test_failure_drops_to_the_next_power_of_two_down(
+        self, monkeypatch, requested, limit, tried
+    ):
+        """With batches up to ``limit`` fitting, a request that does not fit
+        drops to the largest power of two below it, then halves; nothing
+        fitting returns 0."""
+        from repro.analysis import capacity
+
+        planned = []
+
+        def plan(model, batch, seq_len, kv_placement, host_dram_bytes):
+            planned.append(batch)
+            if batch > limit:
+                raise CapacityError(f"batch {batch} does not fit")
+
+        monkeypatch.setattr(capacity, "plan_placement", plan)
+        batch = max_feasible_batch(
+            get_model("OPT-66B"), 13010, KVPlacement.DRAM, HOST_DRAM, requested
+        )
+        assert planned == tried
+        assert batch == (tried[-1] if limit else 0)
+
+    def test_seven_runs_at_four_where_four_fits(self):
+        """FLEX(DRAM), OPT-66B, context 13,010 holds batch 4 but not 7, so a
+        request for 7 runs at 4 (it used to halve to 3)."""
+        model = get_model("OPT-66B")
+        fits = {
+            batch: max_feasible_batch(model, 13010, KVPlacement.DRAM, HOST_DRAM, batch)
+            for batch in (4, 7, 8)
+        }
+        assert fits == {4: 4, 7: 4, 8: 4}
+
     def test_feasible_batch_monotone_in_context(self):
         model = get_model("OPT-66B")
         batches = [

@@ -13,8 +13,9 @@ when the batch or the context grows to the next grid point (bilinear
 interpolation keeps that property between the cells), and a seeded
 sample of arbitrary shapes checks that more SmartSSDs never slow a HILOS
 step.  Off the grid the billed step is not monotone (HILOS's X-cache
-ratio steps and the DRAM placement clamp), so no property here draws
-arbitrary batches or contexts for one system.
+ratio steps), so no property here draws arbitrary batches or contexts
+for one system; the one off-grid shape pinned here is the DRAM placement
+clamp's former inversion.
 """
 
 from __future__ import annotations
@@ -112,3 +113,14 @@ def test_more_smartssds_never_slow_a_step():
                 f"{model_name} at (batch, context) {shape}: HILOS 4/8/16 "
                 f"billed steps {seconds}"
             )
+
+
+def test_dram_clamp_bills_batch_seven_no_dearer_than_eight():
+    """FLEX(DRAM), OPT-66B at context 13,010 holds batch 4 but not 7 or 8.
+    Batch 7 runs at the power of two below it, 4, and bills 7/4 of that
+    step, no more than batch 8 does at 8/4.  (Halving 7 to 3 billed
+    19.092 s against 16.381 s at batch 8.)"""
+    billed = BilledSteps("FLEX(DRAM)", "OPT-66B")
+    seven, eight = billed(7, 13010), billed(8, 13010)
+    assert seven is not None and eight is not None
+    assert seven <= eight

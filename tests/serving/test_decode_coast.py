@@ -7,12 +7,17 @@ iteration takes the per-step path.  Across policies (batch-synchronous,
 continuous reserve, optimistic with chunked prefill, optimistic on a
 budget tight enough to preempt mid-coast), feeds (the 1-node preload,
 JSQ, BestFitKV, round-robin, weighted round-robin and a folded fleet)
-and arrival processes (all at zero, Poisson, bursts) over three seeds:
+and arrival processes (all at zero, Poisson, bursts) over three seeds,
+and on tiered nodes (three tier policies × both admissions × 2- and
+3-tier stacks, a BestFitKV fleet, a tight stack, a middle tier that
+fills during a coast):
 
 * the report's plain form and every request's outcome are ``==``;
-* the coasting drain processes fewer simulator events, while drains
-  under the fault driver and on tiered nodes -- which never coast --
-  process exactly as many;
+* the coasting drain processes fewer simulator events -- on tiered
+  nodes exactly one fewer per iteration a coast skipped -- while drains
+  under the fault driver, which never coast, process exactly as many;
+* a tiered decode run that grows the top tier does not coast, because a
+  BestFitKV arrival during it is routed on the top tier's headroom;
 * a countdown forged upward makes a coast overrun a finisher, which the
   sanitizer's ``load-ledger`` check catches at the wake.
 """
@@ -30,6 +35,7 @@ from repro.core.runtime import HilosSystem
 from repro.models.registry import tiny_model
 from repro.serving import (
     AnalyticStepTime,
+    AttentionAwareDemotion,
     BatchedArrivals,
     BestFitKV,
     CapacityBudget,
@@ -43,7 +49,9 @@ from repro.serving import (
     Node,
     PoissonArrivals,
     RoundRobin,
+    StaticSplit,
     TierStack,
+    TraceReplay,
     WeightedRoundRobin,
     parse_fault_spec,
 )
@@ -119,13 +127,16 @@ def _drain(monkeypatch, coast, policy, classes, arrivals, n_nodes=1, node=None, 
     """Drain once; return the report and the simulator's event count.
 
     ``coast=False`` forces every decode iteration onto the per-step path.
+    ``node`` holds every node's keyword arguments, or is a list of them,
+    one per node.
     """
     steps = AnalyticStepTime(
         base_seconds=1.0, per_token_seconds=1e-4, prefill_per_token_seconds=1e-3
     )
+    per_node = node if isinstance(node, list) else [node or {}] * n_nodes
     nodes = [
-        Node(SYSTEM, step_time=steps, name=f"node{i}", **(node or {}))
-        for i in range(n_nodes)
+        Node(SYSTEM, step_time=steps, name=f"node{i}", **kwargs)
+        for i, kwargs in enumerate(per_node)
     ]
     with recorded_simulators() as sims, monkeypatch.context() as patch:
         if not coast:
@@ -186,60 +197,247 @@ def test_fleet_drain_equals_per_step(monkeypatch, fleet, arrival, policy, seed):
     assert events < reference
 
 
-def test_tight_budget_coasts_stop_at_the_preempting_boundary(monkeypatch):
-    """Some coast ends before the finisher because the next step's growth
-    would not fit; the preemption then lands on the per-step path."""
+def _coasts(monkeypatch) -> list[tuple[int, int]]:
+    """Record every coast as (iterations offered, iterations priced)."""
     coast = NodeEngine._coast
-    cut = []
+    coasts = []
 
     def spy(self, steps, optimistic):
         taken, wake = coast(self, steps, optimistic)
-        cut.append(taken < steps)
+        coasts.append((steps, taken))
         return taken, wake
 
     monkeypatch.setattr(NodeEngine, "_coast", spy)
+    return coasts
+
+
+def test_tight_budget_coasts_stop_at_the_preempting_boundary(monkeypatch):
+    """Some coast ends before the finisher because the next step's growth
+    would not fit; the preemption then lands on the per-step path."""
+    coasts = _coasts(monkeypatch)
     policy, node, classes = POLICIES["optimistic-tight"]
     report, _, _ = _both(monkeypatch, policy(), classes(1), None, node=node)
     assert report.preemptions > 0
-    assert any(cut)
+    assert any(taken < steps for steps, taken in coasts)
 
 
-def _tiered_node():
-    top = KVTier("hbm", capacity_bytes=0.25 * LONG_BYTES)
-    ssd = KVTier("ssd", capacity_bytes=LONG_BYTES, bandwidth_bytes_per_s=1e9)
-    return {"kv_tiers": TierStack((top, ssd)), "kv_policy": LRUByRequest()}
-
-
-#: Drains that never coast: name -> (policy, node count, node, scheduler).
+#: Drains that never coast: name -> (policy, node count, scheduler).
 BYPASSED = {
     "faults": (
         ContinuousBatching(4),
         3,
-        None,
         {
             "router": LeastOutstandingTokens(),
             "faults": parse_fault_spec("spot:200:15:2"),
         },
     ),
-    "tiered": (ContinuousBatching(4, admission="optimistic"), 1, "tiered", {}),
-    "tiered-fleet": (FCFSFixedBatch(4), 2, "tiered", {"router": BestFitKV()}),
 }
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name", sorted(BYPASSED))
-def test_driver_and_tiered_drains_do_not_coast(monkeypatch, name, seed):
-    policy, n_nodes, node, scheduler = BYPASSED[name]
+def test_driver_drains_do_not_coast(monkeypatch, name, seed):
+    policy, n_nodes, scheduler = BYPASSED[name]
     _, events, reference = _both(
         monkeypatch,
         policy,
         sample_request_classes(24, seed=seed),
         PoissonArrivals(rate_per_second=0.5, seed=seed),
         n_nodes=n_nodes,
-        node=_tiered_node() if node == "tiered" else None,
         **scheduler,
     )
     assert events == reference
+
+
+# --- tiered nodes -----------------------------------------------------------------
+
+
+def _stack(levels: int) -> TierStack:
+    """A 2-tier hbm/ssd or 3-tier hbm/dram/ssd stack: a quarter of a
+    Long's final context on top, one Long's final context below it."""
+    hbm = KVTier("hbm", capacity_bytes=0.25 * LONG_BYTES)
+    if levels == 2:
+        return TierStack(
+            (hbm, KVTier("ssd", capacity_bytes=LONG_BYTES, bandwidth_bytes_per_s=1e9))
+        )
+    dram = KVTier("dram", capacity_bytes=0.5 * LONG_BYTES, bandwidth_bytes_per_s=4e9)
+    ssd = KVTier("ssd", capacity_bytes=0.5 * LONG_BYTES, bandwidth_bytes_per_s=1e9)
+    return TierStack((hbm, dram, ssd))
+
+
+TIER_POLICIES = {
+    "lru": LRUByRequest,
+    "attention": lambda: AttentionAwareDemotion(0.3),
+    "static": lambda: StaticSplit(0.5),
+}
+
+
+def _tiered_both(monkeypatch, *args, **kwargs):
+    """:func:`_both` on tiered nodes, which coast: each coast's wake
+    replaces one event per iteration it priced, so the event counts differ
+    by exactly the iterations the coasts skipped."""
+    coasts = _coasts(monkeypatch)
+    report, events, reference = _both(monkeypatch, *args, **kwargs)
+    assert reference - events == sum(taken - 1 for _, taken in coasts if taken)
+    assert events < reference
+    return report, coasts
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("levels", [2, 3])
+@pytest.mark.parametrize("admission", ["reserve", "optimistic"])
+@pytest.mark.parametrize("tier_policy", sorted(TIER_POLICIES))
+def test_tiered_drain_equals_per_step(monkeypatch, tier_policy, admission, levels, seed):
+    report, _ = _tiered_both(
+        monkeypatch,
+        ContinuousBatching(4, admission=admission),
+        sample_request_classes(24, seed=seed),
+        PoissonArrivals(rate_per_second=0.5, seed=seed),
+        node={"kv_tiers": _stack(levels), "kv_policy": TIER_POLICIES[tier_policy]()},
+    )
+    assert report.completed == report.n_requests
+    # The drain demotes and reads spilled KV, which the coasts reproduce.
+    assert report.spilled_decode_seconds > 0.0
+    assert sum(tier.demoted_bytes for tier in report.kv_tiers) > 0.0
+
+
+def test_growth_placed_below_an_unfilled_top_coasts(monkeypatch):
+    """``static:1`` places every byte below the top tier and never
+    promotes, so growing batches coast although the top stays empty."""
+    stack = TierStack(
+        (
+            KVTier("hbm", capacity_bytes=0.25 * LONG_BYTES),
+            KVTier("ssd", capacity_bytes=4 * LONG_BYTES, bandwidth_bytes_per_s=1e9),
+        )
+    )
+    report, coasts = _tiered_both(
+        monkeypatch,
+        ContinuousBatching(4, admission="optimistic"),
+        sample_request_classes(24, seed=1),
+        PoissonArrivals(rate_per_second=0.5, seed=1),
+        node={"kv_tiers": stack, "kv_policy": StaticSplit(1.0)},
+    )
+    hbm, ssd = report.kv_tiers
+    assert hbm.peak_occupied_bytes == 0.0 and ssd.decode_read_bytes > 0.0
+    assert report.completed == report.n_requests
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize(
+    "policy",
+    [FCFSFixedBatch(4), ContinuousBatching(4, admission="optimistic")],
+    ids=["fcfs", "optimistic"],
+)
+def test_tiered_bestfit_fleet_equals_per_step(monkeypatch, policy, seed):
+    report, _ = _tiered_both(
+        monkeypatch,
+        policy,
+        sample_request_classes(24, seed=seed),
+        PoissonArrivals(rate_per_second=0.5, seed=seed),
+        n_nodes=2,
+        node={"kv_tiers": _stack(2), "kv_policy": LRUByRequest()},
+        router=BestFitKV(),
+    )
+    assert report.completed == report.n_requests
+    assert all(node.n_requests for node in report.node_reports)
+
+
+def test_tight_tiered_stack_preempts_where_a_coast_stops(monkeypatch):
+    """A stack holding two Mediums' final contexts: coasts end before the
+    step whose growth would overflow it, and the preemption lands on the
+    per-step path."""
+    stack = TierStack(
+        (
+            KVTier("hbm", capacity_bytes=0.5 * MEDIUM_BYTES),
+            KVTier("ssd", capacity_bytes=1.5 * MEDIUM_BYTES, bandwidth_bytes_per_s=1e9),
+        )
+    )
+    report, coasts = _tiered_both(
+        monkeypatch,
+        ContinuousBatching(4, admission="optimistic"),
+        _short_medium(1),
+        None,
+        node={"kv_tiers": stack, "kv_policy": LRUByRequest()},
+    )
+    assert report.preemptions > 0
+    assert any(0 < taken < steps for steps, taken in coasts)
+
+
+@pytest.mark.parametrize("spare_tokens", [0, 2])
+def test_coast_follows_a_middle_tier_that_fills(monkeypatch, spare_tokens):
+    """Four Shorts fill the top tier exactly at admission, so each decode
+    token lands below it, and the middle tier holds ten steps of the
+    batch's growth plus ``spare_tokens``.  With none spare it fills exactly
+    at a step boundary and one coast follows the growth down to the
+    bottom tier.  With two spare, the eleventh step would fill it
+    mid-batch: the coast stops before that step, which runs the
+    per-request cascade on the per-step path (a coast of 0 iterations),
+    and the next coast lands everything at the bottom."""
+    token = float(MODEL.kv_cache_bytes(1, 1))
+    top = 4 * float(MODEL.kv_cache_bytes(1, SHORT.input_tokens + 1))
+    middle = (10 * 4 + spare_tokens) * token
+    stack = TierStack(
+        (
+            KVTier("hbm", capacity_bytes=top),
+            KVTier("dram", capacity_bytes=middle, bandwidth_bytes_per_s=4e9),
+            KVTier("ssd", capacity_bytes=top, bandwidth_bytes_per_s=1e9),
+        )
+    )
+    report, coasts = _tiered_both(
+        monkeypatch,
+        ContinuousBatching(4, admission="optimistic"),
+        [SHORT] * 4,
+        None,
+        node={"kv_tiers": stack, "kv_policy": LRUByRequest()},
+    )
+    # Prefill emits the first token; 98 of the 99 decode steps can coast.
+    assert coasts == (
+        [(98, 98)] if not spare_tokens else [(98, 10), (88, 0), (87, 87)]
+    )
+    hbm, dram, ssd = report.kv_tiers
+    assert (hbm.peak_occupied_bytes, dram.peak_occupied_bytes) == (top, middle)
+    assert ssd.peak_occupied_bytes == (99 * 4 - 10 * 4 - spare_tokens) * token
+    assert dram.decode_read_bytes > 0.0 and ssd.decode_read_bytes > 0.0
+
+
+def test_top_growing_runs_do_not_coast_under_bestfit(monkeypatch):
+    """Why a decode run that grows the top tier takes one wake per step.
+
+    A Long can only fit node0, whose top tier takes half of each of its
+    tokens; node1's top is smaller than node0's headroom when the Long's
+    decode starts, and larger once about 108 of its steps have grown
+    node0's top.  A Short arriving after 160 steps is routed by BestFitKV
+    to the tighter top, node0 -- where it waits for the Long -- only if
+    node0's top ledger has taken every step's growth.  A coast would show
+    the router the top as the run began and send the Short to node1.
+    """
+    token = float(MODEL.kv_cache_bytes(1, 1))
+    node0 = TierStack(
+        (
+            KVTier("hbm", capacity_bytes=4400 * token),
+            KVTier("ssd", capacity_bytes=2 * LONG_BYTES, bandwidth_bytes_per_s=1e9),
+        )
+    )
+    node1 = TierStack(
+        (
+            KVTier("hbm", capacity_bytes=250 * token),
+            KVTier("ssd", capacity_bytes=2000 * token, bandwidth_bytes_per_s=1e9),
+        )
+    )
+    report, _, _ = _both(
+        monkeypatch,
+        ContinuousBatching(1, admission="optimistic"),
+        [LONG, SHORT],
+        TraceReplay([0.0, 300.0]),
+        node=[
+            {"kv_tiers": node0, "kv_policy": StaticSplit(0.5)},
+            {"kv_tiers": node1, "kv_policy": StaticSplit(0.5)},
+        ],
+        router=BestFitKV(),
+    )
+    assert [node.n_requests for node in report.node_reports] == [2, 0]
+    short = report.requests[1]
+    assert short.admitted_time == report.requests[0].completion_time
 
 
 @pytest.mark.parametrize("coast", [True, False])
@@ -315,11 +513,51 @@ class TestMultiStepUpdate:
         for request in batch:
             tracker.release(request)
 
-    def test_tiered_ledger_takes_one_step_per_call(self):
-        """Tiered nodes never coast; their ledger refuses a multi-step call."""
-        stack = TierStack((KVTier("hbm", capacity_bytes=100 * LONG_BYTES),))
-        tracker = TieredBudgetTracker.for_stack(stack, MODEL, sanitize=True)
-        batch = _decoding(tracker, [SHORT])
-        with pytest.raises(SchedulingError, match="one decode step per call"):
-            tracker.update(*batch, steps=2)
-        tracker.release(batch[0])
+    @pytest.mark.parametrize("levels", [1, 2, 3])
+    def test_tiered_ledger_lands_k_steps_as_k_single_steps(self, levels):
+        """A wake's ``update(*batch, steps=k)`` on a tier stack leaves every
+        ledger, counter, residency and aggregate exactly where k single
+        steps leave it -- here across a step in which a tier fills
+        mid-batch, which runs the per-request cascade inside the call."""
+        token = float(MODEL.kv_cache_bytes(1, 1))
+        admitted = 4 * (SHORT.input_tokens + 1) * token
+        if levels == 1:
+            tiers = [KVTier("hbm", capacity_bytes=4 * LONG_BYTES)]
+        else:
+            # The top takes ten steps of the batch's growth, then fills two
+            # tokens into the 11th; a middle tier fills three into the 21st.
+            tiers = [KVTier("hbm", capacity_bytes=admitted + (10 * 4 + 2) * token)]
+            if levels == 3:
+                tiers.append(
+                    KVTier("dram", capacity_bytes=(10 * 4 + 1) * token,
+                           bandwidth_bytes_per_s=4e9)
+                )
+            tiers.append(
+                KVTier("ssd", capacity_bytes=LONG_BYTES, bandwidth_bytes_per_s=1e9)
+            )
+        stack = TierStack(tuple(tiers))
+        classes = [SHORT, SHORT, SHORT, SHORT]
+        trackers = [
+            TieredBudgetTracker.for_stack(stack, MODEL, sanitize=True) for _ in "ab"
+        ]
+        stepped, coasted = trackers
+        one, many = _decoding(stepped, classes), _decoding(coasted, classes)
+        for _ in range(37):
+            for request in one:
+                request.tokens_generated += 1
+            stepped.update(*one)
+        for request in many:
+            request.tokens_generated += 37
+        assert coasted.update(*many, steps=37) == [37 * coasted.token_bytes] * 4
+        assert coasted.cascade_steps == stepped.cascade_steps == levels - 1
+        for name in ("reserved_bytes", "peak_reserved_bytes", "settles",
+                     "step_settles", "_counts", "_grown"):
+            assert getattr(coasted, name) == getattr(stepped, name), name
+        assert coasted.tier_reports() == stepped.tier_reports()
+        assert [coasted.residency(r) for r in many] == [
+            stepped.residency(r) for r in one
+        ]
+        for tracker, batch in ((coasted, many), (stepped, one)):
+            for request in batch:
+                tracker.release(request)
+            tracker.assert_drained()

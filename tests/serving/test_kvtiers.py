@@ -775,7 +775,8 @@ class TestTieredDrains:
         engine.enqueue(running)
         sim.process(engine.run())
         sim.run(until=20.0)
-        assert running.tokens_generated > 1 and not running.finished
+        # Decoding (possibly mid-coast, so its token count may lag).
+        assert engine.running == [running] and not running.finished
         for waiting in queued:
             engine.enqueue(waiting)
         occupied = engine.tracker.residency(running)["hbm"]

@@ -8,8 +8,9 @@ that make that safe:
 
 * the figures match the per-request model -- every decode step placing
   each request's token through the cascade and pricing each request's
-  reads on its own -- within 1e-12 relative, across policies, admission
-  modes, stack depths and seeds;
+  reads on its own, one step per wake, while the lazy drain coasts where
+  it may -- within 1e-12 relative, across policies, admission modes,
+  stack depths and seeds;
 * the tracker's per-request work does not follow the decode iterations:
   the step passes settle nobody unless a tier fills mid-batch, at any
   batch size.
@@ -50,7 +51,9 @@ class PerRequestTracker(TieredBudgetTracker):
 
     Every decode step places each running request's token through the
     per-request cascade, and each step's reads are priced one request at a
-    time through the sanitizer's reference loop.
+    time through the sanitizer's reference loop.  A reference drain takes
+    every decode step on the per-step path (a coast bills its reads from
+    the aggregates this model stands in for).
     """
 
     def _grow_uniform(self, n: int) -> bool:
@@ -150,6 +153,7 @@ class TestLazyMatchesPerRequestModel:
 
         lazy = drain()
         monkeypatch.setattr(engine_module, "TieredBudgetTracker", PerRequestTracker)
+        monkeypatch.setattr(engine_module.NodeEngine, "_coast_steps", lambda self: 0)
         reference = drain()
         assert lazy.all_completed
         # The drain exercises what the tracker defers: movement and spills.

@@ -10,11 +10,14 @@ change that moves any simulated figure of any mechanism moves a digest,
 and since floats are encoded exactly, so does a figure that depends on
 the Python version.
 
-Next to each digest the file pins two exact work counters of the drain:
-``events``, the callbacks its simulator processed, and ``step_queries``,
-the decode step-time queries it made of the scenario's step-time model.
-They are deterministic, so any change in the work a drain does -- a
-saving or a regression -- shows as a changed counter, noise-free.
+Next to each digest the file pins four exact work counters of the drain:
+``events``, the callbacks its simulator processed; ``step_queries``, the
+decode step-time queries it made of the scenario's step-time model; and
+the tier trackers' ``settles`` (growing requests brought current) and
+``cascade_steps`` (decode steps that fell back to the per-request
+cascade), summed over the drain's nodes (0 on flat nodes).  They are
+deterministic, so any change in the work a drain does -- a saving or a
+regression -- shows as a changed counter, noise-free.
 
 A change that moves figures or counters on purpose regenerates the file
 and names every changed digest and counter::
@@ -64,6 +67,7 @@ from repro.serving import (
     parse_overload_spec,
 )
 from repro.serving import cluster
+from repro.serving.engine import NodeEngine
 from repro.sim.engine import Simulator
 from repro.workloads import sample_request_classes
 from repro.workloads.requests import LONG, MEDIUM, SHORT
@@ -314,21 +318,27 @@ def digest(report) -> str:
 
 
 #: The exact work counters pinned next to each digest.
-COUNTERS = ("events", "step_queries")
+COUNTERS = ("events", "step_queries", "settles", "cascade_steps")
 
 
 @contextmanager
-def recorded_simulators():
-    """Yield a list that collects every simulator a drain builds."""
-    sims: list[Simulator] = []
+def _recorded(name: str, base: type):
+    """Yield a list that collects every ``base`` a drain builds (the
+    cluster module's ``name``)."""
+    built: list = []
 
-    class Recording(Simulator):
+    class Recording(base):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            sims.append(self)
+            built.append(self)
 
-    with mock.patch.object(cluster, "Simulator", Recording):
-        yield sims
+    with mock.patch.object(cluster, name, Recording):
+        yield built
+
+
+def recorded_simulators():
+    """Yield a list that collects every simulator a drain builds."""
+    return _recorded("Simulator", Simulator)
 
 
 def observe(run, system) -> dict:
@@ -341,15 +351,18 @@ def observe(run, system) -> dict:
         queries += 1
         return step_seconds(self, batch_size, seq_len)
 
-    with recorded_simulators() as sims, mock.patch.object(
-        AnalyticStepTime, "step_seconds", counted
-    ):
+    with recorded_simulators() as sims, _recorded(
+        "NodeEngine", NodeEngine
+    ) as engines, mock.patch.object(AnalyticStepTime, "step_seconds", counted):
         report = run(system)
     (sim,) = sims
+    trackers = [engine.tracker for engine in engines if engine.tiered]
     return {
         "digest": digest(report),
         "events": sim.events_processed,
         "step_queries": queries,
+        "settles": sum(tracker.settles for tracker in trackers),
+        "cascade_steps": sum(tracker.cascade_steps for tracker in trackers),
     }
 
 
