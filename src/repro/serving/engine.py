@@ -72,7 +72,7 @@ nothing prefilling, a policy that can admit nothing until a slot frees
 stream that is done with nothing queued), and on a tiered node no
 iteration that can move the top tier's ledger, the one tier figure
 routers read -- the engine prices all but the last of them in one pass
-(one step-time query each, plus a tiered node's spilled reads, the end
+(from one step-time series, plus a tiered node's spilled reads, the end
 time summed step by step as the clock would) and sleeps once, with
 :meth:`~repro.sim.engine.Simulator.timeout_at`, to that boundary.  The
 finishing iteration then runs on the per-step path, so its timeout is
@@ -127,6 +127,7 @@ then the node goes DOWN as a provisionable spare.
 from __future__ import annotations
 
 from collections import deque
+from itertools import repeat
 from typing import Iterable
 
 from repro.analysis.sanitizer import SanitizerError
@@ -912,23 +913,28 @@ class NodeEngine:
     def _coast(self, steps: int, optimistic: bool) -> tuple[int, float]:
         """Price up to ``steps`` decode iterations; return (count, end time).
 
-        Each iteration makes the step-time query the per-step path would:
-        the same batch, and the context :meth:`_iteration_seconds` would
-        read after the previous iterations' growth (the padded longest
-        context plus one per step, or the ledger advanced by the batch size
-        per step, then rounded -- ``round`` is half-to-even, so rounding
-        once and adding would drift).  The end time accumulates one step at
-        a time, as the clock does across successive timeouts, so it is
-        bit-equal to the per-step boundary.  Under optimistic admission the
-        coast stops before the first iteration whose growth the budget
-        would not fit (the :meth:`_resolve_overflow` test), so the
-        preemption lands at that boundary, on the per-step path, as it
-        would without the coast.  On a tiered node each iteration also
-        bills its spilled reads
-        (:meth:`~repro.serving.kvtiers.TieredBudgetTracker.coast_reads`)
-        and adds them as :meth:`_iteration_seconds` does, and the coast
-        stops before the first iteration whose growth a tier would take
-        only part of; that can leave nothing to coast (0 iterations).
+        The iterations are priced from one step-time series
+        (:meth:`~repro.serving.steptime.StepTimeModel.step_series`) whose
+        elements are the queries the per-step path would make: the same
+        batch, and the context :meth:`_iteration_seconds` would read after
+        the previous iterations' growth (the padded longest context plus
+        one per step, or the ledger advanced by the batch size per step,
+        then rounded -- ``round`` is half-to-even, so rounding once and
+        adding would drift).  The end time accumulates one step at a time,
+        as the clock does across successive timeouts, so it is bit-equal
+        to the per-step boundary.  Under optimistic admission the coast
+        stops before the first iteration whose growth the budget would not
+        fit (the :meth:`_resolve_overflow` test), so the preemption lands
+        at that boundary, on the per-step path, as it would without the
+        coast.  On a tiered node each iteration also bills its spilled
+        reads
+        (:meth:`~repro.serving.kvtiers.TieredBudgetTracker.coast_reads`,
+        which plans the growth the wake lands), and the coast stops before
+        the first iteration whose growth a tier would take only part of;
+        that can leave nothing to coast (0 iterations).  Both stop tests
+        and the reads come before an iteration is pulled from the series,
+        so the series queries -- and may measure a grid cell for -- only
+        the iterations the coast takes.
         """
         if self._sanitize:
             self._check_load_ledgers(running_only=True)
@@ -937,30 +943,27 @@ class NodeEngine:
         if self.policy.padded:
             batch = max(self._batch_slots, n)
             longest = max(r.context_tokens for r in running)
-            contexts = (longest + step for step in range(steps))
+            contexts = range(longest, longest + steps)
         else:
             batch = n
             total = self._running_context_tokens
-            contexts = (round((total + step * n) / n) for step in range(steps))
-        growth = n * self.tracker.token_bytes
-        fits = self.tracker.fits_bytes
-        time = self.sim.now
+            contexts = [round((total + step * n) / n) for step in range(steps)]
+        series = self.node.step_time.step_series(batch, contexts)
         if self.tiered:
             reads = self.tracker.coast_reads(running, self.node.step_time, optimistic)
-            for step, context in enumerate(contexts):
-                if optimistic and step and not fits(growth, extra_bytes=step * growth):
-                    return step, time
-                spill = next(reads, None)
-                if spill is None:
-                    return step, time
-                time += self._step_seconds(batch, context, spill)
-            return steps, time
-        step_seconds = self.node.step_time.step_seconds
-        slow = self._slow_factor
-        for step, context in enumerate(contexts):
+        else:
+            reads = repeat(0.0)
+        growth = n * self.tracker.token_bytes
+        fits = self.tracker.fits_bytes
+        step_seconds = self._step_seconds
+        time = self.sim.now
+        for step in range(steps):
             if optimistic and step and not fits(growth, extra_bytes=step * growth):
                 return step, time
-            time += step_seconds(batch, max(1, context)) * slow
+            spill = next(reads, None)
+            if spill is None:
+                return step, time
+            time += step_seconds(next(series), spill)
         return steps, time
 
     # --- timing helpers --------------------------------------------------------
@@ -980,15 +983,14 @@ class NodeEngine:
         spill = 0.0
         if self.tiered:
             spill = self.tracker.spill_read_seconds(running, self.node.step_time)
-        return self._step_seconds(batch, context, spill)
-
-    def _step_seconds(self, batch: int, context: int, spill: float) -> float:
-        """One decode iteration's seconds: the step-time query, plus
-        ``spill`` seconds of spilled-attention reads, both slowed."""
-        seconds = (
-            self.node.step_time.step_seconds(batch, max(1, context))
-            * self._slow_factor
+        return self._step_seconds(
+            self.node.step_time.step_seconds(batch, context), spill
         )
+
+    def _step_seconds(self, step: float, spill: float) -> float:
+        """One decode iteration's seconds: the model's ``step`` seconds,
+        plus ``spill`` seconds of spilled-attention reads, both slowed."""
+        seconds = step * self._slow_factor
         if spill > 0.0:
             # Offloaded attention: KV resident below the compute tier is
             # re-read at the holding tier's near-storage rate.  Zero spill

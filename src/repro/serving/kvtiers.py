@@ -47,8 +47,9 @@ A run of decode steps that leaves the top tier's ledger alone -- the
 only tier figure anything outside the node reads -- can coast (see
 :mod:`repro.serving.engine`): :meth:`TieredBudgetTracker.coast_reads`
 bills each step's reads as the per-step path would, from the aggregates
-as the earlier steps' growth leaves them, and the wake's
-``update(..., steps=k)`` lands the k steps' growth one after another.
+as the earlier steps' growth leaves them, and decides each step's growth
+once: the wake's ``update(..., steps=k)`` lands the k steps' planned
+growth one after another.
 
 Policies (:class:`TierPolicy`):
 
@@ -86,8 +87,10 @@ never exceeds the tier's capacity and never goes negative, a request's
 residency always sums to its flat-ledger entry, each tier ledger equals
 its requests' summed residency after a decode step or coast, a step's
 per-tier reads equal the per-request reference (a coast's first step),
-a coast leaves the top tier's ledger where it found it, and releases --
-including node-death migrations -- drain every tier the request touched.
+a coast leaves the top tier's ledger where it found it, its wake lands
+exactly the steps its pricing planned (no plan outlives it), and
+releases -- including node-death migrations -- drain every tier the
+request touched.
 Violations raise :class:`~repro.analysis.sanitizer.SanitizerError` with
 ``invariant="tier-conservation"``.
 """
@@ -511,6 +514,9 @@ class TieredBudgetTracker(BudgetTracker):
         self._n_fixed = 0
         #: The top tier's occupancy when the latest coast began.
         self._coast_top = 0.0
+        #: The moves of each decode step the live coast has priced (see
+        #: :meth:`coast_reads`), which its wake's :meth:`update` lands.
+        self._plan: list | None = None
 
     @classmethod
     def for_stack(
@@ -568,19 +574,39 @@ class TieredBudgetTracker(BudgetTracker):
         move by the batch size times the per-request bytes, unless a tier
         fills mid-batch -- then the step settles the batch and runs the
         per-request cascade, as placing one request at a time would.  A
-        coast's wake lands its ``steps`` one after another, exactly as that
-        many single-step calls would.  Any other call re-marks and places
-        each request in argument order.
+        coast's wake lands the ``steps`` moves :meth:`coast_reads` planned
+        while pricing them, one step after another, exactly as that many
+        single-step calls would; a multi-step call without such a plan is
+        refused.  Any other call re-marks and places each request in
+        argument order.
         """
         step = self._is_step(requests)
+        plan, self._plan = self._plan, None
+        if self.sanitize and plan is not None and (not step or len(plan) != steps):
+            raise SanitizerError(
+                f"a coast planned {len(plan)} decode step(s) but its wake "
+                f"landed {steps if step else 0} ({self.budget.description!r})",
+                invariant="tier-conservation",
+                request_id=requests[-1].request_id if requests else None,
+            )
+        if step and plan is None:
+            if steps != 1:
+                raise SchedulingError(
+                    f"a {steps}-step decode update lands a coast's planned "
+                    "growth, and no coast planned it (see coast_reads)"
+                )
+            occupied = [ledger.occupied_bytes for _, ledger, _ in self._tiers]
+            plan = (self._uniform_step(len(requests), occupied),)
         growth = super().update(*requests, steps=steps)
         if not step:
             for request, amount in zip(requests, growth):
                 self._remark(request, amount)
         else:
-            for _ in range(steps):
-                if not self._grow_uniform(len(requests)):
+            for moves in plan:
+                if moves is None:
                     self._cascade_step(requests)
+                else:
+                    self._land(moves)
         if self.sanitize and requests:
             self._check_step(requests)
         return growth
@@ -834,24 +860,17 @@ class TieredBudgetTracker(BudgetTracker):
             moves.append((2 * tier + kind, tier, need))
         return moves
 
-    def _grow_uniform(self, n: int) -> bool:
-        """Land one decode step's growth for all ``n`` growing entries at once.
-
-        Ticks the counters of :meth:`_uniform_step`'s moves and moves the
-        tier ledgers and the growing aggregate by them.  Returns ``False``,
-        moving nothing, when some tier would fill mid-batch.
-        """
+    def _land(self, moves: list[tuple[int, int, float]]) -> None:
+        """Land one uniform decode step's :meth:`_uniform_step` moves: tick
+        their growth-step counters and move the tier ledgers and the
+        growing aggregate by them."""
         tiers = self._tiers
-        moves = self._uniform_step(n, [ledger.occupied_bytes for _, ledger, _ in tiers])
-        if moves is None:
-            return False
         counts = self._counts
         grown = self._grown
         for slot, tier, amount in moves:
             counts[slot] += 1
             self._fill(tiers[tier][1], amount)
             grown[tier] += amount
-        return True
 
     def _cascade_step(self, requests: tuple[ServingRequest, ...]) -> None:
         """A decode step in which a tier fills mid-batch: settle the batch and
@@ -1089,15 +1108,18 @@ class TieredBudgetTracker(BudgetTracker):
 
         Step ``j`` reads as :meth:`spill_read_seconds` would read it after
         ``j`` steps of growth, so the engine can price the steps before the
-        growth lands (:meth:`update` lands all of it at the wake).  When
-        the batch ``grows``, the pass follows :meth:`_uniform_step` on a
-        copy of the tier ledgers -- a lower tier that fills exactly at a
-        step boundary moves the next step's growth down -- and stops before
-        the first step in which a tier would fill mid-batch, which the
-        per-step path hands to the per-request cascade.  A sanitized
-        tracker checks the first step's reads against the per-request
-        reference (the one step whose contexts are current) and keeps the
-        top tier's occupancy for :meth:`check_coast`.
+        growth lands.  When the batch ``grows``, each step's growth is
+        decided once, by :meth:`_uniform_step` on a copy of the tier
+        ledgers -- a lower tier that fills exactly at a step boundary moves
+        the next step's growth down -- and recorded: the moves of the steps
+        pulled so far are the coast's plan, which the wake's
+        :meth:`update` lands.  The pass stops before the first step in
+        which a tier would fill mid-batch, which the per-step path hands to
+        the per-request cascade; a pass that stops before its first step
+        plans nothing.  A sanitized tracker checks the first step's reads
+        against the per-request reference (the one step whose contexts are
+        current) and keeps the top tier's occupancy for
+        :meth:`check_coast`.
         """
         self._sync_decoding(running)
         spill = step_time.spill_read_seconds
@@ -1106,6 +1128,7 @@ class TieredBudgetTracker(BudgetTracker):
         occupied = [ledger.occupied_bytes for _, ledger, _ in self._tiers]
         self._coast_top = occupied[0]
         check = self.sanitize
+        plan = []
         while True:
             moves = self._uniform_step(n, occupied) if grows else []
             if moves is None:
@@ -1114,6 +1137,9 @@ class TieredBudgetTracker(BudgetTracker):
             if check:
                 self._check_reads(running, reads)
                 check = False
+            if grows:
+                plan.append(moves)
+                self._plan = plan
             yield extra
             for _, tier, amount in moves:
                 occupied[tier] += amount
@@ -1121,8 +1147,16 @@ class TieredBudgetTracker(BudgetTracker):
 
     def check_coast(self, running: list[ServingRequest]) -> None:
         """Sanitizer, at a coast's wake: the decode-step checks of
-        :meth:`update`, and the top tier's ledger where the coast found it."""
+        :meth:`update`, no plan left for a later update to land, and the
+        top tier's ledger where the coast found it."""
         self._check_step(running)
+        if self._plan is not None:
+            raise SanitizerError(
+                f"a coast's plan of {len(self._plan)} decode step(s) outlived "
+                f"its wake ({self.budget.description!r})",
+                invariant="tier-conservation",
+                request_id=running[-1].request_id,
+            )
         top = self._tiers[0][1]
         if top.occupied_bytes != self._coast_top:
             raise SanitizerError(

@@ -19,6 +19,13 @@ event whose duration comes from a :class:`StepTimeModel`:
 :class:`AnalyticStepTime`
     A transparent affine model (fixed cost + per-context-token cost) used by
     unit tests and policy studies that need exactly predictable timings.
+
+A run of iterations of one batch is priced through one series,
+:meth:`StepTimeModel.step_series`: a coasting engine
+(:mod:`repro.serving.engine`) pulls one element per iteration it skips.
+Its values are the per-iteration queries' values; a calibrated model
+brackets each grid cell and looks up its corners once for the run of
+contexts inside it, instead of once per iteration.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from __future__ import annotations
 import abc
 import bisect
 import math
+from typing import Iterable, Iterator
 
 from repro.baselines.base import InferenceSystem
 from repro.calibration import CalibrationStore, system_fingerprint
@@ -59,12 +67,31 @@ class StepTimeModel(abc.ABC):
     and embeds :meth:`grid_clamp_summary` in the report, so any custom
     model gets its off-grid warnings surfaced by overriding the two
     no-op defaults below -- no ``getattr`` probing involved.
+
+    :meth:`step_series` prices successive iterations of one batch; the
+    default asks :meth:`step_seconds` once per element, so a model needs
+    to override it only to price a run faster, never to change a value.
     """
 
     @abc.abstractmethod
     def step_seconds(self, batch_size: int, seq_len: int) -> float:
         """Seconds for one decode iteration of ``batch_size`` requests whose
         (mean or padded) context length is ``seq_len``."""
+
+    def step_series(
+        self, batch_size: int, contexts: Iterable[int]
+    ) -> Iterator[float]:
+        """Seconds of successive decode iterations of ``batch_size``
+        requests, one per element of ``contexts``, yielded lazily.
+
+        Each element equals ``step_seconds(batch_size, context)`` and has
+        that query's side effects (clamp counters, calibration
+        measurements) when it is pulled, not before: a consumer that stops
+        early has queried exactly the iterations it took.
+        """
+        step_seconds = self.step_seconds
+        for seq_len in contexts:
+            yield step_seconds(batch_size, seq_len)
 
     @abc.abstractmethod
     def prefill_seconds(self, batch_size: int, seq_len: int) -> float:
@@ -370,40 +397,72 @@ class CalibratedStepTime(StepTimeModel):
         return lo, hi, (value - lo) / (hi - lo)
 
     def step_seconds(self, batch_size: int, seq_len: int) -> float:
+        """One iteration: the one-element :meth:`step_series`."""
+        (seconds,) = self.step_series(batch_size, (seq_len,))
+        return seconds
+
+    def step_series(
+        self, batch_size: int, contexts: Iterable[int]
+    ) -> Iterator[float]:
+        """Successive iterations, walking ``contexts`` one grid cell at a time.
+
+        The batch is bracketed once.  A context strictly inside the
+        current cell reuses its corners, measured and looked up when the
+        first element in the cell was pulled; any other context brackets
+        afresh (an exact grid hit is a cell of its own, measuring only its
+        row, as is each clamped edge).  Each element is blended from its
+        own weight ``(context - lo) / (hi - lo)`` in the order of a single
+        query, so the values are bit-identical to per-iteration queries,
+        and the query counts, clamp counts and min/max-seen fields move
+        per element pulled.  Raises, at the first pull, for an empty batch.
+        """
         if batch_size < 1:
             raise SchedulingError("cannot step an empty batch")
-        if seq_len < 1:
-            raise SchedulingError("context length must be positive")
-        self._step_queries += 1
-        if batch_size > self._max_batch_seen:
-            self._max_batch_seen = batch_size
-        if seq_len > self._max_seq_seen:
-            self._max_seq_seen = seq_len
-        if self._min_batch_seen is None or batch_size < self._min_batch_seen:
-            self._min_batch_seen = batch_size
-        if self._min_seq_seen is None or seq_len < self._min_seq_seen:
-            self._min_seq_seen = seq_len
-        if (
-            batch_size > self.batch_grid[-1]
-            or seq_len > self.seq_grid[-1]
-            or batch_size < self.batch_grid[0]
-            or seq_len < self.seq_grid[0]
-        ):
-            # Both directions clamp: above-max queries are billed at the
-            # edge cell (underestimate), below-min queries at the smallest
-            # cell (overestimate for partial tail batches).
-            self._clamped_queries += 1
         b_lo, b_hi, wb = self._bracket(self.batch_grid, batch_size)
-        s_lo, s_hi, ws = self._bracket(self.seq_grid, seq_len)
-        t_ll = self._measure(b_lo, s_lo)
-        t_lh = self._measure(b_lo, s_hi) if s_hi != s_lo else t_ll
-        if b_hi == b_lo:
-            return t_ll + ws * (t_lh - t_ll)
-        t_hl = self._measure(b_hi, s_lo)
-        t_hh = self._measure(b_hi, s_hi) if s_hi != s_lo else t_hl
-        low = t_ll + ws * (t_lh - t_ll)
-        high = t_hl + ws * (t_hh - t_hl)
-        return low + wb * (high - low)
+        batch_on_grid = self.batch_grid[0] <= batch_size <= self.batch_grid[-1]
+        seq_grid = self.seq_grid
+        seq_min, seq_max = seq_grid[0], seq_grid[-1]
+        measure = self._measure
+        # The open cell lo < context < hi the corners below belong to
+        # (empty until a context lands strictly inside one).
+        lo = hi = 0
+        cell = None
+        for seq_len in contexts:
+            if seq_len < 1:
+                raise SchedulingError("context length must be positive")
+            self._step_queries += 1
+            if batch_size > self._max_batch_seen:
+                self._max_batch_seen = batch_size
+            if seq_len > self._max_seq_seen:
+                self._max_seq_seen = seq_len
+            if self._min_batch_seen is None or batch_size < self._min_batch_seen:
+                self._min_batch_seen = batch_size
+            if self._min_seq_seen is None or seq_len < self._min_seq_seen:
+                self._min_seq_seen = seq_len
+            if not (batch_on_grid and seq_min <= seq_len <= seq_max):
+                # Both directions clamp: above-max queries are billed at the
+                # edge cell (underestimate), below-min queries at the smallest
+                # cell (overestimate for partial tail batches).
+                self._clamped_queries += 1
+            if lo < seq_len < hi:
+                ws = (seq_len - lo) / (hi - lo)
+            else:
+                lo, hi, ws = self._bracket(seq_grid, seq_len)
+                if (lo, hi) != cell:
+                    cell = (lo, hi)
+                    t_ll = measure(b_lo, lo)
+                    t_lh = measure(b_lo, hi) if hi != lo else t_ll
+                    dl = t_lh - t_ll
+                    if b_hi != b_lo:
+                        t_hl = measure(b_hi, lo)
+                        t_hh = measure(b_hi, hi) if hi != lo else t_hl
+                        dh = t_hh - t_hl
+            low = t_ll + ws * dl
+            if b_hi == b_lo:
+                yield low
+            else:
+                high = t_hl + ws * dh
+                yield low + wb * (high - low)
 
     def prefill_seconds(self, batch_size: int, seq_len: int) -> float:
         # The systems' prefill model is analytic (Section 6.4) and cheap, so

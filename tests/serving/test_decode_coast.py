@@ -16,14 +16,20 @@ fills during a coast):
 * the coasting drain processes fewer simulator events -- on tiered
   nodes exactly one fewer per iteration a coast skipped -- while drains
   under the fault driver, which never coast, process exactly as many;
+* on a cold calibrated surrogate (continuous and padded batches,
+  reserve, a tight optimistic budget whose coasts stop on it, a 2-tier
+  optimistic node, a grid ending below the Long context), the clamp
+  counters and the cells measured, in order, are ``==`` too;
 * a tiered decode run that grows the top tier does not coast, because a
   BestFitKV arrival during it is routed on the top tier's headroom;
 * a countdown forged upward makes a coast overrun a finisher, which the
-  sanitizer's ``load-ledger`` check catches at the wake.
+  sanitizer's ``load-ledger`` check catches at the wake;
+* a tiered wake lands exactly the growth its coast planned.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -38,6 +44,7 @@ from repro.serving import (
     AttentionAwareDemotion,
     BatchedArrivals,
     BestFitKV,
+    CalibratedStepTime,
     CapacityBudget,
     ClusterScheduler,
     ContinuousBatching,
@@ -464,6 +471,100 @@ def test_forged_countdown_overruns_a_finisher(monkeypatch, coast):
     assert f"with {left} decode step(s) left" in str(excinfo.value)
 
 
+# --- the calibrated surrogate -------------------------------------------------------
+
+#: A batch grid that puts the policies' batch of 4 (and tail batches of 2)
+#: between grid rows, so their steps blend two rows.
+CALIBRATED_BATCH_GRID = (1, 3, 8)
+#: A context grid ending below the Long class's final context (8,542).
+SHORT_SEQ_GRID = (256, 1024, 4096)
+
+#: name -> (policy factory, node keyword arguments, classes by seed,
+#: arrivals by seed, context grid).
+CALIBRATED = {
+    "continuous-reserve": (
+        lambda: ContinuousBatching(4),
+        {},
+        _mixed(16),
+        ARRIVALS["poisson"],
+        None,
+    ),
+    "padded": (lambda: FCFSFixedBatch(4), {}, _mixed(16), ARRIVALS["at-zero"], None),
+    "optimistic-tight": (
+        lambda: ContinuousBatching(4, admission="optimistic"),
+        {"budget": CapacityBudget(2.0 * MEDIUM_BYTES, description="tight")},
+        _short_medium,
+        ARRIVALS["at-zero"],
+        None,
+    ),
+    "tiered-optimistic": (
+        lambda: ContinuousBatching(4, admission="optimistic"),
+        {"kv_tiers": _stack(2), "kv_policy": LRUByRequest()},
+        lambda seed: sample_request_classes(24, seed=seed),
+        lambda seed: PoissonArrivals(rate_per_second=0.5, seed=seed),
+        None,
+    ),
+    "clamped": (
+        lambda: ContinuousBatching(4),
+        {},
+        lambda seed: [LONG, SHORT, MEDIUM, LONG] * 3,
+        ARRIVALS["at-zero"],
+        SHORT_SEQ_GRID,
+    ),
+}
+
+
+def _calibrated_drain(monkeypatch, coast, name, seed):
+    """Drain one node priced by a cold :class:`CalibratedStepTime` (its own
+    system, since ``measure()`` moves state that prefill reads); return the
+    report, the step-time model, the event count and the coasts taken."""
+    make_policy, node, classes, arrivals, seq_grid = CALIBRATED[name]
+    system = HilosSystem(MODEL, HilosConfig(n_devices=2))
+    step_time = CalibratedStepTime(
+        system, batch_grid=CALIBRATED_BATCH_GRID, seq_grid=seq_grid
+    )
+    engine = Node(system, step_time=step_time, name="node0", **node)
+    with recorded_simulators() as sims, monkeypatch.context() as patch:
+        coasts = _coasts(patch)
+        if not coast:
+            patch.setattr(NodeEngine, "_coast_steps", lambda self: 0)
+        report = ClusterScheduler([engine], make_policy()).drain(
+            classes(seed), arrivals=arrivals(seed)
+        )
+    (sim,) = sims
+    return report, step_time, sim.events_processed, coasts
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", sorted(CALIBRATED))
+def test_calibrated_drain_equals_per_step(monkeypatch, name, seed):
+    """A coast priced from one calibrated step-time series makes the same
+    queries as the per-step path: the report (clamp notes included), every
+    outcome, the clamp counters, and the cells measured from a cold cache,
+    in the same order, are ``==``."""
+    reference, ref_model, ref_events, _ = _calibrated_drain(
+        monkeypatch, False, name, seed
+    )
+    report, model, events, coasts = _calibrated_drain(monkeypatch, True, name, seed)
+    assert _plain(report) == _plain(reference)
+    assert report.step_time_notes == reference.step_time_notes
+    assert outcome_lines(report) == outcome_lines(reference)
+    assert model.clamp_counters() == ref_model.clamp_counters()
+    assert model.measurement_count == ref_model.measurement_count > 0
+    assert list(model._cache) == list(ref_model._cache)
+    assert report.completed == report.n_requests
+    assert events < ref_events
+    if name == "optimistic-tight":
+        # Some coast stopped on the budget before its last iteration.
+        assert report.preemptions > 0
+        assert any(taken < steps for steps, taken in coasts)
+    if name == "tiered-optimistic":
+        assert report.spilled_decode_seconds > 0.0
+    if name == "clamped":
+        assert report.step_time_notes["clamped_queries"] > 0
+        assert report.step_time_notes["max_seq_seen"] > SHORT_SEQ_GRID[-1]
+
+
 def _decoding(tracker, classes):
     """Admit each request optimistically and complete its prefill."""
     batch = make_request_queue(classes)
@@ -513,12 +614,9 @@ class TestMultiStepUpdate:
         for request in batch:
             tracker.release(request)
 
-    @pytest.mark.parametrize("levels", [1, 2, 3])
-    def test_tiered_ledger_lands_k_steps_as_k_single_steps(self, levels):
-        """A wake's ``update(*batch, steps=k)`` on a tier stack leaves every
-        ledger, counter, residency and aggregate exactly where k single
-        steps leave it -- here across a step in which a tier fills
-        mid-batch, which runs the per-request cascade inside the call."""
+    @staticmethod
+    def _tiered_pair(levels):
+        """Two sanitized trackers over one stack, each decoding four Shorts."""
         token = float(MODEL.kv_cache_bytes(1, 1))
         admitted = 4 * (SHORT.input_tokens + 1) * token
         if levels == 1:
@@ -536,22 +634,49 @@ class TestMultiStepUpdate:
                 KVTier("ssd", capacity_bytes=LONG_BYTES, bandwidth_bytes_per_s=1e9)
             )
         stack = TierStack(tuple(tiers))
-        classes = [SHORT, SHORT, SHORT, SHORT]
         trackers = [
             TieredBudgetTracker.for_stack(stack, MODEL, sanitize=True) for _ in "ab"
         ]
-        stepped, coasted = trackers
-        one, many = _decoding(stepped, classes), _decoding(coasted, classes)
+        return [(tracker, _decoding(tracker, [SHORT] * 4)) for tracker in trackers]
+
+    @staticmethod
+    def _wake(tracker, batch, steps):
+        for request in batch:
+            request.tokens_generated += steps
+        return tracker.update(*batch, steps=steps)
+
+    @pytest.mark.parametrize(
+        "levels, coasts",
+        [(1, [37]), (2, [10, 0, 26]), (3, [10, 0, 9, 0, 16])],
+        ids=["1", "2", "3"],
+    )
+    def test_tiered_wakes_land_their_plans_as_single_steps(self, levels, coasts):
+        """Coasts priced through ``coast_reads`` and landed by their wakes'
+        ``update(*batch, steps=k)`` leave every ledger, counter, residency,
+        aggregate and read tally exactly where 37 single steps leave them.
+        A plan stops before each step in which a tier fills mid-batch (a
+        coast of 0), which then runs the per-request cascade per step."""
+        model = AnalyticStepTime()
+        (stepped, one), (coasted, many) = self._tiered_pair(levels)
         for _ in range(37):
-            for request in one:
-                request.tokens_generated += 1
-            stepped.update(*one)
-        for request in many:
-            request.tokens_generated += 37
-        assert coasted.update(*many, steps=37) == [37 * coasted.token_bytes] * 4
+            stepped.spill_read_seconds(one, model)
+            self._wake(stepped, one, 1)
+        done, taken = 0, []
+        while done < 37:
+            reads = coasted.coast_reads(many, model, True)
+            k = sum(1 for _ in itertools.islice(reads, 37 - done))
+            taken.append(k)
+            if k:
+                assert self._wake(coasted, many, k) == [k * coasted.token_bytes] * 4
+            else:
+                coasted.spill_read_seconds(many, model)
+                self._wake(coasted, many, 1)
+            done += k or 1
+        assert taken == coasts
         assert coasted.cascade_steps == stepped.cascade_steps == levels - 1
         for name in ("reserved_bytes", "peak_reserved_bytes", "settles",
-                     "step_settles", "_counts", "_grown"):
+                     "step_settles", "decode_steps", "spilled_decode_seconds",
+                     "_counts", "_grown"):
             assert getattr(coasted, name) == getattr(stepped, name), name
         assert coasted.tier_reports() == stepped.tier_reports()
         assert [coasted.residency(r) for r in many] == [
@@ -561,3 +686,35 @@ class TestMultiStepUpdate:
             for request in batch:
                 tracker.release(request)
             tracker.assert_drained()
+
+    def test_tiered_multi_step_update_needs_a_plan(self):
+        """Only a coast's wake lands several steps on a tier stack."""
+        ((tracker, batch), _) = self._tiered_pair(2)
+        with pytest.raises(SchedulingError, match="no coast planned it"):
+            self._wake(tracker, batch, 3)
+
+    @pytest.mark.parametrize("landed", [2, 4])
+    def test_wake_must_land_exactly_the_planned_steps(self, landed):
+        ((tracker, batch), _) = self._tiered_pair(2)
+        reads = tracker.coast_reads(batch, AnalyticStepTime(), True)
+        assert len(list(itertools.islice(reads, 3))) == 3
+        with pytest.raises(SanitizerError, match="planned 3 decode step") as excinfo:
+            self._wake(tracker, batch, landed)
+        assert excinfo.value.invariant == "tier-conservation"
+
+    def test_a_plan_left_unlanded_is_caught_at_the_wake(self):
+        ((tracker, batch), _) = self._tiered_pair(2)
+        next(tracker.coast_reads(batch, AnalyticStepTime(), True))
+        with pytest.raises(SanitizerError, match="outlived its wake"):
+            tracker.check_coast(batch)
+
+    def test_a_pass_that_prices_nothing_plans_nothing(self):
+        """A coast that stops before its first step leaves the next
+        per-step update to decide that step's growth itself."""
+        ((tracker, batch), _) = self._tiered_pair(2)
+        for _ in range(10):
+            self._wake(tracker, batch, 1)
+        # The 11th step fills the top mid-batch: the pass prices nothing.
+        assert list(tracker.coast_reads(batch, AnalyticStepTime(), True)) == []
+        self._wake(tracker, batch, 1)
+        assert tracker.cascade_steps == 1

@@ -679,7 +679,7 @@ class TestTierConservation:
             request.tokens_generated += 1
         # A decode step whose batch growth is dropped: the flat entries grow
         # by a token, the tier counters claim the step but never tick.
-        monkeypatch.setattr(tracker, "_grow_uniform", lambda n: True)
+        monkeypatch.setattr(tracker, "_land", lambda moves: None)
         with pytest.raises(SanitizerError, match="residency sums") as excinfo:
             tracker.update(*batch)
         assert excinfo.value.invariant == "tier-conservation"

@@ -56,8 +56,8 @@ class PerRequestTracker(TieredBudgetTracker):
     the aggregates this model stands in for).
     """
 
-    def _grow_uniform(self, n: int) -> bool:
-        return False
+    def _uniform_step(self, n, occupied):
+        return None
 
     def spill_read_seconds(self, running, step_time) -> float:
         spill = step_time.spill_read_seconds

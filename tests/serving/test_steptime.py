@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core.config import HilosConfig
 from repro.core.runtime import HilosSystem
 from repro.errors import ConfigurationError, SchedulingError
-from repro.serving.steptime import AnalyticStepTime, CalibratedStepTime
+from repro.serving.steptime import (
+    DEFAULT_SEQ_GRID,
+    AnalyticStepTime,
+    CalibratedStepTime,
+)
 
 
 class TestAnalyticStepTime:
@@ -243,3 +249,122 @@ class TestClampWindowIsolation:
             [Node(system, step_time=step_time)], ContinuousBatching(2)
         ).drain([on_grid, on_grid])
         assert second.step_time_notes == {}
+
+
+def _seeded_step_time(tiny_mha, seed: int) -> CalibratedStepTime:
+    """The default grid, every cell seeded with a random step time, so no
+    query runs ``measure()``."""
+    step_time = CalibratedStepTime(HilosSystem(tiny_mha, HilosConfig(n_devices=2)))
+    rng = random.Random(seed)
+    for batch in step_time.batch_grid:
+        for seq_len in step_time.seq_grid:
+            step_time.seed_cell((batch, seq_len), rng.uniform(0.5, 20.0))
+    return step_time
+
+
+def _context_runs(seed: int) -> list[tuple[int, list[int]]]:
+    """Seeded (batch, contexts) runs over batches 1-40: runs crossing each
+    grid context (through the exact hit, and past it), runs wholly below
+    and above the grid, runs spanning several cells, and unordered ones."""
+    rng = random.Random(seed)
+    runs = []
+    for point in DEFAULT_SEQ_GRID:
+        for stride in (1, 3, 17):
+            start = max(1, point - stride * rng.randint(1, 40))
+            runs.append((start, stride, rng.randint(45, 90)))
+    runs += [(1, 1, 255), (rng.randint(1, 200), 2, 30), (16_385, 1, 40), (20_000, 9, 30)]
+    runs += [(rng.randint(1, 300), rng.randint(150, 400), 80) for _ in range(3)]
+    out = [
+        (rng.randint(1, 40), [start + stride * i for i in range(length)])
+        for start, stride, length in runs
+    ]
+    out += [
+        (rng.randint(1, 40), [rng.randint(1, 20_000) for _ in range(60)])
+        for _ in range(3)
+    ]
+    return out
+
+
+class TestStepSeries:
+    """:meth:`CalibratedStepTime.step_series` is its per-iteration queries:
+    the same values bit for bit, the same clamp accounting, and the same
+    cells measured in the same order as each element is pulled."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_values_equal_per_step_queries(self, tiny_mha, seed):
+        step_time = _seeded_step_time(tiny_mha, seed)
+        for batch, contexts in _context_runs(seed):
+            assert list(step_time.step_series(batch, contexts)) == [
+                step_time.step_seconds(batch, context) for context in contexts
+            ]
+        assert step_time.measurement_count == 0
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_clamp_accounting_equals_per_step_queries(self, tiny_mha, seed):
+        """Two fresh instances, one pulling each run through a series (a
+        prefix of it first), one querying per step, agree on every
+        counter and note after every run."""
+        by_series = _seeded_step_time(tiny_mha, seed)
+        by_step = _seeded_step_time(tiny_mha, seed)
+        rng = random.Random(seed)
+        for batch, contexts in _context_runs(seed):
+            taken = rng.randint(0, len(contexts))
+            series = by_series.step_series(batch, contexts)
+            for _ in range(taken):
+                next(series)
+            for context in contexts[:taken]:
+                by_step.step_seconds(batch, context)
+            assert by_series.clamp_counters() == by_step.clamp_counters()
+            assert by_series.grid_clamp_summary() == by_step.grid_clamp_summary()
+            list(series)
+            for context in contexts[taken:]:
+                by_step.step_seconds(batch, context)
+            assert by_series.clamp_counters() == by_step.clamp_counters()
+            assert by_series.grid_clamp_summary() == by_step.grid_clamp_summary()
+        assert by_series.grid_clamp_summary()["clamped_queries"] > 0
+
+    @pytest.mark.parametrize(
+        "batch, contexts",
+        [
+            # Into (256, 1024), its upper edge, (1024, 4096), its upper edge
+            # and past the grid: each cell is measured at its first element.
+            (6, [1000, 1010, 1020, 1024, 1030, 2000, 4095, 4096, 5000]),
+            # An exact hit first: its row only, then the cell above it.
+            (4, [1024, 1025, 1100, 255, 256, 257]),
+            # A clamped batch, then a context on a lower edge.
+            (20, [300, 256, 4096, 4097, 1024]),
+        ],
+    )
+    def test_pulling_measures_what_per_step_queries_measure(
+        self, tiny_mha, batch, contexts
+    ):
+        """On cold instances, pulling k elements has measured the same cells,
+        in the same order, as k per-step queries -- for every k."""
+        grids = {"batch_grid": (1, 4, 16), "seq_grid": (256, 1024, 4096)}
+        system = HilosSystem(tiny_mha, HilosConfig(n_devices=2))
+        by_series = CalibratedStepTime(system, **grids)
+        by_step = CalibratedStepTime(
+            HilosSystem(tiny_mha, HilosConfig(n_devices=2)), **grids
+        )
+        series = by_series.step_series(batch, contexts)
+        assert by_series.measurement_count == 0
+        for context in contexts:
+            assert next(series) == by_step.step_seconds(batch, context)
+            assert by_series.measurement_count == by_step.measurement_count
+            assert list(by_series._cache) == list(by_step._cache)
+        assert by_series.measurement_count > 1
+
+    def test_invalid_queries_raise_when_pulled(self, tiny_mha):
+        step_time = _seeded_step_time(tiny_mha, 1)
+        series = step_time.step_series(0, [256])
+        with pytest.raises(SchedulingError, match="empty batch"):
+            next(series)
+        series = step_time.step_series(4, [256, 0])
+        next(series)
+        with pytest.raises(SchedulingError, match="context length"):
+            next(series)
+        assert step_time.clamp_counters()["step_queries"] == 1
+
+    def test_base_series_queries_step_seconds(self):
+        model = AnalyticStepTime(base_seconds=2.0, per_token_seconds=0.5)
+        assert list(model.step_series(3, [10, 11, 12])) == [7.0, 7.5, 8.0]
