@@ -58,16 +58,17 @@ device-level representative-symmetry fast path up to hosts: when the
 fleet is symmetric (nodes sharing one system instance and one calibrated
 step-time grid, with equal flat KV budgets and chunking) and the
 router is load-oblivious (:attr:`~repro.serving.routers.Router.load_oblivious`),
-the drain partitions the arrival stream per the router's deterministic
-cycle, groups nodes receiving identical slices, and simulates **one**
-representative :class:`~repro.serving.engine.NodeEngine` per group.  It
-builds requests only for the representative slices.  The report follows
-the groups: one breakdown per group, relabelled for each member, and
-fleet figures from the group tallies times the group sizes; its
-``requests`` are a :class:`~repro.serving.request.FoldedRequests` view
-that builds a mirrored node's request, with its representative's
+the drain cuts the arrival stream into stride slices by the router's
+placement cycle, groups nodes receiving identical slices, and simulates
+**one** representative :class:`~repro.serving.engine.NodeEngine` per
+group.  It builds requests only for the representative slices.  The
+report follows the groups: one breakdown per group, relabelled for each
+member, and fleet figures from the group tallies times the group sizes;
+its ``requests`` are a :class:`~repro.serving.request.FoldedRequests`
+view that builds a mirrored node's request, with its representative's
 outcome, when it is accessed -- a 1000-node drain at the cost of one
-node plus list work over the arrival times.  Heterogeneous fleets,
+node, plus Python work per node and C-level passes over the queue's
+lists (its checks, copies and stride slices).  Heterogeneous fleets,
 load-dependent routers (JSQ, BestFitKV), faults, overload control, and
 autoscaling all auto-fall back to full-fleet simulation; ``"full"``
 forces the fallback and ``"representative"`` demands folding (raising a
@@ -78,7 +79,7 @@ fleet cannot fold), mirroring the device-array ``symmetry`` modes.
 from __future__ import annotations
 
 from dataclasses import replace
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Sequence
 
 from repro.analysis.sanitizer import SanitizerError
@@ -109,6 +110,27 @@ DEFAULT_BATCH_SLOTS = 16
 #: Valid ``ClusterScheduler(fleet_symmetry=...)`` modes, mirroring the
 #: device-array ``symmetry`` grammar.
 FLEET_SYMMETRY_MODES = ("auto", "full", "representative")
+
+
+def _strided(items: Sequence, offsets: Sequence[int], period: int) -> Sequence:
+    """One node's elements of ``items``, in queue order, under a placement
+    cycle of ``period`` slots of which the node holds ``offsets``.
+
+    The node takes positions ``o``, ``o + period``, ... for each of its
+    offsets ``o``, so each offset is one stride slice.  Several (ascending)
+    offsets interleave: offset ``j``'s slice is every ``len(offsets)``-th
+    element from ``j`` of the node's merged order, since no later offset's
+    slice is longer than an earlier one's.  A ``range`` of positions gives
+    the node's positions (a ``range`` itself for one offset).
+    """
+    if len(offsets) == 1:
+        return items[offsets[0] :: period]
+    runs = [items[offset::period] for offset in offsets]
+    merged: list = [None] * sum(map(len, runs))
+    for j, run in enumerate(runs):
+        merged[j :: len(runs)] = run
+    return merged
+
 
 class _Queue:
     """A drain's validated input queue, described without building it.
@@ -381,19 +403,18 @@ class ClusterScheduler:
 
         # The engine plan: one engine per node group, led by the node it
         # simulates -- every node alone, or the fold plan's groups.
+        positions = range(len(queue.classes))
         if fold is None:
             groups = [[index] for index in range(len(self.nodes))]
-            ordered = list(map(queue.request, range(len(queue.classes))))
+            ordered = list(map(queue.request, positions))
         else:
-            slices, groups = fold
+            period, offsets, groups = fold
             # Only representative slices are simulated, so only they are
             # built; queue order is arrival order.
-            ordered = list(
-                map(
-                    queue.request,
-                    sorted(p for members in groups for p in slices[members[0]]),
-                )
-            )
+            simulated = [
+                _strided(positions, offsets[members[0]], period) for members in groups
+            ]
+            ordered = list(map(queue.request, sorted(chain.from_iterable(simulated))))
         engines = [
             NodeEngine(self.nodes[members[0]], self.policy, sim) for members in groups
         ]
@@ -408,8 +429,8 @@ class ClusterScheduler:
             # engine.
             target = {
                 position: engine
-                for engine, members in zip(engines, groups)
-                for position in slices[members[0]]
+                for engine, slice_positions in zip(engines, simulated)
+                for position in slice_positions
             }
 
             def step(request: ServingRequest) -> None:
@@ -515,7 +536,7 @@ class ClusterScheduler:
         if fold is None:
             reported = queue.requests
         else:
-            reported = self._folded_view(queue, slices, groups)
+            reported = self._folded_view(queue, period, offsets, groups)
         # The label decision: a 1-node drain outside the fault driver
         # reports as the single host it is (the system's name, no router,
         # no fleet path unless it folded); every other drain as a fleet.
@@ -581,19 +602,22 @@ class ClusterScheduler:
 
     def _fold_plan(
         self, queue: _Queue
-    ) -> tuple[list[list[int]], list[list[int]]] | None:
-        """Partition the stream per the router's cycle and group the nodes.
+    ) -> tuple[int, list[list[int]], list[list[int]]] | None:
+        """Cut the stream by the router's placement cycle and group the nodes.
 
         Returns ``None`` when this drain must simulate every node:
         ``fleet_symmetry="full"``, an ineligible fleet under ``"auto"``, or
         a single node under ``"auto"`` (which keeps the preload feed).
-        Otherwise returns ``(slices, groups)``: every node's slice of the
-        arrival stream as queue positions in FCFS order (from
-        :meth:`~repro.serving.routers.Router.static_assignments`), and the
-        node groups whose slices agree position by position in request
-        class and arrival time, each led by its representative -- the
-        lowest node index, the one node simulated.  The plan reads only the
-        queue's class and time lists; it builds no request.
+        Otherwise returns ``(period, offsets, groups)``: the length of the
+        cycle from :meth:`~repro.serving.routers.Router.static_assignments`,
+        every node's cycle offsets (ascending) -- node ``i`` takes queue
+        positions ``o``, ``o + period``, ... for each of its offsets ``o``
+        -- and the node groups whose slices agree position by position in
+        request class and arrival time, each led by its representative,
+        the lowest node index and the one node simulated.  The plan takes
+        each node's classes and times as stride slices of the queue's
+        lists (:func:`_strided`) and builds no request, so its Python work
+        is per node and per cycle slot.
         """
         if self.fleet_symmetry == "full":
             return None
@@ -601,51 +625,52 @@ class ClusterScheduler:
             len(self.nodes) == 1 or self._fold_ineligibility() is not None
         ):
             return None
-        n_requests, n_nodes = len(queue.classes), len(self.nodes)
-        assignments = self.router.static_assignments(n_requests, n_nodes)
-        if (
-            len(assignments) != n_requests
-            or min(assignments) < 0
-            or max(assignments) >= n_nodes
-        ):
+        n_nodes = len(self.nodes)
+        cycle = self.router.static_assignments(n_nodes)
+        valid = range(n_nodes)
+        stray = [node for node in cycle if node not in valid]
+        if not cycle or stray:
             raise SchedulingError(
-                f"router {self.router.name!r} produced an invalid static "
-                f"assignment for {n_requests} requests over {n_nodes} nodes"
+                f"router {self.router.name!r} produced an invalid placement "
+                f"cycle for {n_nodes} nodes: "
+                + (f"it names node {stray[0]!r}" if stray else "it is empty")
             )
-        slices: list[list[int]] = [[] for _ in self.nodes]
-        for position, node_index in enumerate(assignments):
-            slices[node_index].append(position)
-        # Group on the hashable time sequence, then compare shapes by value
-        # (identical class objects compare at C speed, no dataclass hash).
+        period = len(cycle)
+        offsets: list[list[int]] = [[] for _ in valid]
+        for offset, node in enumerate(cycle):
+            offsets[node].append(offset)
+        # Bucket on slice length and end times, then compare the time and
+        # class lists by value (C-level list equality, no float hashing).
         groups: list[list[int]] = []
-        by_times: dict[tuple[float, ...], list[tuple[list, list[int]]]] = {}
-        for index, positions in enumerate(slices):
-            shapes = list(map(queue.classes.__getitem__, positions))
-            candidates = by_times.setdefault(
-                tuple(map(queue.times.__getitem__, positions)), []
-            )
-            for group_shapes, members in candidates:
-                if group_shapes == shapes:
+        buckets: dict[tuple, list[tuple[Sequence, Sequence, list[int]]]] = {}
+        for index, node_offsets in enumerate(offsets):
+            times = _strided(queue.times, node_offsets, period)
+            shapes = _strided(queue.classes, node_offsets, period)
+            key = (len(times), times[0], times[-1]) if times else (0,)
+            candidates = buckets.setdefault(key, [])
+            for group_times, group_shapes, members in candidates:
+                if group_times == times and group_shapes == shapes:
                     members.append(index)
                     break
             else:
                 groups.append([index])
-                candidates.append((shapes, groups[-1]))
-        return slices, groups
+                candidates.append((times, shapes, groups[-1]))
+        return period, offsets, groups
 
     @staticmethod
     def _folded_view(
-        queue: _Queue, slices: list[list[int]], groups: list[list[int]]
+        queue: _Queue, period: int, offsets: list[list[int]], groups: list[list[int]]
     ) -> FoldedRequests:
         """A folded drain's requests: each group member's slice position
         carries the outcome of the representative's request at the same
-        position."""
+        position, stored one stride slice per member offset."""
         sources: list = [None] * len(queue.requests)
         for members in groups:
-            simulated = [queue.requests[p] for p in slices[members[0]]]
+            simulated = _strided(queue.requests, offsets[members[0]], period)
             for index in members:
-                for position, request in zip(slices[index], simulated):
-                    sources[position] = request
+                step = len(offsets[index])
+                for j, offset in enumerate(offsets[index]):
+                    sources[offset::period] = simulated[j::step]
         return FoldedRequests(queue.classes, queue.times, sources)
 
     def _step_time_notes(self, step_times: dict, counters_before: dict) -> dict:

@@ -538,14 +538,15 @@ class NodeEngine:
     def top_tier_headroom_bytes(self) -> float:
         """Compute-tier headroom -- the tier-aware best-fit ranking signal.
 
-        Flat nodes have a single implicit tier, so this equals
-        :attr:`kv_headroom_bytes` and tier-aware routing ranks exactly as
-        before.  Tiered nodes report the *top* tier's capacity minus its
-        live occupancy minus the hot share of queued commitments -- the
-        bytes that will actually contend for the compute tier, so best-fit
-        packs hot sets instead of total stack bytes.
+        Flat nodes and one-tier stacks have a single tier, so this equals
+        :attr:`kv_headroom_bytes`, the committed final-context headroom,
+        and a one-tier stack routes exactly like the flat budget it
+        matches.  Multi-tier nodes report the *top* tier's capacity minus
+        its live occupancy minus the hot share of queued commitments --
+        the bytes that will actually contend for the compute tier, so
+        best-fit packs hot sets instead of total stack bytes.
         """
-        if not self.tiered:
+        if not self.tiered or len(self.node.kv_tiers.tiers) == 1:
             return self.kv_headroom_bytes
         if self._sanitize:
             self._check_load_ledgers()

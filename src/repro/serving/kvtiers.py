@@ -1176,16 +1176,15 @@ class TieredBudgetTracker(BudgetTracker):
         ``queued_bytes`` is the final-context KV of the node's queued
         (routed, unadmitted) requests -- the engine keeps it as a running
         ledger -- scaled here by the policy's placement fraction, the share
-        that will actually contend for the compute tier.
+        that will actually contend for the compute tier.  Engines ask only
+        for multi-tier stacks: a one-tier stack routes on its committed
+        headroom, like a flat budget.
         """
         top = self.stack.top
-        fraction = (
-            self.policy.placement_fraction() if len(self.stack.tiers) > 1 else 1.0
-        )
         return (
             top.capacity_bytes
             - self._ledgers[top.name].occupied_bytes
-            - fraction * queued_bytes
+            - self._fraction * queued_bytes
         )
 
     def tier_reports(self) -> tuple[TierReport, ...]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain
 from typing import Iterable, Sequence
 
 from repro.analysis.cost import CostModel
@@ -39,13 +39,25 @@ def _nearest_ranks(
 
 def _mean(runs: list[tuple[list[float], int]], count: int) -> float:
     """Mean of a ``count``-sample multiset given as ``(samples,
-    multiplicity)`` runs: one correctly rounded :func:`math.fsum`."""
+    multiplicity)`` runs: one correctly rounded :func:`math.fsum`.
+
+    A run of multiplicity ``m`` enters the sum as its samples scaled by
+    each power of two set in ``m``.  Scaling by a power of two is exact, so
+    the terms add up to exactly the ``m``-fold expansion's total and the
+    sum rounds once, to the same bits as over the expansion (``m`` times
+    the samples' rounded sum would round twice).
+    """
     if not count:
         return 0.0
-    multiset = chain.from_iterable(
-        chain.from_iterable(repeat(samples, times)) for samples, times in runs
-    )
-    return math.fsum(multiset) / count
+    terms = []
+    for samples, times in runs:
+        scale = 1.0
+        while times:
+            if times & 1:
+                terms.append(samples if scale == 1.0 else map(scale.__mul__, samples))
+            times >>= 1
+            scale *= 2.0
+    return math.fsum(chain.from_iterable(terms)) / count
 
 
 def system_cost_model(system: InferenceSystem) -> CostModel:

@@ -21,7 +21,6 @@ re-runs.
 from __future__ import annotations
 
 import abc
-from itertools import cycle, islice
 from typing import Sequence
 
 from repro.errors import ConfigurationError, SchedulingError
@@ -33,10 +32,10 @@ class Router(abc.ABC):
     """Strategy deciding which node serves a routed request."""
 
     name: str = "abstract"
-    #: Whether routing decisions depend only on the arrival sequence, never
-    #: on live node load.  Load-oblivious routers can state their whole
-    #: placement up front (:meth:`static_assignments`), which is the
-    #: eligibility hook for the representative fleet drain
+    #: Whether routing decisions depend only on the arrival position, never
+    #: on live node load.  Load-oblivious routers state their placement up
+    #: front as a cycle of node indices (:meth:`static_assignments`), which
+    #: is the eligibility hook for the representative fleet drain
     #: (:mod:`repro.serving.cluster` folds symmetric fleets only when the
     #: placement is load-independent).  Declared as a class attribute --
     #: the SIM006 rule: interface capabilities are declared, not probed.
@@ -75,13 +74,17 @@ class Router(abc.ABC):
         replay identically.
         """
 
-    def static_assignments(self, n_requests: int, n_nodes: int) -> list[int]:
-        """Node index per arrival position, decided without load signals.
+    def static_assignments(self, n_nodes: int) -> tuple[int, ...]:
+        """The placement cycle over ``n_nodes`` nodes, decided without load
+        signals: from a reset cursor, arrival position ``i`` lands on node
+        ``cycle[i % len(cycle)]``.
 
         Only meaningful for :attr:`load_oblivious` routers; the base
         implementation refuses, so a load-dependent router can never be
         asked to pre-commit a placement it would have made differently
-        under live load.
+        under live load.  A folded drain cuts the queue into stride slices
+        by the cycle, so its Python work is per node and per cycle slot,
+        not per request.
         """
         raise SchedulingError(
             f"router {self.name!r} routes on live node load; its placement "
@@ -106,10 +109,10 @@ class RoundRobin(Router):
         self._next += 1
         return node
 
-    def static_assignments(self, n_requests: int, n_nodes: int) -> list[int]:
-        """Arrival position ``i`` lands on node ``i % n_nodes``, from a
-        reset cursor -- exactly the cycle :meth:`route` walks."""
-        return list(islice(cycle(range(n_nodes)), n_requests))
+    def static_assignments(self, n_nodes: int) -> tuple[int, ...]:
+        """Every node once, in order -- exactly the cycle :meth:`route`
+        walks."""
+        return tuple(range(n_nodes))
 
 
 class WeightedRoundRobin(Router):
@@ -152,15 +155,15 @@ class WeightedRoundRobin(Router):
         self._next += 1
         return node
 
-    def static_assignments(self, n_requests: int, n_nodes: int) -> list[int]:
-        """Arrival position ``i`` lands on cycle slot ``i % len(cycle)``,
-        from a reset cursor -- exactly the cycle :meth:`route` walks."""
+    def static_assignments(self, n_nodes: int) -> tuple[int, ...]:
+        """The expanded weight cycle -- exactly the cycle :meth:`route`
+        walks."""
         if n_nodes != len(self.weights):
             raise SchedulingError(
                 f"router {self.name!r} carries {len(self.weights)} weights "
                 f"but was asked to place across {n_nodes} nodes"
             )
-        return list(islice(cycle(self._cycle), n_requests))
+        return self._cycle
 
 
 class LeastOutstandingTokens(Router):

@@ -26,7 +26,10 @@ every node of a symmetric fleet:
 from __future__ import annotations
 
 import dataclasses
+import math
+import os
 import random
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -54,6 +57,7 @@ from repro.serving import (
 from repro.serving.autoscale import parse_autoscale_spec
 from repro.serving.cluster import (
     FLEET_SYMMETRY_MODES,
+    _Queue,
     check_report_conservation,
 )
 from repro.serving.faults import parse_fault_spec
@@ -517,7 +521,8 @@ class TestExactReportSums:
             for name in floats:
                 assert getattr(report, name) == getattr(reference, name), (seed, name)
 
-    def test_merged_tally_equals_the_one_pass_tally(self, system):
+    @pytest.mark.parametrize("copies", [1, 7, 64, 1000])
+    def test_merged_tally_equals_the_one_pass_tally(self, system, copies):
         # Every drain builds its fleet tally by merging node, group and
         # shed tallies, so a merge with multiplicities must give the
         # figures of one pass over the multiset it stands for, bit for bit.
@@ -526,21 +531,30 @@ class TestExactReportSums:
             ContinuousBatching(4, admission="optimistic"),
             overload=parse_overload_spec("shed:2"),
         ).drain(
-            sample_request_classes(32, seed=23),
-            arrivals=PoissonArrivals(rate_per_second=2.0, seed=23),
+            sample_request_classes(32, seed=2),
+            arrivals=PoissonArrivals(rate_per_second=2.0, seed=2),
         )
         requests = list(report.requests)
         assert any(r.shed for r in requests) and any(r.finished for r in requests)
         parts = [requests[0::3], requests[1::3], requests[2::3]]
+        # Seed 2's first part has latencies for which scaling their rounded
+        # sum by 7 or 1,000 rounds away from the expanded sum, far enough to
+        # move the mean; a power of two (1, 64) scales exactly.
+        latencies = [
+            r.completion_time - r.arrival_time for r in parts[0] if r.finished
+        ]
+        assert (
+            copies * math.fsum(latencies) != math.fsum(latencies * copies)
+        ) == (copies in (7, 1000))
         merged = RequestTally.merged(
             [
-                (RequestTally(parts[0]), 1),
+                (RequestTally(parts[0]), copies),
                 (RequestTally(parts[1]), 3),
                 (RequestTally(parts[2]), 1),
                 (RequestTally(), 5),
             ]
         )
-        one_pass = RequestTally(parts[0] + parts[1] * 3 + parts[2])
+        one_pass = RequestTally(parts[0] * copies + parts[1] * 3 + parts[2])
         assert merged.figures(report.makespan_seconds) == one_pass.figures(
             report.makespan_seconds
         )
@@ -608,27 +622,98 @@ class TestFoldScaling:
         assert iterations > 0
         assert large == small
 
+    @staticmethod
+    def line_events(system, monkeypatch, n_nodes, per_node):
+        """Lines executed in ``repro/serving`` frames by one unsanitized
+        folded drain of ``per_node`` requests per node."""
+        step = unit_steps()
+        nodes = [Node(system, step_time=step, name=f"node{i}") for i in range(n_nodes)]
+        scheduler = ClusterScheduler(
+            nodes,
+            ContinuousBatching(4),
+            router=RoundRobin(),
+            fleet_symmetry="representative",
+        )
+        package = os.path.dirname(sys.modules[Node.__module__].__file__) + os.sep
+        lines = 0
+
+        def count_lines(frame, event, arg):
+            nonlocal lines
+            if event == "line":
+                lines += 1
+            return count_lines
+
+        def serving_frames_only(frame, event, arg):
+            return count_lines if frame.f_code.co_filename.startswith(package) else None
+
+        with monkeypatch.context() as patch:
+            patch.setenv(SANITIZE_ENV, "0")
+            previous = sys.gettrace()
+            sys.settrace(serving_frames_only)
+            try:
+                report = scheduler.drain(
+                    [SHORT] * (per_node * n_nodes),
+                    arrivals=BatchedArrivals(0.05, 4 * n_nodes, seed=2),
+                )
+            finally:
+                sys.settrace(previous)
+        assert report.fleet_symmetry == "representative"
+        assert report.all_completed
+        return lines
+
+    def test_fleet_size_costs_no_per_request_python_work(self, system, monkeypatch):
+        # Python lines the serving package executes, an exact count: going
+        # from 64 to 256 nodes adds per-node work only, the same at 24 and
+        # at 48 requests per node.  A per-request loop over the fleet's
+        # queue would add four times as many lines at the doubled load.
+        added = [
+            self.line_events(system, monkeypatch, 256, per_node)
+            - self.line_events(system, monkeypatch, 64, per_node)
+            for per_node in (self.PER_NODE, 2 * self.PER_NODE)
+        ]
+        assert added[0] > 0
+        assert added[0] == added[1]
+
 
 class TestWeightedRoundRobinFolding:
     """WRR's static placement is fold-eligible; nodes whose slices agree
     (equal weights) merge into one representative group."""
 
-    def test_unequal_weights_fold_the_equal_weight_nodes(self, system):
+    @pytest.mark.parametrize(
+        "arrivals_factory, groups",
+        [
+            # Bursts of one cycle's length: nodes 1 and 2 see equal times.
+            (lambda: BatchedArrivals(0.05, 4, seed=5), [[0], [1, 2]]),
+            # Poisson times differ per position, so every node simulates.
+            (lambda: PoissonArrivals(rate_per_second=0.5, seed=5), [[0], [1], [2]]),
+        ],
+        ids=["burst", "poisson"],
+    )
+    def test_unequal_weights_fold_the_equal_weight_nodes(
+        self, system, arrivals_factory, groups
+    ):
+        # The double-weight node holds two cycle offsets, so its slice
+        # interleaves two stride slices of the queue's times and classes.
         full = ClusterScheduler(
             symmetric_fleet(system, 3),
             ContinuousBatching(4),
             router=WeightedRoundRobin((2, 1, 1)),
             fleet_symmetry="full",
-        ).drain([SHORT] * 24)
-        rep = ClusterScheduler(
+        ).drain([SHORT] * 24, arrivals=arrivals_factory())
+        scheduler = ClusterScheduler(
             symmetric_fleet(system, 3),
             ContinuousBatching(4),
             router=WeightedRoundRobin((2, 1, 1)),
             fleet_symmetry="representative",
-        ).drain([SHORT] * 24)
+        )
+        rep = scheduler.drain([SHORT] * 24, arrivals=arrivals_factory())
         assert_folded_matches_full(full, rep)
         # The double-weight node takes twice the requests of the others.
         assert [n.n_requests for n in rep.node_reports] == [12, 6, 6]
+        period, offsets, plan_groups = scheduler._fold_plan(
+            _Queue([SHORT] * 24, arrivals_factory())
+        )
+        assert (period, offsets, plan_groups) == (4, [[0, 1], [2], [3]], groups)
 
     @pytest.mark.parametrize("seed", [3, 11])
     def test_equal_weight_wrr_matches_round_robin_folded(self, system, seed):

@@ -252,6 +252,49 @@ class TestSingleTierByteIdentity:
         assert top.promoted_bytes == 0.0
         assert top.hit_rate == 1.0
 
+    @pytest.mark.parametrize("admission", ["reserve", "optimistic"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_bestfit_routes_one_tier_stacks_like_flat_budgets(
+        self, system, tiny_mha, admission, seed
+    ):
+        # Best fit ranks nodes by top-tier headroom.  A one-tier stack's is
+        # its committed final-context headroom, as a flat budget's is, so
+        # an unequal pair of one-tier nodes splits the stream exactly like
+        # the flat pair -- also under optimistic admission, where the live
+        # occupancy runs below the commitments (seed 3 once split 18/6
+        # against the flat 19/5).
+        long_final = tiny_mha.kv_cache_bytes(1, LONG.total_tokens)
+
+        def drain(tiered):
+            nodes = []
+            for index, finals in enumerate((1.5, 2.5)):
+                capacity = long_final * finals
+                if tiered:
+                    memory = {
+                        "kv_tiers": TierStack((KVTier("hbm", capacity),)),
+                        "kv_policy": LRUByRequest(),
+                    }
+                else:
+                    memory = {"budget": CapacityBudget(capacity, "flat slice")}
+                nodes.append(
+                    Node(system, step_time=unit_steps(), name=f"node{index}", **memory)
+                )
+            return ClusterScheduler(
+                nodes, ContinuousBatching(4, admission=admission), router=BestFitKV()
+            ).drain(
+                sample_request_classes(24, seed=seed),
+                arrivals=PoissonArrivals(rate_per_second=0.5, seed=seed),
+            )
+
+        flat, tiered = drain(False), drain(True)
+        assert [n.n_requests for n in tiered.node_reports] == [
+            n.n_requests for n in flat.node_reports
+        ]
+        assert tiered.makespan_seconds == flat.makespan_seconds
+        assert [r.completion_time for r in tiered.requests] == [
+            r.completion_time for r in flat.requests
+        ]
+
 
 class TestThreeTierExactFigures:
     """A 3-tier hbm/dram/ssd drain pinned exactly (``==``, not approx).

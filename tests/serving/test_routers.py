@@ -14,6 +14,7 @@ from repro.serving import (
     AnalyticStepTime,
     BestFitKV,
     CapacityBudget,
+    ClusterScheduler,
     ContinuousBatching,
     KVTier,
     LeastOutstandingTokens,
@@ -112,18 +113,57 @@ class TestLoadObliviousness:
 
     def test_round_robin_static_assignments_match_the_cycle(self, system):
         router = RoundRobin()
-        assignments = router.static_assignments(7, 3)
-        assert assignments == [0, 1, 2, 0, 1, 2, 0]
-        # The static plan is exactly what route() would have picked.
+        cycle = router.static_assignments(3)
+        assert cycle == (0, 1, 2)
+        # Position i lands on cycle[i % len(cycle)], exactly what route()
+        # picks.
         nodes = engines(system, 3)
         router.reset()
         picks = [router.route(request(), nodes) for _ in range(7)]
-        assert [nodes.index(pick) for pick in picks] == assignments
+        assert [nodes.index(pick) for pick in picks] == [
+            cycle[i % len(cycle)] for i in range(7)
+        ]
 
     def test_load_dependent_static_assignments_refuse(self):
         for router in (LeastOutstandingTokens(), BestFitKV()):
             with pytest.raises(SchedulingError, match="load_oblivious=False"):
-                router.static_assignments(4, 2)
+                router.static_assignments(2)
+
+    @pytest.mark.parametrize(
+        "cycle, problem",
+        [
+            ((), "it is empty"),
+            ((0, -1), "it names node -1"),
+            ((1, 0, 2), "it names node 2"),
+        ],
+        ids=["empty", "negative-node", "node-past-the-fleet"],
+    )
+    def test_folded_drain_rejects_an_invalid_cycle(self, system, cycle, problem):
+        # A custom load-oblivious router states its cycle; a folded drain
+        # slices the queue by it, so a cycle that is empty or names a node
+        # outside the fleet fails before anything is simulated.
+        class Fixed(RoundRobin):
+            name = "fixed-cycle"
+
+            def static_assignments(self, n_nodes):
+                return cycle
+
+        step = unit_steps()
+        nodes = [Node(system, step_time=step, name=f"node{i}") for i in range(2)]
+        scheduler = ClusterScheduler(
+            nodes,
+            ContinuousBatching(4),
+            router=Fixed(),
+            fleet_symmetry="representative",
+        )
+        with pytest.raises(
+            SchedulingError,
+            match=(
+                "router 'fixed-cycle' produced an invalid placement cycle for 2 "
+                f"nodes: {problem}"
+            ),
+        ):
+            scheduler.drain([SHORT] * 4)
 
 
 class TestWeightedRoundRobin:
@@ -146,17 +186,18 @@ class TestWeightedRoundRobin:
 
     def test_static_assignments_match_the_cycle(self, system):
         router = WeightedRoundRobin((1, 3))
-        assignments = router.static_assignments(9, 2)
-        assert assignments == [0, 1, 1, 1, 0, 1, 1, 1, 0]
+        cycle = router.static_assignments(2)
+        assert cycle == (0, 1, 1, 1)
         nodes = engines(system, 2)
         router.reset()
         picks = [router.route(request(), nodes) for _ in range(9)]
-        assert [nodes.index(pick) for pick in picks] == assignments
+        assert [nodes.index(pick) for pick in picks] == [
+            cycle[i % len(cycle)] for i in range(9)
+        ]
 
     def test_equal_weights_match_round_robin(self, system):
-        assert (
-            WeightedRoundRobin((1, 1, 1)).static_assignments(8, 3)
-            == RoundRobin().static_assignments(8, 3)
+        assert WeightedRoundRobin((1, 1, 1)).static_assignments(3) == (
+            RoundRobin().static_assignments(3)
         )
 
     def test_weight_count_must_match_the_fleet(self, system):
@@ -164,7 +205,7 @@ class TestWeightedRoundRobin:
         with pytest.raises(SchedulingError, match="2 weights"):
             router.route(request(), engines(system, 3))
         with pytest.raises(SchedulingError, match="2 weights"):
-            router.static_assignments(4, 3)
+            router.static_assignments(3)
 
     @pytest.mark.parametrize("weights", [(), (0, 1), (2, -1)])
     def test_rejects_non_positive_weights(self, weights):
