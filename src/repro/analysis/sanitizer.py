@@ -24,11 +24,12 @@ checks are:
   may still hold registered waiters (the PR-1 deadlock class, caught even
   when the waiter is not a process the engine would fail);
 * **budget-conservation** -- enforced by
-  :class:`~repro.serving.budget.BudgetTracker` (occupied bytes never go
-  negative; after a re-mark the running total equals the sum of the
-  entries -- each re-marked entry derived from the decode-step counter --
-  and every re-marked entry its request's ``kv_current_bytes``; every
-  reservation is released by drain end);
+  :class:`~repro.serving.budget.BudgetTracker`, whose ledger counts whole
+  bytes, so every comparison is exact (occupied bytes never go negative;
+  after a re-mark the running total equals the sum of the entries --
+  each re-marked entry derived from the decode-step counter -- and every
+  re-marked entry its request's ``kv_current_bytes``; every reservation
+  is released by drain end, leaving a total of zero);
 * **request-conservation** -- enforced at the end of every
   :class:`~repro.serving.cluster.ClusterScheduler` drain: one re-tally of
   the report's requests must give every request-derived figure of the
@@ -36,16 +37,17 @@ checks are:
 * **migration-conservation** -- at the same point: the migrations the
   requests counted must be the ones the dying nodes' engines counted;
 * **tier-conservation** -- enforced by
-  :class:`~repro.serving.kvtiers.TieredBudgetTracker` on tiered nodes:
-  per-tier occupancy never exceeds the tier's capacity and never goes
-  negative; every request's tier residency (settled or accrued from the
-  growth counters) sums to its flat-ledger entry; after each decode step
-  every tier ledger equals its requests' summed residency and the
-  decoding aggregate its growing requests' share; each step's per-tier
-  spilled reads equal the per-request reference loop over the running
-  batch, which must be exactly the decoding set; and releases --
-  including node-death migrations -- drain every tier the request
-  touched;
+  :class:`~repro.serving.kvtiers.TieredBudgetTracker` on tiered nodes,
+  exactly on its whole-byte ledgers: per-tier occupancy never exceeds
+  the tier's capacity and never goes negative; every request's tier
+  residency (settled or accrued from the growth counters) sums to its
+  flat-ledger entry; after each decode step every tier ledger equals its
+  requests' summed residency and the decoding aggregate its growing
+  requests' share; each step's per-tier spilled reads equal the
+  per-request reference loop over the running batch, which must be
+  exactly the decoding set (the one check with a float bound: a reserve
+  entry reads a float share of its bytes); and releases -- including
+  node-death migrations -- drain every tier the request touched;
 * **load-ledger** -- enforced by
   :class:`~repro.serving.engine.NodeEngine`: every running load ledger
   the router-facing views and the decode step read (outstanding tokens,

@@ -15,14 +15,19 @@ budget is derived from the same placement rules
 
 The :class:`BudgetTracker` ledger here is *flat*: one capacity number, no
 distinction between where within the cache home a request's bytes live.
-Under optimistic admission the engine makes one ledger call per decode
-iteration (or per coast of several), and it costs O(1) whatever the
-batch size: :meth:`BudgetTracker.update` over the whole running batch
-adds the steps times the batch size times the model's per-token KV size
-(computed once, since ``kv_cache_bytes`` is linear in context) to the
-running total and advances a decode-step counter, and each re-marked
-entry is derived from that counter -- its bytes at its last explicit
-re-mark plus one token per step since, which is its context's bytes.
+It counts whole bytes: the total, its peak and every entry are integers
+(a request's KV is its context times the model's per-token KV size, an
+integer), so every sum is exact and the sanitizer compares the ledger
+with ``==``.  The configured capacity stays a ``float``; comparing an
+integer with it is exact too.  Under optimistic admission the engine
+makes one ledger call per decode iteration (or per coast of several),
+and it costs O(1) whatever the batch size: :meth:`BudgetTracker.update`
+over the whole running batch adds the steps times the batch size times
+the per-token KV size (computed once, since ``kv_cache_bytes`` is linear
+in context) to the running total and advances a decode-step counter, and
+each re-marked entry is derived from that counter -- its bytes at its
+last explicit re-mark plus one token per step since, which is its
+context's bytes.
 
 Nodes configured with a KV tier stack swap in
 :class:`~repro.serving.kvtiers.TieredBudgetTracker`, which keeps this
@@ -113,14 +118,15 @@ class BudgetTracker:
     for a whole drain under either accounting.
 
     With ``sanitize`` on (sanitized drains set it from their simulator)
-    every ledger movement is conservation-checked: occupied bytes may
-    never go negative, the running total must equal the sum of the
-    entries and every re-marked entry its request's
+    every ledger movement is conservation-checked, exactly (the ledger
+    counts whole bytes): occupied bytes may never go negative, the
+    running total must equal the sum of the entries and every re-marked
+    entry its request's
     :meth:`~repro.serving.request.ServingRequest.kv_current_bytes` (the
     per-request reference the step counter stands in for), and
-    :meth:`assert_drained` verifies the ledger is
-    empty -- every reservation released, residue within float tolerance --
-    at drain end.  Sanitized trackers also stamp each admitted request's
+    :meth:`assert_drained` verifies the ledger is empty -- every
+    reservation released, the total back at zero -- at drain end.
+    Sanitized trackers also stamp each admitted request's
     :attr:`~repro.serving.request.ServingRequest.kv_holder` with ``owner``
     (the node name, for per-node trackers) so a migrated request admitted
     elsewhere before the dead node released its bytes is caught as a
@@ -130,10 +136,10 @@ class BudgetTracker:
 
     budget: CapacityBudget
     model: ModelConfig
-    reserved_bytes: float = 0.0
-    peak_reserved_bytes: float = 0.0
+    reserved_bytes: int = 0
+    peak_reserved_bytes: int = 0
     #: Entry bytes per request as of its admission or last explicit re-mark.
-    _held: dict[int, float] = field(default_factory=dict)
+    _held: dict[int, int] = field(default_factory=dict)
     #: Re-marked (growing) entries: the decode-step count at their last
     #: explicit re-mark; each such entry holds ``_held`` plus
     #: :attr:`token_bytes` per decode step since (see :meth:`update`).
@@ -147,16 +153,12 @@ class BudgetTracker:
     #: KV bytes one token of context holds.  ``kv_cache_bytes`` is linear
     #: in context, so a request's current bytes are its context times this
     #: and every generated token appends exactly this much.
-    token_bytes: float = field(init=False, repr=False, default=0.0)
+    token_bytes: int = field(init=False, repr=False, default=0)
 
     def __post_init__(self) -> None:
-        self.token_bytes = float(self.model.kv_cache_bytes(1, 1))
+        self.token_bytes = self.model.kv_cache_bytes(1, 1)
 
-    def _conservation_tolerance(self) -> float:
-        """Float-accumulation slack: ledger adds/removes large byte figures."""
-        return 1e-9 * self.budget.kv_capacity_bytes + 1e-6
-
-    def fits(self, request: ServingRequest, extra_bytes: float = 0.0) -> bool:
+    def fits(self, request: ServingRequest, extra_bytes: int = 0) -> bool:
         """Whether a final-context reservation stays within budget.
 
         ``extra_bytes`` accounts for co-admitted requests whose reservations
@@ -164,14 +166,14 @@ class BudgetTracker:
         """
         return self.fits_bytes(request.kv_reservation_bytes(self.model), extra_bytes)
 
-    def fits_bytes(self, need: float, extra_bytes: float = 0.0) -> bool:
+    def fits_bytes(self, need: int, extra_bytes: int = 0) -> bool:
         """Whether holding ``need`` more bytes stays within budget."""
         return (
             self.reserved_bytes + extra_bytes + need
             <= self.budget.kv_capacity_bytes
         )
 
-    def _record(self, request: ServingRequest, need: float) -> None:
+    def _record(self, request: ServingRequest, need: int) -> None:
         if self.reserved_bytes + need > self.budget.kv_capacity_bytes:
             raise SchedulingError(
                 f"request {request.request_id} overcommits the KV budget "
@@ -210,7 +212,7 @@ class BudgetTracker:
         """
         self._record(request, request.kv_admission_bytes(self.model))
 
-    def update(self, *requests: ServingRequest, steps: int = 1) -> list[float]:
+    def update(self, *requests: ServingRequest, steps: int = 1) -> list[int]:
         """Re-mark occupied requests at their (grown) current contexts.
 
         The decode step passes its whole running batch.  When the
@@ -225,11 +227,10 @@ class BudgetTracker:
         step's growth.  Any other call -- prefill completion's one request,
         a first re-mark after admission -- re-marks each request explicitly
         at ``context_tokens * token_bytes``, in argument order, and takes
-        no ``steps``.  The figures are integer-valued floats far below
-        2**53, so either way the running total and its peak are
-        bit-identical to re-marking one request, one step, at a time (the
-        total only grows, so the peak is its last value).  Returns how many
-        bytes each entry grew by, in argument order.
+        no ``steps``.  The figures are whole bytes, so either way the
+        running total and its peak equal re-marking one request, one step,
+        at a time (the total only grows, so the peak is its last value).
+        Returns how many bytes each entry grew by, in argument order.
         """
         if self._is_step(requests):
             n = len(requests)
@@ -259,7 +260,7 @@ class BudgetTracker:
             n > 1 or requests[0].request_id in marks
         )
 
-    def _remark_each(self, requests: tuple[ServingRequest, ...]) -> list[float]:
+    def _remark_each(self, requests: tuple[ServingRequest, ...]) -> list[int]:
         """Explicitly re-mark each request at its current context, in order."""
         held = self._held
         marks = self._marks
@@ -292,7 +293,7 @@ class BudgetTracker:
         self.peak_reserved_bytes = peak
         return growth
 
-    def _held_now(self, request_id: int) -> float:
+    def _held_now(self, request_id: int) -> int:
         """Bytes ``request_id``'s entry holds now (``KeyError`` if none)."""
         held = self._held[request_id]
         mark = self._marks.get(request_id)
@@ -308,13 +309,12 @@ class BudgetTracker:
         """
         raise SchedulingError("KV ledger entries are whole requests; use release()")
 
-    def growth_bytes(self, request: ServingRequest) -> float:
+    def growth_bytes(self, request: ServingRequest) -> int:
         """Bytes the next generated token appends to ``request``'s cache.
 
         Constant: ``kv_cache_bytes`` is linear in context, so every token of
         every request appends :attr:`token_bytes`, and a decode step's
-        growth is the batch size times that (an exact product: the figures
-        are integer-valued floats far below 2**53).
+        growth is the batch size times that.
         """
         return self.token_bytes
 
@@ -336,10 +336,10 @@ class BudgetTracker:
     # --- sanitizer invariants ---------------------------------------------------
 
     def _check_occupancy(self, request_id: int) -> None:
-        """Occupied bytes may never go meaningfully negative."""
-        if self.reserved_bytes < -self._conservation_tolerance():
+        """Occupied bytes may never go negative."""
+        if self.reserved_bytes < 0:
             raise SanitizerError(
-                f"KV ledger went negative ({self.reserved_bytes:.3f} bytes, "
+                f"KV ledger went negative ({self.reserved_bytes} bytes, "
                 f"budget {self.budget.description!r})",
                 invariant="budget-conservation",
                 request_id=request_id,
@@ -350,10 +350,10 @@ class BudgetTracker:
         and each re-marked entry its request's
         :meth:`~repro.serving.request.ServingRequest.kv_current_bytes`."""
         entries = sum(self._held_now(request_id) for request_id in self._held)
-        if abs(self.reserved_bytes - entries) > self._conservation_tolerance():
+        if self.reserved_bytes != entries:
             raise SanitizerError(
-                f"KV ledger total of {self.reserved_bytes:.3f} bytes differs "
-                f"from its entries' sum of {entries:.3f} after a re-mark "
+                f"KV ledger total of {self.reserved_bytes} bytes differs "
+                f"from its entries' sum of {entries} after a re-mark "
                 f"(budget {self.budget.description!r})",
                 invariant="budget-conservation",
             )
@@ -362,15 +362,15 @@ class BudgetTracker:
             expected = request.kv_current_bytes(self.model)
             if held != expected:
                 raise SanitizerError(
-                    f"request {request.request_id} re-marked at {held:.3f} "
-                    f"bytes but its context holds {expected:.3f}",
+                    f"request {request.request_id} re-marked at {held} "
+                    f"bytes but its context holds {expected}",
                     invariant="budget-conservation",
                     request_id=request.request_id,
                 )
         self._check_occupancy(requests[-1].request_id)
 
     def assert_drained(self, context: str = "") -> None:
-        """Conservation at drain end: ledger empty, residue within tolerance."""
+        """Conservation at drain end: no entry left, the total at zero."""
         where = f" on {context}" if context else ""
         if self._held:
             ids = sorted(self._held)
@@ -383,9 +383,9 @@ class BudgetTracker:
                 invariant="budget-conservation",
                 request_id=ids[0],
             )
-        if abs(self.reserved_bytes) > self._conservation_tolerance():
+        if self.reserved_bytes:
             raise SanitizerError(
-                f"KV ledger residue of {self.reserved_bytes:.3f} bytes after "
+                f"KV ledger residue of {self.reserved_bytes} bytes after "
                 f"all reservations were released{where}",
                 invariant="budget-conservation",
             )

@@ -89,9 +89,11 @@ optimistic admission one tracker call per iteration or coast,
 adding the steps times the batch size times the tracker's per-token KV
 bytes (prefill completion re-marks the one request it promotes), and the
 overflow check before each iteration prices the step's growth the same
-way.  On a tiered node that call lands the batch's growth from integer
-per-tier counters, and the step's spilled reads and promotions read
-per-tier aggregates, so the tracker touches individual requests only at
+way.  The KV ledgers count whole bytes, so these products are exact and
+a coast's one call lands what its steps would, one at a time.  On a
+tiered node that call lands the batch's growth from integer per-tier
+counters, and the step's spilled reads and promotions read per-tier
+aggregates, so the tracker touches individual requests only at
 residency events (see :mod:`repro.serving.kvtiers`).  The loop that
 advances each running request's emitted tokens is the one O(batch) pass,
 once per step or coast.
@@ -844,10 +846,9 @@ class NodeEngine:
         bounding the recompute loss to the work least progressed.
         """
         while True:
-            # Every token appends the same bytes, so the step's growth is
-            # the batch size times the per-token figure -- bit-equal to
-            # summing one token per request, as the byte figures are
-            # integer-valued floats far below 2**53.
+            # Every token appends the same whole bytes, so the step's
+            # growth is the batch size times the per-token figure, exactly
+            # the sum of one token per request.
             growth = len(self.running) * self.tracker.token_bytes
             if self.tracker.fits_bytes(growth):
                 return

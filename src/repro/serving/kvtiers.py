@@ -26,6 +26,20 @@ arbitrary tier stack:
     discrete-event simulation; initial placement is bookkeeping only (the
     prefill pass produces each tier's bytes in place).
 
+Every tier ledger counts whole bytes, as the flat ledger does: a tier's
+occupancy, peak and movement counters, each request's residency and the
+growth units are integers, and a tier's capacity is a whole number of
+bytes (:class:`KVTier` rounds a fractional one down), so the stack total
+the flat budget gates on is exactly what the tiers can hold.  A policy's
+top-tier share is one integer per-token unit, the placement fraction of
+a token's bytes rounded to the nearest byte (the whole token on a
+one-tier stack): an admission of ``t`` tokens places ``t`` units on top,
+and every decode step grows every running request by one unit there and
+the rest of the token below.  A demotion takes a victim's share rounded
+to the nearest byte.  What stays float is what is float by nature: a
+reserve entry's reads (``context × held / total``), hit rates, transfer
+seconds and the configured flat budgets.
+
 A decode step costs the tracker O(tiers), not O(batch).  Every running
 request gains one token per step, and unless a tier fills mid-batch they
 all gain it in the same tiers, so the step ticks an integer per-tier
@@ -82,11 +96,12 @@ Capacities and bandwidths take optional K/M/G/T suffixes (powers of
 1024); the first tier is the compute (top) tier and carries no bandwidth
 -- movement bills at the *crossed* tier's bandwidth.
 
-**Tier-conservation invariant** (sanitized drains): per-tier occupancy
-never exceeds the tier's capacity and never goes negative, a request's
-residency always sums to its flat-ledger entry, each tier ledger equals
-its requests' summed residency after a decode step or coast, a step's
-per-tier reads equal the per-request reference (a coast's first step),
+**Tier-conservation invariant** (sanitized drains, compared exactly
+except the reads): per-tier occupancy never exceeds the tier's capacity
+and never goes negative, a request's residency always sums to its
+flat-ledger entry, each tier ledger equals its requests' summed
+residency after a decode step or coast, a step's per-tier reads equal
+the per-request reference (a coast's first step) within a float bound,
 a coast leaves the top tier's ledger where it found it, its wake lands
 exactly the steps its pricing planned (no plan outlives it), and
 releases -- including node-death migrations -- drain every tier the
@@ -129,7 +144,9 @@ class KVTier:
     boundary -- demotion into it, promotion out of it, and the spilled
     attention reads decode pays while bytes live here.  The top (compute)
     tier is where attention runs, so it carries no crossing cost
-    (``inf``).
+    (``inf``).  The tier ledgers count whole bytes, so a fractional
+    ``capacity_bytes`` rounds down to a whole byte (it stays a ``float``)
+    and a capacity under one byte is refused.
     """
 
     name: str
@@ -139,11 +156,14 @@ class KVTier:
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigurationError("KV tier needs a name")
-        if not 0.0 < self.capacity_bytes < math.inf:
+        if not 1.0 <= self.capacity_bytes < math.inf:
             raise ConfigurationError(
-                f"KV tier {self.name!r} needs a positive, finite capacity "
-                f"(got {self.capacity_bytes!r})"
+                f"KV tier {self.name!r} needs a finite capacity of at least "
+                f"one byte (got {self.capacity_bytes!r})"
             )
+        object.__setattr__(
+            self, "capacity_bytes", float(math.floor(self.capacity_bytes))
+        )
         if not self.bandwidth_bytes_per_s > 0.0:
             raise ConfigurationError(
                 f"KV tier {self.name!r} needs a positive bandwidth "
@@ -181,8 +201,8 @@ class TierStack:
 
     @property
     def total_capacity_bytes(self) -> float:
-        """Aggregate byte capacity -- the node's admission budget (a
-        correctly rounded sum, the same on every Python version)."""
+        """Aggregate byte capacity -- the node's admission budget: the
+        tiers' whole-byte capacities, so exactly what the tiers hold."""
         return math.fsum(tier.capacity_bytes for tier in self.tiers)
 
     def capacity_budget(self, owner: str = "") -> CapacityBudget:
@@ -264,12 +284,12 @@ class TierPolicy(abc.ABC):
     The tracker owns the movement mechanics; a policy supplies three
     declared decisions (no runtime capability probing):
 
-    * :meth:`placement_fraction` -- the share of an admission's (and each
-      decode token's) bytes placed in the top tier, the rest cascading
-      into lower tiers;
+    * :meth:`placement_fraction` -- the share of each token's bytes an
+      admission (and each decode step) places in the top tier, to the
+      nearest byte, the rest cascading into lower tiers;
     * :meth:`demotion_fraction` -- the share of a victim's top-resident
-      bytes one demotion pass takes (a second pass takes the rest when
-      pressure persists);
+      bytes one demotion pass takes, to the nearest byte (a second pass
+      takes the rest when pressure persists);
     * :attr:`promotes` -- whether spilled bytes promote back into top-tier
       headroom before decode (static splits stay put and pay the
       near-storage read rate instead).
@@ -393,15 +413,16 @@ def parse_kv_policy_spec(spec: str | None) -> TierPolicy | None:
 
 @dataclass
 class TierLedger:
-    """Running per-tier occupancy and movement counters."""
+    """Running per-tier occupancy and movement counters (whole bytes,
+    except the reads, which a reserve entry takes by its share)."""
 
     tier: KVTier
-    occupied_bytes: float = 0.0
-    peak_occupied_bytes: float = 0.0
+    occupied_bytes: int = 0
+    peak_occupied_bytes: int = 0
     #: Bytes demoted *into* this tier (pressure-driven, billed movement).
-    demoted_in_bytes: float = 0.0
+    demoted_in_bytes: int = 0
     #: Bytes promoted *out of* this tier back to the top (billed movement).
-    promoted_out_bytes: float = 0.0
+    promoted_out_bytes: int = 0
     #: Decode-iteration KV read bytes served from this tier (hit-rate base).
     decode_read_bytes: float = 0.0
 
@@ -409,8 +430,8 @@ class TierLedger:
 class _Entry:
     """One admitted request's tier residency, settled lazily.
 
-    ``res`` holds the request's bytes per tier, in stack order, as of its
-    last settle.  A *growing* entry (an optimistic entry re-marked since
+    ``res`` holds the request's whole bytes per tier, in stack order, as
+    of its last settle.  A *growing* entry (an optimistic entry re-marked since
     admission) also gains every uniform decode step's growth, counted by
     the tracker's integer growth-step counters; ``counts`` snapshots them
     at the last settle.  A *decoding* entry (one the engine runs) reads
@@ -423,7 +444,7 @@ class _Entry:
 
     def __init__(self, request: ServingRequest, n_tiers: int) -> None:
         self.request = request
-        self.res = [0.0] * n_tiers
+        self.res = [0] * n_tiers
         self.growing = False
         self.decoding = False
         self.counts: list[int] = []
@@ -483,37 +504,48 @@ class TieredBudgetTracker(BudgetTracker):
         self._ledgers = {
             tier.name: TierLedger(tier=tier) for tier in self.stack.tiers
         }
-        #: (capacity, ledger, bandwidth) per tier, in stack order.
+        #: (whole-byte capacity, ledger, bandwidth) per tier, in stack order.
         self._tiers = [
-            (tier.capacity_bytes, self._ledgers[tier.name], tier.bandwidth_bytes_per_s)
+            (
+                int(tier.capacity_bytes),
+                self._ledgers[tier.name],
+                tier.bandwidth_bytes_per_s,
+            )
             for tier in self.stack.tiers
         ]
         self._lower = self._tiers[1:]
         n_tiers = len(self._tiers)
-        self._fraction = self.policy.placement_fraction() if n_tiers > 1 else 1.0
+        token_bytes = self.token_bytes
+        #: Bytes of each token the policy places on the top tier: its
+        #: placement fraction of a token, to the nearest byte (a one-tier
+        #: stack has nowhere else to put any).
+        self._top_unit = (
+            round(self.policy.placement_fraction() * token_bytes)
+            if n_tiers > 1
+            else token_bytes
+        )
         # Growth-step counters: slot 2t counts uniform steps in which every
         # growing entry gained ``_units[2t]`` bytes in tier t (the top's
-        # placement share, or below the top what is left of a token after
-        # it), slot 2t + 1 steps in which it gained ``_units[2t + 1]`` (a
-        # whole token, below a full top).
-        want = self._fraction * self.token_bytes
-        self._units = [want, 0.0]
+        # unit, or below the top what is left of a token after it), slot
+        # 2t + 1 steps in which it gained ``_units[2t + 1]`` (a whole
+        # token, below a full top).
+        self._units = [self._top_unit, 0]
         for _ in range(n_tiers - 1):
-            self._units += [self.token_bytes - want, self.token_bytes]
+            self._units += [token_bytes - self._top_unit, token_bytes]
         self._counts = [0] * (2 * n_tiers)
         # Aggregates over the decoding set.  Growing entries: their current
         # bytes per tier.  Fixed entries: their bytes, their held/total
         # shares, and the shares times their context at read ``_fixed_at``
         # (a share-weighted context that grows by the share sum per read).
-        self._grown = [0.0] * n_tiers
-        self._fixed_bytes = [0.0] * n_tiers
+        self._grown = [0] * n_tiers
+        self._fixed_bytes = [0] * n_tiers
         self._ratio_sum = [0.0] * n_tiers
         self._ratio_context = [0.0] * n_tiers
         self._fixed_at = 0
         self._n_growing = 0
         self._n_fixed = 0
         #: The top tier's occupancy when the latest coast began.
-        self._coast_top = 0.0
+        self._coast_top = 0
         #: The moves of each decode step the live coast has priced (see
         #: :meth:`coast_reads`), which its wake's :meth:`update` lands.
         self._plan: list | None = None
@@ -537,7 +569,7 @@ class TieredBudgetTracker(BudgetTracker):
             policy=policy,
         )
 
-    def residency(self, request: ServingRequest) -> dict[str, float] | None:
+    def residency(self, request: ServingRequest) -> dict[str, int] | None:
         """``request``'s bytes per tier now (tiers it holds nothing in are
         left out), or ``None`` when it holds no reservation here."""
         entry = self._entries.get(request.request_id)
@@ -546,26 +578,23 @@ class TieredBudgetTracker(BudgetTracker):
         return {
             tier.name: held
             for tier, held in zip(self.stack.tiers, self._current(entry))
-            if held > 0.0
+            if held
         }
 
     # --- flat-ledger overrides (placement piggybacks on the base arithmetic) ---
 
-    def _record(self, request: ServingRequest, need: float) -> None:
+    def _record(self, request: ServingRequest, need: int) -> None:
         super()._record(request, need)
         request_id = request.request_id
         entry = _Entry(request, len(self._tiers))
         self._entries[request_id] = entry
-        if len(self._tiers) > 1:
-            want_top = self._fraction * need
-            if want_top > 0.0:
-                self._demote_for(want_top, exclude=request_id)
+        self._demote_for(self._top_share(need), exclude=request_id)
         self._cascade(entry, need)
         if self.sanitize:
             self._check_residency(request)
             self._check_tier_occupancy(request_id)
 
-    def update(self, *requests: ServingRequest, steps: int = 1) -> list[float]:
+    def update(self, *requests: ServingRequest, steps: int = 1) -> list[int]:
         """Re-mark the requests on the flat ledger, then place their growth.
 
         A decode step (see :meth:`BudgetTracker.update`) lands the whole
@@ -633,7 +662,7 @@ class TieredBudgetTracker(BudgetTracker):
 
     # --- lazy residency -----------------------------------------------------------
 
-    def _current(self, entry: _Entry) -> list[float]:
+    def _current(self, entry: _Entry) -> list[int]:
         """``entry``'s bytes per tier now, without settling it."""
         res = entry.res
         if not entry.growing:
@@ -667,9 +696,7 @@ class TieredBudgetTracker(BudgetTracker):
         self._advance_fixed()
         self._n_fixed += 1
         total = sum(entry.res)
-        entry.ratios = [
-            held / total if total > 0.0 else 0.0 for held in entry.res
-        ]
+        entry.ratios = [held / total if total else 0.0 for held in entry.res]
         context = entry.request.context_tokens
         for tier, (held, ratio) in enumerate(zip(entry.res, entry.ratios)):
             self._fixed_bytes[tier] += held
@@ -678,28 +705,26 @@ class TieredBudgetTracker(BudgetTracker):
 
     def _detach(self, entry: _Entry) -> None:
         """Take a settled decoding entry out of the aggregates (the inverse
-        of :meth:`_attach`; float dust is cleared when a set empties)."""
+        of :meth:`_attach`; the float share sums are cleared of their
+        rounding dust when the fixed set empties)."""
         if not entry.decoding:
             return
-        n_tiers = len(self._tiers)
         if entry.growing:
             self._n_growing -= 1
-            if not self._n_growing:
-                self._grown = [0.0] * n_tiers
-                return
             for tier, held in enumerate(entry.res):
                 self._grown[tier] -= held
             return
         self._advance_fixed()
         self._n_fixed -= 1
+        for tier, held in enumerate(entry.res):
+            self._fixed_bytes[tier] -= held
         if not self._n_fixed:
-            self._fixed_bytes = [0.0] * n_tiers
+            n_tiers = len(self._tiers)
             self._ratio_sum = [0.0] * n_tiers
             self._ratio_context = [0.0] * n_tiers
             return
         context = entry.request.context_tokens
-        for tier, (held, ratio) in enumerate(zip(entry.res, entry.ratios)):
-            self._fixed_bytes[tier] -= held
+        for tier, ratio in enumerate(entry.ratios):
             self._ratio_sum[tier] -= ratio
             self._ratio_context[tier] -= ratio * context
 
@@ -732,79 +757,55 @@ class TieredBudgetTracker(BudgetTracker):
 
     # --- placement, demotion, promotion -----------------------------------------
 
-    def _fill(self, ledger: TierLedger, amount: float) -> None:
+    def _fill(self, ledger: TierLedger, amount: int) -> None:
         occupied = ledger.occupied_bytes + amount
         ledger.occupied_bytes = occupied
         if occupied > ledger.peak_occupied_bytes:
             ledger.peak_occupied_bytes = occupied
 
-    def _vacate(self, entry: _Entry, tier: int, amount: float) -> None:
-        ledger = self._tiers[tier][1]
-        ledger.occupied_bytes -= amount
-        remaining = entry.res[tier] - amount
-        if remaining <= 0.0:
-            # Vacated the whole holding; reclaim any float dust so the
-            # ledger and the residency move in lockstep.
-            entry.res[tier] = 0.0
-            ledger.occupied_bytes -= remaining
-        else:
-            entry.res[tier] = remaining
+    def _vacate(self, entry: _Entry, tier: int, amount: int) -> None:
+        self._tiers[tier][1].occupied_bytes -= amount
+        entry.res[tier] -= amount
 
-    def _cascade(self, entry: _Entry, amount: float) -> None:
+    def _top_share(self, amount: int) -> int:
+        """The policy's top-tier share of ``amount`` bytes of whole tokens:
+        one top unit per token."""
+        return amount // self.token_bytes * self._top_unit
+
+    def _cascade(self, entry: _Entry, amount: int) -> None:
         """Place bytes one settled entry newly holds: an admission, or growth.
 
         The per-request placement, unbilled (the prefill or decode pass
         writes these bytes where they land): the policy's top share of
         ``amount`` goes into top-tier headroom and the rest cascades
-        top-down through the lower tiers, the bottom tier absorbing the
-        float residue; a single-tier stack takes everything in its one
-        tier.  A negative amount is an entry that shrank mid-flight, which
-        residency cannot follow.
+        top-down through the lower tiers, each taking what fits; bytes no
+        tier can take are an admission the flat check should have
+        refused.  A negative amount is an entry that shrank mid-flight,
+        which residency cannot follow.
         """
-        if amount <= 0.0:
-            if amount < 0.0:
+        if amount <= 0:
+            if amount < 0:
                 raise SchedulingError(
                     f"request {entry.request.request_id} shrank its KV ledger "
                     "entry mid-flight; tiered residency only grows between "
                     "admission and release"
                 )
             return
-        tiers = self._tiers
         res = entry.res
         remaining = amount
-        if len(tiers) > 1:
-            top_capacity, top_ledger, _ = tiers[0]
-            want = self._fraction * amount
-            free = top_capacity - top_ledger.occupied_bytes
-            if not free > 0.0:
-                free = 0.0
-            placed = free if free < want else want
-            if placed > 0.0:
-                self._fill(top_ledger, placed)
-                res[0] += placed
-            remaining = amount - placed
-            if remaining <= 0.0:
-                return
-            for tier in range(1, len(tiers) - 1):
-                capacity, ledger, _ = tiers[tier]
-                take = min(remaining, max(0.0, capacity - ledger.occupied_bytes))
-                if take <= 0.0:
-                    continue
+        want = self._top_share(amount)
+        for tier, (capacity, ledger, _) in enumerate(self._tiers):
+            take = min(want, capacity - ledger.occupied_bytes)
+            if take > 0:
                 self._fill(ledger, take)
                 res[tier] += take
                 remaining -= take
-                if remaining <= 0.0:
+                if not remaining:
                     return
-            capacity, ledger, _ = tiers[-1]
-            room = capacity - ledger.occupied_bytes
-            if remaining > room + self._conservation_tolerance():
-                raise self._lower_tiers_full(remaining)
-        # The bottom tier (the only one, on a single-tier stack) absorbs
-        # the rest, float residue included.
-        self._fill(tiers[-1][1], remaining)
-        res[-1] += remaining
+            want = remaining
+        raise self._lower_tiers_full(remaining)
 
-    def _remark(self, request: ServingRequest, amount: float) -> None:
+    def _remark(self, request: ServingRequest, amount: int) -> None:
         """Place one explicitly re-marked request's growth; it grows from now."""
         entry = self._entries[request.request_id]
         self._settle(entry)
@@ -816,51 +817,46 @@ class TieredBudgetTracker(BudgetTracker):
         self._attach(entry)
 
     def _uniform_step(
-        self, n: int, occupied: list[float]
-    ) -> list[tuple[int, int, float]] | None:
+        self, n: int, occupied: list[int]
+    ) -> list[tuple[int, int, int]] | None:
         """Where one decode step's growth lands for all ``n`` growing entries.
 
-        Every entry gains one token: the policy's top share goes to the top
-        tier if its headroom takes the whole batch's share (nothing if the
-        top is full), and the rest to the first lower tier with headroom,
-        which must take the whole batch's rest.  ``occupied`` is each
-        tier's occupancy before the step.  Returns the step's moves as
-        (growth-step counter slot, tier, bytes for the batch), or ``None``
-        when some tier would fill mid-batch: requests would then land
-        differently, which only the per-request cascade reproduces.
+        Every entry gains one token: the policy's top unit goes to the top
+        tier if its headroom takes the whole batch's units (nothing if the
+        top is full), and the rest of the token to the first lower tier
+        with headroom, which must take the whole batch's rest.
+        ``occupied`` is each tier's occupancy before the step.  Returns the
+        step's moves as (growth-step counter slot, tier, bytes for the
+        batch), or ``None`` when some tier would fill mid-batch -- requests
+        would then land differently, which only the per-request cascade
+        reproduces -- or no tier has room (the cascade raises on the
+        overflowing request).
         """
         tiers = self._tiers
-        units = self._units
-        if len(tiers) == 1:
-            return [(0, 0, n * units[0])]
-        want = units[0]
+        want = self._top_unit
         free = tiers[0][0] - occupied[0]
-        if want > 0.0 and free >= n * want:
-            kind = 0
-        elif not free > 0.0 or want == 0.0:
-            kind = 1
+        if want and free >= n * want:
+            moves = [(0, 0, n * want)]
+            kind, rest = 0, self.token_bytes - want
+        elif free <= 0 or not want:
+            moves = []
+            kind, rest = 1, self.token_bytes
         else:
             return None
-        moves = [(0, 0, n * want)] if kind == 0 else []
-        rest = units[2 + kind]
-        if rest > 0.0:
-            need = n * rest
-            for tier in range(1, len(tiers) - 1):
-                room = tiers[tier][0] - occupied[tier]
-                if not room > 0.0:
-                    continue
-                if room < need:
-                    return None
-                break
-            else:
-                tier = len(tiers) - 1
-                room = tiers[tier][0] - occupied[tier]
-                if need > room + self._conservation_tolerance():
-                    return None  # the cascade raises on the overflowing request
+        if not rest:
+            return moves
+        need = n * rest
+        for tier in range(1, len(tiers)):
+            room = tiers[tier][0] - occupied[tier]
+            if room <= 0:
+                continue
+            if room < need:
+                return None
             moves.append((2 * tier + kind, tier, need))
-        return moves
+            return moves
+        return None
 
-    def _land(self, moves: list[tuple[int, int, float]]) -> None:
+    def _land(self, moves: list[tuple[int, int, int]]) -> None:
         """Land one uniform decode step's :meth:`_uniform_step` moves: tick
         their growth-step counters and move the tier ledgers and the
         growing aggregate by them."""
@@ -885,38 +881,29 @@ class TieredBudgetTracker(BudgetTracker):
             self._cascade(entry, token_bytes)
             self._attach(entry)
 
-    def _push_into_lower(self, entry: _Entry, amount: float) -> None:
+    def _push_into_lower(self, entry: _Entry, amount: int) -> None:
         """Demote ``amount`` bytes into the lower tiers, top-down (billed).
 
-        Pressure-driven movement: each tier's take pays that (destination)
-        tier's bandwidth and lands in its demoted counter.
+        Pressure-driven movement: each tier takes what fits and pays that
+        (destination) tier's bandwidth, landing in its demoted counter.
         """
-        if amount <= 0.0:
-            return
         remaining = amount
-        last = len(self._tiers) - 1
-        for tier in range(1, last + 1):
-            capacity, ledger, bandwidth = self._tiers[tier]
-            free = capacity - ledger.occupied_bytes
-            if tier == last:
-                take = remaining  # bottom tier absorbs the float residue
-                if remaining > free + self._conservation_tolerance():
-                    raise self._lower_tiers_full(remaining)
-            else:
-                take = min(remaining, max(0.0, free))
-            if take <= 0.0:
+        for tier, (capacity, ledger, bandwidth) in enumerate(self._lower, 1):
+            take = min(remaining, capacity - ledger.occupied_bytes)
+            if take <= 0:
                 continue
             self._fill(ledger, take)
             entry.res[tier] += take
             ledger.demoted_in_bytes += take
             self._pending_transfer_seconds += take / bandwidth
             remaining -= take
-            if remaining <= 0.0:
+            if not remaining:
                 return
+        raise self._lower_tiers_full(remaining)
 
-    def _lower_tiers_full(self, remaining: float) -> SchedulingError:
+    def _lower_tiers_full(self, remaining: int) -> SchedulingError:
         return SchedulingError(
-            f"KV tier stack cannot place {remaining:.0f} bytes below the top "
+            f"KV tier stack cannot place {remaining} bytes below the top "
             f"tier ({self.budget.description}); the flat admission check "
             "should have refused this"
         )
@@ -928,7 +915,7 @@ class TieredBudgetTracker(BudgetTracker):
             (
                 entry
                 for request_id, entry in self._entries.items()
-                if request_id != exclude and current(entry)[0] > 0.0
+                if request_id != exclude and current(entry)[0] > 0
             ),
             key=lambda e: (
                 e.request.last_admitted_time
@@ -938,28 +925,30 @@ class TieredBudgetTracker(BudgetTracker):
             ),
         )
 
-    def _demote_for(self, want_bytes: float, exclude: int) -> None:
+    def _demote_for(self, want_bytes: int, exclude: int) -> None:
         """Demote resident victims until ``want_bytes`` fits the top tier.
 
         Two passes: the first takes each victim's policy share
-        (:meth:`TierPolicy.demotion_fraction` of its top residency), the
-        second takes whatever is left -- so ``lru`` empties victims in one
-        pass while ``attention`` keeps hot sets resident unless pressure
-        forces the second pass.
+        (:meth:`TierPolicy.demotion_fraction` of its top residency, to the
+        nearest byte), the second takes whatever is left -- so ``lru``
+        empties victims in one pass while ``attention`` keeps hot sets
+        resident unless pressure forces the second pass.
         """
         top_capacity, top_ledger, _ = self._tiers[0]
         deficit = want_bytes - (top_capacity - top_ledger.occupied_bytes)
-        if deficit <= 0.0:
+        if deficit <= 0:
             return
         for fraction in (self.policy.demotion_fraction(), 1.0):
             if fraction <= 0.0:
                 continue
             for victim in self._victims(exclude):
-                if deficit <= 0.0:
+                if deficit <= 0:
                     return
                 self._settle(victim)
-                give = min(victim.res[0] * fraction, deficit, self._lower_free_bytes())
-                if give <= 0.0:
+                give = min(
+                    round(victim.res[0] * fraction), deficit, self._lower_free_bytes()
+                )
+                if give <= 0:
                     continue
                 self._detach(victim)
                 self._vacate(victim, 0, give)
@@ -969,9 +958,9 @@ class TieredBudgetTracker(BudgetTracker):
                 if self.sanitize:
                     self._check_residency(victim.request)
 
-    def _lower_free_bytes(self) -> float:
-        return math.fsum(
-            capacity - ledger.occupied_bytes for capacity, ledger, _ in self._tiers[1:]
+    def _lower_free_bytes(self) -> int:
+        return sum(
+            capacity - ledger.occupied_bytes for capacity, ledger, _ in self._lower
         )
 
     def promote_for_decode(self, running: list[ServingRequest]) -> None:
@@ -983,35 +972,33 @@ class TieredBudgetTracker(BudgetTracker):
         bills the *source* tier's bandwidth.  Static-split policies skip
         promotion entirely -- their spilled share pays the read surcharge
         instead.  With no top headroom, or no decoding bytes below the
-        top, there is nothing to walk.
+        top (a one-tier stack has none), there is nothing to walk.
         """
         self._sync_decoding(running)
-        tiers = self._tiers
-        if not self.policy.promotes or len(tiers) == 1:
+        if not self.policy.promotes:
             return
-        top_capacity, top_ledger, _ = tiers[0]
-        if not top_capacity - top_ledger.occupied_bytes > 0.0:
+        top_capacity, top_ledger, _ = self._tiers[0]
+        if top_capacity <= top_ledger.occupied_bytes:
             return
         if not self._decoding_below_top():
             return
         entries = self._entries
         for request in running:
-            if not top_capacity - top_ledger.occupied_bytes > 0.0:
+            if top_capacity <= top_ledger.occupied_bytes:
                 return
             entry = entries.get(request.request_id)
-            if entry is None or not any(h > 0.0 for h in self._current(entry)[1:]):
+            if entry is None or not any(self._current(entry)[1:]):
                 continue
             self._settle(entry)
             self._detach(entry)
-            for tier in range(1, len(tiers)):
+            for tier, (_, ledger, bandwidth) in enumerate(self._lower, 1):
                 have = entry.res[tier]
-                if have <= 0.0:
+                if not have:
                     continue
                 free = top_capacity - top_ledger.occupied_bytes
-                if free <= 0.0:
+                if free <= 0:
                     break
                 take = min(have, free)
-                _, ledger, bandwidth = tiers[tier]
                 self._vacate(entry, tier, take)
                 self._fill(top_ledger, take)
                 entry.res[0] += take
@@ -1023,10 +1010,7 @@ class TieredBudgetTracker(BudgetTracker):
 
     def _decoding_below_top(self) -> bool:
         """Whether the decoding-set aggregates hold bytes below the top."""
-        return any(
-            grown + fixed > 0.0
-            for grown, fixed in zip(self._grown[1:], self._fixed_bytes[1:])
-        )
+        return any(self._grown[1:]) or any(self._fixed_bytes[1:])
 
     def consume_transfer_seconds(self) -> float:
         """Drain the accumulated movement bill (the engine yields it)."""
@@ -1054,7 +1038,7 @@ class TieredBudgetTracker(BudgetTracker):
             self._check_reads(running, reads)
         return extra
 
-    def _read_step(self, grown: list[float], spill) -> tuple[list[float], float]:
+    def _read_step(self, grown: list[int], spill) -> tuple[list[float], float]:
         """Bill one decode step's reads; return them per tier, and their
         spilled seconds.  ``grown`` is the growing entries' bytes per tier
         at the step, the fixed entries' share comes from their aggregates
@@ -1072,7 +1056,7 @@ class TieredBudgetTracker(BudgetTracker):
         extra = 0.0
         for (_, ledger, bandwidth), read in zip(self._lower, reads[1:]):
             ledger.decode_read_bytes += read
-            if read > 0.0:
+            if read > 0:
                 extra += spill(read, bandwidth)
         self.spilled_decode_seconds += extra
         return reads, extra
@@ -1090,16 +1074,14 @@ class TieredBudgetTracker(BudgetTracker):
         top is full (it takes no growth, and promotion needs headroom), or
         the policy places nothing on top and never promotes.  A batch that
         does not grow (reserve admission) moves no tier ledger unless a
-        promotion could.  A single-tier stack's only tier is the top.
+        promotion could.  A one-tier stack places whole tokens on its top
+        and has nothing below it to promote.
         """
-        tiers = self._tiers
-        if len(tiers) == 1:
-            return not grows
-        top_capacity, top_ledger, _ = tiers[0]
-        if not top_capacity - top_ledger.occupied_bytes > 0.0:
+        top_capacity, top_ledger, _ = self._tiers[0]
+        if top_capacity <= top_ledger.occupied_bytes:
             return True
         if grows:
-            return self._fraction == 0.0 and not self.policy.promotes
+            return not self._top_unit and not self.policy.promotes
         return not (self.policy.promotes and self._decoding_below_top())
 
     def coast_reads(self, running: list[ServingRequest], step_time, grows: bool):
@@ -1169,22 +1151,20 @@ class TieredBudgetTracker(BudgetTracker):
 
     # --- router / reporting views -----------------------------------------------
 
-    def top_headroom_for_routing(self, queued_bytes: int) -> float:
+    def top_headroom_for_routing(self, queued_bytes: int) -> int:
         """Top-tier bytes left once queued commitments take their hot share.
 
         Prefilling/running requests are already in the tier ledgers;
         ``queued_bytes`` is the final-context KV of the node's queued
         (routed, unadmitted) requests -- the engine keeps it as a running
-        ledger -- scaled here by the policy's placement fraction, the share
-        that will actually contend for the compute tier.  Engines ask only
-        for multi-tier stacks: a one-tier stack routes on its committed
+        ledger -- of which each token's top unit is the share that will
+        actually contend for the compute tier.  Engines ask only for
+        multi-tier stacks: a one-tier stack routes on its committed
         headroom, like a flat budget.
         """
-        top = self.stack.top
+        top_capacity, top_ledger, _ = self._tiers[0]
         return (
-            top.capacity_bytes
-            - self._ledgers[top.name].occupied_bytes
-            - self._fraction * queued_bytes
+            top_capacity - top_ledger.occupied_bytes - self._top_share(queued_bytes)
         )
 
     def tier_reports(self) -> tuple[TierReport, ...]:
@@ -1192,40 +1172,40 @@ class TieredBudgetTracker(BudgetTracker):
         total_reads = math.fsum(
             ledger.decode_read_bytes for ledger in self._ledgers.values()
         )
+        # Report figures stay floats, the whole-byte ledgers' included.
         return tuple(
             TierReport(
-                tier=tier.name,
-                capacity_bytes=tier.capacity_bytes,
-                peak_occupied_bytes=self._ledgers[tier.name].peak_occupied_bytes,
-                demoted_bytes=self._ledgers[tier.name].demoted_in_bytes,
-                promoted_bytes=self._ledgers[tier.name].promoted_out_bytes,
-                decode_read_bytes=self._ledgers[tier.name].decode_read_bytes,
+                tier=ledger.tier.name,
+                capacity_bytes=ledger.tier.capacity_bytes,
+                peak_occupied_bytes=float(ledger.peak_occupied_bytes),
+                demoted_bytes=float(ledger.demoted_in_bytes),
+                promoted_bytes=float(ledger.promoted_out_bytes),
+                decode_read_bytes=ledger.decode_read_bytes,
                 hit_rate=(
-                    self._ledgers[tier.name].decode_read_bytes / total_reads
+                    ledger.decode_read_bytes / total_reads
                     if total_reads > 0.0
                     else 0.0
                 ),
             )
-            for tier in self.stack.tiers
+            for ledger in self._ledgers.values()
         )
 
     # --- sanitizer invariants ----------------------------------------------------
 
     def _check_tier_occupancy(self, request_id: int | None = None) -> None:
         """Per-tier occupancy stays within [0, capacity]."""
-        tolerance = self._conservation_tolerance()
         for name, ledger in self._ledgers.items():
-            if ledger.occupied_bytes < -tolerance:
+            if ledger.occupied_bytes < 0:
                 raise SanitizerError(
                     f"KV tier {name!r} went negative "
-                    f"({ledger.occupied_bytes:.3f} bytes, "
+                    f"({ledger.occupied_bytes} bytes, "
                     f"{self.budget.description!r})",
                     invariant="tier-conservation",
                     request_id=request_id,
                 )
-            if ledger.occupied_bytes > ledger.tier.capacity_bytes + tolerance:
+            if ledger.occupied_bytes > ledger.tier.capacity_bytes:
                 raise SanitizerError(
-                    f"KV tier {name!r} overfilled: {ledger.occupied_bytes:.3f} "
+                    f"KV tier {name!r} overfilled: {ledger.occupied_bytes} "
                     f"of {ledger.tier.capacity_bytes:.0f} bytes "
                     f"({self.budget.description!r})",
                     invariant="tier-conservation",
@@ -1239,10 +1219,10 @@ class TieredBudgetTracker(BudgetTracker):
             return
         held = self._held_now(request.request_id)
         total = sum(self._current(entry))
-        if abs(total - held) > self._conservation_tolerance():
+        if total != held:
             raise SanitizerError(
-                f"request {request.request_id} holds {held:.3f} flat bytes "
-                f"but its tier residency sums to {total:.3f}",
+                f"request {request.request_id} holds {held} flat bytes "
+                f"but its tier residency sums to {total}",
                 invariant="tier-conservation",
                 request_id=request.request_id,
             )
@@ -1257,9 +1237,8 @@ class TieredBudgetTracker(BudgetTracker):
         """After a decode step, each tier ledger equals its requests' summed
         residency and the growing aggregate its decoding requests' share --
         the per-request reference the counters stand in for."""
-        tolerance = self._conservation_tolerance()
-        occupied = [0.0] * len(self._tiers)
-        grown = [0.0] * len(self._tiers)
+        occupied = [0] * len(self._tiers)
+        grown = [0] * len(self._tiers)
         for entry in self._entries.values():
             for tier, held in enumerate(self._current(entry)):
                 occupied[tier] += held
@@ -1269,19 +1248,19 @@ class TieredBudgetTracker(BudgetTracker):
             enumerate(self._tiers), occupied, grown
         ):
             name = ledger.tier.name
-            if abs(total - ledger.occupied_bytes) > tolerance:
+            if total != ledger.occupied_bytes:
                 raise SanitizerError(
                     f"KV tier {name!r} ledger holds "
-                    f"{ledger.occupied_bytes:.3f} bytes but its requests' "
-                    f"residency sums to {total:.3f} ({self.budget.description!r})",
+                    f"{ledger.occupied_bytes} bytes but its requests' "
+                    f"residency sums to {total} ({self.budget.description!r})",
                     invariant="tier-conservation",
                     request_id=request_id,
                 )
-            if abs(growing - self._grown[tier]) > tolerance:
+            if growing != self._grown[tier]:
                 raise SanitizerError(
                     f"KV tier {name!r} decoding aggregate holds "
-                    f"{self._grown[tier]:.3f} bytes but its growing requests "
-                    f"hold {growing:.3f} ({self.budget.description!r})",
+                    f"{self._grown[tier]} bytes but its growing requests "
+                    f"hold {growing} ({self.budget.description!r})",
                     invariant="tier-conservation",
                     request_id=request_id,
                 )
@@ -1302,14 +1281,14 @@ class TieredBudgetTracker(BudgetTracker):
                 continue
             residency = self._current(entry)
             resident_total = sum(residency)
-            if resident_total <= 0.0:
+            if not resident_total:
                 continue
             current = request.context_tokens * token_bytes
             reads.append(
                 (
                     request,
                     [
-                        current * (held / resident_total) if held > 0.0 else 0.0
+                        current * (held / resident_total) if held else 0.0
                         for held in residency
                     ],
                 )
@@ -1334,9 +1313,12 @@ class TieredBudgetTracker(BudgetTracker):
         for _, request_reads in self._reference_reads(running):
             for tier, read in enumerate(request_reads):
                 reference[tier] += read
-        tolerance = self._conservation_tolerance()
+        # The one float bound left: a fixed entry reads its float share,
+        # ``context × held / total``, and the aggregates sum those reads
+        # in another order than this reference does.
+        bound = 1e-9 * self.budget.kv_capacity_bytes + 1e-6
         for (_, ledger, _), billed, expected in zip(self._tiers, reads, reference):
-            if abs(billed - expected) > tolerance:
+            if abs(billed - expected) > bound:
                 raise SanitizerError(
                     f"KV tier {ledger.tier.name!r} read {billed:.3f} bytes in a "
                     f"decode step but its running requests read {expected:.3f} "
@@ -1355,12 +1337,11 @@ class TieredBudgetTracker(BudgetTracker):
                 invariant="tier-conservation",
                 request_id=ids[0],
             )
-        tolerance = self._conservation_tolerance()
         for name, ledger in self._ledgers.items():
-            if abs(ledger.occupied_bytes) > tolerance:
+            if ledger.occupied_bytes:
                 raise SanitizerError(
                     f"KV tier {name!r} holds a residue of "
-                    f"{ledger.occupied_bytes:.3f} bytes after every "
+                    f"{ledger.occupied_bytes} bytes after every "
                     f"reservation was released{where}",
                     invariant="tier-conservation",
                 )

@@ -86,7 +86,7 @@ class SchedulingPolicy(abc.ABC):
         the ``tracker`` says fit.
         """
 
-    def _admission_bytes(self, request: ServingRequest, tracker: BudgetTracker) -> float:
+    def _admission_bytes(self, request: ServingRequest, tracker: BudgetTracker) -> int:
         """Bytes an admission must fit under this policy's accounting."""
         if self.admission == "optimistic":
             return request.kv_admission_bytes(tracker.model)
@@ -104,7 +104,7 @@ class SchedulingPolicy(abc.ABC):
         preserved; skipping ahead would starve large requests forever).
         """
         admitted: list[ServingRequest] = []
-        ahead = 0.0
+        ahead = 0
         while waiting and len(admitted) < limit:
             need = self._admission_bytes(waiting[0], tracker)
             if not tracker.fits_bytes(need, extra_bytes=ahead):
@@ -165,7 +165,7 @@ class LengthBucketedBatch(SchedulingPolicy):
                 oldest[name] = age
         bucket = min(oldest.items(), key=lambda item: (item[1], item[0]))[0]
         admitted: list[ServingRequest] = []
-        ahead = 0.0
+        ahead = 0
         kept: deque[ServingRequest] = deque()
         while waiting:
             req = waiting.popleft()

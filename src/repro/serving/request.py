@@ -210,19 +210,21 @@ class ServingRequest:
         "shed_reason",
     )
 
-    def kv_reservation_bytes(self, model: ModelConfig) -> float:
+    def kv_reservation_bytes(self, model: ModelConfig) -> int:
         """KV bytes this request occupies at its *final* context length.
 
         Reserve-mode admission holds the full final footprint up front so a
-        batch can never outgrow the device budget mid-decode.
+        batch can never outgrow the device budget mid-decode.  Like the
+        other ``kv_*_bytes`` figures it is a whole number of bytes, the
+        unit the KV ledgers count in.
         """
-        return float(model.kv_cache_bytes(1, self.final_context_tokens))
+        return model.kv_cache_bytes(1, self.final_context_tokens)
 
-    def kv_current_bytes(self, model: ModelConfig) -> float:
-        """KV bytes at the *current* context length."""
-        return float(model.kv_cache_bytes(1, self.context_tokens))
+    def kv_current_bytes(self, model: ModelConfig) -> int:
+        """KV bytes at the *current* context length (whole bytes)."""
+        return model.kv_cache_bytes(1, self.context_tokens)
 
-    def kv_admission_bytes(self, model: ModelConfig) -> float:
+    def kv_admission_bytes(self, model: ModelConfig) -> int:
         """KV bytes charged at optimistic admission: the current context
         plus the token the prefill pass emits on completion.
 
@@ -230,9 +232,9 @@ class ServingRequest:
         movement fits-checked -- admission here, decode growth by the
         scheduler's pre-iteration overflow check -- so the budget can
         never burst, while still being a small fraction of the final
-        footprint reserve-mode admission would demand.
+        footprint reserve-mode admission would demand (whole bytes).
         """
-        return float(model.kv_cache_bytes(1, self.context_tokens + 1))
+        return model.kv_cache_bytes(1, self.context_tokens + 1)
 
 
 def make_request_queue(classes: list[RequestClass]) -> list[ServingRequest]:

@@ -107,11 +107,12 @@ class TestParseTiersSpec:
 
     def test_total_capacity_is_correctly_rounded(self):
         # The node's admission budget and its report's kv_capacity_bytes:
-        # a builtin sum() gives 644245094.4000001 on Python 3.10 and 3.11
-        # (3.12's is compensated), the correctly rounded sum 644245094.4.
+        # each tier rounds its fractional capacity down to a whole byte
+        # (107374182.4 -> 107374182 and so on), so the total is the whole
+        # bytes the tiers hold, not the 644245094.4 the fractions sum to.
         stack = parse_kv_tiers_spec("hbm:0.1G,dram:0.2G:1G,ssd:0.3G:1G")
-        assert stack.total_capacity_bytes == 644245094.4
-        assert stack.capacity_budget().kv_capacity_bytes == 644245094.4
+        assert stack.total_capacity_bytes == 644245093.0
+        assert stack.capacity_budget().kv_capacity_bytes == 644245093.0
 
     def test_none_and_blank_pass_through(self):
         assert parse_kv_tiers_spec(None) is None
@@ -125,6 +126,7 @@ class TestParseTiersSpec:
             "hbm:40g,hbm:2t:3g",  # duplicate names
             "hbm:abc",  # malformed capacity
             "hbm:0",  # non-positive capacity
+            "hbm:0.5",  # sub-byte capacity
             "hbm:40g,ssd:2t:0",  # non-positive bandwidth
             "hbm:nan",  # NaN capacity
             "hbm:inf",  # infinite capacity
@@ -138,16 +140,22 @@ class TestParseTiersSpec:
 
 
 class TestTierValidation:
-    """Capacities must be finite and positive, bandwidths positive and not
-    NaN: a NaN bandwidth compares false against zero, which would make
-    every demotion, promotion and spilled read free."""
+    """Capacities must be finite and at least one byte, bandwidths positive
+    and not NaN: a NaN bandwidth compares false against zero, which would
+    make every demotion, promotion and spilled read free."""
 
     @pytest.mark.parametrize(
-        "capacity", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0]
+        "capacity", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0, 0.5]
     )
     def test_bad_capacity_names_the_tier(self, capacity):
         with pytest.raises(ConfigurationError, match="'dram'.*capacity"):
             KVTier("dram", capacity_bytes=capacity, bandwidth_bytes_per_s=1e9)
+
+    @pytest.mark.parametrize("capacity", [1000, 1000.0, 1000.7, 1000.9999])
+    def test_fractional_capacity_rounds_down_to_a_whole_byte(self, capacity):
+        tier = KVTier("dram", capacity_bytes=capacity, bandwidth_bytes_per_s=1e9)
+        assert tier.capacity_bytes == 1000.0
+        assert type(tier.capacity_bytes) is float
 
     @pytest.mark.parametrize("bandwidth", [float("nan"), 0.0, -1e9])
     def test_bad_bandwidth_names_the_tier(self, bandwidth):
@@ -349,27 +357,28 @@ class TestThreeTierExactFigures:
                 105.31710236761683,
                 107.41259225561683,
                 107.41259225561683,
-                380.7571641884168,
-                489.8126762002567,
-                213.75170246041682,
-                213.75170246041682,
-                631.1750462482565,
-                323.25586262041685,
-                432.1913566802567,
-                981.4100450962565,
-                629.6906729362565,
-                1091.7515747314565,
-                762.3855345362565,
-                1306.0430811314563,
-                1090.6236433298563,
+                380.7571641883668,
+                489.8126762001167,
+                213.7517024603668,
+                213.7517024603668,
+                631.1750462481166,
+                323.2558626203668,
+                432.1913566801167,
+                981.4100450961165,
+                629.6906729361166,
+                1091.751574746367,
+                762.3855345361166,
+                1306.0430811463668,
+                1090.623643344617,
             ),
-            "makespan": 1306.0430811314563,
-            "spilled_decode_seconds": 0.48139461439999987,
-            # tier: (demoted, promoted, decode-read) bytes
+            "makespan": 1306.0430811463668,
+            "spilled_decode_seconds": 0.48139462925,
+            # tier: (demoted, promoted, decode-read) bytes; each demotion
+            # takes a victim's 70% share to the nearest byte.
             "tiers": {
                 "hbm": (0.0, 0.0, 548374400.0),
-                "dram": (1240307.2000000002, 781999.36, 440530188.7999988),
-                "ssd": (264704.0, 35084.80000000005, 371262067.2000012),
+                "dram": (1240307.0, 781999.0, 440530169.0),
+                "ssd": (264704.0, 35085.0, 371262087.0),
             },
         },
         "static": {
@@ -405,9 +414,11 @@ class TestThreeTierExactFigures:
 
     #: ``spilled_decode_seconds`` as the per-request ledger recorded it, one
     #: request's reads at a time; every other figure above is unchanged.
+    #: The ``attention`` entry comes from the per-request reference tracker
+    #: of ``test_kvtiers_lazy.py`` since its demotions take whole bytes.
     PER_REQUEST_SPILLED = {
         "lru": 0.47650476799999986,
-        "attention": 0.4813946143999998,
+        "attention": 0.48139462925,
         "static": 0.494369024,
     }
 

@@ -10,14 +10,20 @@ change that moves any simulated figure of any mechanism moves a digest,
 and since floats are encoded exactly, so does a figure that depends on
 the Python version.
 
-Next to each digest the file pins four exact work counters of the drain:
+Next to each digest the file pins six exact work counters of the drain:
 ``events``, the callbacks its simulator processed; ``step_queries``, the
-decode step-time queries it made of the scenario's step-time model; and
-the tier trackers' ``settles`` (growing requests brought current) and
+decode step-time queries it made of the scenario's step-time model; the
+tier trackers' ``settles`` (growing requests brought current) and
 ``cascade_steps`` (decode steps that fell back to the per-request
-cascade), summed over the drain's nodes (0 on flat nodes).  They are
-deterministic, so any change in the work a drain does -- a saving or a
-regression -- shows as a changed counter, noise-free.
+cascade), summed over the drain's nodes (0 on flat nodes);
+``budget_calls``, the calls of the KV ledger's ``fits_bytes``,
+``reserve``, ``occupy``, ``update`` and ``release`` across the drain's
+trackers (a tier tracker's override counts once, through its ``super()``
+call); and ``load_probes``, the reads of the engines' load views
+``outstanding_tokens``, ``kv_headroom_bytes``, ``top_tier_headroom_bytes``
+and ``queued_requests`` (a view that reads another counts both).  They
+are deterministic, so any change in the work a drain does -- a saving or
+a regression -- shows as a changed counter, noise-free.
 
 A change that moves figures or counters on purpose regenerates the file
 and names every changed digest and counter::
@@ -32,7 +38,7 @@ import hashlib
 import json
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 from unittest import mock
 
@@ -47,6 +53,7 @@ from repro.serving import (
     AttentionAwareDemotion,
     BatchedArrivals,
     BestFitKV,
+    BudgetTracker,
     CapacityBudget,
     ClusterScheduler,
     ContinuousBatching,
@@ -318,7 +325,25 @@ def digest(report) -> str:
 
 
 #: The exact work counters pinned next to each digest.
-COUNTERS = ("events", "step_queries", "settles", "cascade_steps")
+COUNTERS = (
+    "events",
+    "step_queries",
+    "settles",
+    "cascade_steps",
+    "budget_calls",
+    "load_probes",
+)
+
+#: The KV ledger calls ``budget_calls`` counts (base-class methods, so a
+#: tier tracker's override counts once, through its ``super()`` call).
+BUDGET_CALLS = ("fits_bytes", "reserve", "occupy", "update", "release")
+#: The engine load views ``load_probes`` counts.
+LOAD_PROBES = (
+    "outstanding_tokens",
+    "kv_headroom_bytes",
+    "top_tier_headroom_bytes",
+    "queued_requests",
+)
 
 
 @contextmanager
@@ -341,28 +366,55 @@ def recorded_simulators():
     return _recorded("Simulator", Simulator)
 
 
+def _counting(calls: dict, name: str, fn):
+    """``fn``, counting each call under ``name`` in ``calls``."""
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return counted
+
+
 def observe(run, system) -> dict:
     """Drain one scenario: its digest and its exact work counters."""
-    queries = 0
-    step_seconds = AnalyticStepTime.step_seconds
-
-    def counted(self, batch_size, seq_len):
-        nonlocal queries
-        queries += 1
-        return step_seconds(self, batch_size, seq_len)
-
-    with recorded_simulators() as sims, _recorded(
-        "NodeEngine", NodeEngine
-    ) as engines, mock.patch.object(AnalyticStepTime, "step_seconds", counted):
+    calls = dict.fromkeys(("step_queries", "budget_calls", "load_probes"), 0)
+    with ExitStack() as patches:
+        sims = patches.enter_context(recorded_simulators())
+        engines = patches.enter_context(_recorded("NodeEngine", NodeEngine))
+        patches.enter_context(
+            mock.patch.object(
+                AnalyticStepTime,
+                "step_seconds",
+                _counting(calls, "step_queries", AnalyticStepTime.step_seconds),
+            )
+        )
+        for name in BUDGET_CALLS:
+            patches.enter_context(
+                mock.patch.object(
+                    BudgetTracker,
+                    name,
+                    _counting(calls, "budget_calls", getattr(BudgetTracker, name)),
+                )
+            )
+        for name in LOAD_PROBES:
+            view = getattr(NodeEngine, name)
+            patches.enter_context(
+                mock.patch.object(
+                    NodeEngine,
+                    name,
+                    property(_counting(calls, "load_probes", view.fget)),
+                )
+            )
         report = run(system)
     (sim,) = sims
     trackers = [engine.tracker for engine in engines if engine.tiered]
     return {
         "digest": digest(report),
         "events": sim.events_processed,
-        "step_queries": queries,
         "settles": sum(tracker.settles for tracker in trackers),
         "cascade_steps": sum(tracker.cascade_steps for tracker in trackers),
+        **calls,
     }
 
 
