@@ -13,7 +13,7 @@ Typical entry points::
     result = system.measure(batch_size=16, seq_len=32768)
 
 See ``repro.experiments.runner`` for regenerating the paper's results and
-``DESIGN.md`` / ``EXPERIMENTS.md`` for the reproduction methodology.
+``DESIGN.md`` for the reproduction methodology.
 """
 
 from repro.calibration import CalibrationStore, system_fingerprint

@@ -18,7 +18,7 @@ Three placements are evaluated in the paper:
 FlexGen's disk path copies chunks through pinned host buffers on foreground
 threads, so its *delivered* bandwidth is far below raw RAID-0 -- we model
 that pipeline as an explicit staging channel whose ~6.5 GB/s calibrates the
-paper's measured FLEX(SSD) throughputs (see EXPERIMENTS.md).
+paper's measured FLEX(SSD) throughputs.
 """
 
 from __future__ import annotations

@@ -112,8 +112,8 @@ def run(
     simulates one representative node per homogeneous group when the
     fleet is symmetric and the router load-oblivious; "full" always
     simulates every node; "representative" demands folding and fails
-    fast on ineligible configurations; a single host without faults,
-    overload control, autoscaling or tiers always drains under "auto").
+    fast on ineligible configurations; a single host's rows read the
+    same under every mode it accepts).
     ``admission`` picks the continuous-batching accounting, ``arrival`` is
     an arrival spec (``poisson:RATE[:SEED]``, ``rate:RATE``,
     ``trace:PATH``), and ``prefill_chunk`` enables chunked prefill at that
@@ -333,9 +333,7 @@ def run(
                 faults=fault_schedule,
                 overload=overload_control,
                 autoscale=autoscale_policy,
-                # A single host keeps the preload feed, which admits a
-                # same-time burst together (see repro.serving.cluster).
-                fleet_symmetry=fleet_symmetry if fleet_mode else "auto",
+                fleet_symmetry=fleet_symmetry,
             ).drain(queue, arrivals=arrivals)
             for policy in default_policies(BATCH_SLOTS, admission=admission)
         ]

@@ -16,8 +16,9 @@ drains one queue across N :class:`~repro.serving.engine.Node`\\ s on a
 shared discrete-event simulation, with a pluggable
 :class:`~repro.serving.routers.Router` (round-robin, join-shortest-queue,
 KV-headroom best fit) placing each request at its arrival time.  A single
-host is a 1-node cluster, whose engine is preloaded with the whole queue
-instead of being fed by the dispatcher.  Symmetric fleets under a
+host is a 1-node cluster, fed by the same dispatcher, so node ``i`` of a
+round-robin fleet drains exactly like a lone host fed its slice of the
+queue, same-time bursts included.  Symmetric fleets under a
 load-oblivious router fold to one representative engine per homogeneous
 node group (``fleet_symmetry="auto"``) -- a 1000-node drain simulates at
 roughly the cost of one node, with per-field 1e-9 agreement against the

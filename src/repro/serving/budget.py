@@ -18,8 +18,9 @@ distinction between where within the cache home a request's bytes live.
 It counts whole bytes: the total, its peak and every entry are integers
 (a request's KV is its context times the model's per-token KV size, an
 integer), so every sum is exact and the sanitizer compares the ledger
-with ``==``.  The configured capacity stays a ``float``; comparing an
-integer with it is exact too.  Under optimistic admission the engine
+with ``==``.  The configured capacity stays a ``float``; the tracker
+compares the ledger with its floor, which decides exactly as the float
+would.  Under optimistic admission the engine
 makes one ledger call per decode iteration (or per coast of several),
 and it costs O(1) whatever the batch size: :meth:`BudgetTracker.update`
 over the whole running batch adds the steps times the batch size times
@@ -38,6 +39,7 @@ traffic, and spilled-decode read time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.analysis.capacity import (
@@ -65,10 +67,12 @@ class CapacityBudget:
     description: str = ""
 
     def __post_init__(self) -> None:
-        if self.kv_capacity_bytes <= 0:
+        # A NaN fails both comparisons, so it is refused with infinities.
+        if not 0 < self.kv_capacity_bytes < math.inf:
             raise SchedulingError(
-                f"empty KV budget ({self.description or 'unspecified home'}); "
-                "the cache home cannot hold any request"
+                f"KV budget ({self.description or 'unspecified home'}) of "
+                f"{self.kv_capacity_bytes!r} bytes: the cache home needs a "
+                "finite, positive capacity to hold any request"
             )
 
 
@@ -154,9 +158,14 @@ class BudgetTracker:
     #: in context, so a request's current bytes are its context times this
     #: and every generated token appends exactly this much.
     token_bytes: int = field(init=False, repr=False, default=0)
+    #: The budget in whole bytes.  The ledger is an integer, and an integer
+    #: is at most the capacity exactly when it is at most its floor, so
+    #: every check compares two integers.
+    capacity_bytes: int = field(init=False, repr=False, default=0)
 
     def __post_init__(self) -> None:
         self.token_bytes = self.model.kv_cache_bytes(1, 1)
+        self.capacity_bytes = math.floor(self.budget.kv_capacity_bytes)
 
     def fits(self, request: ServingRequest, extra_bytes: int = 0) -> bool:
         """Whether a final-context reservation stays within budget.
@@ -168,13 +177,10 @@ class BudgetTracker:
 
     def fits_bytes(self, need: int, extra_bytes: int = 0) -> bool:
         """Whether holding ``need`` more bytes stays within budget."""
-        return (
-            self.reserved_bytes + extra_bytes + need
-            <= self.budget.kv_capacity_bytes
-        )
+        return self.reserved_bytes + extra_bytes + need <= self.capacity_bytes
 
     def _record(self, request: ServingRequest, need: int) -> None:
-        if self.reserved_bytes + need > self.budget.kv_capacity_bytes:
+        if self.reserved_bytes + need > self.capacity_bytes:
             raise SchedulingError(
                 f"request {request.request_id} overcommits the KV budget "
                 f"({self.budget.description})"

@@ -13,25 +13,18 @@ simulator, and closes with one epilogue: the sanitizer's drain-end
 checks, the step-time clamp notes, one
 :class:`~repro.serving.metrics.NodeBreakdown` per node, and the
 :class:`~repro.serving.metrics.ServingReport`.  Work reaches the engines
-through one of two feeds:
+through one feed, a single host's included: the **dispatcher** process
+walks the arrival-ordered queue and, at each request's arrival time,
+takes one per-request step -- the router's placement, the fault driver's
+liveness-aware delivery, or the fold plan's static placement.
 
-* the **dispatcher** process walks the arrival-ordered queue and, at each
-  request's arrival time, takes one per-request step: the router's
-  placement, the fault driver's liveness-aware delivery, or the fold
-  plan's static placement;
-* the **preload** feed, used by 1-node drains with no fault driver and no
-  fold, installs the whole queue in the engine up front, and the engine
-  sleeps until each next arrival itself.
-
-The preload feed stays because it alone lets an idle engine admit a
-same-time burst together: a dispatched delivery wakes a parked engine
-synchronously, so it admits the burst's first request before the rest
-reach its queue.  On one 64-request ``BatchedArrivals`` stream, a 1-node
-drain admits a burst at t=27.18 s, while node0 of a 2-node round-robin
-fleet, dispatched the same requests, admits them at 27.18 / 28.46 /
-28.46 / 28.46 s, and every completion time differs.  A multi-node drain
-resolves an arrival that ties exactly with an iteration boundary in
-deterministic heap order.
+A delivery wakes a parked engine at the same instant but after the
+dispatcher yields (:meth:`~repro.serving.engine.NodeEngine._wake_if_parked`,
+the one wake rule), so a same-time burst reaches the engine whole and is
+admitted together.  Hence the slice property: node ``i`` of a
+round-robin fleet simulated in full drains exactly like a lone node fed
+its slice of the queue.  An arrival that ties exactly with an iteration
+boundary resolves in deterministic heap order.
 
 **Fault injection.** ``ClusterScheduler(..., faults=FaultSchedule(...))``
 runs the drain under a seeded fault schedule (:mod:`repro.serving.faults`):
@@ -244,7 +237,7 @@ class ClusterScheduler:
     migrate recompute-on-migrate through the router, and the report grows
     migration/downtime accounting with uptime-only cost billing.  An empty
     schedule is normalised to ``None``, so faults-off drains never build
-    the fault driver (and a 1-node drain keeps the preload feed).
+    the fault driver.
 
     ``overload`` bounds admission at the dispatcher (shed / retry / park,
     see :mod:`repro.serving.overload`); an empty control is normalised to
@@ -260,7 +253,7 @@ class ClusterScheduler:
     every node; and ``"representative"`` demands folding, raising a
     :class:`~repro.errors.ConfigurationError` at construction when the
     fleet cannot fold.  ``"auto"`` never folds a single-node cluster, so
-    1-node drains keep the preload feed by default.
+    by default a lone host reports as the single host it is.
     """
 
     def __init__(
@@ -419,11 +412,9 @@ class ClusterScheduler:
             NodeEngine(self.nodes[members[0]], self.policy, sim) for members in groups
         ]
 
-        # The feed: the dispatcher with one per-request step, or (one node,
-        # no driver, no fold) the preload.
+        # The feed: the dispatcher, with one per-request step.
         driver: FaultDriver | None = None
         autoscaler: Autoscaler | None = None
-        feed: list[ServingRequest] | None = ordered
         if fold is not None:
             # The plan places each representative request on its group's
             # engine.
@@ -454,26 +445,20 @@ class ClusterScheduler:
                     engine.start_offline()
                 autoscaler = Autoscaler(sim, engines, self.autoscale, driver)
             step = driver.deliver
-        elif len(engines) == 1:
-            engines[0].preload(ordered)
-            engines[0].finish_arrivals()
-            feed = None
         else:
 
             def step(request: ServingRequest) -> None:
                 self.router.place(request, engines).enqueue(request)
 
-        processes = []
-        if feed is not None:
-            processes.append(
-                sim.process(
-                    # Under the fault driver migrated requests may still be
-                    # in flight when the feed ends; the driver releases the
-                    # engines once the last request completes or sheds.
-                    self._dispatch(sim, feed, step, engines if driver is None else []),
-                    name="cluster.route",
-                )
+        processes = [
+            sim.process(
+                # Under the fault driver migrated requests may still be in
+                # flight when the feed ends; the driver releases the engines
+                # once the last request completes or sheds.
+                self._dispatch(sim, ordered, step, engines if driver is None else []),
+                name="cluster.route",
             )
+        ]
         if driver is not None:
             processes.append(
                 sim.process(driver.redispatch(), name="cluster.redispatch")
@@ -489,7 +474,7 @@ class ClusterScheduler:
             driver.start_injectors()
             if autoscaler is not None:
                 autoscaler.start()
-        sim.run(processes[0] if len(processes) == 1 else sim.all_of(processes))
+        sim.run(sim.all_of(processes))
 
         # The epilogue.
         if sim.sanitizer is not None:
@@ -608,7 +593,8 @@ class ClusterScheduler:
 
         Returns ``None`` when this drain must simulate every node:
         ``fleet_symmetry="full"``, an ineligible fleet under ``"auto"``, or
-        a single node under ``"auto"`` (which keeps the preload feed).
+        a single node under ``"auto"`` (folding one node saves nothing,
+        and the lone host keeps its single-host report labels).
         Otherwise returns ``(period, offsets, groups)``: the length of the
         cycle from :meth:`~repro.serving.routers.Router.static_assignments`,
         every node's cycle offsets (ascending) -- node ``i`` takes queue

@@ -12,22 +12,21 @@ across many hosts (a single host is a 1-node cluster).
 
 Request lifecycle::
 
-    pending --arrival--> waiting --admit--> prefilling --chunks done-->
-    running --last token--> finished
-                  ^                                |
-                  +------- preempt (optimistic) ---+
+    pending (the inbox) --loop top--> waiting --admit--> prefilling
+        --chunks done--> running --last token--> finished
+    prefilling or running --preempt (optimistic)--> front of waiting
 
-The engine receives work through one of the cluster drain's two feeds:
-
-* :meth:`NodeEngine.preload` installs a whole arrival-stamped queue up
-  front (1-node drains without the fault driver or fleet folding): the engine
-  sleeps until each next arrival itself, so every request of a
-  same-time burst is waiting when it wakes and is admitted with it;
-* :meth:`NodeEngine.enqueue` delivers one request at its arrival time
-  (the cluster dispatcher's feed); an idle engine parks on a wake event
-  that ``enqueue`` (or :meth:`NodeEngine.finish_arrivals`) triggers, and
-  since the wake is synchronous it admits a burst's first request before
-  the rest are delivered.
+The engine receives work one way: the cluster dispatcher's
+:meth:`NodeEngine.enqueue`, at or after each request's arrival time,
+puts it in the ``pending`` inbox, and the next loop top moves the whole
+inbox to ``waiting``.  An idle engine parks on a wake event; a delivery
+(or :meth:`NodeEngine.finish_arrivals`, or a fault or scale-down
+notice) wakes it by scheduling the event at zero delay, never inline
+(:meth:`NodeEngine._wake_if_parked`, the one wake rule).  The engine
+therefore resumes at the delivering instant but after the delivering
+process yields, with every request due then in its inbox: a same-time
+burst is admitted together, and node ``i`` of a round-robin fleet drains
+exactly like a lone node fed its slice of the queue.
 
 The engine also exposes the live load views routers, overload control
 and the autoscaler read: :attr:`outstanding_tokens` (JSQ),
@@ -44,7 +43,7 @@ owns:
 =====================  ===================================================
 transition             ledgers moved
 =====================  ===================================================
-enqueue / preload      outstanding, committed KV, queued KV
+enqueue                outstanding, committed KV, queued KV
 admission              queued KV
 prefill chunk          outstanding (completion: running context, finish
                        countdown lowered to the completer's tokens left)
@@ -130,7 +129,6 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import repeat
-from typing import Iterable
 
 from repro.analysis.sanitizer import SanitizerError
 from repro.baselines.base import InferenceSystem
@@ -211,12 +209,13 @@ class Node:
 class NodeEngine:
     """Drives one node's drain loop as a process on a shared simulator.
 
-    The loop surfaces arrivals, runs policy admission, (chunked) prefill,
-    decode iterations and optimistic-overflow preemption, and parks when
-    idle: with no work and no known future arrival it waits on a wake
-    event instead of exiting, because the cluster dispatcher may still
-    route more requests its way.  :meth:`finish_arrivals` marks the
-    stream exhausted so a drained engine can terminate.
+    The loop moves its inbox to the waiting queue, runs policy
+    admission, (chunked) prefill, decode iterations and
+    optimistic-overflow preemption, and parks when idle: with no work it
+    waits on a wake event instead of exiting, because the cluster
+    dispatcher may still route more requests its way.
+    :meth:`finish_arrivals` marks the stream exhausted so a drained engine
+    can terminate.
     """
 
     def __init__(self, node: Node, policy: SchedulingPolicy, sim: Simulator) -> None:
@@ -242,9 +241,9 @@ class NodeEngine:
         #: hot-loop hooks are single attribute tests (the ``_slow_factor``
         #: pattern) and flat drains stay byte-identical.
         self.tiered = node.kv_tiers is not None
-        #: Requests routed here whose arrival time has not been reached
-        #: (preloaded single-node queues only; dispatched requests arrive
-        #: due and go straight through to ``waiting`` at the next loop top).
+        #: The inbox: requests delivered since the last scheduling point.
+        #: Each arrives due, and the next loop top moves them all to
+        #: ``waiting``.
         self.pending: deque[ServingRequest] = deque()
         self.waiting: deque[ServingRequest] = deque()
         self.prefilling: list[ServingRequest] = []
@@ -360,9 +359,13 @@ class NodeEngine:
             self._slow_factor = 1.0
 
     def _wake_if_parked(self) -> None:
-        if self._wake is not None and not self._wake.triggered:
+        """The one wake rule: a parked engine resumes at this instant, but
+        only after the process that woke it yields, so every delivery due
+        now is in its inbox when it looks -- a same-time burst arrives
+        whole, on one node or on many."""
+        if self._wake is not None:
             wake, self._wake = self._wake, None
-            wake.succeed()
+            self.sim.schedule(0.0, wake.succeed)
 
     def _apply_death(self) -> None:
         """Take the node DOWN: evict, release all KV, return the queue.
@@ -644,16 +647,9 @@ class NodeEngine:
 
     # --- work delivery ---------------------------------------------------------
 
-    def preload(self, requests: Iterable[ServingRequest]) -> None:
-        """Install a whole arrival-ordered queue (single-node drains)."""
-        requests = list(requests)
-        self.pending.extend(requests)
-        self.assigned.extend(requests)
-        for request in requests:
-            self._note_routed(request)
-
     def enqueue(self, request: ServingRequest) -> None:
-        """Deliver one routed request (cluster dispatch, at arrival time)."""
+        """Deliver one routed request (cluster dispatch, at or after its
+        arrival time) to the inbox, waking the engine if it is parked."""
         if self._state != "up":
             raise SchedulingError(
                 f"request {request.request_id} routed to node "
@@ -689,8 +685,10 @@ class NodeEngine:
                 self._wake = sim.event(f"{self.node.name}.wake")
                 yield self._wake
                 continue
-            while self.pending and self.pending[0].arrival_time <= sim.now:
-                self.waiting.append(self.pending.popleft())
+            if self.pending:
+                # Every delivery is due, so the whole inbox joins the queue.
+                self.waiting.extend(self.pending)
+                self.pending.clear()
             admitted = self.policy.admit(
                 self.waiting, self.running + self.prefilling, self.tracker
             )
@@ -761,16 +759,13 @@ class NodeEngine:
             if progressed:
                 continue
             # Nothing active and nothing admitted: either the engine is
-            # genuinely idle until the next arrival, or admission is stuck.
+            # genuinely idle until the next delivery, or admission is stuck.
             if self.waiting:
                 raise SchedulingError(
                     f"policy {self.policy.name!r} admitted nothing with "
                     f"{len(self.waiting)} requests waiting on node "
                     f"{self.node.name!r} (starvation)"
                 )
-            if self.pending:
-                yield sim.timeout(self.pending[0].arrival_time - sim.now)
-                continue
             if self._scale_down:
                 # The graceful drain just emptied: nothing admitted, queued,
                 # or pending -- go DOWN as a spare instead of exiting.
@@ -892,9 +887,9 @@ class NodeEngine:
         on a tiered node the steps leave the top tier's ledger alone
         (:meth:`~repro.serving.kvtiers.TieredBudgetTracker.decode_leaves_top_alone`:
         no promotion, and any growth lands below the top).  At each skipped
-        boundary the per-step loop would only move due arrivals from
-        pending to waiting, and the wake moves them in the same order
-        before any admission; the router-facing load views, the top tier's
+        boundary the per-step loop would only move the inbox to the
+        waiting queue, and the wake moves it in the same order before any
+        admission; the router-facing load views, the top tier's
         headroom included, do not move during such a run.  (Exact ties are
         the one exception: the wake's heap entry is older than a per-step
         boundary's, so arrivals landing exactly on the wake and on the

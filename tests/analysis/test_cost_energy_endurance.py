@@ -119,7 +119,7 @@ class TestEndurance:
 
     def test_175b_long_requests_in_millions(self, model):
         """Section 6.6 reports over 4.08M long requests; our write-volume
-        model lands within ~10% of that (3.7M, see EXPERIMENTS.md)."""
+        model lands within ~10% of that (3.7M)."""
         hilos = hilos_endurance(16, spill_interval=16)
         assert 3.5e6 < serviceable_requests(model, LONG, hilos) < 4.5e6
 

@@ -29,7 +29,7 @@ class TestFlexSSD:
         assert fractions["load_kv"] > 0.6
 
     def test_throughput_in_calibrated_band(self, flex_ssd_66b_32k):
-        """EXPERIMENTS.md calibration: ~0.08 tokens/s at 66B/32K/batch 16."""
+        """The staging-channel calibration: ~0.08 tokens/s at 66B/32K/batch 16."""
         assert 0.04 < flex_ssd_66b_32k.tokens_per_second < 0.16
 
     def test_longer_context_scales_step_time(self, opt66b):

@@ -172,8 +172,9 @@ class TestServingClusterCli:
         assert "autoscale: auto:1:2:2:60" in tables[0].title
 
     def test_single_host_rows_ignore_fleet_symmetry(self):
-        # A one-node row is not a fleet: it drains under "auto" whatever
-        # fleet_symmetry says, so a same-time burst keeps the preload feed.
+        # A one-node row is not a fleet: it drains the same under every
+        # fleet_symmetry mode, a same-time burst included, and gets no
+        # per-node table.
         kwargs = dict(
             fast=True,
             systems=["HILOS (8 SmartSSDs)"],

@@ -5,7 +5,7 @@ A full batch runs to its next finisher in one simulator wake
 is the same drain with the coast length forced to 0, so every decode
 iteration takes the per-step path.  Across policies (batch-synchronous,
 continuous reserve, optimistic with chunked prefill, optimistic on a
-budget tight enough to preempt mid-coast), feeds (the 1-node preload,
+budget tight enough to preempt mid-coast), feeds (one node,
 JSQ, BestFitKV, round-robin, weighted round-robin and a folded fleet)
 and arrival processes (all at zero, Poisson, bursts) over three seeds,
 and on tiered nodes (three tier policies × both admissions × 2- and

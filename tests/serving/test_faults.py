@@ -385,9 +385,8 @@ class TestFaultDrains:
 
 
 class TestEmptyScheduleIdentity:
-    """ISSUE acceptance: an empty ``FaultSchedule`` is byte-identical to no
-    schedule at all, on the 1-node preloaded path and the routed path, for
-    every policy x router."""
+    """An empty ``FaultSchedule`` is byte-identical to no schedule at all,
+    on one node and on a routed fleet, for every policy x router."""
 
     @pytest.mark.parametrize(
         "policy_factory",

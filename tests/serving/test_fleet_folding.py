@@ -371,8 +371,9 @@ class TestFoldFallback:
             autoscale=parse_autoscale_spec("auto:1:3:8"),
         )
 
-    def test_auto_single_node_keeps_the_legacy_path(self, system):
-        """auto never folds one node: it keeps the preload feed."""
+    def test_auto_single_node_reports_as_a_single_host(self, system):
+        """auto never folds one node, so a lone host keeps its single-host
+        report labels."""
         report = ClusterScheduler(
             symmetric_fleet(system, 1), ContinuousBatching(4)
         ).drain(self._queue())

@@ -180,6 +180,18 @@ class TestBudgetTracker:
         with pytest.raises(SchedulingError):
             CapacityBudget(0.0, "empty")
 
+    @pytest.mark.parametrize("capacity", [float("nan"), float("inf")])
+    def test_non_finite_budget_rejected(self, capacity):
+        with pytest.raises(SchedulingError, match="finite, positive capacity"):
+            CapacityBudget(capacity, "unbounded")
+
+    def test_fractional_budget_decides_on_its_whole_bytes(self, model):
+        tracker = tracker_for(model, capacity_bytes=1000.75)
+        assert tracker.capacity_bytes == 1000
+        assert tracker.fits_bytes(1000)
+        assert not tracker.fits_bytes(1001)
+        assert not tracker.fits_bytes(1, extra_bytes=1000)
+
 
 def test_default_policies_cover_all_three():
     names = [policy.name for policy in default_policies(16)]

@@ -3,7 +3,8 @@
 These run the full event simulation at paper scale and assert the
 qualitative results DESIGN.md commits to: who wins, by roughly what factor,
 and where the crossovers fall.  Absolute tokens/sec are calibration-specific
-(see EXPERIMENTS.md) and only loosely bounded here.
+(FlexGen's staging channel is calibrated to the paper's measured FLEX(SSD)
+throughputs; see ``repro.baselines.flexgen``) and only loosely bounded here.
 """
 
 from __future__ import annotations
