@@ -19,7 +19,7 @@ import numpy as np
 from repro.functional.engine import ExecutionPlan, FunctionalDecoder
 from repro.models.registry import tiny_model
 from repro.workloads.retrieval import (
-    evaluate_kernel,
+    evaluate_kernels,
     flashattention_kernel,
     hilos_kernel,
     instattention_kernel,
@@ -62,10 +62,9 @@ def cross_plan_check() -> None:
 def accuracy_check() -> None:
     print("retrieval accuracy (F1), 5 synthetic LongBench-style tasks:")
     print(f"{'task':18s} {'flash':>6s} {'hilos':>6s} {'sparse':>7s} {'drop':>5s}")
+    kernels = [flashattention_kernel, hilos_kernel, instattention_kernel(1.0 / 8.0)]
     for task in make_retrieval_suite():
-        flash = evaluate_kernel(task, flashattention_kernel)
-        hilos = evaluate_kernel(task, hilos_kernel)
-        sparse = evaluate_kernel(task, instattention_kernel(1.0 / 8.0))
+        flash, hilos, sparse = evaluate_kernels(task, kernels)
         marker = "LOSSLESS" if flash == hilos else "MISMATCH!"
         print(f"{task.name:18s} {flash:6.1f} {hilos:6.1f} {sparse:7.1f} "
               f"{flash - sparse:5.1f}  {marker}")

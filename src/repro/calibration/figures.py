@@ -1,24 +1,32 @@
-"""Fingerprinted caching for the figure harnesses' fixed measurement points.
+"""Fingerprinted caching for the figure harnesses' measurement points.
 
 The figure experiments (fig10's throughput comparison, fig11's batch
-sensitivity) measure a small fixed set of ``(batch, seq_len)`` points per
-system -- unlike the serving path they also need the per-phase *breakdown*
-stacks for the paper's percentage charts, so they cannot reuse
+sensitivity, fig13-15's sweeps, the kvtiers sweep's tier anchors) measure a
+small fixed set of ``(batch, seq_len)`` points per system -- unlike the
+serving path they also need the per-phase *breakdown* stacks for the
+paper's percentage charts, so they cannot reuse
 :class:`~repro.serving.steptime.CalibratedStepTime` directly.
 
 :class:`FigurePointCache` gives them the same once-ever measurement
-guarantee: each point's steady-state step time and phase breakdown are
-persisted to a :class:`~repro.calibration.CalibrationStore` under the same
-deterministic fingerprint scheme the serving grids use.  A warm store makes
-figure re-runs measurement-free; tokens/sec and OOM verdicts are
-reconstructed from the cached cells plus the (analytic, cheap) effective
-batch computation.
+guarantee: each point's steady-state step time, prefill latency and phase
+breakdown are persisted to a :class:`~repro.calibration.CalibrationStore`.
+A figure cell's identity is its system, the measurement recipe and the
+cell semantics -- not the grid the harness declares around it -- so a
+point that any harness measured serves every other harness that plots it,
+through the store's process-wide memory layer and, across processes, its
+disk files.  The declared grid stays the harness's point set: it bounds
+which points the cache serves and what :attr:`~FigurePointCache.cached_points`
+counts.  A warm store makes these harnesses measurement-free; tokens/sec
+and OOM verdicts are reconstructed from the cached cells plus the
+(analytic, cheap) effective batch computation.
 
 Measurements take one step and no warm-up, matching the serving
 calibration pipeline: the event-level simulators are deterministic and
 reach steady state on the first decode step (warm-up moves step times only
 at the 1e-14 relative level), so the redundant warm-up simulation would
-double every cold run's cost for nothing.
+double every cold run's cost for nothing.  Harnesses that measure outside
+a cache (fig4(c) and fig17(a) read utilization, which cells do not store)
+call :func:`measure_direct`, which measures with the same recipe.
 """
 
 from __future__ import annotations
@@ -56,14 +64,16 @@ class FigurePoint:
 
 
 class FigurePointCache:
-    """measure()-compatible caching for a system's fixed figure points.
+    """measure()-compatible caching for a system's figure points.
 
-    Parameters mirror :class:`~repro.serving.steptime.CalibratedStepTime`:
-    the (batch, seq) grids plus the class's step counts define the
-    fingerprint, so two runs of the same harness hit the same store file
-    while a changed sweep (or library version) re-measures from scratch.
-    Unlike the interpolating serving model this cache only ever serves
-    exact grid points -- figure harnesses measure the points they plot.
+    ``batch_grid`` x ``seq_grid`` is the harness's declared point set: the
+    cache serves exactly those points and counts only those in
+    :attr:`cached_points`.  The store identity (:attr:`fingerprint`) is
+    the system, the class's step recipe and :attr:`SEMANTICS` -- no grid --
+    so every harness plotting the same system shares its measured cells,
+    while a changed system, recipe or library version re-measures from
+    scratch.  Unlike the interpolating serving model this cache only ever
+    serves exact points -- figure harnesses measure the points they plot.
     """
 
     #: ``measure()`` step counts of every point, part of the fingerprint
@@ -91,7 +101,6 @@ class FigurePointCache:
         self._prefill: dict[tuple[int, int], float] = {}
         self._breakdown: dict[tuple[int, int], dict[str, float]] = {}
         self._fingerprint: str | None = None
-        self._hydrated = store is None
 
     #: Figure points persist the *raw* steady-state step time (tokens/s is
     #: effective_batch / step), unlike the serving grids, which bill
@@ -103,31 +112,49 @@ class FigurePointCache:
 
     @property
     def fingerprint(self) -> str:
-        """Deterministic identity of this (system, point grid) combination."""
+        """Deterministic identity of this system's figure cells."""
         if self._fingerprint is None:
             self._fingerprint = system_fingerprint(
                 self.system,
-                self.batch_grid,
-                self.seq_grid,
                 n_steps=self.n_steps,
                 warmup_steps=self.warmup_steps,
                 semantics=self.SEMANTICS,
             )
         return self._fingerprint
 
+    def _in_grid(self, key: tuple[int, int]) -> bool:
+        return key[0] in self.batch_grid and key[1] in self.seq_grid
+
     def prewarm(self) -> int:
-        """Hydrate the point cache from the store; returns cells now cached."""
+        """Hydrate this grid's points from the store; returns points cached.
+
+        The store entry holds every cell any harness measured for this
+        system; only the declared grid's points are taken and counted.
+        """
         if self.store is not None:
-            self._step.update(self.store.load_step_grid(self.fingerprint))
-            self._prefill.update(self.store.load_prefill_grid(self.fingerprint))
-            self._breakdown.update(self.store.load_breakdown_grid(self.fingerprint))
-        self._hydrated = True
+            fingerprint = self.fingerprint
+            for local, grid in (
+                (self._step, self.store.load_step_grid(fingerprint)),
+                (self._prefill, self.store.load_prefill_grid(fingerprint)),
+                (self._breakdown, self.store.load_breakdown_grid(fingerprint)),
+            ):
+                local.update(
+                    (key, value) for key, value in grid.items() if self._in_grid(key)
+                )
         return len(self._step)
 
     @property
     def cached_points(self) -> int:
-        """Number of points currently cached (measured or store-loaded)."""
+        """Number of grid points currently cached (measured or store-loaded)."""
         return len(self._step)
+
+    def _cached(self, key: tuple[int, int]) -> bool:
+        # record() always writes a key's step and prefill cells together,
+        # but a hand-edited or truncated store file could hydrate one
+        # without the other -- treat that as a miss so both halves come
+        # from one coherent measurement (prefill reads measure()-mutated
+        # state).
+        return key in self._step and key in self._prefill
 
     def measure(self, batch: int, seq_len: int) -> FigurePoint:
         """The measurement for one grid point, from cache when possible.
@@ -136,13 +163,12 @@ class FigurePointCache:
         simulation) and never stored; everything else is measured once ever
         per store directory.
         """
-        if batch not in self.batch_grid or seq_len not in self.seq_grid:
+        key = (batch, seq_len)
+        if not self._in_grid(key):
             raise ConfigurationError(
                 f"point ({batch}, {seq_len}) is outside this cache's grid; "
                 "figure caches serve exact grid points only"
             )
-        if not self._hydrated:
-            self.prewarm()
         effective = self.system.effective_batch(batch, seq_len)
         if effective == 0:
             return FigurePoint(
@@ -153,13 +179,11 @@ class FigurePointCache:
                 oom=True,
                 note="CPU OOM",
             )
-        key = (batch, seq_len)
-        if key not in self._step or key not in self._prefill:
-            # Defensive guard: record() always writes a key's step and
-            # prefill cells together, but a hand-edited or truncated store
-            # file could hydrate one without the other -- treat that as a
-            # miss so both halves come from one coherent measurement
-            # (prefill reads measure()-mutated state).
+        if not self._cached(key):
+            # Another cache of this system may have recorded the point
+            # since this one last looked: the store's memory layer serves it.
+            self.prewarm()
+        if not self._cached(key):
             result = self.system.measure(
                 batch, seq_len, n_steps=self.n_steps, warmup_steps=self.warmup_steps
             )
@@ -184,8 +208,8 @@ class FigurePointCache:
                     self.fingerprint,
                     description=fingerprint_payload(
                         self.system,
-                        self.batch_grid,
-                        self.seq_grid,
+                        None,
+                        None,
                         self.n_steps,
                         self.warmup_steps,
                         semantics=self.SEMANTICS,
@@ -208,3 +232,17 @@ class FigurePointCache:
         """Persist any deferred store writes (sweep boundaries)."""
         if self.store is not None:
             self.store.flush_dirty()
+
+
+def measure_direct(system, batch: int, seq_len: int):
+    """One uncached ``measure()`` with the figure-cell recipe.
+
+    For harnesses that measure outside a :class:`FigurePointCache`: they
+    take its step counts, so a direct and a cached read of one point agree.
+    """
+    return system.measure(
+        batch,
+        seq_len,
+        n_steps=FigurePointCache.n_steps,
+        warmup_steps=FigurePointCache.warmup_steps,
+    )

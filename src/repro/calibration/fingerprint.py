@@ -8,7 +8,15 @@ therefore hashes a canonical JSON rendering of:
 * every field of its :class:`~repro.models.config.ModelConfig`,
 * every field of its :class:`~repro.sim.topology.HardwareConfig`
   (recursively, covering GPU/CPU/SSD spec dataclasses),
-* the measurement grid (batch sizes, context lengths, steps per cell), and
+* its simulation ``symmetry`` mode -- ``"full"`` runs the reference
+  full-array path, so a store warmed by ``"auto"`` must not serve it,
+* the measurement recipe (steps and warm-up steps per cell) and what the
+  cells mean (``semantics``),
+* the measurement grid (batch sizes, context lengths), when the cells are
+  read through it: the serving grids interpolate and clamp across theirs,
+  so a different grid is a different table.  Figure cells are exact
+  points and carry no grid, so one system's cells serve every harness
+  that plots them, and
 * the library version -- any release may change simulator behaviour, so
   grids never survive a :data:`repro.__version__` bump.
 
@@ -27,7 +35,7 @@ from typing import Any
 from repro.errors import ConfigurationError
 
 #: Bump when the fingerprint rendering itself changes shape.
-FINGERPRINT_SCHEME = 1
+FINGERPRINT_SCHEME = 2
 
 
 def canonical_value(value: Any) -> Any:
@@ -66,8 +74,8 @@ _SYSTEM_TUNABLE_ATTRS = (
 
 def fingerprint_payload(
     system: Any,
-    batch_grid: tuple[int, ...],
-    seq_grid: tuple[int, ...],
+    batch_grid: tuple[int, ...] | None,
+    seq_grid: tuple[int, ...] | None,
     n_steps: int,
     warmup_steps: int,
     semantics: str = "billed-step",
@@ -83,12 +91,14 @@ def fingerprint_payload(
     serve each other's values even on identical (system, grid) inputs.
     Besides model and hardware, the payload reflects the system's own
     behavioural config (``system.config``, e.g. ``HilosConfig``'s feature
-    flags) and the scalar tunables above -- anything that could change a
-    measured number must change the fingerprint.
+    flags), its ``symmetry`` mode and the scalar tunables above -- anything
+    that could change a measured number, or which simulator path computes
+    it, must change the fingerprint.  Grids of ``None`` leave the grid out
+    of the identity (exact-point cells, see the module docstring).
     """
     from repro import __version__
 
-    return {
+    payload = {
         "scheme": FINGERPRINT_SCHEME,
         "repro_version": __version__,
         "semantics": semantics,
@@ -100,24 +110,27 @@ def fingerprint_payload(
             for attr in _SYSTEM_TUNABLE_ATTRS
             if isinstance(getattr(system, attr, None), (int, float))
         },
+        "symmetry": getattr(system, "symmetry", None),
         "model": canonical_value(system.model),
         "hardware": canonical_value(system.hardware_config()),
-        "batch_grid": list(batch_grid),
-        "seq_grid": list(seq_grid),
         "n_steps": n_steps,
         "warmup_steps": warmup_steps,
     }
+    for name, grid in (("batch_grid", batch_grid), ("seq_grid", seq_grid)):
+        if grid is not None:
+            payload[name] = list(grid)
+    return payload
 
 
 def system_fingerprint(
     system: Any,
-    batch_grid: tuple[int, ...],
-    seq_grid: tuple[int, ...],
+    batch_grid: tuple[int, ...] | None = None,
+    seq_grid: tuple[int, ...] | None = None,
     n_steps: int = 1,
     warmup_steps: int = 0,
     semantics: str = "billed-step",
 ) -> str:
-    """Hex digest identifying one (system, measurement grid) combination."""
+    """Hex digest identifying one (system, recipe[, grid]) combination."""
     payload = fingerprint_payload(
         system, batch_grid, seq_grid, n_steps, warmup_steps, semantics=semantics
     )

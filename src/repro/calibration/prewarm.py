@@ -55,6 +55,7 @@ def _build_step_time(
     model_name: str,
     batch_grid: tuple[int, ...],
     seq_grid: tuple[int, ...],
+    symmetry: str,
     store: CalibrationStore | None,
 ):
     from repro.baselines.registry import build_inference_system
@@ -62,6 +63,7 @@ def _build_step_time(
     from repro.serving.steptime import CalibratedStepTime
 
     system = build_inference_system(label, get_model(model_name))
+    system.symmetry = symmetry
     return CalibratedStepTime(
         system, batch_grid=batch_grid, seq_grid=seq_grid, store=store
     )
@@ -72,6 +74,7 @@ def _measure_cell_job(
     model_name: str,
     batch_grid: tuple[int, ...],
     seq_grid: tuple[int, ...],
+    symmetry: str,
     cell: tuple[int, int],
 ) -> tuple[str, tuple[int, int], float | None]:
     """Worker body: measure one grid cell; ``None`` marks infeasible cells.
@@ -82,7 +85,9 @@ def _measure_cell_job(
     """
     from repro.errors import SchedulingError
 
-    step_time = _build_step_time(label, model_name, batch_grid, seq_grid, store=None)
+    step_time = _build_step_time(
+        label, model_name, batch_grid, seq_grid, symmetry, store=None
+    )
     try:
         return label, cell, step_time.step_seconds(*cell)
     except SchedulingError:
@@ -99,6 +104,7 @@ def prewarm_step_grids(
     seq_grid: tuple[int, ...] = DEFAULT_SEQ_GRID,
     store: CalibrationStore | None = None,
     jobs: int = 1,
+    symmetry: str = "auto",
 ) -> list[PrewarmReport]:
     """Measure every missing cell of every system's grid, in parallel.
 
@@ -107,6 +113,8 @@ def prewarm_step_grids(
     processes, records the results, and flushes once at the end through the
     store's merge-on-flush path.  Returns one report per system.
     ``model_name=None`` resolves to the serving experiment's model.
+    ``symmetry`` is the systems' simulation mode, which their fingerprints
+    record: warm the mode the serving run will use.
     """
     if model_name is None:
         from repro.experiments.serving_throughput import MODEL
@@ -118,7 +126,9 @@ def prewarm_step_grids(
     missing: list[tuple[str, tuple[int, int]]] = []
     already: dict[str, int] = {}
     for label in labels:
-        step_time = _build_step_time(label, model_name, batch_grid, seq_grid, store)
+        step_time = _build_step_time(
+            label, model_name, batch_grid, seq_grid, symmetry, store
+        )
         already[label] = step_time.prewarm()
         step_times[label] = step_time
         missing.extend((label, cell) for cell in step_time.missing_cells())
@@ -137,7 +147,8 @@ def prewarm_step_grids(
         with ProcessPoolExecutor(max_workers=min(jobs, len(missing))) as pool:
             futures = [
                 pool.submit(
-                    _measure_cell_job, label, model_name, batch_grid, seq_grid, cell
+                    _measure_cell_job,
+                    label, model_name, batch_grid, seq_grid, symmetry, cell,
                 )
                 for label, cell in missing
             ]
@@ -145,7 +156,9 @@ def prewarm_step_grids(
                 _record(*future.result())
     else:
         for label, cell in missing:
-            _record(*_measure_cell_job(label, model_name, batch_grid, seq_grid, cell))
+            _record(*_measure_cell_job(
+                label, model_name, batch_grid, seq_grid, symmetry, cell
+            ))
     store.flush_dirty()
     return [
         PrewarmReport(

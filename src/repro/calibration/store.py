@@ -21,10 +21,16 @@ The in-memory layer is process-wide and keyed by (store root, fingerprint),
 so every experiment in one process (e.g. the serving system x policy sweep,
 or a ``--jobs`` worker running several figures) that uses the same store
 directory shares measurements without touching the disk twice, while
-distinct directories remain fully independent caches.  Writes go through a temp-file + ``os.replace``
-so concurrent runner workers can never observe a torn file; last writer
-wins, which is safe because identical fingerprints imply identical
-measured values.
+distinct directories remain fully independent caches.
+
+One file collects every cell any harness measured for its fingerprint
+(figure cells carry no grid, so e.g. fig10, fig11, fig14 and fig15 all
+write HILOS-8 OPT-30B's file), and concurrent ``--jobs`` workers flush
+the same files.  A flush therefore holds the root's exclusive lock file
+(``.lock``, a POSIX ``flock``) from re-reading the file on disk until its
+merged copy replaces it, so no worker's cells are lost to an interleaved
+read-merge-write; the temp-file + ``os.replace`` write means no reader
+ever sees a torn file.
 
 Entries are invalidated (treated as a miss and overwritten) when either
 the on-disk ``format`` or the recorded ``repro_version`` differs from the
@@ -34,6 +40,7 @@ every measured number.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import tempfile
@@ -44,6 +51,9 @@ STORE_FORMAT = 1
 
 #: Environment variable overriding the default store directory.
 STORE_DIR_ENV = "REPRO_CALIBRATION_DIR"
+
+#: Lock file under the store root that serializes flushes across processes.
+LOCK_NAME = ".lock"
 
 #: Process-wide in-memory layer, keyed by (resolved store root, fingerprint)
 #: so two stores over the same directory share measurements while stores
@@ -253,49 +263,50 @@ class CalibrationStore:
         from repro import __version__
 
         self.root.mkdir(parents=True, exist_ok=True)
-        # Merge the current on-disk cells first: a concurrent worker may
-        # have persisted cells this process never measured, and a plain
-        # read-modify-write of our in-memory entry would drop them.  Equal
-        # fingerprints imply equal values per cell, so merge direction is
-        # irrelevant for overlapping keys; stale-version files yield None
-        # and are overwritten wholesale.
-        on_disk = self._load_disk(fingerprint)
-        step = dict(on_disk["step_seconds"]) if on_disk else {}
-        prefill = dict(on_disk["prefill_seconds"]) if on_disk else {}
-        breakdown = dict(on_disk["breakdown_seconds"]) if on_disk else {}
-        step.update(entry["step_seconds"])
-        prefill.update(entry["prefill_seconds"])
-        breakdown.update(entry["breakdown_seconds"])
-        # Adopt the merged view in the memory layer too, so this process
-        # also benefits from cells a concurrent worker persisted.
-        entry["step_seconds"] = step
-        entry["prefill_seconds"] = prefill
-        entry["breakdown_seconds"] = breakdown
-        payload = {
-            "format": STORE_FORMAT,
-            "repro_version": __version__,
-            "fingerprint": fingerprint,
-            "description": description or {},
-            "step_seconds": dict(sorted(step.items())),
-            "prefill_seconds": dict(sorted(prefill.items())),
-            "breakdown_seconds": dict(sorted(breakdown.items())),
-        }
-        # Atomic replace: concurrent --jobs workers may flush the same
-        # fingerprint; a torn read is impossible and last-writer-wins is
-        # sound because equal fingerprints imply equal measurements.
-        fd, tmp_name = tempfile.mkstemp(
-            dir=self.root, prefix=f".{fingerprint[:16]}", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, sort_keys=True, indent=1)
-            os.replace(tmp_name, self._path(fingerprint))
-        except BaseException:
+        with open(self.root / LOCK_NAME, "a") as lock:
+            fcntl.flock(lock, fcntl.LOCK_EX)  # released when ``lock`` closes
+            # Merge the current on-disk cells first: a concurrent worker may
+            # have persisted cells this process never measured, and a plain
+            # read-modify-write of our in-memory entry would drop them.  Equal
+            # fingerprints imply equal values per cell, so merge direction is
+            # irrelevant for overlapping keys; stale-version files yield None
+            # and are overwritten wholesale.  The lock keeps every other flush
+            # out between this read and the replace below.
+            on_disk = self._load_disk(fingerprint)
+            step = dict(on_disk["step_seconds"]) if on_disk else {}
+            prefill = dict(on_disk["prefill_seconds"]) if on_disk else {}
+            breakdown = dict(on_disk["breakdown_seconds"]) if on_disk else {}
+            step.update(entry["step_seconds"])
+            prefill.update(entry["prefill_seconds"])
+            breakdown.update(entry["breakdown_seconds"])
+            # Adopt the merged view in the memory layer too, so this process
+            # also benefits from cells a concurrent worker persisted.
+            entry["step_seconds"] = step
+            entry["prefill_seconds"] = prefill
+            entry["breakdown_seconds"] = breakdown
+            payload = {
+                "format": STORE_FORMAT,
+                "repro_version": __version__,
+                "fingerprint": fingerprint,
+                "description": description or {},
+                "step_seconds": dict(sorted(step.items())),
+                "prefill_seconds": dict(sorted(prefill.items())),
+                "breakdown_seconds": dict(sorted(breakdown.items())),
+            }
+            # Atomic replace: a reader, which takes no lock, never sees a torn file.
+            fd, tmp_name = tempfile.mkstemp(
+                dir=self.root, prefix=f".{fingerprint[:16]}", suffix=".tmp"
+            )
             try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+                with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                    json.dump(payload, handle, sort_keys=True, indent=1)
+                os.replace(tmp_name, self._path(fingerprint))
+            except BaseException:
+                try:
+                    os.unlink(tmp_name)
+                except OSError:
+                    pass
+                raise
 
     # --- maintenance ------------------------------------------------------------
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from repro.accelerator.asic import estimate_asic, fits_ssd_controller_budget
 from repro.accelerator.resources import dsp_count_for_throughput_scale
+from repro.calibration.figures import measure_direct
 from repro.core.config import HilosConfig
 from repro.core.runtime import HilosSystem
 from repro.experiments.harness import Table
@@ -40,13 +41,13 @@ def isp_equivalence_table(fast: bool = True) -> Table:
         notes="the paper argues the two platforms should closely match",
     )
     smartssd = HilosSystem(model, HilosConfig(n_devices=4))
-    base = smartssd.measure(BATCH, SEQ_LEN, n_steps=1, warmup_steps=1)
+    base = measure_direct(smartssd, BATCH, SEQ_LEN)
     isp = HilosSystem(
         model,
         HilosConfig(n_devices=1),
         hardware=isp_hardware_config(n_devices=1),
     )
-    isp_result = isp.measure(BATCH, SEQ_LEN, n_steps=1, warmup_steps=1)
+    isp_result = measure_direct(isp, BATCH, SEQ_LEN)
     table.add_row("NSP (4 SmartSSDs)", 4, base.tokens_per_second, 1.0)
     table.add_row(
         "ISP (envisioned)",

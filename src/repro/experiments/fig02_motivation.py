@@ -13,6 +13,7 @@ weight transfer is no longer the dominant term.
 from __future__ import annotations
 
 from repro.baselines.flexgen import FlexGenSSD
+from repro.calibration.figures import measure_direct
 from repro.experiments.harness import Table
 from repro.models import get_model, memory_footprint
 from repro.sim.metrics import HOST_COMPUTE, LOAD_KV, LOAD_WEIGHT, PAPER_PHASES, STORE_KV
@@ -64,7 +65,7 @@ def execution_breakdown_table(fast: bool = True) -> Table:
     for seq_len in contexts:
         base_tput = None
         for batch in BATCHES:
-            result = FlexGenSSD(model).measure(batch, seq_len, n_steps=1, warmup_steps=1)
+            result = measure_direct(FlexGenSSD(model), batch, seq_len)
             fractions = result.breakdown.fractions(PAPER_PHASES)
             kv = fractions[LOAD_KV] + fractions[STORE_KV]
             weight = fractions[LOAD_WEIGHT]

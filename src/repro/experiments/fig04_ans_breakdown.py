@@ -19,7 +19,9 @@ from repro.analysis.traffic import (
     ans_traffic_reduction_ratio,
     baseline_step_traffic,
 )
+from repro.baselines.base import MeasuredResult
 from repro.baselines.flexgen import FlexGenSSD
+from repro.calibration.figures import measure_direct
 from repro.core.config import HilosConfig
 from repro.core.runtime import HilosSystem
 from repro.experiments.harness import Table
@@ -28,6 +30,7 @@ from repro.sim.metrics import HOST_COMPUTE, LOAD_KV, LOAD_WEIGHT, PAPER_PHASES, 
 
 MODEL = "OPT-30B"
 BATCH = 16
+CONTEXTS = (16384, 32768)
 
 
 def ans_only_system(model, n_devices: int = 8) -> HilosSystem:
@@ -38,47 +41,47 @@ def ans_only_system(model, n_devices: int = 8) -> HilosSystem:
     )
 
 
-def breakdown_table(fast: bool = True) -> Table:
-    """Figure 4(b): per-phase latency shares, baseline vs ANS."""
+def measurements() -> list[tuple[str, int, MeasuredResult]]:
+    """(system label, context, result) per point; panels (b) and (c) share them."""
     model = get_model(MODEL)
-    contexts = [16384, 32768]
+    return [
+        (label, seq_len, measure_direct(system, BATCH, seq_len))
+        for seq_len in CONTEXTS
+        for label, system in (
+            ("Baseline (SSD+CPU)", FlexGenSSD(model)),
+            ("Proposed (ANS)", ans_only_system(model)),
+        )
+    ]
+
+
+def breakdown_table(measured: list[tuple[str, int, MeasuredResult]]) -> Table:
+    """Figure 4(b): per-phase latency shares of :func:`measurements`."""
     table = Table(
         title="Fig 4(b) decode latency breakdown: baseline (SSD+CPU) vs ANS",
         columns=["system", "seq_len", "load_weight_pct", "load_kv_pct", "store_kv_pct", "host_compute_pct"],
     )
-    for seq_len in contexts:
-        for system in (FlexGenSSD(model), ans_only_system(model)):
-            result = system.measure(BATCH, seq_len, n_steps=1, warmup_steps=1)
-            f = result.breakdown.fractions(PAPER_PHASES)
-            table.add_row(
-                "Baseline (SSD+CPU)" if isinstance(system, FlexGenSSD) else "Proposed (ANS)",
-                seq_len,
-                100 * f[LOAD_WEIGHT],
-                100 * f[LOAD_KV],
-                100 * f[STORE_KV],
-                100 * f[HOST_COMPUTE],
-            )
+    for label, seq_len, result in measured:
+        f = result.breakdown.fractions(PAPER_PHASES)
+        table.add_row(
+            label,
+            seq_len,
+            100 * f[LOAD_WEIGHT],
+            100 * f[LOAD_KV],
+            100 * f[STORE_KV],
+            100 * f[HOST_COMPUTE],
+        )
     return table
 
 
-def utilization_table(fast: bool = True) -> Table:
-    """Figure 4(c): host resource utilization, baseline vs ANS."""
-    model = get_model(MODEL)
+def utilization_table(measured: list[tuple[str, int, MeasuredResult]]) -> Table:
+    """Figure 4(c): host resource utilization of :func:`measurements`."""
     table = Table(
         title="Fig 4(c) host resource utilization (%)",
         columns=["system", "seq_len", "cpu_pct", "gpu_pct", "dram_capacity_pct"],
     )
-    for seq_len in (16384, 32768):
-        for system in (FlexGenSSD(model), ans_only_system(model)):
-            result = system.measure(BATCH, seq_len, n_steps=1, warmup_steps=1)
-            u = result.utilization
-            table.add_row(
-                "Baseline (SSD+CPU)" if isinstance(system, FlexGenSSD) else "Proposed (ANS)",
-                seq_len,
-                100 * u.cpu,
-                100 * u.gpu,
-                100 * u.dram_capacity,
-            )
+    for label, seq_len, result in measured:
+        u = result.utilization
+        table.add_row(label, seq_len, 100 * u.cpu, 100 * u.gpu, 100 * u.dram_capacity)
     return table
 
 
@@ -103,8 +106,13 @@ def traffic_table(fast: bool = True) -> Table:
 
 
 def run(fast: bool = True) -> list[Table]:
-    """All three Figure 4 views."""
-    return [breakdown_table(fast), utilization_table(fast), traffic_table(fast)]
+    """All three Figure 4 views; (b) and (c) read one measurement per point."""
+    measured = measurements()
+    return [
+        breakdown_table(measured),
+        utilization_table(measured),
+        traffic_table(fast),
+    ]
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ from __future__ import annotations
 from repro.accelerator.config import AcceleratorConfig
 from repro.accelerator.estimator import kernel_throughput, ssd_feed_throughput
 from repro.baselines.flexgen import FlexGenDRAM, FlexGenSSD
+from repro.calibration.figures import measure_direct
 from repro.core.config import HilosConfig
 from repro.core.runtime import HilosSystem
 from repro.experiments.harness import Table
@@ -62,7 +63,7 @@ def model_sensitivity(fast: bool = True) -> Table:
             ]
             baseline = None
             for label, system in systems:
-                result = system.measure(BATCH, seq_len, n_steps=1, warmup_steps=1)
+                result = measure_direct(system, BATCH, seq_len)
                 if label == "FLEX(SSD)":
                     baseline = result.tokens_per_second
                 table.add_row(

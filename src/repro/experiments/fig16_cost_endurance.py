@@ -15,6 +15,7 @@ from __future__ import annotations
 from repro.analysis.cost import cost_efficiency, flexgen_cost, hilos_cost
 from repro.analysis.endurance import flexgen_endurance, hilos_endurance, serviceable_requests
 from repro.baselines.flexgen import FlexGenDRAM, FlexGenSSD
+from repro.calibration.figures import measure_direct
 from repro.core.config import HilosConfig
 from repro.core.runtime import HilosSystem
 from repro.experiments.harness import Table
@@ -51,7 +52,7 @@ def cost_table(fast: bool = True) -> Table:
         ]
         base_eff = None
         for label, system, cost in entries:
-            result = system.measure(BATCH, seq_len, n_steps=1, warmup_steps=1)
+            result = measure_direct(system, BATCH, seq_len)
             eff = (
                 cost_efficiency(result.tokens_per_second, cost)
                 if not result.oom

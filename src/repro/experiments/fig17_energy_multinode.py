@@ -15,6 +15,7 @@ from repro.analysis.energy import energy_breakdown
 from repro.baselines.flexgen import FlexGenDRAM, FlexGenSSD
 from repro.baselines.vllm import MultiNodeVLLM
 from repro.calibration import CalibrationStore, resolve_store
+from repro.calibration.figures import measure_direct
 from repro.core.config import HilosConfig
 from repro.core.runtime import HilosSystem
 from repro.experiments.harness import Table
@@ -43,7 +44,7 @@ def energy_table(fast: bool = True) -> Table:
         ]
         rows = []
         for label, system, kwargs in entries:
-            result = system.measure(BATCH, seq_len, n_steps=1, warmup_steps=1)
+            result = measure_direct(system, BATCH, seq_len)
             if result.oom:
                 continue
             energy = energy_breakdown(result, **kwargs)
@@ -143,7 +144,7 @@ def multinode_table(
         ]
         results = {}
         for label, system in entries:
-            results[label] = system.measure(BATCH, seq_len, n_steps=1, warmup_steps=1)
+            results[label] = measure_direct(system, BATCH, seq_len)
         hilos_tput = results["HILOS (16 SSDs)"].tokens_per_second
         for label, result in results.items():
             speedup = (

@@ -25,7 +25,8 @@ knobs (calibration grids, calibration store directory) pass through to any
 experiment whose ``run()`` accepts them.  ``--prewarm`` measures the
 serving systems' missing calibration cells across ``--jobs`` processes
 before (or instead of) running experiments; ``--symmetry`` forces the
-simulation substrate mode for experiments that accept it ("auto" folds
+simulation substrate mode for experiments that accept it and for the
+systems ``--prewarm`` measures ("auto" folds
 homogeneous device arrays to representative devices and stops simulating
 a decode step's layers once their state repeats, "full" simulates every
 device and every layer).
@@ -116,6 +117,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--symmetry", choices=("auto", "full", "representative"), default=None,
         help="simulation substrate mode for experiments that accept it "
+        "and for --prewarm "
         "(auto folds homogeneous device arrays to representative devices "
         "and repeating decode-step layers; full simulates every device and "
         "layer)",
@@ -173,6 +175,7 @@ def main(argv: list[str] | None = None) -> int:
             seq_grid=kwargs.get("seq_grid", DEFAULT_SEQ_GRID),
             store=kwargs.get("store"),
             jobs=args.jobs,
+            symmetry=kwargs.get("symmetry", "auto"),
         )
         elapsed = time.time() - started
         for report in reports:

@@ -29,9 +29,12 @@ DEFAULT_BLOCK = 128
 def reference_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Numerically stable softmax in float64 -- the ground-truth oracle."""
     x64 = np.asarray(x, dtype=np.float64)
-    shifted = x64 - np.max(x64, axis=axis, keepdims=True)
-    exps = np.exp(shifted)
-    return exps / np.sum(exps, axis=axis, keepdims=True)
+    # One temporary the size of the input, updated in place (same ufuncs,
+    # same values): score matrices reach megabytes in the accuracy runs.
+    out = x64 - np.max(x64, axis=axis, keepdims=True)
+    np.exp(out, out=out)
+    out /= np.sum(out, axis=axis, keepdims=True)
+    return out
 
 
 def three_pass_softmax(x: np.ndarray) -> np.ndarray:

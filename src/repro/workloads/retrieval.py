@@ -17,7 +17,7 @@ statistics, needle depths, and noise) stand in for the five datasets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -95,12 +95,9 @@ def make_retrieval_suite(
     ]
 
 
-def retrieve_positions(
-    outputs: np.ndarray, values: np.ndarray, top_n: int = 1
-) -> np.ndarray:
+def retrieve_positions(outputs: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Decode each attention output back to the context position it matched."""
-    similarity = outputs @ values.T
-    return np.argsort(similarity, axis=1)[:, -top_n:][:, ::-1][:, 0]
+    return np.argmax(outputs @ values.T, axis=1)
 
 
 def score_f1(predicted: np.ndarray, expected: np.ndarray) -> float:
@@ -115,19 +112,38 @@ def score_f1(predicted: np.ndarray, expected: np.ndarray) -> float:
     return float(np.mean(predicted == expected)) * 100.0
 
 
+def evaluate_kernels(
+    task: RetrievalTask, kernels: Sequence[AttentionKernel]
+) -> list[float]:
+    """F1 of each attention kernel on one build of a retrieval task."""
+    queries, keys, values, positions = task.build()
+    return [
+        score_f1(
+            retrieve_positions(np.asarray(kernel(queries, keys, values)), values),
+            positions,
+        )
+        for kernel in kernels
+    ]
+
+
 def evaluate_kernel(task: RetrievalTask, kernel: AttentionKernel) -> float:
     """F1 of one attention kernel on one retrieval task."""
-    queries, keys, values, positions = task.build()
-    outputs = np.asarray(kernel(queries, keys, values))
-    predicted = retrieve_positions(outputs, values)
-    return score_f1(predicted, positions)
+    (f1,) = evaluate_kernels(task, [kernel])
+    return f1
 
 
 def flashattention_kernel(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The lossless GPU baseline (dense attention)."""
+    """The lossless GPU baseline: dense attention over the FP16 KV cache.
+
+    GPU FlashAttention reads the same FP16-stored keys and values the HILOS
+    accelerator streams from flash, so the two exact kernels see one cache:
+    a near-tie between two similarities cannot flip between them.
+    """
     from repro.functional.attention import reference_attention
 
-    return reference_attention(q, k, v)
+    return reference_attention(
+        q, np.asarray(k, dtype=np.float16), np.asarray(v, dtype=np.float16)
+    )
 
 
 def hilos_kernel(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -4,14 +4,18 @@ from __future__ import annotations
 
 import pytest
 
+from repro.baselines.flexgen import FlexGenDRAM, FlexGenSSD
 from repro.calibration import CalibrationStore, system_fingerprint
-from repro.calibration.figures import FigurePoint, FigurePointCache
+from repro.calibration.figures import FigurePoint, FigurePointCache, measure_direct
 from repro.calibration.prewarm import prewarm_step_grids
 from repro.calibration.store import clear_memory_layer
 from repro.core.config import HilosConfig
 from repro.core.runtime import HilosSystem
 from repro.errors import ConfigurationError
+from repro.experiments.fig04_ans_breakdown import ans_only_system
+from repro.models import get_model
 from repro.serving.steptime import CalibratedStepTime
+from repro.sim.isp import isp_hardware_config
 
 
 @pytest.fixture(autouse=True)
@@ -76,6 +80,62 @@ class TestFigurePointCache:
         assert point.tokens_per_second == 0.0
         assert cache.measurement_count == 0  # detected without simulation
         assert cache.cached_points == 0
+
+
+class TestGridFreeIdentity:
+    """A figure cell belongs to its system, not to the grid around it."""
+
+    def test_a_cell_serves_every_grid_that_declares_it(self, tiny_mha, tmp_path):
+        store = CalibrationStore(tmp_path)
+        first = FigurePointCache(
+            HilosSystem(tiny_mha, HilosConfig(n_devices=2)), (2,), (512,), store=store
+        )
+        measured = first.measure(2, 512)
+        other = FigurePointCache(
+            HilosSystem(tiny_mha, HilosConfig(n_devices=2)),
+            (1, 2),
+            (256, 512),
+            store=store,
+        )
+        served = other.measure(2, 512)
+        assert other.measurement_count == 0
+        assert served == measured
+
+    def test_counts_only_the_declared_grid(self, tiny_mha, tmp_path):
+        store = CalibrationStore(tmp_path)
+        wide = FigurePointCache(
+            HilosSystem(tiny_mha, HilosConfig(n_devices=2)), (1, 2), (512,), store=store
+        )
+        wide.measure(1, 512)
+        wide.measure(2, 512)
+        wide.flush()
+        clear_memory_layer()  # a fresh process reading the disk store
+        narrow = FigurePointCache(
+            HilosSystem(tiny_mha, HilosConfig(n_devices=2)), (2,), (512,), store=store
+        )
+        assert narrow.prewarm() == 1
+        assert narrow.cached_points == 1
+        with pytest.raises(ConfigurationError, match="outside"):
+            narrow.measure(1, 512)
+
+    def test_interleaved_caches_measure_a_point_once(self, tiny_mha, tmp_path):
+        """A cache hydrated before another recorded the point still finds
+        it: a local miss re-reads the store's memory layer."""
+        store = CalibrationStore(tmp_path)
+        a, b = (
+            FigurePointCache(
+                HilosSystem(tiny_mha, HilosConfig(n_devices=2)),
+                (2,),
+                (256, 512),
+                store=store,
+            )
+            for _ in range(2)
+        )
+        a.prewarm()
+        b.prewarm()
+        a.measure(2, 512)
+        b.measure(2, 512)
+        assert (a.measurement_count, b.measurement_count) == (1, 0)
 
 
 class TestBreakdownPersistence:
@@ -194,13 +254,59 @@ class TestStepCounts:
         )
 
     def test_figure_point_fingerprint(self, system):
+        """Figure cells are keyed by system, recipe and semantics: no grid."""
         assert (FigurePointCache.n_steps, FigurePointCache.warmup_steps) == (1, 0)
         cache = FigurePointCache(system, (1, 2), (256,))
         assert cache.fingerprint == system_fingerprint(
             system,
-            (1, 2),
-            (256,),
             n_steps=1,
             warmup_steps=0,
             semantics=FigurePointCache.SEMANTICS,
         )
+        assert FigurePointCache(system, (4,), (512, 1024)).fingerprint == (
+            cache.fingerprint
+        )
+
+
+def _isp_hilos(model):
+    return HilosSystem(
+        model, HilosConfig(n_devices=1), hardware=isp_hardware_config(n_devices=1)
+    )
+
+
+class TestOneStepRecipe:
+    """The figure recipe (one step, no warm-up) that :func:`measure_direct`
+    shares with the cache: per system class the direct harnesses measure,
+    a warm-up step moves nothing a figure reads."""
+
+    CASES = {
+        "flex-ssd": (FlexGenSSD, "OPT-175B", 4, 32768),
+        "flex-dram": (FlexGenDRAM, "OPT-30B", 16, 16384),
+        "ans-only": (ans_only_system, "OPT-30B", 16, 32768),
+        "hilos-16": (
+            lambda m: HilosSystem(m, HilosConfig(n_devices=16)), "OPT-66B", 16, 16384
+        ),
+        "isp-hilos": (_isp_hilos, "OPT-66B", 16, 32768),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_warmup_moves_nothing_a_figure_reads(self, case):
+        build, model_name, batch, seq_len = self.CASES[case]
+        model = get_model(model_name)
+        recipe = measure_direct(build(model), batch, seq_len)
+        warmed = build(model).measure(batch, seq_len, n_steps=1, warmup_steps=1)
+        assert not recipe.oom and not warmed.oom
+
+        def close(value, reference):
+            return value == pytest.approx(reference, rel=1e-9, abs=0.0)
+
+        assert close(recipe.step_seconds, warmed.step_seconds)
+        assert recipe.breakdown.seconds.keys() == warmed.breakdown.seconds.keys()
+        for phase, seconds in warmed.breakdown.seconds.items():
+            assert close(recipe.breakdown.seconds[phase], seconds), phase
+        for share in ("cpu", "gpu", "dram_capacity"):
+            assert close(
+                getattr(recipe.utilization, share), getattr(warmed.utilization, share)
+            ), share
+        assert recipe.storage_logical_written == warmed.storage_logical_written
+        assert recipe.storage_physical_written == warmed.storage_physical_written

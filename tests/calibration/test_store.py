@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 
 import pytest
 
@@ -56,6 +57,20 @@ class TestFingerprint:
         assert system_fingerprint(system, GRID[0], (256,)) != base
         assert system_fingerprint(system, *GRID, n_steps=3) != base
         assert system_fingerprint(system, *GRID, warmup_steps=1) != base
+
+    def test_sensitive_to_symmetry_mode(self, tiny_mha):
+        """``"full"`` forces the reference simulator path; a store warmed
+        under ``"auto"`` must not answer for it."""
+        base = system_fingerprint(HilosSystem(tiny_mha, HilosConfig(n_devices=2)))
+        full = HilosSystem(tiny_mha, HilosConfig(n_devices=2))
+        full.symmetry = "full"
+        assert system_fingerprint(full) != base
+        assert fingerprint_payload(full, None, None, 1, 0)["symmetry"] == "full"
+
+    def test_grid_free_payload_omits_the_grid(self, system):
+        payload = fingerprint_payload(system, None, None, n_steps=1, warmup_steps=0)
+        assert "batch_grid" not in payload and "seq_grid" not in payload
+        assert system_fingerprint(system) != system_fingerprint(system, *GRID)
 
     def test_sensitive_to_library_version(self, system, monkeypatch):
         base = system_fingerprint(system, *GRID)
@@ -235,3 +250,59 @@ class TestConcurrentFlushMerge:
             (4, 256): 2.0,
             (8, 256): 3.0,
         }
+
+    def test_interleaved_flushes_from_two_processes_keep_both_cell_sets(
+        self, tmp_path
+    ):
+        """This process pauses one flush between re-reading the file and
+        replacing it while another process flushes other cells of the same
+        fingerprint.  The flush lock makes the other process wait for the
+        replace, so its merge sees these cells and both sets survive; an
+        unlocked flush would finish inside the pause and be overwritten."""
+        fp = "cd" * 32
+        context = multiprocessing.get_context("fork")
+        paused, other_done = context.Event(), context.Event()
+        other = context.Process(
+            target=_flush_when_set,
+            args=(tmp_path, fp, {(8, 256): 3.0}, paused, other_done),
+        )
+        other.start()
+        store = _PausingStore(tmp_path, paused, other_done)
+        store.load_step_grid(fp)  # hydrate first: only the flush reads disk
+        store.pause = True
+        store.record(fp, step_cells={(1, 256): 1.0, (4, 256): 2.0})
+        other.join(timeout=60)
+        assert other.exitcode == 0
+        clear_memory_layer()
+        assert CalibrationStore(tmp_path).load_step_grid(fp) == {
+            (1, 256): 1.0,
+            (4, 256): 2.0,
+            (8, 256): 3.0,
+        }
+
+
+class _PausingStore(CalibrationStore):
+    """A store whose disk reads, once ``pause`` is set, signal ``paused``
+    and wait for ``other_done`` -- at most :attr:`PAUSE_S`, which is what a
+    process blocked on the flush lock makes it wait."""
+
+    PAUSE_S = 0.5
+
+    def __init__(self, root, paused, other_done) -> None:
+        super().__init__(root)
+        self.paused, self.other_done = paused, other_done
+        self.pause = False
+
+    def _load_disk(self, fingerprint):
+        entry = super()._load_disk(fingerprint)
+        if self.pause:
+            self.paused.set()
+            self.other_done.wait(self.PAUSE_S)
+        return entry
+
+
+def _flush_when_set(root, fingerprint, cells, go, done) -> None:
+    """The other process: record and flush ``cells`` once ``go`` is set."""
+    go.wait(60)
+    CalibrationStore(root).record(fingerprint, step_cells=cells)
+    done.set()

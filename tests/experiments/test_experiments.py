@@ -51,7 +51,9 @@ class TestFig04:
             assert row["measured_ratio"] == pytest.approx(row["eq3_ratio"], rel=1e-9)
 
     def test_baseline_kv_share_exceeds_ans_host_traffic(self):
-        table = fig04_ans_breakdown.breakdown_table(fast=True)
+        table = fig04_ans_breakdown.breakdown_table(
+            measured=fig04_ans_breakdown.measurements()
+        )
         rows = {(r["system"], r["seq_len"]): r for r in table.to_dicts()}
         base = rows[("Baseline (SSD+CPU)", 32768)]
         assert base["load_kv_pct"] > 60.0

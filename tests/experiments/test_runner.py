@@ -241,6 +241,29 @@ class TestServingWarmCache:
         assert warm[1].column("fingerprint") == cold[1].column("fingerprint")
         assert all(n == 0 for n in warm[1].column("new_measurements"))
 
+    def test_prewarm_warms_the_requested_symmetry(self, capsys):
+        """``--prewarm --symmetry full`` must measure the cells a
+        full-symmetry serving run reads, not the default mode's."""
+        from repro.baselines.registry import build_inference_system
+        from repro.calibration.store import default_store
+        from repro.models import get_model
+
+        grid = dict(batch_grid=(1, 2), seq_grid=(256, 512))
+        assert runner.main(
+            ["--prewarm", "--symmetry", "full", "--batch-grid", "1,2",
+             "--seq-grid", "256,512"]
+        ) == 0
+        capsys.readouterr()
+        clear_memory_layer()
+        for label in serving_throughput.FAST_SYSTEMS:
+            system = build_inference_system(
+                label, get_model(serving_throughput.MODEL)
+            )
+            system.symmetry = "full"
+            step_time = CalibratedStepTime(system, store=default_store(), **grid)
+            assert step_time.prewarm() == 4, label
+            assert step_time.missing_cells() == []
+
     def test_custom_grids_flow_through_to_fingerprints(self):
         default = serving_throughput.run(fast=True)
         custom = serving_throughput.run(
@@ -272,6 +295,15 @@ class TestFigureWarmCache:
         warm = fig11_batch_sensitivity.run(fast=True)
         assert warm[0].rows == cold[0].rows
         assert warm[1].rows == cold[1].rows
+
+    def test_full_symmetry_is_not_served_by_an_auto_store(self):
+        """``--symmetry full`` must run the reference path even on a store
+        the default run warmed: every one of fig10's points re-measures."""
+        from repro.experiments import fig10_throughput
+
+        fig10_throughput.run(fast=True)
+        full = fig10_throughput.run(fast=True, symmetry="full")
+        assert sum(full[1].column("new_measurements")) == 14
 
     def test_fig10_symmetry_modes_agree(self):
         """--symmetry full and the default representative path must produce

@@ -313,9 +313,9 @@ class TestThreeTierExactFigures:
     which a 2-tier stack never reaches.  The figures come from the lazy
     tracker, which lands a decode step's growth in O(tiers) and prices its
     spilled reads once per tier for the whole batch.  The per-request
-    ledger before it recorded the same figures except
-    ``spilled_decode_seconds``, which sums the same reads in another order
-    (:attr:`PER_REQUEST_SPILLED`); the two must agree within 1e-12.
+    reference tracker of ``test_kvtiers_lazy.py`` sums the same reads one
+    request at a time (:attr:`PER_REQUEST_SPILLED`); the two must agree
+    within 1e-12.
     """
 
     N_REQUESTS = 16
@@ -412,14 +412,13 @@ class TestThreeTierExactFigures:
         },
     }
 
-    #: ``spilled_decode_seconds`` as the per-request ledger recorded it, one
-    #: request's reads at a time; every other figure above is unchanged.
-    #: The ``attention`` entry comes from the per-request reference tracker
-    #: of ``test_kvtiers_lazy.py`` since its demotions take whole bytes.
+    #: ``spilled_decode_seconds`` as the per-request reference tracker of
+    #: ``test_kvtiers_lazy.py`` (``PerRequestTracker``, no coasting) records
+    #: it on this drain, one request's reads at a time.
     PER_REQUEST_SPILLED = {
-        "lru": 0.47650476799999986,
+        "lru": 0.4765047679999999,
         "attention": 0.48139462925,
-        "static": 0.494369024,
+        "static": 0.49436902400000005,
     }
 
     @pytest.mark.parametrize(
