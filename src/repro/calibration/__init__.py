@@ -1,26 +1,32 @@
-"""Persistent calibration cache for measured step-time grids.
+"""Persistent calibration cache for measured ``measure()`` points.
 
-Measuring one ``(batch, seq_len)`` cell of a :class:`~repro.serving.steptime.CalibratedStepTime`
-grid runs the full event-level simulation of the system -- tens of
-milliseconds per cell, times dozens of cells, times every system in a sweep,
-times every re-run of every experiment.  The grids are pure functions of the
-system description, so this package fingerprints that description and
-persists measured grids:
+Measuring one ``(batch, seq_len)`` point runs the full event-level
+simulation of the system -- tens of milliseconds per point, times dozens
+of points, times every system in a sweep, times every re-run of every
+experiment.  A point is a pure function of the system description, so this
+package fingerprints that description and persists measured cells:
 
 :func:`system_fingerprint`
-    Deterministic digest of model config + hardware topology + measurement
-    grid + library version.  Two systems with identical fingerprints would
-    measure identical grids.
+    Deterministic digest of model config + hardware topology + step recipe
+    + library version: a cell's whole identity.  Two systems with identical
+    fingerprints would measure identical cells.
+
+:class:`FigurePointCache`
+    The one route to a simulated point: ``measure(batch, seq_len)`` equals
+    the direct one-step ``measure()`` field for field and simulates each
+    point once ever per store directory.  Every figure harness reads
+    through one, and so does every serving step-time grid
+    (:class:`~repro.serving.steptime.CalibratedStepTime`).
 
 :class:`CalibrationStore`
     Two-layer cache: a process-wide in-memory layer shared by every
     experiment in the process, over a versioned on-disk JSON store shared by
-    every process that uses the same directory.  A warm store makes serving
-    experiment re-runs measurement-free.
+    every process that uses the same directory.  A warm store makes figure
+    and serving re-runs measurement-free.
 
 The store invalidates itself when :data:`repro.__version__` changes (any
 release may change simulator behaviour, which silently changes measured
-grids) and when the on-disk format version changes.
+cells) and when the on-disk format version changes.
 """
 
 from repro.calibration.fingerprint import system_fingerprint

@@ -10,15 +10,14 @@ therefore hashes a canonical JSON rendering of:
   (recursively, covering GPU/CPU/SSD spec dataclasses),
 * its simulation ``symmetry`` mode -- ``"full"`` runs the reference
   full-array path, so a store warmed by ``"auto"`` must not serve it,
-* the measurement recipe (steps and warm-up steps per cell) and what the
-  cells mean (``semantics``),
-* the measurement grid (batch sizes, context lengths), when the cells are
-  read through it: the serving grids interpolate and clamp across theirs,
-  so a different grid is a different table.  Figure cells are exact
-  points and carry no grid, so one system's cells serve every harness
-  that plots them, and
+* the measurement recipe (steps and warm-up steps per cell), and
 * the library version -- any release may change simulator behaviour, so
-  grids never survive a :data:`repro.__version__` bump.
+  cells never survive a :data:`repro.__version__` bump.
+
+That is a measured cell's whole identity: a cell is one simulated point,
+the same whichever grid or harness reads it, so one system's cells serve
+every figure that plots them and every serving grid that interpolates
+across them.
 
 Fields are rendered with ``repr``-stable primitives only (numbers, strings,
 booleans, lists); nested dataclasses and enums are unfolded recursively.
@@ -35,7 +34,7 @@ from typing import Any
 from repro.errors import ConfigurationError
 
 #: Bump when the fingerprint rendering itself changes shape.
-FINGERPRINT_SCHEME = 2
+FINGERPRINT_SCHEME = 3
 
 
 def canonical_value(value: Any) -> Any:
@@ -63,7 +62,7 @@ def canonical_value(value: Any) -> Any:
 #: Behaviour-affecting scalar knobs that live on the system object itself
 #: rather than in its model/hardware configs.  Reflected into the payload
 #: when present so two systems differing only in, say, their framework
-#: staging bandwidth cannot collide on one grid.
+#: staging bandwidth cannot collide on one store file.
 _SYSTEM_TUNABLE_ATTRS = (
     "per_layer_overhead_s",
     "weight_staging_bandwidth",
@@ -72,36 +71,22 @@ _SYSTEM_TUNABLE_ATTRS = (
 )
 
 
-def fingerprint_payload(
-    system: Any,
-    batch_grid: tuple[int, ...] | None,
-    seq_grid: tuple[int, ...] | None,
-    n_steps: int,
-    warmup_steps: int,
-    semantics: str = "billed-step",
-) -> dict:
+def fingerprint_payload(system: Any, n_steps: int = 1, warmup_steps: int = 0) -> dict:
     """The canonical description that :func:`system_fingerprint` hashes.
 
-    Exposed separately so the store can persist it next to each grid,
-    making cache files self-describing (and collisions debuggable).
-
-    ``semantics`` names what the persisted cells *mean* (e.g. the serving
-    grids bill clamped batches at a scaled step time, figure points store
-    the raw step), so consumers with different cell semantics can never
-    serve each other's values even on identical (system, grid) inputs.
+    Exposed separately so the store can persist it next to each file's
+    cells, making cache files self-describing (and collisions debuggable).
     Besides model and hardware, the payload reflects the system's own
     behavioural config (``system.config``, e.g. ``HilosConfig``'s feature
     flags), its ``symmetry`` mode and the scalar tunables above -- anything
     that could change a measured number, or which simulator path computes
-    it, must change the fingerprint.  Grids of ``None`` leave the grid out
-    of the identity (exact-point cells, see the module docstring).
+    it, must change the fingerprint.
     """
     from repro import __version__
 
-    payload = {
+    return {
         "scheme": FINGERPRINT_SCHEME,
         "repro_version": __version__,
-        "semantics": semantics,
         "system_class": type(system).__name__,
         "system_name": getattr(system, "name", type(system).__name__),
         "system_config": canonical_value(getattr(system, "config", None)),
@@ -116,23 +101,10 @@ def fingerprint_payload(
         "n_steps": n_steps,
         "warmup_steps": warmup_steps,
     }
-    for name, grid in (("batch_grid", batch_grid), ("seq_grid", seq_grid)):
-        if grid is not None:
-            payload[name] = list(grid)
-    return payload
 
 
-def system_fingerprint(
-    system: Any,
-    batch_grid: tuple[int, ...] | None = None,
-    seq_grid: tuple[int, ...] | None = None,
-    n_steps: int = 1,
-    warmup_steps: int = 0,
-    semantics: str = "billed-step",
-) -> str:
-    """Hex digest identifying one (system, recipe[, grid]) combination."""
-    payload = fingerprint_payload(
-        system, batch_grid, seq_grid, n_steps, warmup_steps, semantics=semantics
-    )
+def system_fingerprint(system: Any, n_steps: int = 1, warmup_steps: int = 0) -> str:
+    """Hex digest identifying one (system, recipe) combination."""
+    payload = fingerprint_payload(system, n_steps, warmup_steps)
     rendered = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(rendered.encode("utf-8")).hexdigest()

@@ -4,10 +4,11 @@ A cold serving sweep measures its grid cells lazily, one at a time, on the
 scheduler's critical path.  On a multi-core host the cells are embarrassingly
 parallel -- each is an independent full-simulator ``measure()`` run -- so the
 pre-warmer fans the *missing* cells of every requested system across worker
-processes and merges the results into the persistent store in one batch.
-Store writes go through the store's merge-on-flush path, so concurrent
-pre-warmers (or a pre-warmer racing a live experiment) can never lose each
-other's cells.
+processes.  Workers measure without a store and return raw cells; the
+parent installs them through each system's cell cache
+(:class:`~repro.calibration.FigurePointCache`) and flushes once, through
+the store's merge-on-flush path, so concurrent pre-warmers (or a
+pre-warmer racing a live experiment) can never lose each other's cells.
 
 Wired into ``python -m repro.experiments.runner --prewarm --jobs N``; also
 usable directly::
@@ -21,6 +22,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
+from repro.calibration.figures import FigurePointCache
 from repro.calibration.store import CalibrationStore, default_store
 
 # The serving grids are the single source of truth for the defaults: a
@@ -50,51 +52,29 @@ class PrewarmReport:
         return self.total_cells - self.already_cached - self.measured
 
 
-def _build_step_time(
-    label: str,
-    model_name: str,
-    batch_grid: tuple[int, ...],
-    seq_grid: tuple[int, ...],
-    symmetry: str,
-    store: CalibrationStore | None,
-):
+def _build_system(label: str, model_name: str, symmetry: str):
     from repro.baselines.registry import build_inference_system
     from repro.models import get_model
-    from repro.serving.steptime import CalibratedStepTime
 
     system = build_inference_system(label, get_model(model_name))
     system.symmetry = symmetry
-    return CalibratedStepTime(
-        system, batch_grid=batch_grid, seq_grid=seq_grid, store=store
-    )
+    return system
 
 
 def _measure_cell_job(
-    label: str,
-    model_name: str,
-    batch_grid: tuple[int, ...],
-    seq_grid: tuple[int, ...],
-    symmetry: str,
-    cell: tuple[int, int],
-) -> tuple[str, tuple[int, int], float | None]:
+    label: str, model_name: str, symmetry: str, cell: tuple[int, int]
+) -> tuple[str, tuple[int, int], dict | None]:
     """Worker body: measure one grid cell; ``None`` marks infeasible cells.
 
     Top-level (picklable) for process pools.  Workers measure without a
-    store and return the value -- the parent owns persistence, so a crashed
-    worker can never leave a torn or partial grid behind.
+    store and return the raw cell -- the parent owns persistence, so a
+    crashed worker can never leave a torn or partial file behind.  A cell
+    the placement cannot decode at all (e.g. FLEX(DRAM) OOM) has nothing to
+    cache: the drain-time query re-derives the refusal cheaply.
     """
-    from repro.errors import SchedulingError
-
-    step_time = _build_step_time(
-        label, model_name, batch_grid, seq_grid, symmetry, store=None
-    )
-    try:
-        return label, cell, step_time.step_seconds(*cell)
-    except SchedulingError:
-        # The placement cannot decode this (batch, seq_len) at all (e.g.
-        # FLEX(DRAM) OOM): nothing to cache, the drain-time query will
-        # re-derive the refusal cheaply.
-        return label, cell, None
+    cache = FigurePointCache(_build_system(label, model_name, symmetry))
+    cache.measure(*cell)
+    return label, cell, cache.cell(*cell)
 
 
 def prewarm_step_grids(
@@ -108,10 +88,10 @@ def prewarm_step_grids(
 ) -> list[PrewarmReport]:
     """Measure every missing cell of every system's grid, in parallel.
 
-    Hydrates each system's grid from ``store`` (default: the shared
+    Looks each system's grid cells up in ``store`` (default: the shared
     persistent store), fans the missing cells across ``jobs`` worker
-    processes, records the results, and flushes once at the end through the
-    store's merge-on-flush path.  Returns one report per system.
+    processes, installs the returned cells, and flushes once at the end
+    through the store's merge-on-flush path.  Returns one report per system.
     ``model_name=None`` resolves to the serving experiment's model.
     ``symmetry`` is the systems' simulation mode, which their fingerprints
     record: warm the mode the serving run will use.
@@ -122,51 +102,43 @@ def prewarm_step_grids(
         model_name = MODEL
     if store is None:
         store = default_store()
-    step_times = {}
-    missing: list[tuple[str, tuple[int, int]]] = []
-    already: dict[str, int] = {}
-    for label in labels:
-        step_time = _build_step_time(
-            label, model_name, batch_grid, seq_grid, symmetry, store
-        )
-        already[label] = step_time.prewarm()
-        step_times[label] = step_time
-        missing.extend((label, cell) for cell in step_time.missing_cells())
-
+    points = [(b, s) for b in sorted(set(batch_grid)) for s in sorted(set(seq_grid))]
+    caches = {
+        label: FigurePointCache(_build_system(label, model_name, symmetry), store=store)
+        for label in labels
+    }
+    missing = [
+        (label, point)
+        for label in labels
+        for point in points
+        if caches[label].cell(*point) is None
+    ]
     measured: dict[str, int] = {label: 0 for label in labels}
     infeasible: dict[str, int] = {label: 0 for label in labels}
 
-    def _record(label: str, cell: tuple[int, int], value: float | None) -> None:
-        if value is None:
+    def _install(label: str, cell: tuple[int, int], raw: dict | None) -> None:
+        if raw is None:
             infeasible[label] += 1
             return
         measured[label] += 1
-        step_times[label].seed_cell(cell, value)
+        caches[label].install(*cell, raw)
 
+    jobs_args = [(label, model_name, symmetry, cell) for label, cell in missing]
     if missing and jobs > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(missing))) as pool:
-            futures = [
-                pool.submit(
-                    _measure_cell_job,
-                    label, model_name, batch_grid, seq_grid, symmetry, cell,
-                )
-                for label, cell in missing
-            ]
+            futures = [pool.submit(_measure_cell_job, *args) for args in jobs_args]
             for future in futures:
-                _record(*future.result())
+                _install(*future.result())
     else:
-        for label, cell in missing:
-            _record(*_measure_cell_job(
-                label, model_name, batch_grid, seq_grid, symmetry, cell
-            ))
+        for args in jobs_args:
+            _install(*_measure_cell_job(*args))
     store.flush_dirty()
     return [
         PrewarmReport(
             label=label,
-            fingerprint=step_times[label].fingerprint,
-            total_cells=len(step_times[label].batch_grid)
-            * len(step_times[label].seq_grid),
-            already_cached=already[label],
+            fingerprint=caches[label].fingerprint,
+            total_cells=len(points),
+            already_cached=len(points) - sum(lab == label for lab, _ in missing),
             measured=measured[label],
             infeasible=infeasible[label],
         )

@@ -1,21 +1,32 @@
-"""Two-layer persistent store for measured calibration grids.
+"""Two-layer persistent store for measured calibration cells.
 
 Layout: one JSON file per fingerprint under the store root::
 
     <root>/<fingerprint>.json
     {
-      "format": 1,
+      "format": 2,
       "repro_version": "1.3.0",
       "fingerprint": "ab12...",
       "description": { ...canonical fingerprint payload... },
-      "step_seconds": {"16,4096": 8.579831, ...},
-      "prefill_seconds": {"16,8542": 112.4, ...},
-      "breakdown_seconds": {"16,4096": {"load_kv": 5.1, ...}, ...}
+      "cells": {
+        "16,4096": {
+          "step_seconds": 8.579831,
+          "breakdown_seconds": {"load_kv": 5.1, ...},
+          "utilization": {"cpu": 0.12, "gpu": 0.31, "dram_capacity": 0.4},
+          "storage_logical_written": 1.2e6,
+          "storage_physical_written": 1.6e7
+        },
+        ...
+      }
     }
 
-``breakdown_seconds`` is optional (absent for serving grids): the figure
-harnesses persist per-phase second stacks next to each step cell so warm
-re-runs can regenerate the paper's breakdown charts without re-simulating.
+A cell is what one ``measure(batch, seq_len, n_steps=1, warmup_steps=0)``
+simulates at one point -- the step time, the per-phase breakdown, the
+host utilization and the per-step storage bytes written -- and is stored
+whole: a file with a cell missing any part (or any malformed value) reads
+as a miss, so no consumer ever sees half a measurement.  Everything else a
+measurement reports follows from the point and the system's analytic
+models (effective batch, tokens/s, prefill), so it is not stored.
 
 The in-memory layer is process-wide and keyed by (store root, fingerprint),
 so every experiment in one process (e.g. the serving system x policy sweep,
@@ -24,13 +35,13 @@ directory shares measurements without touching the disk twice, while
 distinct directories remain fully independent caches.
 
 One file collects every cell any harness measured for its fingerprint
-(figure cells carry no grid, so e.g. fig10, fig11, fig14 and fig15 all
-write HILOS-8 OPT-30B's file), and concurrent ``--jobs`` workers flush
-the same files.  A flush therefore holds the root's exclusive lock file
-(``.lock``, a POSIX ``flock``) from re-reading the file on disk until its
-merged copy replaces it, so no worker's cells are lost to an interleaved
-read-merge-write; the temp-file + ``os.replace`` write means no reader
-ever sees a torn file.
+(cells carry no grid, so e.g. fig10, fig11, fig14, fig15 and the serving
+grids all write HILOS-8's file for a model), and concurrent ``--jobs``
+workers flush the same files.  A flush therefore holds the root's
+exclusive lock file (``.lock``, a POSIX ``flock``) from re-reading the
+file on disk until its merged copy replaces it, so no worker's cells are
+lost to an interleaved read-merge-write; the temp-file + ``os.replace``
+write means no reader ever sees a torn file.
 
 Entries are invalidated (treated as a miss and overwritten) when either
 the on-disk ``format`` or the recorded ``repro_version`` differs from the
@@ -47,7 +58,7 @@ import tempfile
 from pathlib import Path
 
 #: On-disk schema version; bump on incompatible layout changes.
-STORE_FORMAT = 1
+STORE_FORMAT = 2
 
 #: Environment variable overriding the default store directory.
 STORE_DIR_ENV = "REPRO_CALIBRATION_DIR"
@@ -55,20 +66,39 @@ STORE_DIR_ENV = "REPRO_CALIBRATION_DIR"
 #: Lock file under the store root that serializes flushes across processes.
 LOCK_NAME = ".lock"
 
+#: The host-utilization shares a cell records (``UtilizationSample``'s fields).
+UTILIZATION_SHARES = ("cpu", "gpu", "dram_capacity")
+
 #: Process-wide in-memory layer, keyed by (resolved store root, fingerprint)
 #: so two stores over the same directory share measurements while stores
 #: over different directories stay independent (each must see its own
 #: misses, or the second store would never be written to disk).
-_MEMORY: dict[tuple[str, str], dict] = {}
+_MEMORY: dict[tuple[str, str], dict[tuple[int, int], dict]] = {}
 
 
-def _grid_key(batch: int, seq_len: int) -> str:
-    return f"{batch},{seq_len}"
+def _grid_key(point: tuple[int, int]) -> str:
+    return f"{point[0]},{point[1]}"
 
 
 def _parse_grid_key(key: str) -> tuple[int, int]:
     batch, seq_len = key.split(",")
     return int(batch), int(seq_len)
+
+
+def _whole_cell(raw: dict) -> dict:
+    """A stored cell with every part present and numeric; raises otherwise."""
+    return {
+        "step_seconds": float(raw["step_seconds"]),
+        "breakdown_seconds": {
+            str(phase): float(seconds)
+            for phase, seconds in raw["breakdown_seconds"].items()
+        },
+        "utilization": {
+            share: float(raw["utilization"][share]) for share in UTILIZATION_SHARES
+        },
+        "storage_logical_written": float(raw["storage_logical_written"]),
+        "storage_physical_written": float(raw["storage_physical_written"]),
+    }
 
 
 def default_store_dir() -> Path:
@@ -104,10 +134,11 @@ def clear_memory_layer() -> None:
 
 
 class CalibrationStore:
-    """Fingerprint-keyed persistence for measured step/prefill grids."""
+    """Fingerprint-keyed persistence for measured cells."""
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
+        self._resolved_root = str(self.root.resolve())
         self._dirty: dict[str, dict | None] = {}
         self._atexit_registered = False
 
@@ -116,8 +147,8 @@ class CalibrationStore:
     def _path(self, fingerprint: str) -> Path:
         return self.root / f"{fingerprint}.json"
 
-    def _load_disk(self, fingerprint: str) -> dict | None:
-        """Read one grid file; ``None`` on miss, corruption, or stale version."""
+    def _load_disk(self, fingerprint: str) -> dict[tuple[int, int], dict] | None:
+        """Read one file's cells; ``None`` on miss, corruption, or stale version."""
         from repro import __version__
 
         path = self._path(fingerprint)
@@ -132,93 +163,54 @@ class CalibrationStore:
             return None
         if payload.get("repro_version") != __version__:
             return None
-        step = payload.get("step_seconds")
-        prefill = payload.get("prefill_seconds", {})
-        breakdown = payload.get("breakdown_seconds", {})
-        if (
-            not isinstance(step, dict)
-            or not isinstance(prefill, dict)
-            or not isinstance(breakdown, dict)
-        ):
-            return None
         try:
             # Normalize every cell eagerly: a syntactically-valid JSON file
-            # with malformed cells (bad grid keys, non-numeric values) is
-            # corruption and must read as a miss, not crash later loads.
-            entry = {
-                "step_seconds": {key: float(value) for key, value in step.items()},
-                "prefill_seconds": {key: float(value) for key, value in prefill.items()},
-                "breakdown_seconds": {
-                    key: {str(phase): float(v) for phase, v in value.items()}
-                    for key, value in breakdown.items()
-                },
+            # with a malformed or partial cell is corruption and must read
+            # as a miss, not crash (or half-serve) later loads.
+            return {
+                _parse_grid_key(key): _whole_cell(cell)
+                for key, cell in payload["cells"].items()
             }
-            for grids in entry.values():
-                for key in grids:
-                    _parse_grid_key(key)
-        except (AttributeError, TypeError, ValueError):
+        except (AttributeError, KeyError, TypeError, ValueError):
             return None
-        return entry
 
     def _memory_key(self, fingerprint: str) -> tuple[str, str]:
-        return (str(self.root.resolve()), fingerprint)
+        return (self._resolved_root, fingerprint)
 
-    def _entry(self, fingerprint: str) -> dict:
-        """The in-memory entry for a fingerprint, hydrated from disk once."""
+    def _entry(self, fingerprint: str) -> dict[tuple[int, int], dict]:
+        """The in-memory cells of a fingerprint, hydrated from disk once."""
         key = self._memory_key(fingerprint)
         entry = _MEMORY.get(key)
         if entry is None:
-            entry = self._load_disk(fingerprint) or {
-                "step_seconds": {},
-                "prefill_seconds": {},
-                "breakdown_seconds": {},
-            }
-            entry.setdefault("breakdown_seconds", {})
+            entry = self._load_disk(fingerprint) or {}
             _MEMORY[key] = entry
         return entry
 
     # --- read side --------------------------------------------------------------
 
-    def load_step_grid(self, fingerprint: str) -> dict[tuple[int, int], float]:
-        """All persisted step-time cells for a fingerprint."""
-        entry = self._entry(fingerprint)
-        return {
-            _parse_grid_key(key): float(value)
-            for key, value in entry["step_seconds"].items()
-        }
+    def load_cells(self, fingerprint: str) -> dict[tuple[int, int], dict]:
+        """Every persisted cell of a fingerprint, keyed by ``(batch, seq_len)``."""
+        return dict(self._entry(fingerprint))
 
-    def load_prefill_grid(self, fingerprint: str) -> dict[tuple[int, int], float]:
-        """All persisted prefill cells for a fingerprint."""
-        entry = self._entry(fingerprint)
-        return {
-            _parse_grid_key(key): float(value)
-            for key, value in entry["prefill_seconds"].items()
-        }
+    def load_step_grid(self, fingerprint: str) -> None:
+        """Retired: cells are read whole through :meth:`load_cells`.  Kept,
+        with the two aliases below, only because perfbench's tracer looks
+        these names up in the class body."""
 
-    def load_breakdown_grid(
-        self, fingerprint: str
-    ) -> dict[tuple[int, int], dict[str, float]]:
-        """All persisted per-phase breakdown stacks for a fingerprint."""
-        entry = self._entry(fingerprint)
-        return {
-            _parse_grid_key(key): {phase: float(v) for phase, v in value.items()}
-            for key, value in entry["breakdown_seconds"].items()
-        }
+    load_prefill_grid = load_breakdown_grid = load_step_grid
 
     # --- write side -------------------------------------------------------------
 
     def record(
         self,
         fingerprint: str,
+        cells: dict[tuple[int, int], dict],
         description: dict | None = None,
-        step_cells: dict[tuple[int, int], float] | None = None,
-        prefill_cells: dict[tuple[int, int], float] | None = None,
-        breakdown_cells: dict[tuple[int, int], dict[str, float]] | None = None,
         flush: bool = True,
     ) -> None:
-        """Merge newly measured cells into the memory layer.
+        """Merge newly measured whole cells into the memory layer.
 
-        With ``flush=True`` (the default) the grid file is rewritten
+        With ``flush=True`` (the default) the file is rewritten
         immediately.  ``flush=False`` defers the disk write -- callers with
         a natural batch boundary (a queue drain, a sweep) call
         :meth:`flush_dirty` there; an ``atexit`` hook flushes whatever is
@@ -226,15 +218,7 @@ class CalibrationStore:
         persistence, never to data loss.
         """
         entry = self._entry(fingerprint)
-        if step_cells:
-            for (batch, seq_len), value in step_cells.items():
-                entry["step_seconds"][_grid_key(batch, seq_len)] = value
-        if prefill_cells:
-            for (batch, seq_len), value in prefill_cells.items():
-                entry["prefill_seconds"][_grid_key(batch, seq_len)] = value
-        if breakdown_cells:
-            for (batch, seq_len), value in breakdown_cells.items():
-                entry["breakdown_seconds"][_grid_key(batch, seq_len)] = dict(value)
+        entry.update(cells)
         if flush:
             self._flush(fingerprint, entry, description)
             self._dirty.pop(fingerprint, None)
@@ -259,7 +243,12 @@ class CalibrationStore:
             self._dirty.pop(fingerprint, None)
         return flushed
 
-    def _flush(self, fingerprint: str, entry: dict, description: dict | None) -> None:
+    def _flush(
+        self,
+        fingerprint: str,
+        entry: dict[tuple[int, int], dict],
+        description: dict | None,
+    ) -> None:
         from repro import __version__
 
         self.root.mkdir(parents=True, exist_ok=True)
@@ -271,27 +260,17 @@ class CalibrationStore:
             # fingerprints imply equal values per cell, so merge direction is
             # irrelevant for overlapping keys; stale-version files yield None
             # and are overwritten wholesale.  The lock keeps every other flush
-            # out between this read and the replace below.
-            on_disk = self._load_disk(fingerprint)
-            step = dict(on_disk["step_seconds"]) if on_disk else {}
-            prefill = dict(on_disk["prefill_seconds"]) if on_disk else {}
-            breakdown = dict(on_disk["breakdown_seconds"]) if on_disk else {}
-            step.update(entry["step_seconds"])
-            prefill.update(entry["prefill_seconds"])
-            breakdown.update(entry["breakdown_seconds"])
-            # Adopt the merged view in the memory layer too, so this process
-            # also benefits from cells a concurrent worker persisted.
-            entry["step_seconds"] = step
-            entry["prefill_seconds"] = prefill
-            entry["breakdown_seconds"] = breakdown
+            # out between this read and the replace below.  The memory layer
+            # adopts the merged view too, so this process also benefits from
+            # cells a concurrent worker persisted.
+            for point, cell in (self._load_disk(fingerprint) or {}).items():
+                entry.setdefault(point, cell)
             payload = {
                 "format": STORE_FORMAT,
                 "repro_version": __version__,
                 "fingerprint": fingerprint,
                 "description": description or {},
-                "step_seconds": dict(sorted(step.items())),
-                "prefill_seconds": dict(sorted(prefill.items())),
-                "breakdown_seconds": dict(sorted(breakdown.items())),
+                "cells": {_grid_key(point): entry[point] for point in sorted(entry)},
             }
             # Atomic replace: a reader, which takes no lock, never sees a torn file.
             fd, tmp_name = tempfile.mkstemp(

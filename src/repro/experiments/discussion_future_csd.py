@@ -14,13 +14,18 @@ Three studies from the paper's discussion:
 3. **PCIe 5.0 scale-up (§7.2):** matching a 4x host interface by DSP
    parallelization would need >2,000 DSPs -- beyond the KU15P -- which is
    the paper's case for dedicated exponential-function units.
+
+The two equivalence points read through point caches
+(:class:`~repro.calibration.figures.FigurePointCache`), so warm re-runs
+measure nothing.
 """
 
 from __future__ import annotations
 
 from repro.accelerator.asic import estimate_asic, fits_ssd_controller_budget
 from repro.accelerator.resources import dsp_count_for_throughput_scale
-from repro.calibration.figures import measure_direct
+from repro.calibration import CalibrationStore, resolve_store
+from repro.calibration.figures import FigurePointCache
 from repro.core.config import HilosConfig
 from repro.core.runtime import HilosSystem
 from repro.experiments.harness import Table
@@ -32,8 +37,13 @@ BATCH = 16
 SEQ_LEN = 32768
 
 
-def isp_equivalence_table(fast: bool = True) -> Table:
-    """HILOS on 4 SmartSSDs vs HILOS on one envisioned ISP device."""
+def isp_equivalence_table(
+    fast: bool = True, store: CalibrationStore | None = None
+) -> Table:
+    """HILOS on 4 SmartSSDs vs HILOS on one envisioned ISP device.
+
+    ``store`` backs the point caches (``None`` keeps nothing past the call).
+    """
     model = get_model("OPT-66B" if fast else "OPT-66B")
     table = Table(
         title="Sec 7.1: one envisioned ISP vs four SmartSSDs (OPT-66B, 32K, batch 16)",
@@ -41,13 +51,15 @@ def isp_equivalence_table(fast: bool = True) -> Table:
         notes="the paper argues the two platforms should closely match",
     )
     smartssd = HilosSystem(model, HilosConfig(n_devices=4))
-    base = measure_direct(smartssd, BATCH, SEQ_LEN)
+    base = FigurePointCache(smartssd, store=store).measure(BATCH, SEQ_LEN)
     isp = HilosSystem(
         model,
         HilosConfig(n_devices=1),
         hardware=isp_hardware_config(n_devices=1),
     )
-    isp_result = measure_direct(isp, BATCH, SEQ_LEN)
+    isp_cache = FigurePointCache(isp, store=store)
+    isp_result = isp_cache.measure(BATCH, SEQ_LEN)
+    isp_cache.flush()  # the store's dirty set is shared
     table.add_row("NSP (4 SmartSSDs)", 4, base.tokens_per_second, 1.0)
     table.add_row(
         "ISP (envisioned)",
@@ -100,10 +112,18 @@ def pcie5_table() -> Table:
     return table
 
 
-def run(fast: bool = True) -> list[Table]:
-    """All Section 7 discussion studies."""
+def run(
+    fast: bool = True,
+    store: CalibrationStore | None = None,
+    use_store: bool = True,
+) -> list[Table]:
+    """All Section 7 discussion studies.
+
+    ``store`` overrides the calibration store; ``use_store=False`` disables
+    persistence entirely (every run then measures from scratch).
+    """
     return [
-        isp_equivalence_table(fast),
+        isp_equivalence_table(fast, resolve_store(store, use_store)),
         bandwidth_table(),
         asic_table(),
         pcie5_table(),

@@ -8,12 +8,17 @@ lengths and batch sizes -- the KV cache reaches terabytes and dwarfs the
 KV-cache I/O consumes over 60% of decode time for long contexts, and the
 batching speedup (relative to batch 1) shrinks as contexts grow because
 weight transfer is no longer the dominant term.
+
+Panel (b)'s points read through a
+:class:`~repro.calibration.figures.FigurePointCache`, so warm re-runs
+measure nothing.
 """
 
 from __future__ import annotations
 
 from repro.baselines.flexgen import FlexGenSSD
-from repro.calibration.figures import measure_direct
+from repro.calibration import CalibrationStore, resolve_store
+from repro.calibration.figures import FigurePointCache
 from repro.experiments.harness import Table
 from repro.models import get_model, memory_footprint
 from repro.sim.metrics import HOST_COMPUTE, LOAD_KV, LOAD_WEIGHT, PAPER_PHASES, STORE_KV
@@ -46,9 +51,14 @@ def footprint_table(fast: bool = True) -> Table:
     return table
 
 
-def execution_breakdown_table(fast: bool = True) -> Table:
-    """Figure 2(b): time-portion breakdown + batching speedup."""
-    model = get_model(MODEL)
+def execution_breakdown_table(
+    fast: bool = True, store: CalibrationStore | None = None
+) -> Table:
+    """Figure 2(b): time-portion breakdown + batching speedup.
+
+    ``store`` backs the point cache (``None`` keeps nothing past the call).
+    """
+    cache = FigurePointCache(FlexGenSSD(get_model(MODEL)), store=store)
     contexts = CONTEXTS["fast" if fast else "full"]
     table = Table(
         title="Fig 2(b) execution time breakdown (FLEX-style offloading, OPT-175B)",
@@ -65,7 +75,7 @@ def execution_breakdown_table(fast: bool = True) -> Table:
     for seq_len in contexts:
         base_tput = None
         for batch in BATCHES:
-            result = measure_direct(FlexGenSSD(model), batch, seq_len)
+            result = cache.measure(batch, seq_len)
             fractions = result.breakdown.fractions(PAPER_PHASES)
             kv = fractions[LOAD_KV] + fractions[STORE_KV]
             weight = fractions[LOAD_WEIGHT]
@@ -80,12 +90,24 @@ def execution_breakdown_table(fast: bool = True) -> Table:
                 100.0 * others,
                 result.tokens_per_second / base_tput,
             )
+    cache.flush()
     return table
 
 
-def run(fast: bool = True) -> list[Table]:
-    """Both panels of Figure 2."""
-    return [footprint_table(fast), execution_breakdown_table(fast)]
+def run(
+    fast: bool = True,
+    store: CalibrationStore | None = None,
+    use_store: bool = True,
+) -> list[Table]:
+    """Both panels of Figure 2.
+
+    ``store`` overrides the calibration store; ``use_store=False`` disables
+    persistence entirely (every run then measures from scratch).
+    """
+    return [
+        footprint_table(fast),
+        execution_breakdown_table(fast, resolve_store(store, use_store)),
+    ]
 
 
 if __name__ == "__main__":

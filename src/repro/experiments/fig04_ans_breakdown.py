@@ -10,6 +10,10 @@ exploits.
 
 Also prints the Equation 3 interconnect-traffic ratio, cross-checking the
 closed form against the simulated byte counters.
+
+Panels (b) and (c) read one measurement per point through a
+:class:`~repro.calibration.figures.FigurePointCache`, whose cells keep the
+utilization too, so warm re-runs measure nothing.
 """
 
 from __future__ import annotations
@@ -21,7 +25,8 @@ from repro.analysis.traffic import (
 )
 from repro.baselines.base import MeasuredResult
 from repro.baselines.flexgen import FlexGenSSD
-from repro.calibration.figures import measure_direct
+from repro.calibration import CalibrationStore, resolve_store
+from repro.calibration.figures import FigurePointCache
 from repro.core.config import HilosConfig
 from repro.core.runtime import HilosSystem
 from repro.experiments.harness import Table
@@ -41,17 +46,25 @@ def ans_only_system(model, n_devices: int = 8) -> HilosSystem:
     )
 
 
-def measurements() -> list[tuple[str, int, MeasuredResult]]:
-    """(system label, context, result) per point; panels (b) and (c) share them."""
+def measurements(
+    store: CalibrationStore | None = None,
+) -> list[tuple[str, int, MeasuredResult]]:
+    """(system label, context, result) per point; panels (b) and (c) share them.
+
+    ``store`` backs the point caches (``None`` keeps nothing past the call).
+    """
     model = get_model(MODEL)
-    return [
-        (label, seq_len, measure_direct(system, BATCH, seq_len))
-        for seq_len in CONTEXTS
-        for label, system in (
-            ("Baseline (SSD+CPU)", FlexGenSSD(model)),
-            ("Proposed (ANS)", ans_only_system(model)),
-        )
+    caches = [
+        ("Baseline (SSD+CPU)", FigurePointCache(FlexGenSSD(model), store=store)),
+        ("Proposed (ANS)", FigurePointCache(ans_only_system(model), store=store)),
     ]
+    measured = [
+        (label, seq_len, cache.measure(BATCH, seq_len))
+        for seq_len in CONTEXTS
+        for label, cache in caches
+    ]
+    caches[0][1].flush()  # the store's dirty set is shared; one flush suffices
+    return measured
 
 
 def breakdown_table(measured: list[tuple[str, int, MeasuredResult]]) -> Table:
@@ -105,9 +118,17 @@ def traffic_table(fast: bool = True) -> Table:
     return table
 
 
-def run(fast: bool = True) -> list[Table]:
-    """All three Figure 4 views; (b) and (c) read one measurement per point."""
-    measured = measurements()
+def run(
+    fast: bool = True,
+    store: CalibrationStore | None = None,
+    use_store: bool = True,
+) -> list[Table]:
+    """All three Figure 4 views; (b) and (c) read one measurement per point.
+
+    ``store`` overrides the calibration store; ``use_store=False`` disables
+    persistence entirely (every run then measures from scratch).
+    """
+    measured = measurements(resolve_store(store, use_store))
     return [
         breakdown_table(measured),
         utilization_table(measured),

@@ -74,9 +74,7 @@ def run(
         for label in systems:
             system = build_inference_system(label, model)
             system.symmetry = symmetry
-            model_caches[label] = FigurePointCache(
-                system, batch_grid=(BATCH,), seq_grid=tuple(seqs), store=store
-            )
+            model_caches[label] = FigurePointCache(system, store=store)
         for seq_len in seqs:
             baseline_tput = None
             for label in systems:

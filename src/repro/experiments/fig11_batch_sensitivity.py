@@ -61,7 +61,7 @@ def throughput_table(
     # Systems (and their point caches) are hoisted out of the sweep: one
     # instance each, so every point shares one calibration fingerprint.
     caches = [
-        (label, FigurePointCache(system, tuple(batches), tuple(contexts), store=store))
+        (label, FigurePointCache(system, store=store))
         for label, system in _systems(model, symmetry)
     ]
     for seq_len in contexts:
@@ -97,7 +97,7 @@ def breakdown_table(
     ]
     for label, system in model_systems:
         system.symmetry = symmetry
-        cache = FigurePointCache(system, tuple(batches), (32768,), store=store)
+        cache = FigurePointCache(system, store=store)
         for batch in batches:
             point = cache.measure(batch, 32768)
             if point.oom:

@@ -8,6 +8,10 @@ SSD P2P read feed.
 (MoE+GQA) and GLaM-143B (MoE+MHA): the lower KV-to-weight ratio of MoE/GQA
 models favors FLEX(DRAM) slightly, but HILOS still wins (1.16-3.36x) and
 the gap widens with context length.
+
+Panel (b)'s points read through point caches
+(:class:`~repro.calibration.figures.FigurePointCache`), so warm re-runs
+measure nothing.
 """
 
 from __future__ import annotations
@@ -15,7 +19,8 @@ from __future__ import annotations
 from repro.accelerator.config import AcceleratorConfig
 from repro.accelerator.estimator import kernel_throughput, ssd_feed_throughput
 from repro.baselines.flexgen import FlexGenDRAM, FlexGenSSD
-from repro.calibration.figures import measure_direct
+from repro.calibration import CalibrationStore, resolve_store
+from repro.calibration.figures import FigurePointCache
 from repro.core.config import HilosConfig
 from repro.core.runtime import HilosSystem
 from repro.experiments.harness import Table
@@ -46,8 +51,13 @@ def kernel_microbenchmark() -> Table:
     return table
 
 
-def model_sensitivity(fast: bool = True) -> Table:
-    """Figure 12(b): end-to-end throughput across model architectures."""
+def model_sensitivity(
+    fast: bool = True, store: CalibrationStore | None = None
+) -> Table:
+    """Figure 12(b): end-to-end throughput across model architectures.
+
+    ``store`` backs the point caches (``None`` keeps nothing past the call).
+    """
     points = FAST_POINTS if fast else FULL_POINTS
     table = Table(
         title="Fig 12(b) model-type sensitivity (batch 16)",
@@ -55,15 +65,18 @@ def model_sensitivity(fast: bool = True) -> Table:
     )
     for model_name, contexts in points:
         model = get_model(model_name)
-        for seq_len in contexts:
-            systems = [
+        caches = [
+            (label, FigurePointCache(system, store=store))
+            for label, system in (
                 ("FLEX(SSD)", FlexGenSSD(model)),
                 ("FLEX(DRAM)", FlexGenDRAM(model)),
                 ("HILOS (16 SmartSSDs)", HilosSystem(model, HilosConfig(n_devices=16))),
-            ]
+            )
+        ]
+        for seq_len in contexts:
             baseline = None
-            for label, system in systems:
-                result = measure_direct(system, BATCH, seq_len)
+            for label, cache in caches:
+                result = cache.measure(BATCH, seq_len)
                 if label == "FLEX(SSD)":
                     baseline = result.tokens_per_second
                 table.add_row(
@@ -74,12 +87,24 @@ def model_sensitivity(fast: bool = True) -> Table:
                     result.tokens_per_second,
                     result.tokens_per_second / baseline if baseline else 0.0,
                 )
+    cache.flush()  # the store's dirty set is shared; one flush suffices
     return table
 
 
-def run(fast: bool = True) -> list[Table]:
-    """Both panels of Figure 12."""
-    return [kernel_microbenchmark(), model_sensitivity(fast)]
+def run(
+    fast: bool = True,
+    store: CalibrationStore | None = None,
+    use_store: bool = True,
+) -> list[Table]:
+    """Both panels of Figure 12.
+
+    ``store`` overrides the calibration store; ``use_store=False`` disables
+    persistence entirely (every run then measures from scratch).
+    """
+    return [
+        kernel_microbenchmark(),
+        model_sensitivity(fast, resolve_store(store, use_store)),
+    ]
 
 
 if __name__ == "__main__":

@@ -63,9 +63,7 @@ def run(
                         use_xcache=alpha > 0,
                     ),
                 )
-                cache = FigurePointCache(
-                    system, batch_grid=(BATCH,), seq_grid=(SEQ_LEN,), store=store
-                )
+                cache = FigurePointCache(system, store=store)
                 point = cache.measure(BATCH, SEQ_LEN)
                 new_measurements += cache.measurement_count
                 last_cache = cache

@@ -5,10 +5,10 @@ length.  Because HILOS accelerates decoding, longer outputs amortize the
 shared prefill cost and widen the end-to-end speedup (up to ~6x at 128
 output tokens in the paper).
 
-Both halves of each point -- the steady-state step time *and* the prefill
-latency -- route through a
-:class:`~repro.calibration.figures.FigurePointCache`, which persists them
-from one coherent measurement, so warm re-runs measure **nothing**.
+Each point routes through a
+:class:`~repro.calibration.figures.FigurePointCache`: the steady-state step
+comes from its stored cell and the prefill latency from the analytic
+prefill model, so warm re-runs measure **nothing**.
 """
 
 from __future__ import annotations
@@ -67,13 +67,9 @@ def run(
         # One cache (and one system instance) per (system, model): the
         # fingerprint stays stable across the whole sweep and across runs.
         caches = {
-            "FLEX": FigurePointCache(
-                FlexGenSSD(model), batch_grid=(BATCH,), seq_grid=tuple(seqs),
-                store=store,
-            ),
+            "FLEX": FigurePointCache(FlexGenSSD(model), store=store),
             "HILOS": FigurePointCache(
-                HilosSystem(model, HilosConfig(n_devices=16)),
-                batch_grid=(BATCH,), seq_grid=tuple(seqs), store=store,
+                HilosSystem(model, HilosConfig(n_devices=16)), store=store
             ),
         }
         for seq_len in seqs:

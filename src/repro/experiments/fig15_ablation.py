@@ -90,16 +90,11 @@ def run(
         notes="(slow dev0): one SmartSSD at half flash-read bandwidth "
         "(asymmetric array, full-array simulation path)",
     )
-    grids_by_model: dict[str, tuple[set, set]] = {}
-    for model_name, batch, seq_len in points:
-        batches, seqs = grids_by_model.setdefault(model_name, (set(), set()))
-        batches.add(batch)
-        seqs.add(seq_len)
     new_measurements = 0
-    for model_name, (batches, seqs) in grids_by_model.items():
+    for model_name in dict.fromkeys(model for model, _, _ in points):
         model = get_model(model_name)
         # One system instance (and one cache) per configuration per model,
-        # hoisted out of the point loop so fingerprints cover the sweep.
+        # hoisted out of the point loop.
         flex_system = FlexGenSSD(model)
         flex_system.symmetry = symmetry
         systems = [("FLEX(SSD)", flex_system)]
@@ -113,13 +108,7 @@ def run(
         straggler.symmetry = symmetry if symmetry != "representative" else "auto"
         systems.append(("ANS+WB+X (slow dev0)", straggler))
         caches = {
-            label: FigurePointCache(
-                system,
-                batch_grid=tuple(sorted(batches)),
-                seq_grid=tuple(sorted(seqs)),
-                store=store,
-            )
-            for label, system in systems
+            label: FigurePointCache(system, store=store) for label, system in systems
         }
         for point_model, batch, seq_len in points:
             if point_model != model_name:

@@ -8,6 +8,10 @@ cost-efficiency trails HILOS by ~2.9x.
 exhausts its 7.008 PBW-per-drive budget, across the Azure request classes;
 HILOS improves on the FLEX(16 PCIe 3.0 SSDs) baseline by ~1.3-1.5x, plus a
 small extra margin at spill interval 32.
+
+Panel (a)'s points read through point caches
+(:class:`~repro.calibration.figures.FigurePointCache`), so warm re-runs
+measure nothing.
 """
 
 from __future__ import annotations
@@ -15,7 +19,8 @@ from __future__ import annotations
 from repro.analysis.cost import cost_efficiency, flexgen_cost, hilos_cost
 from repro.analysis.endurance import flexgen_endurance, hilos_endurance, serviceable_requests
 from repro.baselines.flexgen import FlexGenDRAM, FlexGenSSD
-from repro.calibration.figures import measure_direct
+from repro.calibration import CalibrationStore, resolve_store
+from repro.calibration.figures import FigurePointCache
 from repro.core.config import HilosConfig
 from repro.core.runtime import HilosSystem
 from repro.experiments.harness import Table
@@ -25,8 +30,11 @@ from repro.workloads.requests import REQUEST_CLASSES
 BATCH = 16
 
 
-def cost_table(fast: bool = True) -> Table:
-    """Figure 16(a): cost efficiency in tokens/sec/$ (normalized)."""
+def cost_table(fast: bool = True, store: CalibrationStore | None = None) -> Table:
+    """Figure 16(a): cost efficiency in tokens/sec/$ (normalized).
+
+    ``store`` backs the point caches (``None`` keeps nothing past the call).
+    """
     points = (
         [("OPT-66B", 16384, "A100")]
         if fast
@@ -52,7 +60,8 @@ def cost_table(fast: bool = True) -> Table:
         ]
         base_eff = None
         for label, system, cost in entries:
-            result = measure_direct(system, BATCH, seq_len)
+            cache = FigurePointCache(system, store=store)
+            result = cache.measure(BATCH, seq_len)
             eff = (
                 cost_efficiency(result.tokens_per_second, cost)
                 if not result.oom
@@ -69,6 +78,7 @@ def cost_table(fast: bool = True) -> Table:
                 cost.total_usd(),
                 eff / base_eff if base_eff else 0.0,
             )
+    cache.flush()  # the store's dirty set is shared; one flush suffices
     return table
 
 
@@ -102,9 +112,17 @@ def endurance_table(fast: bool = True) -> Table:
     return table
 
 
-def run(fast: bool = True) -> list[Table]:
-    """Both panels of Figure 16."""
-    return [cost_table(fast), endurance_table(fast)]
+def run(
+    fast: bool = True,
+    store: CalibrationStore | None = None,
+    use_store: bool = True,
+) -> list[Table]:
+    """Both panels of Figure 16.
+
+    ``store`` overrides the calibration store; ``use_store=False`` disables
+    persistence entirely (every run then measures from scratch).
+    """
+    return [cost_table(fast, resolve_store(store, use_store)), endurance_table(fast)]
 
 
 if __name__ == "__main__":

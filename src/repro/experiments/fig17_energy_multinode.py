@@ -7,6 +7,11 @@ but cut latency enough for up to ~85% total-energy savings.
 
 (b) OPT-175B against a 2-node / 8x A6000 vLLM deployment: the fleet holds
 the weights but starves for KV room, so HILOS wins by ~1.6-1.8x.
+
+The simulated systems' points read through point caches
+(:class:`~repro.calibration.figures.FigurePointCache`; panel (a) reads each
+cell's utilization and written bytes), so warm re-runs measure nothing; the
+vLLM baseline is analytic and measured directly.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from repro.analysis.energy import energy_breakdown
 from repro.baselines.flexgen import FlexGenDRAM, FlexGenSSD
 from repro.baselines.vllm import MultiNodeVLLM
 from repro.calibration import CalibrationStore, resolve_store
-from repro.calibration.figures import measure_direct
+from repro.calibration.figures import FigurePointCache
 from repro.core.config import HilosConfig
 from repro.core.runtime import HilosSystem
 from repro.experiments.harness import Table
@@ -24,8 +29,11 @@ from repro.models import get_model
 BATCH = 16
 
 
-def energy_table(fast: bool = True) -> Table:
-    """Figure 17(a): per-token energy breakdown."""
+def energy_table(fast: bool = True, store: CalibrationStore | None = None) -> Table:
+    """Figure 17(a): per-token energy breakdown.
+
+    ``store`` backs the point caches (``None`` keeps nothing past the call).
+    """
     models = ["OPT-30B"] if fast else ["OPT-30B", "OPT-66B", "OPT-175B"]
     seq_len = 16384
     table = Table(
@@ -44,7 +52,8 @@ def energy_table(fast: bool = True) -> Table:
         ]
         rows = []
         for label, system, kwargs in entries:
-            result = measure_direct(system, BATCH, seq_len)
+            cache = FigurePointCache(system, store=store)
+            result = cache.measure(BATCH, seq_len)
             if result.oom:
                 continue
             energy = energy_breakdown(result, **kwargs)
@@ -63,6 +72,7 @@ def energy_table(fast: bool = True) -> Table:
                 energy.total_j,
                 energy.total_j / max_total,
             )
+    cache.flush()  # the store's dirty set is shared; one flush suffices
     return table
 
 
@@ -80,8 +90,7 @@ def _routed_fleet_tokens_per_second(model, seq_len: int, store) -> float:
     a whole serving drain: fixed-shape requests at the figure's context
     length, sharded across the two hosts by join-shortest-queue, with the
     fleet's sustained decode tokens/s reported.  Step times resolve through
-    ``store`` (the harness's calibration store), so warm re-runs of the
-    figure measure only the single-box rows.
+    ``store`` (the harness's calibration store), like the single-box rows.
     """
     from repro.serving import ClusterScheduler, ContinuousBatching, LeastOutstandingTokens
     from repro.serving.cluster import build_fleet
@@ -112,21 +121,16 @@ def _routed_fleet_tokens_per_second(model, seq_len: int, store) -> float:
     return report.generated_tokens / decode_seconds
 
 
-def multinode_table(
-    fast: bool = True,
-    store: "CalibrationStore | None" = None,
-    use_store: bool = True,
-) -> Table:
+def multinode_table(fast: bool = True, store: CalibrationStore | None = None) -> Table:
     """Figure 17(b): HILOS vs the distributed vLLM baseline on OPT-175B.
 
     Beyond the paper's single-box rows, a ``2x HILOS (8 SmartSSDs) [jsq]``
     row prices the fleet the way the vLLM baseline is priced: two hosts,
     one request stream, routed by the cluster scheduler -- the Section 6.6
-    comparison as a scheduling target instead of a cost line.  ``store`` /
-    ``use_store`` configure the fleet row's calibration cache
-    (``use_store=False`` measures from scratch, persisting nothing).
+    comparison as a scheduling target instead of a cost line.  ``store``
+    backs the point caches and the fleet row's step-time grids (``None``
+    keeps nothing past the call).
     """
-    store = resolve_store(store, use_store)
     model = get_model("OPT-175B")
     contexts = [16384] if fast else [16384, 32768]
     table = Table(
@@ -142,9 +146,14 @@ def multinode_table(
             ("vLLM (8xA6000)", MultiNodeVLLM(model)),
             ("HILOS (16 SSDs)", HilosSystem(model, HilosConfig(n_devices=16))),
         ]
-        results = {}
-        for label, system in entries:
-            results[label] = measure_direct(system, BATCH, seq_len)
+        results = {
+            label: (
+                system.measure(BATCH, seq_len)  # analytic: nothing to simulate
+                if isinstance(system, MultiNodeVLLM)
+                else FigurePointCache(system, store=store).measure(BATCH, seq_len)
+            )
+            for label, system in entries
+        }
         hilos_tput = results["HILOS (16 SSDs)"].tokens_per_second
         for label, result in results.items():
             speedup = (
@@ -168,15 +177,16 @@ def multinode_table(
 
 def run(
     fast: bool = True,
-    store: "CalibrationStore | None" = None,
+    store: CalibrationStore | None = None,
     use_store: bool = True,
 ) -> list[Table]:
     """Both panels of Figure 17.
 
-    ``store`` overrides the calibration store backing the fleet row;
-    ``use_store=False`` disables persistence (measure from scratch).
+    ``store`` overrides the calibration store; ``use_store=False`` disables
+    persistence entirely (every run then measures from scratch).
     """
-    return [energy_table(fast), multinode_table(fast, store=store, use_store=use_store)]
+    store = resolve_store(store, use_store)
+    return [energy_table(fast, store), multinode_table(fast, store)]
 
 
 if __name__ == "__main__":

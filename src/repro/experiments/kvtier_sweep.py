@@ -11,9 +11,8 @@ tokens/s/$ prices demotion traffic and the per-iteration spilled-KV read
 surcharge, not just the steady-state step.
 
 The step-time reference point is measured once ever through a
-:class:`~repro.calibration.figures.FigurePointCache` (same fingerprint
-scheme as the figure harnesses; warm re-runs of the sweep measure
-nothing) and stretched into an affine
+:class:`~repro.calibration.figures.FigurePointCache` (the cell the figure
+harnesses read; warm re-runs of the sweep measure nothing) and stretched into an affine
 :class:`~repro.serving.steptime.AnalyticStepTime` that agrees with the
 measured point exactly at ``(BATCH, SEQ_LEN)``.  The tier grid itself is
 pure discrete-event simulation on top of that reference, so the whole
@@ -77,9 +76,7 @@ def run(
     store = resolve_store(store, use_store)
     model = get_model(MODEL)
     system = HilosSystem(model, HilosConfig(n_devices=N_DEVICES))
-    cache = FigurePointCache(
-        system, batch_grid=(BATCH,), seq_grid=(SEQ_LEN,), store=store
-    )
+    cache = FigurePointCache(system, store=store)
     point = cache.measure(BATCH, SEQ_LEN)
     cache.flush()
     # Stretch the single measured point into the affine serving model:

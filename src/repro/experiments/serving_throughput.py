@@ -398,7 +398,7 @@ def run(
                     )
         calibration.add_row(
             label,
-            step_time.fingerprint[:16],
+            step_time.cells.fingerprint[:16],
             prewarmed,
             step_time.calibration_points,
             step_time.measurement_count,

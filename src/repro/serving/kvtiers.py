@@ -777,10 +777,12 @@ class TieredBudgetTracker(BudgetTracker):
 
         The per-request placement, unbilled (the prefill or decode pass
         writes these bytes where they land): the policy's top share of
-        ``amount`` goes into top-tier headroom and the rest cascades
-        top-down through the lower tiers, each taking what fits; bytes no
-        tier can take are an admission the flat check should have
-        refused.  A negative amount is an entry that shrank mid-flight,
+        ``amount`` goes into top-tier headroom, the rest cascades top-down
+        through the lower tiers, each taking what fits, and what the lower
+        tiers cannot take lands on the top tier after all.  The flat
+        ledger equals the tiers' summed occupancy and never exceeds the
+        stack total, so the stack always has room for what the flat check
+        admitted.  A negative amount is an entry that shrank mid-flight,
         which residency cannot follow.
         """
         if amount <= 0:
@@ -803,7 +805,8 @@ class TieredBudgetTracker(BudgetTracker):
                 if not remaining:
                     return
             want = remaining
-        raise self._lower_tiers_full(remaining)
+        self._fill(self._tiers[0][1], remaining)
+        res[0] += remaining
 
     def _remark(self, request: ServingRequest, amount: int) -> None:
         """Place one explicitly re-marked request's growth; it grows from now."""
@@ -829,8 +832,8 @@ class TieredBudgetTracker(BudgetTracker):
         step's moves as (growth-step counter slot, tier, bytes for the
         batch), or ``None`` when some tier would fill mid-batch -- requests
         would then land differently, which only the per-request cascade
-        reproduces -- or no tier has room (the cascade raises on the
-        overflowing request).
+        reproduces -- or no lower tier has room (the cascade then keeps
+        the rest of each token on the top tier).
         """
         tiers = self._tiers
         want = self._top_unit
@@ -886,6 +889,8 @@ class TieredBudgetTracker(BudgetTracker):
 
         Pressure-driven movement: each tier takes what fits and pays that
         (destination) tier's bandwidth, landing in its demoted counter.
+        The caller never asks for more than the lower tiers' headroom
+        (:meth:`_lower_free_bytes`), so every byte finds a tier.
         """
         remaining = amount
         for tier, (capacity, ledger, bandwidth) in enumerate(self._lower, 1):
@@ -899,14 +904,6 @@ class TieredBudgetTracker(BudgetTracker):
             remaining -= take
             if not remaining:
                 return
-        raise self._lower_tiers_full(remaining)
-
-    def _lower_tiers_full(self, remaining: int) -> SchedulingError:
-        return SchedulingError(
-            f"KV tier stack cannot place {remaining} bytes below the top "
-            f"tier ({self.budget.description}); the flat admission check "
-            "should have refused this"
-        )
 
     def _victims(self, exclude: int) -> list[_Entry]:
         """Demotion candidates, least recently (re)admitted first."""

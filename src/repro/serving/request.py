@@ -128,11 +128,6 @@ class ServingRequest:
         return self.prefill_target_tokens - self.prefill_tokens_done
 
     @property
-    def admitted(self) -> bool:
-        """Whether the request has been pulled out of the waiting queue."""
-        return self.admitted_time is not None
-
-    @property
     def finished(self) -> bool:
         """Whether every output token has been generated."""
         return self.completion_time is not None

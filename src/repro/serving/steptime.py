@@ -13,8 +13,11 @@ event whose duration comes from a :class:`StepTimeModel`:
     and bilinearly interpolates between grid points.  This is the
     Vidur-style split between a calibrated per-iteration latency model and
     a fast request-level simulation, with the paper's own simulator as the
-    calibration source.  Measured cells can be shared across experiments
-    and processes through a :class:`~repro.calibration.CalibrationStore`.
+    calibration source.  Its cells come from a
+    :class:`~repro.calibration.FigurePointCache`, the one cache of measured
+    points, so they are shared with the figure harnesses, across
+    experiments and across processes through a
+    :class:`~repro.calibration.CalibrationStore`.
 
 :class:`AnalyticStepTime`
     A transparent affine model (fixed cost + per-context-token cost) used by
@@ -36,8 +39,8 @@ import math
 from typing import Iterable, Iterator
 
 from repro.baselines.base import InferenceSystem
-from repro.calibration import CalibrationStore, system_fingerprint
-from repro.calibration.fingerprint import fingerprint_payload
+from repro.calibration import CalibrationStore
+from repro.calibration.figures import FigurePointCache
 from repro.errors import ConfigurationError, SchedulingError
 
 #: Default calibration batch sizes (powers of two up to the paper's batch 32).
@@ -176,28 +179,26 @@ class AnalyticStepTime(StepTimeModel):
 class CalibratedStepTime(StepTimeModel):
     """Step times interpolated from full-simulator measurements.
 
-    Grid cells are measured on demand and cached, so a drain that only ever
-    sees batches up to 16 and contexts up to 9K touches a handful of
-    ``measure()`` calls (tens of milliseconds each) rather than the whole
-    grid.  Queries outside the grid clamp to the nearest edge; clamping is
-    tallied so reports can carry a structured warning instead of a log line.
+    Grid cells are read on demand, so a drain that only ever sees batches
+    up to 16 and contexts up to 9K touches a handful of cells rather than
+    the whole grid.  Queries outside the grid clamp to the nearest edge;
+    clamping is tallied so reports can carry a structured warning instead
+    of a log line.
 
-    When a ``store`` is given, measured cells are shared through its
-    process-wide memory layer and persisted to disk, keyed by a
-    deterministic fingerprint of (model, hardware, grid, version): a system
-    is then measured *once ever* across experiments, sweeps, and re-runs.
+    Cells come from :attr:`cells`, a
+    :class:`~repro.calibration.FigurePointCache` over the system and
+    ``store``: a point any figure or grid measured is never simulated again
+    in the store's directory.  The first read of a grid cell bills it --
+    ``step * batch / effective_batch``, see :meth:`_measure` -- into a
+    per-instance memo, so every later query is a dict lookup.
 
     ``batch_grid`` / ``seq_grid`` of ``None`` select the default grids
     (:data:`DEFAULT_BATCH_GRID`, :data:`DEFAULT_SEQ_GRID`).
     """
 
-    #: ``measure()`` step counts of every grid cell, part of the
-    #: fingerprint.  No warm-up: the event-level simulators are
-    #: deterministic and reach steady state on the first decode step
-    #: (warm-up changes measured step times only at the 1e-14 relative
-    #: level), so a warm-up simulation would double every cell's cost.
-    n_steps = 1
-    warmup_steps = 0
+    #: ``measure()`` step counts of every grid cell: the cell cache's recipe.
+    n_steps = FigurePointCache.n_steps
+    warmup_steps = FigurePointCache.warmup_steps
 
     def __init__(
         self,
@@ -215,15 +216,9 @@ class CalibratedStepTime(StepTimeModel):
         self.system = system
         self.batch_grid = tuple(sorted(set(batch_grid)))
         self.seq_grid = tuple(sorted(set(seq_grid)))
-        self.store = store
-        #: Number of full-simulator ``measure()`` runs this instance
-        #: actually performed (cache hits -- in-memory or persisted -- do
-        #: not count).  A warm store keeps this at zero.
-        self.measurement_count = 0
+        self.cells = FigurePointCache(system, store=store)
+        #: Billed step time per grid cell read so far.
         self._cache: dict[tuple[int, int], float] = {}
-        self._prefill_cache: dict[tuple[int, int], float] = {}
-        self._fingerprint: str | None = None
-        self._hydrated = store is None
         # Structured clamp accounting (satisfies "warn without logging").
         self._step_queries = 0
         self._clamped_queries = 0
@@ -232,53 +227,28 @@ class CalibratedStepTime(StepTimeModel):
         self._min_batch_seen: int | None = None
         self._min_seq_seen: int | None = None
 
-    # --- store plumbing ---------------------------------------------------------
-
     @property
-    def fingerprint(self) -> str:
-        """Deterministic identity of this (system, grid) combination."""
-        if self._fingerprint is None:
-            self._fingerprint = system_fingerprint(
-                self.system,
-                self.batch_grid,
-                self.seq_grid,
-                n_steps=self.n_steps,
-                warmup_steps=self.warmup_steps,
-            )
-        return self._fingerprint
+    def measurement_count(self) -> int:
+        """Full-simulator ``measure()`` runs this model's reads caused
+        (cells the store already held do not count)."""
+        return self.cells.measurement_count
 
     def prewarm(self) -> int:
-        """Hydrate the in-memory cell cache from the store.
-
-        Returns the number of cells now cached.  Performs no measurements;
-        an empty or version-stale store simply yields zero cells.
-        """
-        if self.store is not None:
-            self._cache.update(self.store.load_step_grid(self.fingerprint))
-            self._prefill_cache.update(self.store.load_prefill_grid(self.fingerprint))
-        self._hydrated = True
-        return len(self._cache)
-
-    def _description(self) -> dict:
-        return fingerprint_payload(
-            self.system,
-            self.batch_grid,
-            self.seq_grid,
-            self.n_steps,
-            self.warmup_steps,
+        """Hydrate the cell cache from the store, measuring nothing; returns
+        how many grid cells it holds (each is billed at its first read)."""
+        return sum(
+            self.cells.cell(batch, seq_len) is not None
+            for batch in self.batch_grid
+            for seq_len in self.seq_grid
         )
 
     # --- grid measurement -------------------------------------------------------
 
     def _measure(self, batch: int, seq_len: int) -> float:
-        if not self._hydrated:
-            self.prewarm()
         key = (batch, seq_len)
-        if key not in self._cache:
-            result = self.system.measure(
-                batch, seq_len, n_steps=self.n_steps, warmup_steps=self.warmup_steps
-            )
-            self.measurement_count += 1
+        step = self._cache.get(key)
+        if step is None:
+            result = self.cells.measure(batch, seq_len)
             if result.oom:
                 raise SchedulingError(
                     f"{self.system.name} cannot decode batch {batch} at context "
@@ -292,54 +262,15 @@ class CalibratedStepTime(StepTimeModel):
                 # the feasible size, not a single cheaper small-batch step.
                 step *= batch / result.effective_batch
             self._cache[key] = step
-            if self.store is not None:
-                self.store.record(
-                    self.fingerprint,
-                    description=self._description(),
-                    step_cells={key: step},
-                    flush=False,
-                )
-        return self._cache[key]
+        return step
 
     def flush(self) -> None:
         """Persist any deferred store writes (drain/sweep boundaries)."""
-        if self.store is not None:
-            self.store.flush_dirty()
-
-    def missing_cells(self) -> list[tuple[int, int]]:
-        """Grid cells not yet cached (hydrating from the store first).
-
-        The parallel pre-warmer (:mod:`repro.calibration.prewarm`) fans
-        exactly these cells across worker processes.
-        """
-        if not self._hydrated:
-            self.prewarm()
-        return [
-            (batch, seq_len)
-            for batch in self.batch_grid
-            for seq_len in self.seq_grid
-            if (batch, seq_len) not in self._cache
-        ]
-
-    def seed_cell(self, cell: tuple[int, int], step_seconds: float) -> None:
-        """Install an externally measured cell (pre-warmer merge path).
-
-        The value lands in the in-memory cache and -- when a store is
-        attached -- is recorded with a deferred flush, so a sweep boundary
-        (or the atexit hook) persists it alongside locally measured cells.
-        """
-        self._cache[cell] = step_seconds
-        if self.store is not None:
-            self.store.record(
-                self.fingerprint,
-                description=self._description(),
-                step_cells={cell: step_seconds},
-                flush=False,
-            )
+        self.cells.flush()
 
     @property
     def calibration_points(self) -> int:
-        """Number of grid cells currently cached (measured or store-loaded)."""
+        """Number of grid cells billed so far (measured or read from the store)."""
         return len(self._cache)
 
     # --- clamp accounting -------------------------------------------------------
@@ -465,21 +396,7 @@ class CalibratedStepTime(StepTimeModel):
                 yield low + wb * (high - low)
 
     def prefill_seconds(self, batch_size: int, seq_len: int) -> float:
-        # The systems' prefill model is analytic (Section 6.4) and cheap, so
-        # it needs no grid -- but it can read state that ``measure()``
-        # mutates (e.g. HILOS's selected alpha), so results are cached by
-        # query (and persisted next to the step grid) to keep repeated
-        # drains byte-for-byte deterministic.
-        if not self._hydrated:
-            self.prewarm()
-        key = (max(1, batch_size), max(1, seq_len))
-        if key not in self._prefill_cache:
-            self._prefill_cache[key] = self.system.prefill_seconds(*key)
-            if self.store is not None:
-                self.store.record(
-                    self.fingerprint,
-                    description=self._description(),
-                    prefill_cells={key: self._prefill_cache[key]},
-                    flush=False,
-                )
-        return self._prefill_cache[key]
+        # The systems' prefill model is analytic (Section 6.4), cheap and a
+        # pure function of the shape, so it needs no grid: the cell cache
+        # memoizes it.
+        return self.cells.prefill_seconds(max(1, batch_size), max(1, seq_len))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.baselines.registry import SYSTEM_BUILDERS, build_inference_system
 from repro.core.config import HilosConfig
 from repro.core.runtime import HilosSystem
 from repro.errors import ConfigurationError
@@ -148,16 +149,13 @@ class TestAcceleratorSelection:
 
 
 class TestPrefillHistoryIndependence:
-    def test_prefill_does_not_depend_on_measurement_history(self, tiny_mha):
+    @pytest.mark.parametrize("label", sorted(SYSTEM_BUILDERS))
+    def test_prefill_does_not_depend_on_measurement_history(self, tiny_mha, label):
         """Prefill estimates are pure functions of (batch, seq): measuring a
-        different shape first must not change them.  This is what makes
-        persisting prefill cells under a fingerprint sound."""
-        from repro.core.config import HilosConfig
-        from repro.core.runtime import HilosSystem
+        different shape first must not change them.  This is what lets the
+        calibration cells leave prefill out and compute it instead."""
+        baseline = build_inference_system(label, tiny_mha).prefill_seconds(4, 1024)
 
-        fresh = HilosSystem(tiny_mha, HilosConfig(n_devices=2))
-        baseline = fresh.prefill_seconds(4, 1024)
-
-        warmed = HilosSystem(tiny_mha, HilosConfig(n_devices=2))
+        warmed = build_inference_system(label, tiny_mha)
         warmed.measure(16, 256, n_steps=1, warmup_steps=0)
         assert warmed.prefill_seconds(4, 1024) == baseline

@@ -262,14 +262,31 @@ class TestServingWarmCache:
             system.symmetry = "full"
             step_time = CalibratedStepTime(system, store=default_store(), **grid)
             assert step_time.prewarm() == 4, label
-            assert step_time.missing_cells() == []
 
-    def test_custom_grids_flow_through_to_fingerprints(self):
+    def test_custom_grids_read_the_default_grids_cells(self, tracked_step_times):
+        """A custom grid reads the same cells as the default one: whatever
+        cells the default run measured, the custom run does not measure
+        again."""
         default = serving_throughput.run(fast=True)
+        measured = {
+            (st.system.name, cell)
+            for st in tracked_step_times
+            for cell in st._cache
+        }
+        tracked_step_times.clear()
         custom = serving_throughput.run(
             fast=True, batch_grid=(1, 4, 16), seq_grid=(256, 4096, 16384)
         )
-        assert default[1].column("fingerprint") != custom[1].column("fingerprint")
+        assert default[1].column("fingerprint") == custom[1].column("fingerprint")
+        reread = sum(
+            (st.system.name, cell) in measured
+            for st in tracked_step_times
+            for cell in st._cache
+        )
+        assert reread > 0
+        assert sum(custom[1].column("new_measurements")) == sum(
+            len(st._cache) for st in tracked_step_times
+        ) - reread
 
 
 class TestFigureWarmCache:

@@ -44,7 +44,7 @@ from repro.serving.cluster import check_report_conservation
 from repro.serving.faults import parse_fault_spec
 from repro.sim.engine import Simulator
 from repro.workloads import sample_request_classes
-from repro.workloads.requests import LONG, SHORT
+from repro.workloads.requests import LONG, SHORT, RequestClass
 
 
 @pytest.fixture
@@ -791,6 +791,31 @@ class TestTieredDrains:
         ).drain(sample_request_classes(12, seed=5))
         assert report.all_completed
         assert sum(n.migrations for n in report.node_reports) > 0
+        check_report_conservation(report)
+
+    @pytest.mark.parametrize("admission", ["reserve", "optimistic"])
+    def test_static_split_fills_the_top_once_the_lower_tiers_are_full(
+        self, system, tiny_mha, admission
+    ):
+        """The stack total is the one admission gate: a static split whose
+        spilled share outgrows the lower tiers keeps the rest on the top
+        tier instead of refusing bytes the flat check admitted."""
+        shape = RequestClass("R", input_tokens=100, output_tokens=10)
+        final = tiny_mha.kv_cache_bytes(1, shape.total_tokens)
+        node = Node(
+            system,
+            step_time=unit_steps(),
+            kv_tiers=two_tier_stack(10 * final, 1 * final),
+            kv_policy=StaticSplit(0.5),
+            name="node0",
+        )
+        report = ClusterScheduler(
+            [node], ContinuousBatching(8, admission=admission)
+        ).drain([shape] * 8)
+        assert report.all_completed
+        hbm, ssd = report.kv_tiers
+        assert ssd.peak_occupied_bytes == ssd.capacity_bytes
+        assert hbm.peak_occupied_bytes > 4 * final
         check_report_conservation(report)
 
     def test_double_drain_is_deterministic(self, system, tiny_mha):

@@ -163,16 +163,22 @@ class TestCalibrationStoreIntegration:
         assert second.step_seconds(1, 256) == first.step_seconds(1, 256)
         assert second.measurement_count == 0
 
-    def test_different_grid_is_a_different_fingerprint(self, tiny_mha, tmp_path):
+    def test_different_grids_share_the_systems_cells(self, tiny_mha, tmp_path):
+        """A grid is how a model reads cells, not part of their identity: a
+        second grid bills the cells the first one measured without
+        measuring them again."""
         from repro.calibration import CalibrationStore
 
         store = CalibrationStore(tmp_path)
         a = self._step_time(tiny_mha, store)
+        a.step_seconds(4, 1024)
         system = HilosSystem(tiny_mha, HilosConfig(n_devices=2))
         b = CalibratedStepTime(
             system, batch_grid=(1, 2, 4), seq_grid=(256, 1024), store=store
         )
-        assert a.fingerprint != b.fingerprint
+        assert b.cells.fingerprint == a.cells.fingerprint
+        assert b.step_seconds(4, 1024) == a.step_seconds(4, 1024)
+        assert b.measurement_count == 0
 
 
 class TestGridClampNotes:
@@ -252,13 +258,23 @@ class TestClampWindowIsolation:
 
 
 def _seeded_step_time(tiny_mha, seed: int) -> CalibratedStepTime:
-    """The default grid, every cell seeded with a random step time, so no
-    query runs ``measure()``."""
+    """The default grid, every cell installed with a random step time, so
+    no query runs ``measure()``."""
     step_time = CalibratedStepTime(HilosSystem(tiny_mha, HilosConfig(n_devices=2)))
     rng = random.Random(seed)
     for batch in step_time.batch_grid:
         for seq_len in step_time.seq_grid:
-            step_time.seed_cell((batch, seq_len), rng.uniform(0.5, 20.0))
+            step_time.cells.install(
+                batch,
+                seq_len,
+                {
+                    "step_seconds": rng.uniform(0.5, 20.0),
+                    "breakdown_seconds": {},
+                    "utilization": {"cpu": 0.0, "gpu": 0.0, "dram_capacity": 0.0},
+                    "storage_logical_written": 0.0,
+                    "storage_physical_written": 0.0,
+                },
+            )
     return step_time
 
 
