@@ -29,12 +29,22 @@ from pathlib import Path
 from repro.errors import ConfigurationError
 
 #: Attributes the serving/system interfaces declare with no-op defaults;
-#: ``getattr``-probing for any of these is the SIM006 bug class.
+#: ``getattr``-probing for any of these is the SIM006 bug class.  The
+#: KV-tracker names are the tier interface every tracker answers (a flat
+#: ledger as its one tier), so no caller asks whether a node has tiers.
 DEFAULT_INTERFACE_ATTRIBUTES = (
     "flush",
     "clamp_counters",
     "grid_clamp_summary",
     "gpu",
+    "tier_reports",
+    "promote_for_decode",
+    "consume_transfer_seconds",
+    "decode_leaves_top_alone",
+    "coast_reads",
+    "spill_read_seconds",
+    "check_coast",
+    "spilled_decode_seconds",
 )
 
 #: Paired resource methods for SIM004's leak analysis.

@@ -444,15 +444,21 @@ class InferenceSystem(abc.ABC):
     # --- prefill (analytic, Section 6.4 / Figure 14) ------------------------------------------
 
     def prefill_compute_seconds(self, batch_size: int, seq_len: int) -> float:
-        """GPU time of the prefill pass (FlashAttention for all systems)."""
+        """GPU time of the prefill pass (FlashAttention for all systems).
+
+        The QKV and attention FLOPs are the same in every layer, so they
+        are summed once; each layer then adds them to its own MLP FLOPs in
+        the order ``(qkv + attn) + mlp``, which keeps the float total of a
+        per-layer sum of all three.
+        """
         model = self.model
         gpu = self.hardware_config().gpu_spec
+        qkv = model.qkv_flops_per_layer(batch_size) * seq_len
+        attn = model.attention_flops_per_layer(batch_size, seq_len) * seq_len / 2.0
+        qkv_attn = qkv + attn
         total = 0.0
         for layer in range(model.n_layers):
-            qkv = model.qkv_flops_per_layer(batch_size) * seq_len
-            attn = model.attention_flops_per_layer(batch_size, seq_len) * seq_len / 2.0
-            mlp = model.mlp_flops_per_layer(batch_size, layer) * seq_len
-            total += qkv + attn + mlp
+            total += qkv_attn + model.mlp_flops_per_layer(batch_size, layer) * seq_len
         return total / gpu.effective_flops
 
     def prefill_weight_seconds(self, batch_size: int, seq_len: int) -> float:

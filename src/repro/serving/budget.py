@@ -34,13 +34,17 @@ Nodes configured with a KV tier stack swap in
 :class:`~repro.serving.kvtiers.TieredBudgetTracker`, which keeps this
 ledger's arithmetic byte-for-byte (the flat budget becomes the stack
 total) while additionally tracking per-tier residency, demotion/promotion
-traffic, and spilled-decode read time.
+traffic, and spilled-decode read time.  The engine never asks which one
+it holds: this ledger answers the tier interface as the one tier it is,
+with nothing to move, promote, read below the top or report.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
+from typing import Iterator
 
 from repro.analysis.capacity import (
     DRAM_RESERVE_FRACTION,
@@ -137,6 +141,12 @@ class BudgetTracker:
     ``migration-kv-release`` violation instead of silently double-counting
     KV across the fleet.
     """
+
+    #: Whether routers read the top tier apart from the whole ledger (never
+    #: here: they read one tier's headroom as the committed headroom).
+    routers_read_top_tier = False
+    #: Extra decode seconds spilled-attention reads cost (none here).
+    spilled_decode_seconds = 0.0
 
     budget: CapacityBudget
     model: ModelConfig
@@ -338,6 +348,34 @@ class BudgetTracker:
         if self.sanitize:
             request.kv_holder = None
             self._check_occupancy(request.request_id)
+
+    # --- the tier interface, answered as one tier -------------------------------
+
+    def promote_for_decode(self, running: list[ServingRequest]) -> None:
+        """Nothing to promote: no byte lives below the one tier."""
+
+    def consume_transfer_seconds(self) -> float:
+        """No movement to bill."""
+        return 0.0
+
+    def spill_read_seconds(self, running: list[ServingRequest]) -> float:
+        """No spilled reads to bill for a decode step."""
+        return 0.0
+
+    def coast_reads(self, running, grows: bool) -> Iterator[float]:
+        """No spilled reads for any coasted step: only the budget stops it."""
+        return repeat(0.0)
+
+    def decode_leaves_top_alone(self, grows: bool) -> bool:
+        """Always: routers never read the one tier apart from the ledger."""
+        return True
+
+    def check_coast(self, running: list[ServingRequest]) -> None:
+        """Nothing past :meth:`update`'s own checks: no tier could move."""
+
+    def tier_reports(self) -> tuple:
+        """No per-tier reports: a flat node reports ``kv_tiers == ()``."""
+        return ()
 
     # --- sanitizer invariants ---------------------------------------------------
 

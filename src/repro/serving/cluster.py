@@ -504,8 +504,8 @@ class ClusterScheduler:
                 downtime_seconds=engine.downtime_seconds,
                 shed_requests=engine.shed_requests,
                 shed_retry_attempts=engine.shed_retry_attempts,
-                kv_tiers=engine.tier_reports(),
-                spilled_decode_seconds=engine.spilled_decode_seconds,
+                kv_tiers=engine.tracker.tier_reports(),
+                spilled_decode_seconds=engine.tracker.spilled_decode_seconds,
             )
             breakdowns[members[0]] = breakdown
             for index in members[1:]:

@@ -68,19 +68,18 @@ A full batch *coasts* to its next finisher.  When no other process can
 see the decode iterations before the next retirement -- no fault driver,
 nothing prefilling, a policy that can admit nothing until a slot frees
 (:meth:`~repro.serving.policies.SchedulingPolicy.full`, or an arrival
-stream that is done with nothing queued), and on a tiered node no
-iteration that can move the top tier's ledger, the one tier figure
-routers read -- the engine prices all but the last of them in one pass
-(from one step-time series, plus a tiered node's spilled reads, the end
-time summed step by step as the clock would) and sleeps once, with
+stream that is done with nothing queued), and no iteration that can move
+a top tier routers read -- the engine prices all but the last of them in
+one pass (from one step-time series plus the tracker's spilled reads, the
+end time summed step by step as the clock would) and sleeps once, with
 :meth:`~repro.sim.engine.Simulator.timeout_at`, to that boundary.  The
 finishing iteration then runs on the per-step path, so its timeout is
 scheduled at the same instant as without the coast.  Under optimistic
 admission a coast also stops before the first iteration whose growth
-would overflow the budget, and on a tiered node before the first in
-which a tier would fill mid-batch, so the preemption or the per-request
-cascade lands where it would per step.  Every simulated figure is
-bit-identical to stepping one iteration per wake.
+would overflow the budget, or in which a tier would fill mid-batch, so
+the preemption or the per-request cascade lands where it would per step.
+Every simulated figure is bit-identical to stepping one iteration per
+wake.
 
 A decode step's KV bookkeeping costs O(1) in the batch size too.  Under
 optimistic admission one tracker call per iteration or coast,
@@ -89,13 +88,19 @@ adding the steps times the batch size times the tracker's per-token KV
 bytes (prefill completion re-marks the one request it promotes), and the
 overflow check before each iteration prices the step's growth the same
 way.  The KV ledgers count whole bytes, so these products are exact and
-a coast's one call lands what its steps would, one at a time.  On a
-tiered node that call lands the batch's growth from integer per-tier
-counters, and the step's spilled reads and promotions read per-tier
-aggregates, so the tracker touches individual requests only at
-residency events (see :mod:`repro.serving.kvtiers`).  The loop that
-advances each running request's emitted tokens is the one O(batch) pass,
-once per step or coast.
+a coast's one call lands what its steps would, one at a time.  A tier
+stack's tracker lands the batch's growth from integer per-tier counters,
+and the step's spilled reads and promotions read per-tier aggregates, so
+it touches individual requests only at residency events (see
+:mod:`repro.serving.kvtiers`).  The loop that advances each running
+request's emitted tokens is the one O(batch) pass, once per step or
+coast.
+
+The engine calls one tracker interface without asking which tracker it
+holds: the flat :class:`~repro.serving.budget.BudgetTracker` answers the
+tier calls as a one-tier ledger with nothing to move or read below the
+top.  Movement costs a timeout only when the tracker bills positive
+seconds, so a drain that moves nothing schedules a flat drain's events.
 
 Under fault injection (:mod:`repro.serving.faults`) the engine carries a
 node lifecycle::
@@ -128,7 +133,6 @@ then the node goes DOWN as a provisionable spare.
 from __future__ import annotations
 
 from collections import deque
-from itertools import repeat
 
 from repro.analysis.sanitizer import SanitizerError
 from repro.baselines.base import InferenceSystem
@@ -202,6 +206,15 @@ class Node:
         self.kv_policy = kv_policy
         self.prefill_chunk_tokens = prefill_chunk_tokens
 
+    def kv_tracker(self, sanitize: bool = False) -> BudgetTracker:
+        """A fresh KV ledger for one drain: the tier stack's, or the flat one."""
+        model = self.system.model
+        if self.kv_tiers is None:
+            return BudgetTracker(self.budget, model, sanitize=sanitize, owner=self.name)
+        return TieredBudgetTracker.for_stack(
+            self.kv_tiers, model, self.kv_policy, sanitize=sanitize, owner=self.name
+        )
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Node({self.name!r}, system={self.system.name!r})"
 
@@ -222,25 +235,7 @@ class NodeEngine:
         self.node = node
         self.policy = policy
         self.sim = sim
-        if node.kv_tiers is not None:
-            self.tracker: BudgetTracker = TieredBudgetTracker.for_stack(
-                stack=node.kv_tiers,
-                model=node.system.model,
-                policy=node.kv_policy,
-                sanitize=sim.sanitizer is not None,
-                owner=node.name,
-            )
-        else:
-            self.tracker = BudgetTracker(
-                budget=node.budget,
-                model=node.system.model,
-                sanitize=sim.sanitizer is not None,
-                owner=node.name,
-            )
-        #: Whether this node tracks a KV tier stack.  Declared once so the
-        #: hot-loop hooks are single attribute tests (the ``_slow_factor``
-        #: pattern) and flat drains stay byte-identical.
-        self.tiered = node.kv_tiers is not None
+        self.tracker = node.kv_tracker(sanitize=sim.sanitizer is not None)
         #: The inbox: requests delivered since the last scheduling point.
         #: Each arrives due, and the next loop top moves them all to
         #: ``waiting``.
@@ -543,7 +538,8 @@ class NodeEngine:
     def top_tier_headroom_bytes(self) -> float:
         """Compute-tier headroom -- the tier-aware best-fit ranking signal.
 
-        Flat nodes and one-tier stacks have a single tier, so this equals
+        Where routers do not read the tracker's top tier apart from its
+        whole ledger (flat nodes and one-tier stacks), this equals
         :attr:`kv_headroom_bytes`, the committed final-context headroom,
         and a one-tier stack routes exactly like the flat budget it
         matches.  Multi-tier nodes report the *top* tier's capacity minus
@@ -551,7 +547,7 @@ class NodeEngine:
         the bytes that will actually contend for the compute tier, so
         best-fit packs hot sets instead of total stack bytes.
         """
-        if not self.tiered or len(self.node.kv_tiers.tiers) == 1:
+        if not self.tracker.routers_read_top_tier:
             return self.kv_headroom_bytes
         if self._sanitize:
             self._check_load_ledgers()
@@ -630,21 +626,6 @@ class NodeEngine:
                 sim_time=self.sim.now,
             )
 
-    # --- tier reporting views ----------------------------------------------------
-
-    def tier_reports(self) -> tuple:
-        """Per-tier occupancy/movement shares (empty for flat nodes)."""
-        if not self.tiered:
-            return ()
-        return self.tracker.tier_reports()
-
-    @property
-    def spilled_decode_seconds(self) -> float:
-        """Extra decode seconds spilled-attention reads cost this node."""
-        if not self.tiered:
-            return 0.0
-        return self.tracker.spilled_decode_seconds
-
     # --- work delivery ---------------------------------------------------------
 
     def enqueue(self, request: ServingRequest) -> None:
@@ -712,12 +693,11 @@ class NodeEngine:
                 # billed) until the whole batch drains.
                 self._batch_slots = len(self.running) + len(self.prefilling)
             progressed = bool(admitted)
-            if self.tiered:
-                # Admission placement may have demoted resident KV to make
-                # top-tier room; bill that movement before prefill starts.
-                # Zero movement yields nothing, so a single-tier stack adds
-                # no events and stays byte-identical to the flat path.
-                yield from self._bill_kv_movement()
+            # Admission placement may have demoted resident KV to make
+            # top-tier room; bill that movement before prefill starts.
+            moved = self.tracker.consume_transfer_seconds()
+            if moved > 0.0:
+                yield sim.timeout(moved * self._slow_factor)
             if self.prefilling:
                 yield sim.timeout(self._prefill_chunk_seconds())
                 self._advance_prefill(optimistic)
@@ -727,12 +707,13 @@ class NodeEngine:
                 if optimistic:
                     self._resolve_overflow()
                 if self.running:
-                    if self.tiered:
-                        # Pull spilled KV back into top-tier headroom (the
-                        # policy may decline) and bill the promotions before
-                        # the iteration they accelerate.
-                        self.tracker.promote_for_decode(self.running)
-                        yield from self._bill_kv_movement()
+                    # Pull spilled KV back into top-tier headroom (the
+                    # policy may decline) and bill the promotions before
+                    # the iteration they accelerate.
+                    self.tracker.promote_for_decode(self.running)
+                    moved = self.tracker.consume_transfer_seconds()
+                    if moved > 0.0:
+                        yield sim.timeout(moved * self._slow_factor)
                     coasted = self._coast_steps()
                     if coasted:
                         # Nothing can see the iterations before the next
@@ -749,7 +730,7 @@ class NodeEngine:
                     if optimistic:
                         # One ledger call re-marks the whole batch.
                         self.tracker.update(*self.running, steps=steps)
-                    if coasted and self.tiered and self._sanitize:
+                    if coasted and self._sanitize:
                         self.tracker.check_coast(self.running)
                     # Every running request grew by one token per step.
                     self._running_context_tokens += steps * len(self.running)
@@ -884,7 +865,7 @@ class NodeEngine:
         prefilling, no admission can happen before a retirement (the
         policy is :meth:`~repro.serving.policies.SchedulingPolicy.full`, or
         the arrival stream is done and nothing is pending or waiting), and
-        on a tiered node the steps leave the top tier's ledger alone
+        the steps leave alone any top tier routers read
         (:meth:`~repro.serving.kvtiers.TieredBudgetTracker.decode_leaves_top_alone`:
         no promotion, and any growth lands below the top).  At each skipped
         boundary the per-step loop would only move the inbox to the
@@ -901,7 +882,7 @@ class NodeEngine:
             self._arrivals_done and not self.pending and not self.waiting
         ):
             return 0
-        if self.tiered and not self.tracker.decode_leaves_top_alone(
+        if not self.tracker.decode_leaves_top_alone(
             self.policy.admission == "optimistic"
         ):
             return 0
@@ -923,8 +904,7 @@ class NodeEngine:
         stops before the first iteration whose growth the budget would not
         fit (the :meth:`_resolve_overflow` test), so the preemption lands
         at that boundary, on the per-step path, as it would without the
-        coast.  On a tiered node each iteration also bills its spilled
-        reads
+        coast.  Each iteration also bills its spilled reads
         (:meth:`~repro.serving.kvtiers.TieredBudgetTracker.coast_reads`,
         which plans the growth the wake lands), and the coast stops before
         the first iteration whose growth a tier would take only part of;
@@ -946,10 +926,7 @@ class NodeEngine:
             total = self._running_context_tokens
             contexts = [round((total + step * n) / n) for step in range(steps)]
         series = self.node.step_time.step_series(batch, contexts)
-        if self.tiered:
-            reads = self.tracker.coast_reads(running, self.node.step_time, optimistic)
-        else:
-            reads = repeat(0.0)
+        reads = self.tracker.coast_reads(running, optimistic)
         growth = n * self.tracker.token_bytes
         fits = self.tracker.fits_bytes
         step_seconds = self._step_seconds
@@ -977,35 +954,16 @@ class NodeEngine:
         else:
             batch = len(running)
             context = round(self._running_context_tokens / batch)
-        spill = 0.0
-        if self.tiered:
-            spill = self.tracker.spill_read_seconds(running, self.node.step_time)
+        spill = self.tracker.spill_read_seconds(running)
         return self._step_seconds(
             self.node.step_time.step_seconds(batch, context), spill
         )
 
     def _step_seconds(self, step: float, spill: float) -> float:
         """One decode iteration's seconds: the model's ``step`` seconds,
-        plus ``spill`` seconds of spilled-attention reads, both slowed."""
-        seconds = step * self._slow_factor
-        if spill > 0.0:
-            # Offloaded attention: KV resident below the compute tier is
-            # re-read at the holding tier's near-storage rate.  Zero spill
-            # adds nothing, so fully-resident batches are untouched.
-            seconds += spill * self._slow_factor
-        return seconds
-
-    def _bill_kv_movement(self):
-        """Yield one timeout for accumulated tier transfers (tiered only).
-
-        Demotions and promotions accumulate seconds on the tracker; this
-        drains the bill into a single simulated wait so all KV movement is
-        paid through the DES.  No movement yields nothing, keeping the
-        event sequence identical to a flat drain.
-        """
-        seconds = self.tracker.consume_transfer_seconds()
-        if seconds > 0.0:
-            yield self.sim.timeout(seconds * self._slow_factor)
+        plus ``spill`` seconds of spilled-attention reads, both slowed (a
+        zero spill adds exactly nothing: ``x + 0.0 == x``)."""
+        return step * self._slow_factor + spill * self._slow_factor
 
     def _retire_finished(self) -> None:
         """Retire every running request that emitted its last token.

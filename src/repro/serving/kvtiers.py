@@ -24,7 +24,8 @@ arbitrary tier stack:
     admission pressure, promotion before decode, and the
     offloaded-attention read surcharge all bill through the engine's
     discrete-event simulation; initial placement is bookkeeping only (the
-    prefill pass produces each tier's bytes in place).
+    prefill pass produces each tier's bytes in place).  The flat ledger
+    answers the same interface as one tier.
 
 Every tier ledger counts whole bytes, as the flat ledger does: a tier's
 occupancy, peak and movement counters, each request's residency and the
@@ -38,7 +39,8 @@ and every decode step grows every running request by one unit there and
 the rest of the token below.  A demotion takes a victim's share rounded
 to the nearest byte.  What stays float is what is float by nature: a
 reserve entry's reads (``context × held / total``), hit rates, transfer
-seconds and the configured flat budgets.
+and read seconds and the configured flat budgets.  The tracker bills
+those seconds itself, as bytes over the crossed tier's bandwidth.
 
 A decode step costs the tracker O(tiers), not O(batch).  Every running
 request gains one token per step, and unless a tier fills mid-batch they
@@ -63,7 +65,8 @@ only tier figure anything outside the node reads -- can coast (see
 bills each step's reads as the per-step path would, from the aggregates
 as the earlier steps' growth leaves them, and decides each step's growth
 once: the wake's ``update(..., steps=k)`` lands the k steps' planned
-growth one after another.
+growth one after another.  Routers read no one-tier stack's top apart
+from its whole ledger, so its runs coast wherever a flat ledger's do.
 
 Policies (:class:`TierPolicy`):
 
@@ -83,9 +86,9 @@ Policies (:class:`TierPolicy`):
     The spill-alpha equivalent: every request statically places ``ALPHA``
     of its KV bytes below the top tier and never promotes -- decode pays
     the near-storage read rate for the spilled share on every iteration
-    (via :meth:`~repro.serving.steptime.StepTimeModel.spill_read_seconds`),
-    exactly the fig13 offloaded-attention regime.  ``static:0`` on a
-    single-tier stack is the flat budget.
+    (:meth:`TieredBudgetTracker.spill_read_seconds`), exactly the fig13
+    offloaded-attention regime.  ``static:0`` on a single-tier stack is
+    the flat budget.
 
 Spec grammars (CLI)::
 
@@ -515,6 +518,8 @@ class TieredBudgetTracker(BudgetTracker):
         ]
         self._lower = self._tiers[1:]
         n_tiers = len(self._tiers)
+        #: Routers rank multi-tier stacks by the top's headroom (see the base).
+        self.routers_read_top_tier = n_tiers > 1
         token_bytes = self.token_bytes
         #: Bytes of each token the policy places on the top tier: its
         #: placement fraction of a token, to the nearest byte (a one-tier
@@ -1015,31 +1020,30 @@ class TieredBudgetTracker(BudgetTracker):
         self._pending_transfer_seconds = 0.0
         return seconds
 
-    def spill_read_seconds(self, running: list[ServingRequest], step_time) -> float:
+    def spill_read_seconds(self, running: list[ServingRequest]) -> float:
         """Offloaded-attention surcharge for one decode iteration, in O(tiers).
 
         Every running request re-reads its current KV, and each tier's
         share of those reads comes from the decoding-set aggregates: a
         growing entry reads the bytes it holds there (its entry is its
         current context's bytes), a fixed one ``context × held / total``.
-        The bytes read below the top tier are billed at the tier's
-        bandwidth through
-        :meth:`~repro.serving.steptime.StepTimeModel.spill_read_seconds`,
-        once per tier for the whole batch.  Reads are tallied per tier (the
-        hit-rate base) whether or not they cost anything, so a
-        fully-resident drain still reports a 100% top-tier hit rate.
+        The bytes read below the top tier are billed at that tier's
+        bandwidth, ``bytes / bandwidth``, once per tier for the whole
+        batch.  Reads are tallied per tier (the hit-rate base) whether or
+        not they cost anything, so a fully-resident drain still reports a
+        100% top-tier hit rate.
         """
         self._sync_decoding(running)
-        reads, extra = self._read_step(self._grown, step_time.spill_read_seconds)
+        reads, extra = self._read_step(self._grown)
         if self.sanitize:
             self._check_reads(running, reads)
         return extra
 
-    def _read_step(self, grown: list[int], spill) -> tuple[list[float], float]:
+    def _read_step(self, grown: list[int]) -> tuple[list[float], float]:
         """Bill one decode step's reads; return them per tier, and their
         spilled seconds.  ``grown`` is the growing entries' bytes per tier
-        at the step, the fixed entries' share comes from their aggregates
-        at the step's read index, and ``spill`` prices one tier's reads."""
+        at the step, and the fixed entries' share comes from their
+        aggregates at the step's read index."""
         reads = grown.copy()
         if self._n_fixed:
             since = self.decode_steps - self._fixed_at
@@ -1054,7 +1058,7 @@ class TieredBudgetTracker(BudgetTracker):
         for (_, ledger, bandwidth), read in zip(self._lower, reads[1:]):
             ledger.decode_read_bytes += read
             if read > 0:
-                extra += spill(read, bandwidth)
+                extra += read / bandwidth
         self.spilled_decode_seconds += extra
         return reads, extra
 
@@ -1071,9 +1075,12 @@ class TieredBudgetTracker(BudgetTracker):
         top is full (it takes no growth, and promotion needs headroom), or
         the policy places nothing on top and never promotes.  A batch that
         does not grow (reserve admission) moves no tier ledger unless a
-        promotion could.  A one-tier stack places whole tokens on its top
-        and has nothing below it to promote.
+        promotion could.  A one-tier stack always qualifies: routers never
+        read its top apart from the ledger (:attr:`routers_read_top_tier`),
+        and it has nothing below the top to promote.
         """
+        if not self.routers_read_top_tier:
+            return True
         top_capacity, top_ledger, _ = self._tiers[0]
         if top_capacity <= top_ledger.occupied_bytes:
             return True
@@ -1081,7 +1088,7 @@ class TieredBudgetTracker(BudgetTracker):
             return not self._top_unit and not self.policy.promotes
         return not (self.policy.promotes and self._decoding_below_top())
 
-    def coast_reads(self, running: list[ServingRequest], step_time, grows: bool):
+    def coast_reads(self, running: list[ServingRequest], grows: bool):
         """Bill a coast's decode steps one at a time; yield each one's
         spilled-read seconds.
 
@@ -1101,7 +1108,6 @@ class TieredBudgetTracker(BudgetTracker):
         :meth:`check_coast`.
         """
         self._sync_decoding(running)
-        spill = step_time.spill_read_seconds
         n = len(running)
         grown = self._grown.copy()
         occupied = [ledger.occupied_bytes for _, ledger, _ in self._tiers]
@@ -1112,7 +1118,7 @@ class TieredBudgetTracker(BudgetTracker):
             moves = self._uniform_step(n, occupied) if grows else []
             if moves is None:
                 return
-            reads, extra = self._read_step(grown, spill)
+            reads, extra = self._read_step(grown)
             if check:
                 self._check_reads(running, reads)
                 check = False
@@ -1126,8 +1132,9 @@ class TieredBudgetTracker(BudgetTracker):
 
     def check_coast(self, running: list[ServingRequest]) -> None:
         """Sanitizer, at a coast's wake: the decode-step checks of
-        :meth:`update`, no plan left for a later update to land, and the
-        top tier's ledger where the coast found it."""
+        :meth:`update`, no plan left for a later update to land, and, where
+        routers read it (:attr:`routers_read_top_tier`), the top tier's
+        ledger where the coast found it."""
         self._check_step(running)
         if self._plan is not None:
             raise SanitizerError(
@@ -1137,7 +1144,7 @@ class TieredBudgetTracker(BudgetTracker):
                 request_id=running[-1].request_id,
             )
         top = self._tiers[0][1]
-        if top.occupied_bytes != self._coast_top:
+        if self.routers_read_top_tier and top.occupied_bytes != self._coast_top:
             raise SanitizerError(
                 f"KV tier {top.tier.name!r} moved from {self._coast_top:.3f} to "
                 f"{top.occupied_bytes:.3f} bytes during a coast, whose skipped "
@@ -1155,9 +1162,9 @@ class TieredBudgetTracker(BudgetTracker):
         ``queued_bytes`` is the final-context KV of the node's queued
         (routed, unadmitted) requests -- the engine keeps it as a running
         ledger -- of which each token's top unit is the share that will
-        actually contend for the compute tier.  Engines ask only for
-        multi-tier stacks: a one-tier stack routes on its committed
-        headroom, like a flat budget.
+        actually contend for the compute tier.  Engines ask only where
+        :attr:`routers_read_top_tier` holds: a one-tier stack routes on its
+        committed headroom, like a flat budget.
         """
         top_capacity, top_ledger, _ = self._tiers[0]
         return (

@@ -74,6 +74,11 @@ class StepTimeModel(abc.ABC):
     :meth:`step_series` prices successive iterations of one batch; the
     default asks :meth:`step_seconds` once per element, so a model needs
     to override it only to price a run faster, never to change a value.
+
+    A model prices compute only.  KV a tier stack holds below its compute
+    tier is re-read at that tier's bandwidth, which the node's tracker
+    bills itself (:mod:`repro.serving.kvtiers`); the engine adds those
+    seconds to the model's step.
     """
 
     @abc.abstractmethod
@@ -123,24 +128,6 @@ class StepTimeModel(abc.ABC):
         instead of ``getattr``-probing; models without a backing store
         have nothing to persist and inherit this no-op.
         """
-
-    def spill_read_seconds(
-        self, spilled_bytes: float, bandwidth_bytes_per_s: float
-    ) -> float:
-        """Seconds one decode iteration spends re-reading spilled KV.
-
-        The offloaded-attention step-time mode: KV resident below a tiered
-        node's compute tier is re-read each iteration at the holding
-        tier's near-storage rate (see :mod:`repro.serving.kvtiers`, which
-        prices a whole batch's reads from one tier in one call).  The
-        declared default is a pure bandwidth bill, ``bytes / bandwidth``;
-        models that overlap the transfer with compute (the paper's
-        SmartSSD pipelines attention against the flash read) override it
-        -- declared on the interface, never ``getattr``-probed.
-        """
-        if spilled_bytes <= 0.0:
-            return 0.0
-        return spilled_bytes / bandwidth_bytes_per_s
 
 
 class AnalyticStepTime(StepTimeModel):

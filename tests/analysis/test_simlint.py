@@ -29,7 +29,7 @@ EXPECTED_BAD_COUNTS = {
     "SIM003": 2,
     "SIM004": 2,
     "SIM005": 3,
-    "SIM006": 2,
+    "SIM006": 3,
 }
 
 

@@ -3,13 +3,16 @@ determinism, prefill model)."""
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.baselines.flexgen import FlexGenDRAM, FlexGenSSD
+from repro.baselines.registry import SYSTEM_BUILDERS, build_inference_system
 from repro.core.config import HilosConfig
 from repro.core.runtime import HilosSystem
 from repro.errors import ConfigurationError
-from repro.models import get_model
+from repro.models import get_model, list_models
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +78,31 @@ class TestPrefillModel:
     def test_prefill_at_least_compute_bound(self, opt30b):
         system = FlexGenSSD(opt30b)
         assert system.prefill_seconds(8, 16384) >= system.prefill_compute_seconds(8, 16384)
+
+    @pytest.mark.parametrize("model_name", list_models())
+    def test_compute_equals_the_per_layer_sum(self, model_name):
+        """Summing the layer-invariant QKV and attention FLOPs once keeps
+        every prefill bit-identical to adding all three per layer."""
+
+        def per_layer(system, batch, seq_len):
+            model = system.model
+            total = 0.0
+            for layer in range(model.n_layers):
+                qkv = model.qkv_flops_per_layer(batch) * seq_len
+                attn = model.attention_flops_per_layer(batch, seq_len) * seq_len / 2.0
+                mlp = model.mlp_flops_per_layer(batch, layer) * seq_len
+                total += qkv + attn + mlp
+            return total / system.hardware_config().gpu_spec.effective_flops
+
+        model = get_model(model_name)
+        rng = random.Random(model_name)
+        shapes = [(rng.randint(1, 64), rng.randint(1, 1 << 17)) for _ in range(16)]
+        for label in SYSTEM_BUILDERS:
+            system = build_inference_system(label, model)
+            for batch, seq_len in shapes:
+                assert system.prefill_compute_seconds(batch, seq_len) == per_layer(
+                    system, batch, seq_len
+                ), (label, batch, seq_len)
 
     def test_hilos_prefill_writes_less_with_xcache(self, opt30b):
         """alpha X + (1-alpha) KV is smaller than the full KV for MHA."""

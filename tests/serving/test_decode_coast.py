@@ -656,20 +656,19 @@ class TestMultiStepUpdate:
         aggregate and read tally exactly where 37 single steps leave them.
         A plan stops before each step in which a tier fills mid-batch (a
         coast of 0), which then runs the per-request cascade per step."""
-        model = AnalyticStepTime()
         (stepped, one), (coasted, many) = self._tiered_pair(levels)
         for _ in range(37):
-            stepped.spill_read_seconds(one, model)
+            stepped.spill_read_seconds(one)
             self._wake(stepped, one, 1)
         done, taken = 0, []
         while done < 37:
-            reads = coasted.coast_reads(many, model, True)
+            reads = coasted.coast_reads(many, True)
             k = sum(1 for _ in itertools.islice(reads, 37 - done))
             taken.append(k)
             if k:
                 assert self._wake(coasted, many, k) == [k * coasted.token_bytes] * 4
             else:
-                coasted.spill_read_seconds(many, model)
+                coasted.spill_read_seconds(many)
                 self._wake(coasted, many, 1)
             done += k or 1
         assert taken == coasts
@@ -696,7 +695,7 @@ class TestMultiStepUpdate:
     @pytest.mark.parametrize("landed", [2, 4])
     def test_wake_must_land_exactly_the_planned_steps(self, landed):
         ((tracker, batch), _) = self._tiered_pair(2)
-        reads = tracker.coast_reads(batch, AnalyticStepTime(), True)
+        reads = tracker.coast_reads(batch, True)
         assert len(list(itertools.islice(reads, 3))) == 3
         with pytest.raises(SanitizerError, match="planned 3 decode step") as excinfo:
             self._wake(tracker, batch, landed)
@@ -704,7 +703,7 @@ class TestMultiStepUpdate:
 
     def test_a_plan_left_unlanded_is_caught_at_the_wake(self):
         ((tracker, batch), _) = self._tiered_pair(2)
-        next(tracker.coast_reads(batch, AnalyticStepTime(), True))
+        next(tracker.coast_reads(batch, True))
         with pytest.raises(SanitizerError, match="outlived its wake"):
             tracker.check_coast(batch)
 
@@ -715,6 +714,6 @@ class TestMultiStepUpdate:
         for _ in range(10):
             self._wake(tracker, batch, 1)
         # The 11th step fills the top mid-batch: the pass prices nothing.
-        assert list(tracker.coast_reads(batch, AnalyticStepTime(), True)) == []
+        assert list(tracker.coast_reads(batch, True)) == []
         self._wake(tracker, batch, 1)
         assert tracker.cascade_steps == 1

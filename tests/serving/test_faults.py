@@ -34,7 +34,7 @@ from repro.serving import (
 from repro.serving.cluster import check_report_conservation
 from repro.sim.engine import Simulator
 from repro.workloads import sample_request_classes
-from repro.workloads.requests import SHORT
+from repro.workloads.requests import LONG, SHORT
 
 
 @pytest.fixture
@@ -311,6 +311,39 @@ class TestFaultDrains:
         crashed = report.node_reports[0]
         assert crashed.downtime_seconds > 0
         assert crashed.migrations == report.migrations
+
+    def test_crash_mid_prefill_migrates_the_computed_chunks(
+        self, system, monkeypatch
+    ):
+        """A crash landing while every admitted request is still in chunked
+        prefill drops each one's computed chunks: node0 dies at the end of
+        its second 64-token round with four requests at 128 tokens each,
+        which recompute elsewhere and complete."""
+        deaths = []
+        apply_death = NodeEngine._apply_death
+
+        def recorded(engine):
+            deaths.append(
+                (
+                    engine.node.name,
+                    [r.prefill_tokens_done for r in engine.prefilling],
+                    len(engine.running) + len(engine.waiting) + len(engine.pending),
+                )
+            )
+            apply_death(engine)
+
+        monkeypatch.setattr(NodeEngine, "_apply_death", recorded)
+        report = ClusterScheduler(
+            make_nodes(system, 2, prefill_chunk_tokens=64),
+            ContinuousBatching(4),
+            faults=parse_fault_spec("crash:0.1:0"),
+        ).drain([LONG] * 4 + [SHORT] * 4)
+        assert deaths == [("node0", [128] * 4, 0)]
+        assert report.migrations == 4
+        assert report.migrated_recompute_tokens == 512
+        assert report.completed == report.n_requests == 8
+        migrated = [r for r in report.requests if r.migration_count]
+        assert [r.migrated_recompute_tokens for r in migrated] == [128] * 4
 
     def test_whole_fleet_down_parks_arrivals_until_recovery(self, system):
         faults = FaultSchedule(

@@ -45,6 +45,7 @@ from repro.serving.faults import parse_fault_spec
 from repro.sim.engine import Simulator
 from repro.workloads import sample_request_classes
 from repro.workloads.requests import LONG, SHORT, RequestClass
+from tests.test_golden import recorded_simulators
 
 
 @pytest.fixture
@@ -187,8 +188,10 @@ class TestParsePolicySpec:
 
 
 class TestSingleTierByteIdentity:
-    """ISSUE acceptance: a single-tier stack is byte-identical to the flat
-    budget -- same schedule, same report, exactly -- for every policy."""
+    """A single-tier stack is byte-identical to the flat budget -- same
+    schedule, same report, exactly -- for every policy, and takes the same
+    simulator events: it coasts wherever the flat ledger does, growing
+    (optimistic) decode runs included."""
 
     N_REQUESTS = 24
 
@@ -221,29 +224,23 @@ class TestSingleTierByteIdentity:
     ):
         capacity = tiny_mha.kv_cache_bytes(1, LONG.total_tokens) * 3.0
         queue = sample_request_classes(self.N_REQUESTS, seed=seed)
-        flat = ClusterScheduler(
-            [
-                Node(
-                    system,
-                    step_time=unit_steps(),
-                    budget=CapacityBudget(capacity, "flat slice"),
-                )
-            ],
-            policy_factory(),
-            router=RoundRobin(),
-        ).drain(list(queue), arrivals=arrival_factory(seed))
-        tiered = ClusterScheduler(
-            [
-                Node(
-                    system,
-                    step_time=unit_steps(),
-                    kv_tiers=TierStack((KVTier("hbm", capacity),)),
-                    kv_policy=tier_policy_factory(),
-                )
-            ],
-            policy_factory(),
-            router=RoundRobin(),
-        ).drain(list(queue), arrivals=arrival_factory(seed))
+
+        def drain(**memory):
+            with recorded_simulators() as sims:
+                report = ClusterScheduler(
+                    [Node(system, step_time=unit_steps(), **memory)],
+                    policy_factory(),
+                    router=RoundRobin(),
+                ).drain(list(queue), arrivals=arrival_factory(seed))
+            (sim,) = sims
+            return report, sim.events_processed
+
+        flat, flat_events = drain(budget=CapacityBudget(capacity, "flat slice"))
+        tiered, tiered_events = drain(
+            kv_tiers=TierStack((KVTier("hbm", capacity),)),
+            kv_policy=tier_policy_factory(),
+        )
+        assert tiered_events == flat_events
         assert [r.completion_time for r in flat.requests] == [
             r.completion_time for r in tiered.requests
         ]
@@ -628,7 +625,7 @@ class TestSpillReadSurcharge:
         request.prefill_tokens_done = request.input_tokens
         request.tokens_generated = 1
         current = float(tiny_mha.kv_cache_bytes(1, request.context_tokens))
-        extra = tracker.spill_read_seconds([request], unit_steps())
+        extra = tracker.spill_read_seconds([request])
         assert extra == pytest.approx(0.5 * current / bandwidth)
         # The node total is billed every step.
         tracker.release(request)
@@ -647,7 +644,7 @@ class TestSpillReadSurcharge:
         admit(tracker, request, at=0.0)
         request.prefill_tokens_done = request.input_tokens
         request.tokens_generated = 1
-        assert tracker.spill_read_seconds([request], unit_steps()) == 0.0
+        assert tracker.spill_read_seconds([request]) == 0.0
         reports = {report.tier: report for report in tracker.tier_reports()}
         assert reports["hbm"].hit_rate == 1.0
 

@@ -59,8 +59,7 @@ class PerRequestTracker(TieredBudgetTracker):
     def _uniform_step(self, n, occupied):
         return None
 
-    def spill_read_seconds(self, running, step_time) -> float:
-        spill = step_time.spill_read_seconds
+    def spill_read_seconds(self, running) -> float:
         ledgers = list(self._ledgers.values())
         total = 0.0
         for _, reads in self._reference_reads(running):
@@ -68,7 +67,7 @@ class PerRequestTracker(TieredBudgetTracker):
             for ledger, read in zip(ledgers, reads):
                 ledger.decode_read_bytes += read
                 if ledger is not ledgers[0] and read > 0.0:
-                    extra += spill(read, ledger.tier.bandwidth_bytes_per_s)
+                    extra += read / ledger.tier.bandwidth_bytes_per_s
             total += extra
         self.spilled_decode_seconds += total
         return total

@@ -6,9 +6,10 @@ from collections import deque
 
 import pytest
 
+from repro.baselines.registry import build_inference_system
 from repro.errors import ConfigurationError, SchedulingError
-from repro.models.registry import tiny_model
-from repro.serving.budget import BudgetTracker, CapacityBudget
+from repro.models.registry import get_model, tiny_model
+from repro.serving.budget import BudgetTracker, CapacityBudget, capacity_budget_for
 from repro.serving.policies import (
     ContinuousBatching,
     FCFSFixedBatch,
@@ -191,6 +192,33 @@ class TestBudgetTracker:
         assert tracker.fits_bytes(1000)
         assert not tracker.fits_bytes(1001)
         assert not tracker.fits_bytes(1, extra_bytes=1000)
+
+
+class TestDRAMPlacementBudget:
+    """A DRAM-resident KV system's serving budget admits the batches its
+    placement runs: at each context the budget holds the largest
+    power-of-two batch ``effective_batch`` leaves unclamped but not twice
+    it, and no request at all where batch 1 is out of memory."""
+
+    @pytest.mark.parametrize("model_name", ["OPT-30B", "OPT-66B", "OPT-175B"])
+    @pytest.mark.parametrize("label", ["FLEX(DRAM)", "DS+UVM(DRAM)"])
+    def test_budget_matches_the_feasible_batch(self, label, model_name):
+        system = build_inference_system(label, get_model(model_name))
+        budget = capacity_budget_for(system)
+        assert "host DRAM" in budget.description
+        tracker = BudgetTracker(budget=budget, model=system.model)
+        for seq_len in (1 << k for k in range(9, 17)):
+            request_bytes = system.model.kv_cache_bytes(1, seq_len)
+            if system.effective_batch(1, seq_len) == 0:
+                assert not tracker.fits_bytes(request_bytes), seq_len
+                continue
+            # Halving from a batch no host holds stops at the largest
+            # power of two that fits.
+            batch = system.effective_batch(1 << 16, seq_len)
+            assert 1 <= batch < 1 << 16
+            assert system.effective_batch(batch, seq_len) == batch
+            assert tracker.fits_bytes(batch * request_bytes), seq_len
+            assert not tracker.fits_bytes(2 * batch * request_bytes), seq_len
 
 
 def test_default_policies_cover_all_three():

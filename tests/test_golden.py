@@ -408,7 +408,9 @@ def observe(run, system) -> dict:
             )
         report = run(system)
     (sim,) = sims
-    trackers = [engine.tracker for engine in engines if engine.tiered]
+    trackers = [
+        engine.tracker for engine in engines if engine.node.kv_tiers is not None
+    ]
     return {
         "digest": digest(report),
         "events": sim.events_processed,
