@@ -61,23 +61,26 @@ engine recomputes every ledger at each load probe (queue-depth probes
 included), and the running context at each decode step and coast start,
 and raises ``SanitizerError(invariant="load-ledger")`` on any difference
 -- also when a step the countdown skipped had a finished request to
-retire -- and :meth:`NodeEngine.assert_drained` demands every ledger back
-at zero at drain end.
+retire, or a retirement finds a request run past its last token -- and
+:meth:`NodeEngine.assert_drained` demands every ledger back at zero at
+drain end.
 
 A full batch *coasts* to its next finisher.  When no other process can
-see the decode iterations before the next retirement -- no fault driver,
+see the decode iterations up to the next retirement -- no fault driver,
 nothing prefilling, a policy that can admit nothing until a slot frees
 (:meth:`~repro.serving.policies.SchedulingPolicy.full`, or an arrival
 stream that is done with nothing queued), and no iteration that can move
-a top tier routers read -- the engine prices all but the last of them in
-one pass (from one step-time series plus the tracker's spilled reads, the
-end time summed step by step as the clock would) and sleeps once, with
-:meth:`~repro.sim.engine.Simulator.timeout_at`, to that boundary.  The
-finishing iteration then runs on the per-step path, so its timeout is
-scheduled at the same instant as without the coast.  Under optimistic
-admission a coast also stops before the first iteration whose growth
-would overflow the budget, or in which a tier would fill mid-batch, so
-the preemption or the per-request cascade lands where it would per step.
+a top tier routers read -- the engine prices all of them, the retiring
+one included, in one pass (from one step-time series plus the tracker's
+spilled reads, the end time summed step by step as the clock would) and
+sleeps once, with :meth:`~repro.sim.engine.Simulator.timeout_at`, to the
+retirement.  The wake is relayed from the last boundary (``armed_at``),
+so its heap entry is pushed when the per-step loop would have pushed the
+retiring iteration's timeout, and ties at the retirement order as they
+would per step.  Under optimistic admission a coast also stops before
+the first iteration whose growth would overflow the budget, or in which
+a tier would fill mid-batch, and sleeps to that boundary instead, so the
+preemption or the per-request cascade lands where it would per step.
 Every simulated figure is bit-identical to stepping one iteration per
 wake.
 
@@ -714,14 +717,21 @@ class NodeEngine:
                     moved = self.tracker.consume_transfer_seconds()
                     if moved > 0.0:
                         yield sim.timeout(moved * self._slow_factor)
-                    coasted = self._coast_steps()
-                    if coasted:
-                        # Nothing can see the iterations before the next
+                    offered = self._coast_steps()
+                    coasted = 0
+                    if offered:
+                        # Nothing can see the iterations up to the next
                         # retirement: price them in one pass, sleep once.
-                        coasted, wake = self._coast(coasted, optimistic)
+                        coasted, wake, last = self._coast(offered, optimistic)
                     if coasted:
                         steps = coasted
-                        yield sim.timeout_at(wake)
+                        # A coast through the retiring step relays its wake
+                        # from its last boundary, where the per-step loop
+                        # would have scheduled it, so ties at the
+                        # retirement order as they would per step.
+                        yield sim.timeout_at(
+                            wake, armed_at=last if coasted == offered else None
+                        )
                     else:
                         steps = 1
                         yield sim.timeout(self._iteration_seconds())
@@ -789,22 +799,25 @@ class NodeEngine:
         before the next decode iteration sees the true ledger, not one
         stale by a token per promotion.
         """
-        for request in list(self.prefilling):
+        prefilling = []
+        for request in self.prefilling:
             chunk = self._chunk_tokens(request)
             request.prefill_tokens_done += chunk
             self._outstanding_tokens -= chunk
-            if request.prefill_remaining_tokens == 0:
-                if request.first_token_time is None:
-                    request.first_token_time = self.sim.now
-                request.tokens_generated += 1
-                if optimistic:
-                    self.tracker.update(request)
-                self.prefilling.remove(request)
-                self.running.append(request)
-                self._running_context_tokens += request.context_tokens
-                self._until_finish = min(
-                    self._until_finish, request.output_tokens - request.tokens_generated
-                )
+            if request.prefill_remaining_tokens > 0:
+                prefilling.append(request)
+                continue
+            if request.first_token_time is None:
+                request.first_token_time = self.sim.now
+            request.tokens_generated += 1
+            if optimistic:
+                self.tracker.update(request)
+            self.running.append(request)
+            self._running_context_tokens += request.context_tokens
+            self._until_finish = min(
+                self._until_finish, request.output_tokens - request.tokens_generated
+            )
+        self.prefilling = prefilling
 
     # --- preemption ------------------------------------------------------------
 
@@ -835,11 +848,15 @@ class NodeEngine:
                     "one decode token of the sole admitted request; preemption "
                     "cannot help -- the budget is too small for this workload"
                 )
-            victim = max(
-                candidates, key=lambda r: (r.last_admitted_time, r.request_id)
+            index, victim = max(
+                enumerate(candidates),
+                key=lambda item: (item[1].last_admitted_time, item[1].request_id),
             )
-            in_running = victim in self.running
-            (self.running if in_running else self.prefilling).remove(victim)
+            in_running = index < len(self.running)
+            if in_running:
+                del self.running[index]
+            else:
+                del self.prefilling[index - len(self.running)]
             self.tracker.release(victim)
             if in_running:
                 dropped = victim.context_tokens
@@ -858,23 +875,29 @@ class NodeEngine:
     def _coast_steps(self) -> int:
         """Decode iterations the engine may take in one wake (0: just one).
 
-        A coast covers the iterations up to, not including, the one that
-        retires the batch's next finisher (the countdown is a lower bound,
-        so none finishes inside it).  Nobody can see those boundaries when
-        no fault driver can kill, slow or scale the node there, nothing is
-        prefilling, no admission can happen before a retirement (the
-        policy is :meth:`~repro.serving.policies.SchedulingPolicy.full`, or
-        the arrival stream is done and nothing is pending or waiting), and
-        the steps leave alone any top tier routers read
+        A coast covers the whole finish countdown, through the iteration
+        that retires the batch's next finisher (the countdown is a lower
+        bound, so none finishes before it); a countdown below 2 is left to
+        the per-step path, where a coast would save nothing.  Nobody can
+        see the boundaries inside the run when no fault driver can kill,
+        slow or scale the node there, nothing is prefilling, no admission
+        can happen before a retirement (the policy is
+        :meth:`~repro.serving.policies.SchedulingPolicy.full`, or the
+        arrival stream is done and nothing is pending or waiting), and the
+        steps leave alone any top tier routers read
         (:meth:`~repro.serving.kvtiers.TieredBudgetTracker.decode_leaves_top_alone`:
         no promotion, and any growth lands below the top).  At each skipped
         boundary the per-step loop would only move the inbox to the
         waiting queue, and the wake moves it in the same order before any
-        admission; the router-facing load views, the top tier's
-        headroom included, do not move during such a run.  (Exact ties are
-        the one exception: the wake's heap entry is older than a per-step
-        boundary's, so arrivals landing exactly on the wake and on the
-        retirement instant can order differently against the retirement.)
+        admission; the router-facing load views, the top tier's headroom
+        included, do not move during such a run.  The wake at the
+        retirement is relayed from the last boundary
+        (:meth:`~repro.sim.engine.Simulator.timeout_at` with ``armed_at``),
+        so it takes the heap position the per-step loop's last timeout
+        would have had.  (Exact ties are the one exception: the relay's
+        heap entry, like the wake of a coast a stop test ended, is older
+        than a per-step boundary's, so arrivals landing exactly on it and
+        on the next boundary can order differently against that boundary.)
         """
         if self._until_finish < 2 or self.driver is not None or self.prefilling:
             return 0
@@ -886,10 +909,11 @@ class NodeEngine:
             self.policy.admission == "optimistic"
         ):
             return 0
-        return self._until_finish - 1
+        return self._until_finish
 
-    def _coast(self, steps: int, optimistic: bool) -> tuple[int, float]:
-        """Price up to ``steps`` decode iterations; return (count, end time).
+    def _coast(self, steps: int, optimistic: bool) -> tuple[int, float, float]:
+        """Price up to ``steps`` decode iterations; return (count, end time,
+        the boundary before the last iteration priced).
 
         The iterations are priced from one step-time series
         (:meth:`~repro.serving.steptime.StepTimeModel.step_series`) whose
@@ -899,12 +923,13 @@ class NodeEngine:
         one per step, or the ledger advanced by the batch size per step,
         then rounded -- ``round`` is half-to-even, so rounding once and
         adding would drift).  The end time accumulates one step at a time,
-        as the clock does across successive timeouts, so it is bit-equal
-        to the per-step boundary.  Under optimistic admission the coast
-        stops before the first iteration whose growth the budget would not
-        fit (the :meth:`_resolve_overflow` test), so the preemption lands
-        at that boundary, on the per-step path, as it would without the
-        coast.  Each iteration also bills its spilled reads
+        as the clock does across successive timeouts, so it and the
+        boundary before it are bit-equal to the per-step boundaries.
+        Under optimistic admission the coast stops before the first
+        iteration whose growth the budget would not fit (the
+        :meth:`_resolve_overflow` test), so the preemption lands at that
+        boundary, on the per-step path, as it would without the coast.
+        Each iteration also bills its spilled reads
         (:meth:`~repro.serving.kvtiers.TieredBudgetTracker.coast_reads`,
         which plans the growth the wake lands), and the coast stops before
         the first iteration whose growth a tier would take only part of;
@@ -930,15 +955,16 @@ class NodeEngine:
         growth = n * self.tracker.token_bytes
         fits = self.tracker.fits_bytes
         step_seconds = self._step_seconds
-        time = self.sim.now
+        time = last = self.sim.now
         for step in range(steps):
             if optimistic and step and not fits(growth, extra_bytes=step * growth):
-                return step, time
+                return step, time, last
             spill = next(reads, None)
             if spill is None:
-                return step, time
+                return step, time, last
+            last = time
             time += step_seconds(next(series), spill)
-        return steps, time
+        return steps, time, last
 
     # --- timing helpers --------------------------------------------------------
 
@@ -968,10 +994,14 @@ class NodeEngine:
     def _retire_finished(self) -> None:
         """Retire every running request that emitted its last token.
 
-        Runs the scan only when the finish countdown reaches zero, then
-        resets it to the fewest tokens any remaining request still owes;
-        a sanitized engine checks that a skipped scan had nothing to
-        retire.
+        Runs only when the finish countdown reaches zero: one pass over
+        ``running`` keeps, in order, the requests that still owe tokens and
+        resets the countdown to the fewest any of them owes (0 when none
+        remain), and the finishers then retire in running order.  The batch
+        is rebuilt rather than edited with ``list.remove``, which would
+        compare requests field by field.  A sanitized engine checks that a
+        skipped scan had nothing to retire, and that no finisher ran past
+        its last token (a countdown set too high lets a coast overrun it).
         """
         if self._until_finish > 0:
             if self._sanitize and any(
@@ -985,12 +1015,30 @@ class NodeEngine:
                     sim_time=self.sim.now,
                 )
             return
-        for request in [
-            r for r in self.running if r.tokens_generated >= r.output_tokens
-        ]:
+        running: list[ServingRequest] = []
+        finished: list[ServingRequest] = []
+        until = 0
+        for request in self.running:
+            owed = request.output_tokens - request.tokens_generated
+            if owed > 0:
+                running.append(request)
+                if not until or owed < until:
+                    until = owed
+                continue
+            if owed < 0 and self._sanitize:
+                raise SanitizerError(
+                    f"node {self.node.name!r} ran request {request.request_id} "
+                    f"{-owed} decode step(s) past its last token",
+                    invariant="load-ledger",
+                    sim_time=self.sim.now,
+                    request_id=request.request_id,
+                )
+            finished.append(request)
+        self.running = running
+        self._until_finish = until
+        for request in finished:
             request.completion_time = self.sim.now
             self.tracker.release(request)
-            self.running.remove(request)
             self._outstanding_tokens -= (
                 request.final_context_tokens - request.prefill_tokens_done
             )
@@ -998,6 +1046,3 @@ class NodeEngine:
             self._running_context_tokens -= request.context_tokens
             if self.driver is not None:
                 self.driver.note_finished(request)
-        self._until_finish = min(
-            (r.output_tokens - r.tokens_generated for r in self.running), default=0
-        )

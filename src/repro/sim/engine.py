@@ -424,7 +424,9 @@ class Simulator:
         """Create an event that fires after ``delay`` seconds."""
         return Timeout(self, delay, value)
 
-    def timeout_at(self, time: float, value: Any = None) -> Event:
+    def timeout_at(
+        self, time: float, value: Any = None, *, armed_at: float | None = None
+    ) -> Event:
         """Create an event that fires at the absolute simulated ``time``.
 
         ``timeout(time - now)`` lands on ``now + (time - now)``, which need
@@ -432,12 +434,38 @@ class Simulator:
         process that sums a run of delays the way successive timeouts
         would (``t += delay``) sleeps once to the very instant the last of
         them would have fired.  ``time`` must be finite and not before now.
+
+        ``armed_at`` relays the wake: the call pushes a relay entry at
+        ``armed_at``, and the relay, when it runs, pushes the wake's own
+        entry for ``time``.  The wake then takes the heap position a
+        ``timeout_at(time)`` issued at ``armed_at`` would have taken: it
+        runs after every entry for ``time`` pushed before the relay ran and
+        before every one pushed after, so a process that skips its rounds
+        up to ``armed_at`` still orders its ties at ``time`` as if it had
+        taken them.  The relay counts as one processed event.  ``armed_at``
+        must be finite and lie in ``[now, time]``.
         """
         if not self._now <= time < _INF:
             self._reject_delay(time - self._now)
         event = Event(self, name="timeout")
+
+        def fire() -> None:
+            self._sequence += 1
+            heapq.heappush(
+                self._heap, (time, self._sequence, lambda: event.succeed(value))
+            )
+
+        if armed_at is None:
+            fire()
+            return event
+        if not self._now <= armed_at <= time:
+            if not self._now <= armed_at < _INF:  # past, NaN or infinite
+                self._reject_delay(armed_at - self._now)
+            raise SimulationError(
+                f"relay armed at {armed_at!r}, after its wake at {time!r}"
+            )
         self._sequence += 1
-        heapq.heappush(self._heap, (time, self._sequence, lambda: event.succeed(value)))
+        heapq.heappush(self._heap, (armed_at, self._sequence, fire))
         return event
 
     def event(self, name: str = "") -> Event:

@@ -14,8 +14,12 @@ fills during a coast):
 
 * the report's plain form and every request's outcome are ``==``;
 * the coasting drain processes fewer simulator events -- on tiered
-  nodes exactly one fewer per iteration a coast skipped -- while drains
-  under the fault driver, which never coast, process exactly as many;
+  nodes and full reserve batches exactly one fewer per iteration a coast
+  priced, less its wake and, for a coast through its retiring step, the
+  wake's relay -- while drains under the fault driver, which never
+  coast, process exactly as many;
+* an arrival on a retirement instant joins the freed batch, as it does
+  per step, because the coast's wake is relayed from its last boundary;
 * on a cold calibrated surrogate (continuous and padded batches,
   reserve, a tight optimistic budget whose coasts stop on it, a 2-tier
   optimistic node, a grid ending below the Long context), the clamp
@@ -67,7 +71,7 @@ from repro.serving.engine import NodeEngine
 from repro.serving.kvtiers import TieredBudgetTracker
 from repro.serving.request import make_request_queue
 from repro.workloads import sample_request_classes
-from repro.workloads.requests import LONG, MEDIUM, SHORT
+from repro.workloads.requests import LONG, MEDIUM, SHORT, RequestClass
 from tests.test_golden import _plain, outcome_lines, recorded_simulators
 
 MODEL = tiny_model(n_layers=2, hidden=32, intermediate=64, n_heads=4)
@@ -130,14 +134,25 @@ FLEETS = {
 }
 
 
-def _drain(monkeypatch, coast, policy, classes, arrivals, n_nodes=1, node=None, **kw):
+def _drain(
+    monkeypatch,
+    coast,
+    policy,
+    classes,
+    arrivals,
+    n_nodes=1,
+    node=None,
+    step_time=None,
+    **kw,
+):
     """Drain once; return the report and the simulator's event count.
 
     ``coast=False`` forces every decode iteration onto the per-step path.
     ``node`` holds every node's keyword arguments, or is a list of them,
-    one per node.
+    one per node; every node shares ``step_time`` (by default 1 s plus
+    1e-4 s per context token per step, and 1e-3 s per prefill token).
     """
-    steps = AnalyticStepTime(
+    steps = step_time or AnalyticStepTime(
         base_seconds=1.0, per_token_seconds=1e-4, prefill_per_token_seconds=1e-3
     )
     per_node = node if isinstance(node, list) else [node or {}] * n_nodes
@@ -210,12 +225,56 @@ def _coasts(monkeypatch) -> list[tuple[int, int]]:
     coasts = []
 
     def spy(self, steps, optimistic):
-        taken, wake = coast(self, steps, optimistic)
+        taken, wake, last = coast(self, steps, optimistic)
         coasts.append((steps, taken))
-        return taken, wake
+        return taken, wake, last
 
     monkeypatch.setattr(NodeEngine, "_coast", spy)
     return coasts
+
+
+def _saved_events(coasts) -> int:
+    """Simulator events the coasts save: one per iteration priced, less
+    the wake, and less its relay when the coast took its retiring step."""
+    return sum(
+        taken - (2 if taken == steps else 1) for steps, taken in coasts if taken
+    )
+
+
+def test_full_batches_coast_through_their_retiring_step(monkeypatch):
+    """Every coast of a full reserve batch takes the whole countdown it is
+    offered, the retiring step included, and saves what
+    :func:`_saved_events` counts."""
+    coasts = _coasts(monkeypatch)
+    policy, node, classes = POLICIES["continuous-reserve"]
+    _, events, reference = _both(monkeypatch, policy(), classes(1), None, node=node)
+    assert coasts and all(taken == steps for steps, taken in coasts)
+    assert reference - events == _saved_events(coasts)
+
+
+def test_an_arrival_on_the_retirement_instant_joins_the_freed_batch(monkeypatch):
+    """A coast's wake orders its ties at the retirement as the per-step
+    loop does.
+
+    Requests 0 and 1 decode from t=1 and retire at t=6, when request 3
+    arrives; its delivery was scheduled at t=2.5, on request 2's arrival,
+    after the coast began.  Per step, the engine schedules its retiring
+    step at t=5, after that delivery, so request 3 is in the inbox when
+    the batch retires and is admitted with request 2.  The coast's wake,
+    relayed from t=5, keeps that order.  A wake pushed when the coast
+    began would run first, and request 3 would wait for request 2's
+    prefill and first decode step, to t=8.
+    """
+    report, _, _ = _both(
+        monkeypatch,
+        ContinuousBatching(2),
+        [RequestClass("R", 4, 6)] * 4,
+        TraceReplay([0.0, 0.0, 2.5, 6.0]),
+        step_time=AnalyticStepTime(1.0, 0.0, 0.25),
+    )
+    first, second, third, last = report.requests
+    assert first.completion_time == second.completion_time == 6.0
+    assert third.admitted_time == last.admitted_time == 6.0
 
 
 def test_tight_budget_coasts_stop_at_the_preempting_boundary(monkeypatch):
@@ -280,12 +339,11 @@ TIER_POLICIES = {
 
 
 def _tiered_both(monkeypatch, *args, **kwargs):
-    """:func:`_both` on tiered nodes, which coast: each coast's wake
-    replaces one event per iteration it priced, so the event counts differ
-    by exactly the iterations the coasts skipped."""
+    """:func:`_both` on tiered nodes, which coast: the event counts differ
+    by exactly what the coasts saved (:func:`_saved_events`)."""
     coasts = _coasts(monkeypatch)
     report, events, reference = _both(monkeypatch, *args, **kwargs)
-    assert reference - events == sum(taken - 1 for _, taken in coasts if taken)
+    assert reference - events == _saved_events(coasts)
     assert events < reference
     return report, coasts
 
@@ -397,9 +455,9 @@ def test_coast_follows_a_middle_tier_that_fills(monkeypatch, spare_tokens):
         None,
         node={"kv_tiers": stack, "kv_policy": LRUByRequest()},
     )
-    # Prefill emits the first token; 98 of the 99 decode steps can coast.
+    # Prefill emits the first token; all 99 decode steps can coast.
     assert coasts == (
-        [(98, 98)] if not spare_tokens else [(98, 10), (88, 0), (87, 87)]
+        [(99, 99)] if not spare_tokens else [(99, 10), (89, 0), (88, 88)]
     )
     hbm, dram, ssd = report.kv_tiers
     assert (hbm.peak_occupied_bytes, dram.peak_occupied_bytes) == (top, middle)
@@ -451,8 +509,8 @@ def test_top_growing_runs_do_not_coast_under_bestfit(monkeypatch):
 def test_forged_countdown_overruns_a_finisher(monkeypatch, coast):
     """A countdown raised past the true next finisher is caught: per step
     at the finishing step (3 steps still on the forged countdown), and in
-    a coast at its wake, one step short of the forged finish -- after the
-    coast ran the finisher past its last token."""
+    a coast at its wake on the forged finish, where the retirement pass
+    finds the finisher 3 steps past its last token."""
     retire = NodeEngine._retire_finished
 
     def forged(self):
@@ -464,11 +522,14 @@ def test_forged_countdown_overruns_a_finisher(monkeypatch, coast):
     monkeypatch.setattr(NodeEngine, "_retire_finished", forged)
     monkeypatch.setenv(SANITIZE_ENV, "1")
     policy, node, classes = POLICIES["continuous-reserve"]
-    with pytest.raises(SanitizerError, match="skipped retiring") as excinfo:
+    with pytest.raises(SanitizerError) as excinfo:
         _drain(monkeypatch, coast, policy(), classes(1), None, node=node)
     assert excinfo.value.invariant == "load-ledger"
-    left = 1 if coast else 3
-    assert f"with {left} decode step(s) left" in str(excinfo.value)
+    if coast:
+        assert "3 decode step(s) past its last token" in str(excinfo.value)
+    else:
+        assert "skipped retiring" in str(excinfo.value)
+        assert "with 3 decode step(s) left" in str(excinfo.value)
 
 
 # --- the calibrated surrogate -------------------------------------------------------

@@ -131,6 +131,80 @@ class TestTimeoutAt:
             sim.timeout_at(0.5)  # simlint: disable=SIM003
 
 
+class TestRelayedTimeoutAt:
+    """``timeout_at(time, armed_at=...)``: one call now, the heap position
+    of a ``timeout_at(time)`` issued at ``armed_at``."""
+
+    def test_fires_at_the_time(self, sim):
+        done = sim.timeout_at(3.0, value="payload", armed_at=2.0)
+        assert sim.run(done) == "payload"
+        assert sim.now == 3.0
+
+    @staticmethod
+    def _order(wake) -> list[str]:
+        """Entries for t=3 pushed at t=0, t=1 and t=2.5 around a wake for
+        t=3 that ``wake(sim, note)`` arranges at t=0; the firing order."""
+        sim = Simulator()
+        order: list[str] = []
+
+        def note(name):
+            return lambda *_: order.append(name)
+
+        sim.schedule(3.0, note("pushed at 0"))
+        wake(sim, note("wake"))
+        sim.schedule(1.0, lambda: sim.schedule(2.0, note("pushed at 1")))
+        sim.schedule(2.5, lambda: sim.schedule(0.5, note("pushed at 2.5")))
+        sim.run()
+        return order
+
+    def test_orders_as_a_timeout_issued_at_armed_at(self):
+        def issued_at_two(sim, note):
+            sim.schedule(2.0, lambda: sim.timeout_at(3.0).add_callback(note))
+
+        def relayed(sim, note):
+            sim.timeout_at(3.0, armed_at=2.0).add_callback(note)
+
+        def pushed_now(sim, note):
+            sim.timeout_at(3.0).add_callback(note)
+
+        expected = ["pushed at 0", "pushed at 1", "wake", "pushed at 2.5"]
+        assert self._order(issued_at_two) == expected
+        assert self._order(relayed) == expected
+        # Without the relay the wake overtakes the entry pushed at t=1.
+        assert self._order(pushed_now) != expected
+
+    def test_the_relay_is_one_processed_event(self):
+        plain, relayed = Simulator(), Simulator()
+        plain.run(plain.timeout_at(3.0))
+        relayed.run(relayed.timeout_at(3.0, armed_at=2.0))
+        assert relayed.events_processed == plain.events_processed + 1
+
+    @pytest.mark.parametrize("armed_at", [1.0, 3.0])
+    def test_armed_at_may_be_now_or_the_time(self, sim, armed_at):
+        sim.run(sim.timeout(1.0))
+        sim.run(sim.timeout_at(3.0, armed_at=armed_at))
+        assert sim.now == 3.0
+
+    @pytest.mark.parametrize(
+        "armed_at, match",
+        [(0.5, "past"), (4.0, "after its wake"), (NAN, "non-finite"),
+         (INF, "non-finite"), (-INF, "past")],
+    )
+    def test_bad_armed_at_rejected(self, armed_at, match):
+        sim = Simulator(sanitize=False)
+        sim.run(sim.timeout(1.0))
+        with pytest.raises(SimulationError, match=match) as excinfo:
+            sim.timeout_at(3.0, armed_at=armed_at)  # simlint: disable=SIM003
+        assert not isinstance(excinfo.value, SanitizerError)
+        assert not sim._heap
+
+    @pytest.mark.parametrize("armed_at", [NAN, INF, -INF])
+    def test_sanitized_kernel_reports_a_non_finite_armed_at_first(self, armed_at):
+        sim = Simulator(sanitize=True)
+        with pytest.raises(SanitizerError, match="finite-delay"):
+            sim.timeout_at(3.0, armed_at=armed_at)  # simlint: disable=SIM003
+
+
 class TestProcess:
     def test_process_return_value_becomes_event_value(self, sim):
         def proc():

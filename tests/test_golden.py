@@ -10,8 +10,10 @@ change that moves any simulated figure of any mechanism moves a digest,
 and since floats are encoded exactly, so does a figure that depends on
 the Python version.
 
-Next to each digest the file pins six exact work counters of the drain:
-``events``, the callbacks its simulator processed; ``step_queries``, the
+Next to each digest the file pins seven exact work counters of the drain:
+``events``, the callbacks its simulator processed; ``engine_rounds``, the
+resumptions of every node engine's drain process (its start included),
+summed over the drain's nodes; ``step_queries``, the
 decode step-time queries it made of the scenario's step-time model; the
 tier trackers' ``settles`` (growing requests brought current) and
 ``cascade_steps`` (decode steps that fell back to the per-request
@@ -327,6 +329,7 @@ def digest(report) -> str:
 #: The exact work counters pinned next to each digest.
 COUNTERS = (
     "events",
+    "engine_rounds",
     "step_queries",
     "settles",
     "cascade_steps",
@@ -376,12 +379,37 @@ def _counting(calls: dict, name: str, fn):
     return counted
 
 
+def _counting_rounds(calls: dict, run):
+    """``NodeEngine.run``, counting each resumption of its generator under
+    ``engine_rounds`` (the engine waits only on events that succeed)."""
+
+    def counted(self):
+        inner = run(self)
+        value = None
+        while True:
+            calls["engine_rounds"] += 1
+            try:
+                target = inner.send(value)
+            except StopIteration as stop:
+                return stop.value
+            value = yield target
+
+    return counted
+
+
 def observe(run, system) -> dict:
     """Drain one scenario: its digest and its exact work counters."""
-    calls = dict.fromkeys(("step_queries", "budget_calls", "load_probes"), 0)
+    calls = dict.fromkeys(
+        ("engine_rounds", "step_queries", "budget_calls", "load_probes"), 0
+    )
     with ExitStack() as patches:
         sims = patches.enter_context(recorded_simulators())
         engines = patches.enter_context(_recorded("NodeEngine", NodeEngine))
+        patches.enter_context(
+            mock.patch.object(
+                NodeEngine, "run", _counting_rounds(calls, NodeEngine.run)
+            )
+        )
         patches.enter_context(
             mock.patch.object(
                 AnalyticStepTime,
